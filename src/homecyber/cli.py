@@ -2,9 +2,10 @@
 portfolio, search-deductible, solve-premium, and propose.
 
 Every simulation-bearing command takes --seed and, when it writes files,
-records a run manifest (scenario digest, seed, run counts, tool version)
-next to its outputs.  Identical scenario + flags + seed give byte-identical
-outputs for any --workers value.
+records a run manifest (scenario digest, seed, run counts, stream layout,
+tool version) next to its outputs.  Identical scenario + flags + seed give
+byte-identical outputs.  Simulation runs in one thread; --workers is still
+accepted, for existing scripts, and has no effect.
 """
 
 import argparse
@@ -12,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, pricing, reports, search
-from .graph import enumerate_joint, marginal_exploit_probs, validate_graph
+from .graph import enumerate_joint, validate_graph
 from .portfolio import PortfolioSpec, simulate_portfolio
 from .pricing import CTE, CalibrationError, Expectation, GMD, Policy, StdDev
 from .scenario import (
@@ -36,6 +37,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def scenario_arg(p):
         p.add_argument("--scenario", required=True, help="scenario JSON file")
 
+    def workers_arg(p):
+        p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
+
     p = sub.add_parser("validate", help="check a scenario file against all invariants")
     scenario_arg(p)
 
@@ -47,14 +51,14 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario_arg(p)
     p.add_argument("--runs", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    workers_arg(p)
     p.add_argument("--out", help="directory for summary.csv and manifest.json")
 
     p = sub.add_parser("price", help="per-line premium table under the four principles")
     scenario_arg(p)
     p.add_argument("--runs", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    workers_arg(p)
     p.add_argument("--theta-expectation", type=float, required=True)
     p.add_argument("--theta-stddev", type=float, required=True)
     p.add_argument("--theta-gmd", type=float, required=True)
@@ -67,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario_arg(p)
     p.add_argument("--runs", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    workers_arg(p)
     p.add_argument("--line", type=int, required=True, help="business line index")
     p.add_argument("--target", type=float, required=True, help="baseline premium")
     p.add_argument("--deductible", type=float, help="calibrate on retained losses")
@@ -82,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--homes", type=int, required=True)
     p.add_argument("--replications", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    workers_arg(p)
     p.add_argument("--out", help="directory for portfolio.csv and manifest.json")
 
     def strategy_args(p):
@@ -99,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--homes", type=int, required=True)
     p.add_argument("--replications", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    workers_arg(p)
     p.add_argument("--out", help="directory for search.csv and manifest.json")
 
     p = sub.add_parser("solve-premium", help="premium that meets an LR target")
@@ -110,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--homes", type=int, required=True)
     p.add_argument("--replications", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    workers_arg(p)
     p.add_argument("--out", help="directory for premium.csv and manifest.json")
 
     p = sub.add_parser("propose", help="proposed deductibles per principle (both strategies)")
@@ -125,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--homes", type=int, required=True)
     p.add_argument("--replications", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    workers_arg(p)
     p.add_argument("--out", help="directory for proposals.csv and manifest.json")
 
     return parser
@@ -168,9 +172,7 @@ def _emit(table: reports.Table, out: str | None, filename: str, manifest: RunMan
 
 
 def _line_samples(scenario, args):
-    result = run_simulation(
-        scenario.graph, scenario.lines, args.runs, args.seed, workers=args.workers
-    )
+    result = run_simulation(scenario.graph, scenario.lines, args.runs, args.seed)
     if args.deductible is not None:
         if args.coverage is None:
             raise SystemExit("error: --deductible requires --coverage")
@@ -210,7 +212,7 @@ def _run(args) -> int:
 
     if args.command == "enumerate":
         joint = enumerate_joint(scenario.graph)
-        marginals = marginal_exploit_probs(scenario.graph)
+        marginals = joint.marginals()
         joint_tbl = reports.joint_table(joint)
         marg_tbl = reports.marginals_table(scenario.graph, marginals)
         if args.out:
@@ -223,9 +225,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "simulate":
-        result = run_simulation(
-            scenario.graph, scenario.lines, args.runs, args.seed, workers=args.workers
-        )
+        result = run_simulation(scenario.graph, scenario.lines, args.runs, args.seed)
         table = reports.summary_table(result)
         _emit(table, args.out, "summary.csv", _manifest(scenario, args, runs=args.runs))
         return 0
@@ -279,9 +279,7 @@ def _run(args) -> int:
             premium_per_home=args.premium,
             replications=args.replications,
         )
-        result = simulate_portfolio(
-            scenario.graph, scenario.lines, spec, args.seed, workers=args.workers
-        )
+        result = simulate_portfolio(scenario.graph, scenario.lines, spec, args.seed)
         profit_tbl, lr_tbl = reports.portfolio_tables([("portfolio", result)])
         manifest = _manifest(
             scenario, args, replications=args.replications, homes=args.homes
@@ -307,7 +305,6 @@ def _run(args) -> int:
             n_homes=args.homes,
             replications=args.replications,
             master_seed=args.seed,
-            workers=args.workers,
         )
         rows = tuple(
             (d, stat, "yes" if ok else "no")
@@ -331,7 +328,6 @@ def _run(args) -> int:
             n_homes=args.homes,
             replications=args.replications,
             master_seed=args.seed,
-            workers=args.workers,
         )
         table = reports.Table(
             header=("Strategy", "LR target", "Premium per home"),
@@ -362,7 +358,6 @@ def _run(args) -> int:
             mean_target=args.mean_target,
             quantile_level=args.quantile_level,
             quantile_target=args.quantile_target,
-            workers=args.workers,
         )
         table = reports.proposal_table(rows)
         manifest = _manifest(scenario, args, replications=args.replications, homes=args.homes)

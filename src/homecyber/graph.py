@@ -176,29 +176,6 @@ def topological_order(graph: AttackGraph) -> tuple[int, ...]:
     return graph._topo_cache
 
 
-def conditional_exploit_prob(
-    node_id: int, parent_states: Sequence[bool] | StateVector, graph: AttackGraph
-) -> float:
-    """Bernoulli parameter of one node given the states of its parents.
-
-    Entry nodes return their entry probability unconditionally.  Non-entry
-    nodes survive only if every exploited parent independently fails, so the
-    probability is ``1 - prod(1 - e_ij)`` over exploited parents and 0 when
-    none are exploited.
-    """
-    parents = graph.parents_of(node_id)
-    if not parents:
-        entry = graph.node(node_id).entry_prob
-        if entry is None:
-            raise GraphValidationError(f"entry node {node_id} has no entry_prob")
-        return entry
-    survive = 1.0
-    for parent_id, cond_prob in parents:
-        if parent_states[graph.position(parent_id)]:
-            survive *= 1.0 - cond_prob
-    return 1.0 - survive
-
-
 @dataclass(frozen=True)
 class JointDistribution:
     """Exact probability of each of the 2^n states.
@@ -229,6 +206,20 @@ class JointDistribution:
 
     def total(self) -> float:
         return math.fsum(self.probs.tolist())
+
+    def marginals(self) -> np.ndarray:
+        """Per-node exploitation probabilities, aligned with ``node_ids``."""
+        n = len(self.node_ids)
+        index = np.arange(1 << n, dtype=np.uint64)
+        marginals = np.empty(n)
+        for pos in range(n):
+            mask = ((index >> np.uint64(pos)) & np.uint64(1)).astype(bool)
+            if n <= 16:
+                # fsum keeps entry-node marginals exact to the last ulp
+                marginals[pos] = math.fsum(self.probs[mask].tolist())
+            else:
+                marginals[pos] = float(self.probs[mask].sum())
+        return marginals
 
 
 def enumerate_joint(
@@ -275,27 +266,7 @@ def marginal_exploit_probs(
     graph: AttackGraph, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> np.ndarray:
     """Exact per-node exploitation probabilities, aligned with ``graph.nodes``."""
-    joint = enumerate_joint(graph, cap=cap)
-    n = graph.n
-    index = np.arange(1 << n, dtype=np.uint64)
-    marginals = np.empty(n)
-    for pos in range(n):
-        mask = ((index >> np.uint64(pos)) & np.uint64(1)).astype(bool)
-        if n <= 16:
-            # fsum keeps entry-node marginals exact to the last ulp
-            marginals[pos] = math.fsum(joint.probs[mask].tolist())
-        else:
-            marginals[pos] = float(joint.probs[mask].sum())
-    return marginals
-
-
-def sample_state(graph: AttackGraph, rng: np.random.Generator) -> StateVector:
-    """One Bernoulli state vector, nodes drawn in topological order."""
-    states = np.zeros(graph.n, dtype=bool)
-    for node_id in topological_order(graph):
-        p = conditional_exploit_prob(node_id, states, graph)
-        states[graph.position(node_id)] = rng.random() < p
-    return states
+    return enumerate_joint(graph, cap=cap).marginals()
 
 
 def sample_states(

@@ -15,9 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import special
 
-from .graph import AttackGraph, StateVector, enumerate_joint
-
-DEFAULT_ENUMERATION_CAP = 22
+from .graph import DEFAULT_ENUMERATION_CAP, AttackGraph, StateVector, enumerate_joint
 
 
 def _canonical_rates(rates) -> tuple[tuple[int, float], ...]:
@@ -107,9 +105,6 @@ class DegenerateZero:
     def survival(self, x: float) -> float:
         return 0.0 if x >= 0.0 else 1.0
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return 0.0 if size is None else np.zeros(size)
-
 
 @dataclass(frozen=True)
 class Exponential:
@@ -123,9 +118,6 @@ class Exponential:
 
     def survival(self, x: float) -> float:
         return math.exp(-self.rate * x) if x > 0.0 else 1.0
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return rng.exponential(1.0 / self.rate, size)
 
 
 @dataclass(frozen=True)
@@ -145,9 +137,6 @@ class Lognormal:
             return 1.0
         return float(special.ndtr(-(math.log(x) - self.mu) / self.sigma))
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return rng.lognormal(self.mu, self.sigma, size)
-
 
 @dataclass(frozen=True)
 class Gamma:
@@ -164,9 +153,6 @@ class Gamma:
         if x <= 0.0:
             return 1.0
         return float(special.gammaincc(self.alpha, self.beta * x))
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return rng.gamma(self.alpha, 1.0 / self.beta, size)
 
 
 Distribution = DegenerateZero | Exponential | Lognormal | Gamma
@@ -214,19 +200,6 @@ def conditional_distribution(
     if isinstance(model, TriggeredLognormal):
         return Lognormal(model.mu, model.sigma)
     return Gamma(model.alpha, model.beta)
-
-
-def sample_loss(
-    line: BusinessLine,
-    state: Sequence[bool] | StateVector,
-    graph: AttackGraph,
-    rng: np.random.Generator,
-) -> float:
-    """One draw from the state-conditional law; exactly 0 when degenerate."""
-    dist = conditional_distribution(line, state, graph)
-    if isinstance(dist, DegenerateZero):
-        return 0.0
-    return float(dist.sample(rng))
 
 
 def conditional_mean(

@@ -1,24 +1,25 @@
 """Portfolio simulation: N independent policyholders over K replications.
 
-Each replication draws N independent homes from the single-home model; the
-insurer's claim for a home is the retention transform applied to that home's
-total annual loss.  Claims depend on the policy but not on the premium, so a
-single simulation prices any premium level, and evaluating several policies
-against the same draws (common random numbers) makes deductible comparisons
-monotone per replication.
+Each replication draws N independent homes from the single-home model as
+one ``simulate.loss_block`` from the substream of its replication index, so
+replication k's claims do not depend on K.  The insurer's claim for a home
+is the retention transform applied to that home's total annual loss.
+Claims depend on the policy but not on the premium, so a single simulation
+prices any premium level, and evaluating several policies against the same
+draws (common random numbers) makes deductible comparisons monotone per
+replication.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import streams
-from .graph import AttackGraph, sample_states
-from .losses import BusinessLine, sample_loss_matrix
-from .pricing import Policy
-from .simulate import DEFAULT_QUANTILE_LEVELS, SummaryStats, summarize
+from .graph import AttackGraph
+from .losses import BusinessLine
+from .pricing import Policy, apply_retention
+from .simulate import DEFAULT_QUANTILE_LEVELS, SummaryStats, loss_block, summarize
 
 
 @dataclass(frozen=True)
@@ -55,43 +56,24 @@ def simulate_claims(
     replications: int,
     policies: Sequence[Policy],
     master_seed: int,
-    workers: int = 1,
 ) -> np.ndarray:
     """Portfolio claim samples for each policy under common random numbers.
 
     Returns an array of shape ``(len(policies), replications)``.  Replication
-    k draws from the substream derived from (master_seed, k); within a
-    replication the draw order is fixed (state nodes in topological order,
-    then lines in ascending index, vectorized across the N homes), so results
-    are bit-identical for any worker count.
+    k is one block of ``n_homes`` rows drawn from the substream derived from
+    (master_seed, k), and every policy is applied to the same rows.
     """
     ordered = sorted(lines, key=lambda ln: ln.index)
     claims = np.zeros((len(policies), replications))
-
-    def fill(rep_range):
-        for k in rep_range:
-            rng = streams.substream(master_seed, k, lane=streams.REPLICATION_LANE)
-            states = sample_states(graph, n_homes, rng)
-            losses = sample_loss_matrix(ordered, states, graph, rng)
-            totals = np.zeros(n_homes)
-            for col in range(losses.shape[1]):
-                totals += losses[:, col]
-            for p, policy in enumerate(policies):
-                retained = np.minimum(
-                    np.maximum(totals - policy.deductible, 0.0), policy.coverage
-                )
-                claims[p, k] = retained.sum()
-
-    if workers <= 1:
-        fill(range(replications))
-    else:
-        chunk = -(-replications // workers)
-        ranges = [
-            range(lo, min(lo + chunk, replications))
-            for lo in range(0, replications, chunk)
-        ]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, ranges))
+    for k in range(replications):
+        losses = loss_block(
+            graph, ordered, n_homes, master_seed, k, streams.REPLICATION_LANE
+        )
+        totals = np.zeros(n_homes)
+        for col in range(losses.shape[1]):
+            totals += losses[:, col]
+        for p, policy in enumerate(policies):
+            claims[p, k] = apply_retention(totals, policy).sum()
     return claims
 
 
@@ -115,17 +97,10 @@ def simulate_portfolio(
     lines: Sequence[BusinessLine],
     spec: PortfolioSpec,
     master_seed: int,
-    workers: int = 1,
 ) -> PortfolioResult:
     """Claim, profit, and loss-ratio samples across spec.replications."""
     claims = simulate_claims(
-        graph,
-        lines,
-        spec.n_homes,
-        spec.replications,
-        [spec.policy],
-        master_seed,
-        workers=workers,
+        graph, lines, spec.n_homes, spec.replications, [spec.policy], master_seed
     )[0]
     return result_from_claims(claims, spec, master_seed)
 

@@ -8,6 +8,7 @@ recorded in every run manifest, so semantically identical files hash alike.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -21,6 +22,7 @@ from .losses import (
     TriggeredLognormal,
 )
 from .pricing import Policy
+from .streams import STREAM_LAYOUT
 
 SCHEMA_VERSION = 1
 
@@ -76,7 +78,7 @@ def parse_scenario(data, source: str = "<scenario>") -> Scenario:
                 id=_require(node_doc, "id", int, where),
                 label=str(node_doc.get("label", "")),
                 entry_prob=(
-                    float(node_doc["entry_prob"])
+                    _number(node_doc["entry_prob"], "entry_prob", where)
                     if node_doc.get("entry_prob") is not None
                     else None
                 ),
@@ -89,7 +91,7 @@ def parse_scenario(data, source: str = "<scenario>") -> Scenario:
             Edge(
                 src=_require(edge_doc, "src", int, where),
                 dst=_require(edge_doc, "dst", int, where),
-                cond_prob=float(_require(edge_doc, "cond_prob", (int, float), where)),
+                cond_prob=_require_number(edge_doc, "cond_prob", where),
             )
         )
     graph = AttackGraph(nodes, edges)
@@ -122,6 +124,8 @@ def parse_scenario(data, source: str = "<scenario>") -> Scenario:
                     model=model,
                 )
             )
+        except ScenarioError:
+            raise
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
     if not lines:
@@ -130,13 +134,13 @@ def parse_scenario(data, source: str = "<scenario>") -> Scenario:
     policy_doc = data.get("default_policy")
     policy = None
     if policy_doc is not None:
+        where = f"{source}: default_policy"
+        deductible = _require_number(policy_doc, "deductible", where)
+        coverage = _require_number(policy_doc, "coverage", where)
         try:
-            policy = Policy(
-                deductible=float(_require(policy_doc, "deductible", (int, float), source)),
-                coverage=float(_require(policy_doc, "coverage", (int, float), source)),
-            )
+            policy = Policy(deductible=deductible, coverage=coverage)
         except ValueError as exc:
-            raise ScenarioError(f"{source}: default_policy: {exc}") from exc
+            raise ScenarioError(f"{where}: {exc}") from exc
 
     return Scenario(
         graph=graph,
@@ -159,22 +163,42 @@ def _require(doc, key, kind, source):
     return value
 
 
+def _number(value, field: str, where: str) -> float:
+    """``value`` as a finite float; booleans, non-numbers, NaN and inf raise."""
+    number = None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if number is None or not math.isfinite(number):
+        raise ScenarioError(f"{where}: field {field!r} must be a finite number, got {value!r}")
+    return number
+
+
+def _require_number(doc, key: str, where: str) -> float:
+    return _number(_require(doc, key, object, where), key, where)
+
+
 def _parse_model(doc: dict, where: str):
     family = doc.get("family")
     if family == "rate_sum_exponential":
         rates_doc = _require(doc, "rates", dict, where)
         return RateSumExponential(
-            tuple((int(nid), float(rate)) for nid, rate in rates_doc.items())
+            tuple(
+                (int(nid), _number(rate, f"rates[{nid}]", where))
+                for nid, rate in rates_doc.items()
+            )
         )
     if family == "triggered_lognormal":
         return TriggeredLognormal(
-            mu=float(_require(doc, "mu", (int, float), where)),
-            sigma=float(_require(doc, "sigma", (int, float), where)),
+            mu=_require_number(doc, "mu", where),
+            sigma=_require_number(doc, "sigma", where),
         )
     if family == "triggered_gamma":
         return TriggeredGamma(
-            alpha=float(_require(doc, "alpha", (int, float), where)),
-            beta=float(_require(doc, "beta", (int, float), where)),
+            alpha=_require_number(doc, "alpha", where),
+            beta=_require_number(doc, "beta", where),
         )
     raise ScenarioError(f"{where}: unknown model family {family!r}")
 
@@ -255,6 +279,7 @@ class RunManifest:
             "runs": self.runs,
             "replications": self.replications,
             "homes": self.homes,
+            "stream_layout": STREAM_LAYOUT,
             "tool_version": self.tool_version,
         }
 

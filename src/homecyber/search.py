@@ -72,7 +72,6 @@ def search_deductible(
     n_homes: int,
     replications: int,
     master_seed: int,
-    workers: int = 1,
 ) -> DeductibleSearchResult:
     """Smallest grid deductible whose LR statistic meets the target.
 
@@ -88,9 +87,7 @@ def search_deductible(
     if premiums_total <= 0.0:
         raise ValueError(f"premiums_total must be > 0, got {premiums_total}")
     policies = [Policy(d, coverage) for d in grid]
-    claims = simulate_claims(
-        graph, lines, n_homes, replications, policies, master_seed, workers=workers
-    )
+    claims = simulate_claims(graph, lines, n_homes, replications, policies, master_seed)
     total_premium = n_homes * premiums_total
     stats = tuple(lr_statistic(claims[i] / total_premium, strategy) for i in range(len(grid)))
     target = strategy.target
@@ -135,12 +132,9 @@ def solve_premium(
     n_homes: int,
     replications: int,
     master_seed: int,
-    workers: int = 1,
 ) -> float:
     """Premium per home that makes the simulated LR statistic hit the target."""
-    claims = simulate_claims(
-        graph, lines, n_homes, replications, [policy], master_seed, workers=workers
-    )[0]
+    claims = simulate_claims(graph, lines, n_homes, replications, [policy], master_seed)[0]
     return premium_for_claims(claims, n_homes, strategy)
 
 
@@ -167,7 +161,6 @@ def report_proposals(
     mean_target: float = 0.40,
     quantile_level: float = 0.995,
     quantile_target: float = 0.40,
-    workers: int = 1,
 ) -> tuple[ProposalRow, ...]:
     """Proposed deductibles per premium principle under both LR strategies.
 
@@ -177,9 +170,7 @@ def report_proposals(
     """
     grid = tuple(float(d) for d in grid)
     policies = [Policy(d, coverage) for d in grid]
-    claims = simulate_claims(
-        graph, lines, n_homes, replications, policies, master_seed, workers=workers
-    )
+    claims = simulate_claims(graph, lines, n_homes, replications, policies, master_seed)
     mean_claims = claims.mean(axis=1)
     rows = []
     for name, total in premiums:

@@ -1,21 +1,27 @@
 """Monte Carlo loss simulation: R independent runs of state + per-line draws.
 
-Each run samples one exploitation state (nodes in topological order) and then
-one loss per business line in ascending line order.  Run r draws from its own
-substream derived from (master_seed, r), which makes results bit-identical
-whether runs execute serially or across any number of workers.
+Runs are drawn in blocks of ``RUN_BLOCK`` rows, and block b draws from its
+own substream derived from (master_seed, b).  Within a block the draw order
+is fixed: one uniform vector per graph node in topological order, then one
+loss vector per business line in ascending line order.  A complete block is
+therefore the same whatever the total number of runs, and only the last,
+partial block depends on it.  The portfolio uses the same kernel, one
+substream per replication.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import streams
-from .graph import AttackGraph, sample_state
-from .losses import BusinessLine, sample_loss
+from .graph import AttackGraph, sample_states
+from .losses import BusinessLine, sample_loss_matrix
 
+# Rows per run block: large enough that the per-block cost (a new substream,
+# one vector draw per node and line) vanishes, small enough that a block's
+# temporaries stay near 200 kB and do not raise peak memory.
+RUN_BLOCK = 4096
 DEFAULT_QUANTILE_LEVELS = (0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.995, 0.999)
 
 
@@ -45,12 +51,29 @@ class SummaryStats:
         raise KeyError(f"no quantile at level {level}")
 
 
+def loss_block(
+    graph: AttackGraph,
+    lines: Sequence[BusinessLine],
+    rows: int,
+    master_seed: int,
+    index: int,
+    lane: int,
+) -> np.ndarray:
+    """Line losses of ``rows`` homes, shape ``(rows, len(lines))``.
+
+    All draws come from the substream (master_seed, index, lane): the
+    states first, then the lines in ascending index order.
+    """
+    rng = streams.substream(master_seed, index, lane=lane)
+    states = sample_states(graph, rows, rng)
+    return sample_loss_matrix(lines, states, graph, rng)
+
+
 def run_simulation(
     graph: AttackGraph,
     lines: Sequence[BusinessLine],
     runs: int,
     master_seed: int,
-    workers: int = 1,
 ) -> SimulationResult:
     """Simulate ``runs`` independent loss rows.
 
@@ -58,8 +81,7 @@ def run_simulation(
         graph: validated vulnerability graph.
         lines: business lines; simulated in ascending ``index`` order.
         runs: number of Monte Carlo runs (>= 1).
-        master_seed: seed from which every per-run substream derives.
-        workers: worker threads; any value yields bit-identical results.
+        master_seed: seed from which every per-block substream derives.
 
     Returns:
         SimulationResult whose ``total_losses[r]`` is the ascending-index sum
@@ -68,22 +90,12 @@ def run_simulation(
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     ordered = sorted(lines, key=lambda ln: ln.index)
-    line_losses = np.zeros((runs, len(ordered)))
-
-    def fill(run_range):
-        for r in run_range:
-            rng = streams.substream(master_seed, r, lane=streams.RUN_LANE)
-            state = sample_state(graph, rng)
-            for col, line in enumerate(ordered):
-                line_losses[r, col] = sample_loss(line, state, graph, rng)
-
-    if workers <= 1:
-        fill(range(runs))
-    else:
-        chunk = -(-runs // workers)
-        ranges = [range(lo, min(lo + chunk, runs)) for lo in range(0, runs, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, ranges))
+    line_losses = np.empty((runs, len(ordered)))
+    for block, lo in enumerate(range(0, runs, RUN_BLOCK)):
+        hi = min(lo + RUN_BLOCK, runs)
+        line_losses[lo:hi] = loss_block(
+            graph, ordered, hi - lo, master_seed, block, streams.RUN_LANE
+        )
 
     total = np.zeros(runs)
     for col in range(len(ordered)):

@@ -1,8 +1,9 @@
-"""Deterministic random substreams for reproducible parallel simulation.
+"""Deterministic random substreams for reproducible simulation.
 
 Each (master seed, lane, index) triple selects a disjoint 2^128-draw counter
-range of one Philox stream, so run r's randomness is a pure function of
-(master_seed, r) and results are identical however the work is scheduled.
+range of one Philox stream, so the draws of run block b (or replication k)
+are a pure function of (master_seed, b) and do not depend on how many blocks
+or replications a command asks for.
 """
 
 from functools import lru_cache
@@ -11,6 +12,11 @@ import numpy as np
 
 RUN_LANE = 0
 REPLICATION_LANE = 1
+
+# Version of the mapping from runs and replications to substreams, recorded
+# in every run manifest.  Layout 1 gave each single-home run its own
+# substream; layout 2 gives each block of simulate.RUN_BLOCK runs one.
+STREAM_LAYOUT = 2
 
 
 @lru_cache(maxsize=64)

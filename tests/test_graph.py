@@ -18,10 +18,8 @@ from homecyber.graph import (
     EnumerationSizeError,
     GraphValidationError,
     VulnNode,
-    conditional_exploit_prob,
     enumerate_joint,
     marginal_exploit_probs,
-    sample_state,
     sample_states,
     topological_order,
     validate_graph,
@@ -119,27 +117,41 @@ class TestTopologicalOrder:
             topological_order(graph)
 
 
+def pinned_case_graph(**entries: float) -> AttackGraph:
+    """The case graph with entry probabilities replaced, e.g. ``n1=1.0``."""
+    base = build_case_graph()
+    nodes = [
+        VulnNode(n.id, n.label, entries.get(f"n{n.id}", n.entry_prob))
+        for n in base.nodes
+    ]
+    return AttackGraph(nodes, base.edges)
+
+
 class TestConditionalExploitProb:
-    def test_two_exploited_parents(self, case_graph):
-        states = np.zeros(7, dtype=bool)
-        states[case_graph.position(1)] = True
-        states[case_graph.position(2)] = True
-        p = conditional_exploit_prob(3, states, case_graph)
+    """Conditional exploit probabilities, read off marginals of graphs whose
+    entry nodes are pinned to certainly or never exploited."""
+
+    def test_two_exploited_parents(self):
+        graph = pinned_case_graph(n1=1.0, n2=1.0, n7=0.0)
+        p = marginal_exploit_probs(graph)[graph.position(3)]
         assert p == pytest.approx(1 - 0.99**2, abs=1e-15)
         assert p == pytest.approx(0.0199, abs=1e-15)
 
-    def test_no_exploited_parents(self, case_graph):
-        states = np.zeros(7, dtype=bool)
-        assert conditional_exploit_prob(3, states, case_graph) == 0.0
+    def test_no_exploited_parents(self):
+        graph = pinned_case_graph(n1=0.0, n2=0.0)
+        assert marginal_exploit_probs(graph)[graph.position(3)] == 0.0
 
-    def test_single_parent(self, case_graph):
-        states = np.zeros(7, dtype=bool)
-        states[case_graph.position(7)] = True
-        assert conditional_exploit_prob(5, states, case_graph) == pytest.approx(0.01)
+    def test_single_parent(self):
+        graph = pinned_case_graph(n1=0.0, n2=0.0, n7=1.0)
+        p = marginal_exploit_probs(graph)[graph.position(5)]
+        assert p == pytest.approx(0.01)
 
-    def test_entry_node_ignores_states(self, case_graph):
-        states = np.ones(7, dtype=bool)
-        assert conditional_exploit_prob(7, states, case_graph) == 0.9
+    def test_entry_node_ignores_states(self):
+        # a marginal sums rounded products, so it can sit one ulp off 0.9
+        for pins in ({"n1": 1.0, "n2": 1.0}, {"n1": 0.0, "n2": 0.0}, {"n1": 1.0}):
+            graph = pinned_case_graph(**pins)
+            p = marginal_exploit_probs(graph)[graph.position(7)]
+            assert p == pytest.approx(0.9, abs=1e-15)
 
 
 class TestEnumerateJoint:
@@ -196,14 +208,12 @@ class TestSampling:
     def test_certain_entry(self):
         graph = AttackGraph([VulnNode(1, entry_prob=1.0)], [])
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            assert sample_state(graph, rng)[0]
+        assert sample_states(graph, 20, rng)[:, 0].all()
 
     def test_impossible_entry(self):
         graph = AttackGraph([VulnNode(1, entry_prob=0.0)], [])
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            assert not sample_state(graph, rng)[0]
+        assert not sample_states(graph, 20, rng)[:, 0].any()
 
     def test_all_zero_state_frequency(self, case_graph):
         n = 1_000_000
@@ -230,8 +240,8 @@ class TestSampling:
         result = stats.chisquare(obs, exp)
         assert result.pvalue >= 1e-3
 
-    def test_batch_matches_scalar_distribution(self, case_graph):
-        # same substream, different code paths: both must be valid state draws
+    def test_batch_states_respect_parents(self, case_graph):
+        # a non-entry node can only be exploited through an exploited parent
         rng = np.random.default_rng(3)
         states = sample_states(case_graph, 1000, rng)
         # node 6 requires an exploited parent (4 or 7)

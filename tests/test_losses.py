@@ -19,7 +19,6 @@ from homecyber.losses import (
     exact_line_mean,
     limited_expected_value,
     limited_expected_value_of,
-    sample_loss,
     sample_loss_matrix,
 )
 
@@ -93,42 +92,44 @@ class TestConditionalMean:
             assert conditional_mean(line, state_with(case_graph), case_graph) == 0.0
 
 
+def tiled_losses(case_graph, case_lines, state, seed, rows=100_000):
+    """Loss matrix for ``rows`` copies of one fixed state."""
+    rng = np.random.default_rng(seed)
+    return sample_loss_matrix(case_lines, np.tile(state, (rows, 1)), case_graph, rng)
+
+
 class TestSampleLoss:
     def test_degenerate_samples_are_zero(self, case_graph, case_lines):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            assert sample_loss(case_lines[4], state_with(case_graph), case_graph, rng) == 0.0
+        losses = tiled_losses(case_graph, case_lines, state_with(case_graph), seed=0)
+        assert np.all(losses == 0.0)
 
     def test_gamma_sample_mean(self, case_graph, case_lines):
-        rng = np.random.default_rng(1)
-        state = state_with(case_graph, 1)
-        dist = conditional_distribution(case_lines[4], state, case_graph)
-        draws = dist.sample(rng, 100_000)
+        losses = tiled_losses(case_graph, case_lines, state_with(case_graph, 1), seed=1)
+        draws = losses[:, 4]
         tol = 3 * math.sqrt(1000.0) / math.sqrt(100_000)
         assert abs(draws.mean() - 1000.0) <= tol
 
     def test_lognormal_sample_mean(self, case_graph, case_lines):
-        rng = np.random.default_rng(2)
-        state = state_with(case_graph, 5)
-        dist = conditional_distribution(case_lines[3], state, case_graph)
-        draws = dist.sample(rng, 100_000)
+        losses = tiled_losses(case_graph, case_lines, state_with(case_graph, 5), seed=2)
+        draws = losses[:, 3]
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - math.exp(7.5)) <= 3 * se
 
     def test_sample_mean_matches_conditional_mean_grid(self, case_graph, case_lines):
-        rng = np.random.default_rng(3)
         grid = [
             state_with(case_graph, 7),
             state_with(case_graph, 1, 7),
             state_with(case_graph, 3, 5),
             state_with(case_graph, 6),
         ]
-        for line in case_lines:
-            for state in grid:
+        for seed, state in enumerate(grid, start=3):
+            losses = tiled_losses(case_graph, case_lines, state, seed=seed)
+            for col, line in enumerate(case_lines):
                 dist = conditional_distribution(line, state, case_graph)
+                draws = losses[:, col]
                 if isinstance(dist, DegenerateZero):
+                    assert np.all(draws == 0.0)
                     continue
-                draws = dist.sample(rng, 100_000)
                 se = draws.std(ddof=1) / math.sqrt(draws.size)
                 assert abs(draws.mean() - dist.mean()) <= 4 * se
 

@@ -124,15 +124,14 @@ class TestDeterminism:
         again = simulate_portfolio(case_graph, case_lines, spec, master_seed=21)
         assert np.array_equal(again.claim, small_result.claim)
 
-    def test_worker_invariance(self, case_graph, case_lines):
-        spec = PortfolioSpec(n_homes=25, policy=POLICY, premium_per_home=418.0,
-                             replications=300)
-        serial = simulate_portfolio(case_graph, case_lines, spec, master_seed=13)
-        for workers in (2, 4):
-            parallel = simulate_portfolio(
-                case_graph, case_lines, spec, master_seed=13, workers=workers
-            )
-            assert np.array_equal(parallel.claim, serial.claim)
+    def test_replication_independent_of_count(self, case_graph, case_lines):
+        policies = [POLICY, Policy(100.0, 5_000.0)]
+        full = simulate_claims(case_graph, case_lines, n_homes=25, replications=300,
+                               policies=policies, master_seed=13)
+        for reps in (1, 120, 299):
+            prefix = simulate_claims(case_graph, case_lines, n_homes=25, replications=reps,
+                                     policies=policies, master_seed=13)
+            assert np.array_equal(prefix, full[:, :reps])
 
 
 class TestSummary:

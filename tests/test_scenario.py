@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -95,6 +96,34 @@ class TestLoadScenario:
         doc["lines"][0]["model"]["rates"]["1"] = -0.5
         with pytest.raises(ScenarioError, match=r"data breach.*positive"):
             parse_scenario(doc)
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("graph", "edges", 0, "cond_prob"), True, "cond_prob"),
+            (("lines", 2, "model", "mu"), True, "mu"),
+            (("lines", 0, "model", "rates", "1"), math.nan, "rates[1]"),
+            (("lines", 1, "model", "rates", "5"), math.inf, "rates[5]"),
+            (("lines", 2, "model", "sigma"), math.nan, "sigma"),
+            (("lines", 3, "model", "mu"), math.inf, "mu"),
+            (("lines", 4, "model", "alpha"), math.inf, "alpha"),
+            (("lines", 5, "model", "beta"), 10**400, "beta"),
+            (("default_policy", "deductible"), math.nan, "deductible"),
+            (("default_policy", "coverage"), math.nan, "coverage"),
+            (("graph", "nodes", 0, "entry_prob"), "x", "entry_prob"),
+        ],
+    )
+    def test_numeric_field_rejected(self, tmp_path, path, value, field):
+        doc = case_document()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        # json writes NaN and Infinity, and reads them back, as bare words
+        scenario_file = tmp_path / "bad.json"
+        scenario_file.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioError, match=rf"field '{re.escape(field)}' must be a finite"):
+            load_scenario(scenario_file)
 
     def test_cycle_reported(self):
         doc = case_document()

@@ -7,10 +7,13 @@ from homecyber.graph import AttackGraph, VulnNode
 from homecyber.losses import BusinessLine, TriggeredGamma, exact_line_mean
 from homecyber.simulate import (
     DEFAULT_QUANTILE_LEVELS,
+    RUN_BLOCK,
     SummaryStats,
+    loss_block,
     run_simulation,
     summarize,
 )
+from homecyber.streams import RUN_LANE
 
 
 @pytest.fixture(scope="module")
@@ -56,13 +59,27 @@ class TestRunSimulation:
         assert np.array_equal(again.line_losses, case_result.line_losses)
         assert np.array_equal(again.total_losses, case_result.total_losses)
 
-    def test_worker_count_invariance(self, case_graph, case_lines):
-        serial = run_simulation(case_graph, case_lines, runs=500, master_seed=7)
-        for workers in (2, 5):
-            parallel = run_simulation(
-                case_graph, case_lines, runs=500, master_seed=7, workers=workers
+    def test_complete_blocks_independent_of_run_count(self, case_graph, case_lines):
+        longest = run_simulation(case_graph, case_lines, runs=2 * RUN_BLOCK + 7, master_seed=7)
+        for runs in (RUN_BLOCK, 2 * RUN_BLOCK, 2 * RUN_BLOCK + 3):
+            shorter = run_simulation(case_graph, case_lines, runs=runs, master_seed=7)
+            complete = runs // RUN_BLOCK * RUN_BLOCK
+            assert np.array_equal(
+                shorter.line_losses[:complete], longest.line_losses[:complete]
             )
-            assert np.array_equal(parallel.line_losses, serial.line_losses)
+        # block b is the kernel's draw from substream (seed, b) of the run lane
+        block1 = loss_block(case_graph, case_lines, RUN_BLOCK, 7, 1, RUN_LANE)
+        assert np.array_equal(longest.line_losses[RUN_BLOCK : 2 * RUN_BLOCK], block1)
+
+    @pytest.mark.parametrize("runs", [RUN_BLOCK - 1, RUN_BLOCK, RUN_BLOCK + 1])
+    def test_block_boundaries(self, case_graph, case_lines, runs):
+        result = run_simulation(case_graph, case_lines, runs=runs, master_seed=4)
+        assert result.line_losses.shape == (runs, 6)
+        assert result.run_count == runs
+        total = np.zeros(runs)
+        for col in range(6):
+            total += result.line_losses[:, col]
+        assert np.array_equal(result.total_losses, total)
 
     def test_different_seeds_differ(self, case_graph, case_lines):
         a = run_simulation(case_graph, case_lines, runs=200, master_seed=1)
