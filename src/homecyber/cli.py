@@ -212,15 +212,16 @@ def _run(args) -> int:
 
     if args.command == "enumerate":
         joint = enumerate_joint(scenario.graph)
-        marginals = joint.marginals()
-        joint_tbl = reports.joint_table(joint)
-        marg_tbl = reports.marginals_table(scenario.graph, marginals)
+        marg_tbl = reports.marginals_table(scenario.graph, joint.marginals())
         if args.out:
-            reports.export_csv(joint_tbl, Path(args.out) / "joint.csv")
+            joint_path = Path(args.out) / "joint.csv"
+            joint_path.parent.mkdir(parents=True, exist_ok=True)
+            with open(joint_path, "w") as f:
+                reports.write_joint_csv(joint, f)
             path = reports.export_csv(marg_tbl, Path(args.out) / "marginals.csv")
             print(f"wrote {path.parent}/joint.csv and {path}")
         else:
-            sys.stdout.write(reports.render_csv(joint_tbl))
+            reports.write_joint_csv(joint, sys.stdout)
             sys.stdout.write(reports.render_csv(marg_tbl))
         return 0
 

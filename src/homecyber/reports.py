@@ -7,7 +7,7 @@ terminator, and floats printed with their shortest round-trip representation
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from .graph import AttackGraph, JointDistribution
 from .portfolio import PortfolioResult, profit_summary
@@ -126,12 +126,31 @@ def proposal_table(rows: Sequence[ProposalRow]) -> Table:
     return Table(header=header, rows=body)
 
 
-def joint_table(joint: JointDistribution) -> Table:
-    header = (*(f"S{nid}" for nid in joint.node_ids), "Prob")
-    rows = []
-    for index in range(joint.probs.size):
-        rows.append((*joint.state_of(index), float(joint.probs[index])))
-    return Table(header=header, rows=tuple(rows))
+def _bit_prefixes(count: int) -> list[str]:
+    """``"b0,b1,...,"`` (lowest bit first) for every value of a ``count``-bit field."""
+    return [
+        "".join(f"{(value >> k) & 1}," for k in range(count))
+        for value in range(1 << count)
+    ]
+
+
+def write_joint_csv(joint: JointDistribution, out: TextIO) -> None:
+    """Write the 2^n-row joint table to ``out`` in the :func:`render_csv` layout.
+
+    Rows go out one chunk per value of the high state bits, so no 2^n-row
+    table or string is built: each row is a precomputed low-bits prefix, a
+    high-bits prefix and the probability's repr.
+    """
+    n = len(joint.node_ids)
+    low = n // 2
+    low_prefixes = _bit_prefixes(low)
+    out.write(",".join((*(f"S{nid}" for nid in joint.node_ids), "Prob")) + "\n")
+    for high, high_prefix in enumerate(_bit_prefixes(n - low)):
+        chunk = joint.probs[high << low:(high + 1) << low].tolist()
+        out.write("".join([
+            f"{low_prefix}{high_prefix}{p!r}\n"
+            for low_prefix, p in zip(low_prefixes, chunk)
+        ]))
 
 
 def marginals_table(graph: AttackGraph, marginals) -> Table:

@@ -111,7 +111,13 @@ def parse_scenario(data, source: str = "<scenario>") -> Scenario:
             raise ScenarioError(f"{where}: duplicate line index")
         seen_indices.add(index)
         triggers = _require(line_doc, "trigger_set", list, where)
-        for nid in triggers:
+        for k, nid in enumerate(triggers):
+            if not isinstance(nid, int) or isinstance(nid, bool):
+                raise ScenarioError(
+                    f"{where}: field 'trigger_set' must hold integer node ids, got {nid!r}"
+                )
+            if nid in triggers[:k]:
+                raise ScenarioError(f"{where}: field 'trigger_set' repeats node {nid}")
             if nid not in graph.node_ids:
                 raise ScenarioError(f"{where}: trigger node {nid} not in graph")
         try:
@@ -120,7 +126,7 @@ def parse_scenario(data, source: str = "<scenario>") -> Scenario:
                 BusinessLine(
                     index=index,
                     name=name,
-                    trigger_set=frozenset(int(t) for t in triggers),
+                    trigger_set=frozenset(triggers),
                     model=model,
                 )
             )
@@ -180,14 +186,28 @@ def _require_number(doc, key: str, where: str) -> float:
     return _number(_require(doc, key, object, where), key, where)
 
 
+def _rate_node(key, where: str) -> int:
+    """The node id a ``rates`` key names: a canonical decimal integer string."""
+    try:
+        nid = int(key)
+    except (TypeError, ValueError):
+        nid = None
+    if not isinstance(key, str) or str(nid) != key:
+        raise ScenarioError(
+            f"{where}: field 'rates' keys must be decimal node ids, got {key!r}"
+        )
+    return nid
+
+
 def _parse_model(doc: dict, where: str):
     family = doc.get("family")
     if family == "rate_sum_exponential":
+        # one canonical key per node id, so distinct keys name distinct nodes
         rates_doc = _require(doc, "rates", dict, where)
         return RateSumExponential(
             tuple(
-                (int(nid), _number(rate, f"rates[{nid}]", where))
-                for nid, rate in rates_doc.items()
+                (_rate_node(key, where), _number(rate, f"rates[{key}]", where))
+                for key, rate in rates_doc.items()
             )
         )
     if family == "triggered_lognormal":

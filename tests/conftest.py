@@ -2,13 +2,14 @@ import math
 
 import pytest
 
-from homecyber.graph import AttackGraph, Edge, VulnNode
+from homecyber.graph import AttackGraph, Edge, JointDistribution, VulnNode
 from homecyber.losses import (
     BusinessLine,
     RateSumExponential,
     TriggeredGamma,
     TriggeredLognormal,
 )
+from homecyber.reports import Table, render_csv
 from homecyber.scenario import bundled_case_study_path, load_scenario
 
 
@@ -106,6 +107,16 @@ def brute_force_marginals(graph: AttackGraph) -> dict[int, float]:
             if states[graph.position(node.id)]:
                 totals[node.id] += p
     return totals
+
+
+def joint_csv_reference(joint: JointDistribution) -> str:
+    """joint.csv as one 2^n-row table rendered by ``render_csv``."""
+    header = (*(f"S{nid}" for nid in joint.node_ids), "Prob")
+    rows = tuple(
+        (*joint.state_of(index), float(joint.probs[index]))
+        for index in range(joint.probs.size)
+    )
+    return render_csv(Table(header=header, rows=rows))
 
 
 def lev_quadrature(dist, d: float, c: float) -> float:

@@ -1,7 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import homecyber
+from conftest import joint_csv_reference
 from homecyber.cli import cli_dispatch
-from homecyber.scenario import bundled_case_study_path
+from homecyber.graph import enumerate_joint
+from homecyber.reports import marginals_table, render_csv
+from homecyber.scenario import bundled_case_study_path, load_scenario
 
 CASE = str(bundled_case_study_path())
 
@@ -43,6 +51,13 @@ class TestValidate:
         assert "cycle" in capsys.readouterr().err
 
 
+def enumerate_reference() -> tuple[str, str]:
+    """joint.csv and marginals.csv of the bundled scenario, built independently."""
+    graph = load_scenario(CASE).graph
+    joint = enumerate_joint(graph)
+    return joint_csv_reference(joint), render_csv(marginals_table(graph, joint.marginals()))
+
+
 class TestEnumerate:
     def test_stdout_lists_exact_distribution(self, capsys):
         assert run("enumerate", "--scenario", CASE) == 0
@@ -53,12 +68,25 @@ class TestEnumerate:
         assert all_zero[:7] == ["0"] * 7
         assert abs(float(all_zero[7]) - 0.097) <= 5e-4
         assert len([l for l in lines if l and l[0] in "01"]) >= 128
+        assert out == "".join(enumerate_reference())
 
     def test_writes_files(self, tmp_path):
         out = tmp_path / "enum"
         assert run("enumerate", "--scenario", CASE, "--out", str(out)) == 0
-        assert (out / "joint.csv").exists()
-        assert (out / "marginals.csv").exists()
+        joint_csv, marginals_csv = enumerate_reference()
+        assert (out / "joint.csv").read_bytes() == joint_csv.encode()
+        assert (out / "marginals.csv").read_bytes() == marginals_csv.encode()
+
+    def test_python_m_entry_point(self, capsys):
+        assert run("enumerate", "--scenario", CASE) == 0
+        in_process = capsys.readouterr().out
+        src = str(Path(homecyber.__file__).parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "homecyber", "enumerate", "--scenario", CASE],
+            capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == in_process.encode()
 
 
 class TestSimulate:

@@ -179,6 +179,14 @@ class TestEnumerateJoint:
         with pytest.raises(EnumerationSizeError):
             enumerate_joint(build_case_graph(), cap=5)
 
+    def test_cached_per_graph_after_cap_check(self):
+        graph = build_case_graph()
+        joint = enumerate_joint(graph)
+        assert enumerate_joint(graph) is joint
+        assert marginal_exploit_probs(graph).tolist() == joint.marginals().tolist()
+        with pytest.raises(EnumerationSizeError):
+            enumerate_joint(graph, cap=graph.n - 1)
+
     def test_state_index_length_check(self, case_graph):
         joint = enumerate_joint(case_graph)
         with pytest.raises(ValueError, match="length"):

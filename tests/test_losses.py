@@ -1,10 +1,12 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from conftest import all_states, lev_quadrature, recursive_joint_prob
-from homecyber.graph import sample_states
+from conftest import all_states, build_case_graph, lev_quadrature, recursive_joint_prob
+from homecyber.graph import enumerate_joint, sample_states
 from homecyber.losses import (
     BusinessLine,
     DegenerateZero,
@@ -163,6 +165,20 @@ class TestExactLineMean:
                 if p > 0.0:
                     oracle += p * conditional_mean(line, np.array(states, bool), case_graph)
             assert exact_line_mean(line, case_graph) == pytest.approx(oracle, rel=1e-10)
+
+    def test_cached_and_fresh_graph_agree(self, case_graph, case_lines):
+        enumerate_joint(case_graph)  # warm the cache on the shared graph
+        for line in case_lines:
+            assert exact_line_mean(line, case_graph) == exact_line_mean(line, build_case_graph())
+
+    def test_graph_and_its_joint_are_freed(self, case_lines):
+        graph = build_case_graph()
+        for line in case_lines:
+            exact_line_mean(line, graph)
+        ref = weakref.ref(graph)
+        del graph
+        gc.collect()
+        assert ref() is None
 
     def test_monte_carlo_agrees(self, case_graph, case_lines):
         rng = np.random.default_rng(11)

@@ -1,10 +1,12 @@
+import io
 import json
 import math
 import re
 
 import pytest
 
-from homecyber.graph import enumerate_joint
+from conftest import build_case_graph, joint_csv_reference
+from homecyber.graph import AttackGraph, Edge, VulnNode, enumerate_joint
 from homecyber.losses import RateSumExponential
 from homecyber.reports import (
     SUMMARY_HEADER,
@@ -12,6 +14,7 @@ from homecyber.reports import (
     export_csv,
     render_csv,
     summary_table,
+    write_joint_csv,
 )
 from homecyber.scenario import (
     RunManifest,
@@ -125,6 +128,34 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=rf"field '{re.escape(field)}' must be a finite"):
             load_scenario(scenario_file)
 
+    # lines[5] is line index 6, "property theft"
+    @pytest.mark.parametrize(
+        "triggers",
+        [[True], [7.0], [1, 1.0], ["1"], [1, 1]],
+        ids=["bool", "float", "int-and-float", "string", "repeat"],
+    )
+    def test_trigger_set_rejected(self, triggers):
+        doc = case_document()
+        doc["lines"][5]["trigger_set"] = triggers
+        with pytest.raises(ScenarioError, match=r"lines\[5\].*'trigger_set'"):
+            parse_scenario(doc)
+
+    # lines[1] is line index 2, "loss of use", rates on nodes 3 and 5
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            {"3": 0.001, "03": 0.002, "5": 0.001},
+            {"3": 0.001, "+5": 0.001},
+            {"3": 0.001, " 5": 0.001},
+        ],
+        ids=["leading-zero-alias", "plus-sign", "space"],
+    )
+    def test_rate_keys_rejected(self, rates):
+        doc = case_document()
+        doc["lines"][1]["model"]["rates"] = rates
+        with pytest.raises(ScenarioError, match=r"lines\[1\].*'rates' keys"):
+            parse_scenario(doc)
+
     def test_cycle_reported(self):
         doc = case_document()
         doc["graph"]["edges"].append({"src": 5, "dst": 3, "cond_prob": 0.5})
@@ -207,3 +238,25 @@ class TestCsvExport:
     def test_comma_in_label_rejected(self):
         with pytest.raises(ValueError, match="CSV layout"):
             render_csv(Table(header=("x",), rows=(("a,b",),)))
+
+
+SMALL_GRAPHS = {
+    "n1": AttackGraph([VulnNode(1, entry_prob=0.3)], []),
+    "n2": AttackGraph([VulnNode(1, entry_prob=0.3), VulnNode(2)], [Edge(1, 2, 0.4)]),
+    "n5": AttackGraph(
+        [VulnNode(1, entry_prob=0.3), VulnNode(2), VulnNode(3),
+         VulnNode(4, entry_prob=0.7), VulnNode(5)],
+        [Edge(1, 2, 0.4), Edge(2, 3, 0.5), Edge(4, 3, 0.2), Edge(3, 5, 0.6)],
+    ),
+    "case": build_case_graph(),
+}
+
+
+class TestJointCsv:
+    # n // 2 low bits and the rest high: n = 1 has no low bits, n = 5 splits 2/3
+    @pytest.mark.parametrize("name", SMALL_GRAPHS)
+    def test_matches_rendered_table(self, name):
+        joint = enumerate_joint(SMALL_GRAPHS[name])
+        out = io.StringIO()
+        write_joint_csv(joint, out)
+        assert out.getvalue() == joint_csv_reference(joint)
