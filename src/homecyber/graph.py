@@ -61,10 +61,11 @@ class AttackGraph:
     lists) is precomputed once and shared, so instances are safe for
     concurrent readers.
 
-    The topological order and the exact joint are filled lazily and cached
-    for the object's lifetime; the joint holds 2^n doubles (8 MB at n = 20,
-    32 MB at the default enumeration cap of 22).  Two readers filling a cache
-    at once compute the same value, and either result is kept.
+    The topological order, the noisy-OR plan and the exact joint are filled
+    lazily and cached for the object's lifetime; the joint holds 2^n doubles
+    (8 MB at n = 20, 32 MB at the default enumeration cap of 22).  Two
+    readers filling a cache at once compute the same value, and either
+    result is kept.
     """
 
     def __init__(self, nodes: Iterable[VulnNode], edges: Iterable[Edge]):
@@ -82,6 +83,7 @@ class AttackGraph:
             nid: tuple(sorted(plist)) for nid, plist in parents.items()
         }
         self._topo_cache: tuple[int, ...] | None = None
+        self._plan_cache: tuple[NoisyOrStep, ...] | None = None
         self._joint_cache: JointDistribution | None = None
 
     @property
@@ -183,6 +185,44 @@ def topological_order(graph: AttackGraph) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
+class NoisyOrStep:
+    """One node of the noisy-OR recursion, as array positions and factors.
+
+    An entry node is exploited with ``entry_prob``; any other node with
+    ``1 - prod(keep[i] for each exploited parent i)``, where ``keep`` holds
+    the ``1 - cond_prob`` of each parent in ``parent_positions`` order
+    (ascending parent id).
+    """
+
+    position: int
+    entry_prob: float | None
+    parent_positions: np.ndarray
+    keep: np.ndarray
+
+
+def _noisy_or_plan(graph: AttackGraph) -> tuple[NoisyOrStep, ...]:
+    """Parent-first noisy-OR steps, computed once per graph and cached."""
+    if graph._plan_cache is None:
+        steps = []
+        for node_id in topological_order(graph):
+            parents = graph.parents_of(node_id)
+            entry = graph.node(node_id).entry_prob if not parents else None
+            if not parents and entry is None:
+                raise GraphValidationError(f"entry node {node_id} has no entry_prob")
+            parent_positions = np.array(
+                [graph.position(pid) for pid, _ in parents], dtype=np.intp
+            )
+            keep = np.array([1.0 - cond for _, cond in parents])
+            parent_positions.flags.writeable = False
+            keep.flags.writeable = False
+            steps.append(
+                NoisyOrStep(graph.position(node_id), entry, parent_positions, keep)
+            )
+        graph._plan_cache = tuple(steps)
+    return graph._plan_cache
+
+
+@dataclass(frozen=True)
 class JointDistribution:
     """Exact probability of each of the 2^n states.
 
@@ -212,6 +252,19 @@ class JointDistribution:
 
     def total(self) -> float:
         return math.fsum(self.probs.tolist())
+
+    def pattern_probs(self, positions: Sequence[int]) -> np.ndarray:
+        """Joint law of the nodes at ``positions`` (strictly ascending).
+
+        Entry j is the probability that, for every i, the node at
+        ``positions[i]`` is exploited exactly when bit i of j is set; the
+        other nodes are summed out.
+        """
+        n = len(self.node_ids)
+        kept = set(positions)
+        # C order puts state bit k on axis n - 1 - k
+        summed = tuple(n - 1 - k for k in range(n) if k not in kept)
+        return self.probs.reshape((2,) * n).sum(axis=summed).reshape(-1)
 
     def marginals(self) -> np.ndarray:
         """Per-node exploitation probabilities, aligned with ``node_ids``."""
@@ -254,20 +307,15 @@ def _enumerate(graph: AttackGraph) -> JointDistribution:
     index = np.arange(size, dtype=np.uint64)
     bits = [((index >> np.uint64(k)) & np.uint64(1)).astype(bool) for k in range(n)]
     probs = np.ones(size, dtype=np.float64)
-    for node_id in topological_order(graph):
-        pos = graph.position(node_id)
-        parents = graph.parents_of(node_id)
-        if not parents:
-            entry = graph.node(node_id).entry_prob
-            if entry is None:
-                raise GraphValidationError(f"entry node {node_id} has no entry_prob")
-            exploited_prob = np.full(size, entry)
+    for step in _noisy_or_plan(graph):
+        if step.entry_prob is not None:
+            exploited_prob = np.full(size, step.entry_prob)
         else:
             survive = np.ones(size)
-            for parent_id, cond_prob in parents:
-                survive *= np.where(bits[graph.position(parent_id)], 1.0 - cond_prob, 1.0)
+            for pos, keep in zip(step.parent_positions, step.keep):
+                survive *= np.where(bits[pos], keep, 1.0)
             exploited_prob = 1.0 - survive
-        probs *= np.where(bits[pos], exploited_prob, 1.0 - exploited_prob)
+        probs *= np.where(bits[step.position], exploited_prob, 1.0 - exploited_prob)
     total = math.fsum(probs.tolist())
     if abs(total - 1.0) > 1e-12:
         raise GraphValidationError(
@@ -291,22 +339,17 @@ def sample_states(
 
     Draw order is fixed (one uniform vector per node, topological order), so
     the batch is reproducible for a given stream regardless of the states
-    that come up.
+    that come up.  The result is a transposed view of a node-major array,
+    so each node's column is contiguous.
     """
-    states = np.zeros((count, graph.n), dtype=bool)
-    for node_id in topological_order(graph):
-        parents = graph.parents_of(node_id)
-        if not parents:
-            entry = graph.node(node_id).entry_prob
-            if entry is None:
-                raise GraphValidationError(f"entry node {node_id} has no entry_prob")
-            p = np.full(count, entry)
+    states = np.zeros((graph.n, count), dtype=bool)
+    for step in _noisy_or_plan(graph):
+        if step.entry_prob is not None:
+            p = step.entry_prob
         else:
-            survive = np.ones(count)
-            for parent_id, cond_prob in parents:
-                survive *= np.where(
-                    states[:, graph.position(parent_id)], 1.0 - cond_prob, 1.0
-                )
+            survive = np.where(
+                states[step.parent_positions], step.keep[:, None], 1.0
+            ).prod(axis=0)
             p = 1.0 - survive
-        states[:, graph.position(node_id)] = rng.random(count) < p
-    return states
+        np.less(rng.random(count), p, out=states[step.position])
+    return states.T

@@ -238,9 +238,12 @@ def sample_loss_matrix(
 ) -> np.ndarray:
     """Vectorized losses for a batch of states, shape ``(batch, len(lines))``.
 
-    Lines are drawn in ascending index order with one fixed-size vector draw
-    per line, so consumption from ``rng`` does not depend on which triggers
-    fired.
+    Lines are drawn in ascending index order.  Each line draws one severity
+    vector whose length is the number of rows where it fired (rate sum > 0
+    for an exponential line, any trigger exploited otherwise), assigned to
+    those rows in ascending order; every other row loses exactly 0.  How
+    much a line consumes from ``rng`` therefore depends on the states, but
+    the result is still a pure function of ``states`` and the stream.
     """
     batch = states.shape[0]
     out = np.zeros((batch, len(lines)))
@@ -249,38 +252,37 @@ def sample_loss_matrix(
         if isinstance(model, RateSumExponential):
             positions, rates = _rate_vector(model, graph)
             lam = states[:, positions].astype(float) @ rates
-            draws = rng.standard_exponential(batch)
-            np.divide(draws, lam, out=out[:, col], where=lam > 0.0)
+            rows = np.flatnonzero(lam > 0.0)
+            out[rows, col] = rng.standard_exponential(rows.size) / lam[rows]
+            continue
+        rows = np.flatnonzero(states[:, _trigger_positions(line, graph)].any(axis=1))
+        if isinstance(model, TriggeredLognormal):
+            out[rows, col] = rng.lognormal(model.mu, model.sigma, rows.size)
         else:
-            fired = states[:, _trigger_positions(line, graph)].any(axis=1)
-            if isinstance(model, TriggeredLognormal):
-                draws = rng.lognormal(model.mu, model.sigma, batch)
-            else:
-                draws = rng.gamma(model.alpha, 1.0 / model.beta, batch)
-            out[:, col] = np.where(fired, draws, 0.0)
+            out[rows, col] = rng.gamma(model.alpha, 1.0 / model.beta, rows.size)
     return out
 
 
 def exact_line_mean(
     line: BusinessLine, graph: AttackGraph, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> float:
-    """Exact E[loss] under the joint state law, via full enumeration."""
-    joint = enumerate_joint(graph, cap=cap)
-    n = graph.n
-    index = np.arange(1 << n, dtype=np.uint64)
+    """Exact E[loss] under the joint state law.
+
+    The enumerated joint is summed down to the 2^t patterns of the line's t
+    trigger nodes, and the mean is an fsum over the patterns that fire.
+    """
+    by_id = _trigger_positions(line, graph)
+    order = np.argsort(by_id)
+    patterns = enumerate_joint(graph, cap=cap).pattern_probs(by_id[order])
     model = line.model
     if isinstance(model, RateSumExponential):
-        positions, rates = _rate_vector(model, graph)
-        lam = np.zeros(1 << n)
-        for pos, rate in zip(positions, rates):
-            lam += np.where(((index >> np.uint64(pos)) & np.uint64(1)).astype(bool), rate, 0.0)
+        # fired[j, i]: pattern j has the i-th trigger in position order exploited
+        fired = (np.arange(patterns.size)[:, None] >> np.arange(order.size)) & 1 == 1
+        # rates follow the triggers in id order, as the trigger positions do
+        lam = fired @ _rate_vector(model, graph)[1][order]
         mask = lam > 0.0
-        terms = joint.probs[mask] / lam[mask]
-        return math.fsum(terms.tolist())
-    fired = np.zeros(1 << n, dtype=bool)
-    for pos in _trigger_positions(line, graph):
-        fired |= ((index >> np.uint64(pos)) & np.uint64(1)).astype(bool)
-    fire_prob = math.fsum(joint.probs[fired].tolist())
+        return math.fsum((patterns[mask] / lam[mask]).tolist())
+    fire_prob = math.fsum(patterns[1:].tolist())
     if isinstance(model, TriggeredLognormal):
         return fire_prob * Lognormal(model.mu, model.sigma).mean()
     return fire_prob * Gamma(model.alpha, model.beta).mean()

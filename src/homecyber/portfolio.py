@@ -1,9 +1,12 @@
 """Portfolio simulation: N independent policyholders over K replications.
 
-Each replication draws N independent homes from the single-home model as
-one ``simulate.loss_block`` from the substream of its replication index, so
-replication k's claims do not depend on K.  The insurer's claim for a home
-is the retention transform applied to that home's total annual loss.
+Replications are drawn in groups of G = max(1, RUN_BLOCK // N), so a
+group's block of G * N homes is about one single-home run block.  Group g
+is one ``simulate.loss_block`` from the substream of its group index, and
+replication k is the (k mod G)-th N-row slice of group k // G; the last
+group is drawn whole, so replication k's claims do not depend on K.  The
+insurer's claim for a home is the retention transform applied to that
+home's total annual loss.
 Claims depend on the policy but not on the premium, so a single simulation
 prices any premium level, and evaluating several policies against the same
 draws (common random numbers) makes deductible comparisons monotone per
@@ -19,7 +22,13 @@ from . import streams
 from .graph import AttackGraph
 from .losses import BusinessLine
 from .pricing import Policy, apply_retention
-from .simulate import DEFAULT_QUANTILE_LEVELS, SummaryStats, loss_block, summarize
+from .simulate import (
+    DEFAULT_QUANTILE_LEVELS,
+    RUN_BLOCK,
+    SummaryStats,
+    loss_block,
+    summarize,
+)
 
 
 @dataclass(frozen=True)
@@ -49,6 +58,11 @@ class PortfolioResult:
     master_seed: int
 
 
+def replication_group(n_homes: int) -> int:
+    """Replications per substream: as many n_homes-row blocks as fit in RUN_BLOCK."""
+    return max(1, RUN_BLOCK // n_homes)
+
+
 def simulate_claims(
     graph: AttackGraph,
     lines: Sequence[BusinessLine],
@@ -59,21 +73,27 @@ def simulate_claims(
 ) -> np.ndarray:
     """Portfolio claim samples for each policy under common random numbers.
 
-    Returns an array of shape ``(len(policies), replications)``.  Replication
-    k is one block of ``n_homes`` rows drawn from the substream derived from
-    (master_seed, k), and every policy is applied to the same rows.
+    Returns an array of shape ``(len(policies), replications)``.  With
+    ``G = replication_group(n_homes)``, replications gG .. gG + G - 1 are
+    the consecutive n_homes-row slices of one ``G * n_homes``-row block
+    drawn from the substream derived from (master_seed, g), and every policy
+    is applied to the same rows.  The last group is drawn whole and then
+    truncated, so replication k does not depend on ``replications``.
     """
     ordered = sorted(lines, key=lambda ln: ln.index)
+    group = replication_group(n_homes)
     claims = np.zeros((len(policies), replications))
-    for k in range(replications):
+    for g, lo in enumerate(range(0, replications, group)):
+        hi = min(lo + group, replications)
         losses = loss_block(
-            graph, ordered, n_homes, master_seed, k, streams.REPLICATION_LANE
+            graph, ordered, group * n_homes, master_seed, g, streams.REPLICATION_LANE
         )
-        totals = np.zeros(n_homes)
+        totals = np.zeros(group * n_homes)
         for col in range(losses.shape[1]):
             totals += losses[:, col]
+        totals = totals.reshape(group, n_homes)[: hi - lo]
         for p, policy in enumerate(policies):
-            claims[p, k] = apply_retention(totals, policy).sum()
+            claims[p, lo:hi] = apply_retention(totals, policy).sum(axis=1)
     return claims
 
 

@@ -9,9 +9,12 @@ recorded in every run manifest, so semantically identical files hash alike.
 import hashlib
 import json
 import math
+import platform
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .graph import AttackGraph, Edge, VulnNode, validate_graph
@@ -52,10 +55,34 @@ def load_scenario(path: str | Path) -> Scenario:
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_KeyValuePairs)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_scenario(data, source=str(path))
+    return parse_scenario(_unique_keys(data, str(path), ""), source=str(path))
+
+
+class _KeyValuePairs(list):
+    """A JSON object's (key, value) pairs as read, before repeats are checked."""
+
+
+def _unique_keys(value, source: str, where: str):
+    """``value`` with every object a dict; a key repeated in one object raises.
+
+    ``json.loads`` alone keeps the last of repeated keys, so a scenario could
+    silently load a value other than the one its reader sees first.
+    """
+    if isinstance(value, _KeyValuePairs):
+        obj = {}
+        for key, item in value:
+            if key in obj:
+                raise ScenarioError(
+                    f"{source}: {where or 'top level'}: key {key!r} appears twice"
+                )
+            obj[key] = _unique_keys(item, source, f"{where}.{key}" if where else key)
+        return obj
+    if isinstance(value, list):
+        return [_unique_keys(item, source, f"{where}[{i}]") for i, item in enumerate(value)]
+    return value
 
 
 def parse_scenario(data, source: str = "<scenario>") -> Scenario:
@@ -301,6 +328,11 @@ class RunManifest:
             "homes": self.homes,
             "stream_layout": STREAM_LAYOUT,
             "tool_version": self.tool_version,
+            # the draws of a stream layout are numpy's sampling algorithms
+            # (lognormal, gamma, ...), so a digest reproduces only with the
+            # same numpy and Python
+            "numpy_version": np.__version__,
+            "python_version": platform.python_version(),
         }
 
 

@@ -2,11 +2,12 @@
 
 Runs are drawn in blocks of ``RUN_BLOCK`` rows, and block b draws from its
 own substream derived from (master_seed, b).  Within a block the draw order
-is fixed: one uniform vector per graph node in topological order, then one
-loss vector per business line in ascending line order.  A complete block is
-therefore the same whatever the total number of runs, and only the last,
-partial block depends on it.  The portfolio uses the same kernel, one
-substream per replication.
+is fixed: one uniform vector per graph node in topological order, then, per
+business line in ascending line order, one severity vector holding a draw
+for each row where the line fired.  A complete block is therefore the same
+whatever the total number of runs, and only the last, partial block depends
+on it.  The portfolio uses the same kernel, one substream per group of
+replications.
 """
 
 from dataclasses import dataclass
@@ -62,7 +63,8 @@ def loss_block(
     """Line losses of ``rows`` homes, shape ``(rows, len(lines))``.
 
     All draws come from the substream (master_seed, index, lane): the
-    states first, then the lines in ascending index order.
+    states first, then the fired rows' severities of each line in ascending
+    line index order.
     """
     rng = streams.substream(master_seed, index, lane=lane)
     states = sample_states(graph, rows, rng)

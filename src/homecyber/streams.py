@@ -1,9 +1,9 @@
 """Deterministic random substreams for reproducible simulation.
 
 Each (master seed, lane, index) triple selects a disjoint 2^128-draw counter
-range of one Philox stream, so the draws of run block b (or replication k)
-are a pure function of (master_seed, b) and do not depend on how many blocks
-or replications a command asks for.
+range of one Philox stream, so the draws of run block b (or replication
+group g) are a pure function of (master_seed, b) and do not depend on how
+many blocks or groups a command asks for.
 """
 
 from functools import lru_cache
@@ -15,8 +15,11 @@ REPLICATION_LANE = 1
 
 # Version of the mapping from runs and replications to substreams, recorded
 # in every run manifest.  Layout 1 gave each single-home run its own
-# substream; layout 2 gives each block of simulate.RUN_BLOCK runs one.
-STREAM_LAYOUT = 2
+# substream; layout 2 gives each block of simulate.RUN_BLOCK runs one, and
+# each portfolio replication one.  Layout 3 gives each group of
+# max(1, RUN_BLOCK // n_homes) portfolio replications one, and draws a
+# line's severities only for the rows where the line fires.
+STREAM_LAYOUT = 3
 
 
 @lru_cache(maxsize=64)

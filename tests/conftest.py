@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import strategies as st
 
 from homecyber.graph import AttackGraph, Edge, JointDistribution, VulnNode
 from homecyber.losses import (
@@ -63,6 +64,25 @@ def case_lines():
 @pytest.fixture(scope="session")
 def case_scenario():
     return load_scenario(bundled_case_study_path())
+
+
+@st.composite
+def dag_graphs(draw):
+    """Valid DAG of 1-6 nodes; edge i -> j only for i < j, ids 1..n in order."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    prob = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+    edges = []
+    has_parent = [False] * (n + 1)
+    for dst in range(2, n + 1):
+        for src in range(1, dst):
+            if draw(st.booleans()):
+                edges.append(Edge(src, dst, draw(prob)))
+                has_parent[dst] = True
+    nodes = [
+        VulnNode(i, entry_prob=None if has_parent[i] else draw(prob))
+        for i in range(1, n + 1)
+    ]
+    return AttackGraph(nodes, edges)
 
 
 def recursive_joint_prob(graph: AttackGraph, states) -> float:

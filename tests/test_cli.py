@@ -1,8 +1,11 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import homecyber
 from conftest import joint_csv_reference
@@ -100,6 +103,9 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 42
         assert manifest["runs"] == 500
+        assert manifest["stream_layout"] == 3
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["python_version"] == platform.python_version()
 
     def test_byte_identical_reruns_and_workers(self, tmp_path):
         outputs = []
@@ -174,6 +180,7 @@ class TestPortfolio:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["replications"] == 400
         assert manifest["homes"] == 50
+        assert manifest["stream_layout"] == 3
 
 
 class TestSearchAndSolve:

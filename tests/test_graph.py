@@ -10,6 +10,7 @@ from conftest import (
     all_states,
     brute_force_marginals,
     build_case_graph,
+    dag_graphs,
     recursive_joint_prob,
 )
 from homecyber.graph import (
@@ -311,24 +312,6 @@ def _strip_orphan_entry(graph: AttackGraph, drop_index: int):
     return nodes
 
 
-@st.composite
-def dag_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
-    prob = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-    edges = []
-    has_parent = [False] * (n + 1)
-    for dst in range(2, n + 1):
-        for src in range(1, dst):
-            if draw(st.booleans()):
-                edges.append(Edge(src, dst, draw(prob)))
-                has_parent[dst] = True
-    nodes = [
-        VulnNode(i, entry_prob=None if has_parent[i] else draw(prob))
-        for i in range(1, n + 1)
-    ]
-    return AttackGraph(nodes, edges)
-
-
 @given(dag_graphs())
 @settings(max_examples=60, deadline=None)
 def test_joint_is_a_distribution(graph):
@@ -347,3 +330,28 @@ def test_topological_order_properties(graph):
     for node_id in order:
         assert all(parent in seen for parent, _ in graph.parents_of(node_id))
         seen.add(node_id)
+
+
+def loop_sample_states(graph, count, rng):
+    """Reference sampler: one node at a time, multiplying parents one by one."""
+    states = np.zeros((count, graph.n), dtype=bool)
+    for node_id in topological_order(graph):
+        parents = graph.parents_of(node_id)
+        if parents:
+            survive = np.ones(count)
+            for parent_id, cond_prob in parents:
+                survive *= np.where(states[:, graph.position(parent_id)], 1.0 - cond_prob, 1.0)
+            p = 1.0 - survive
+        else:
+            p = graph.node(node_id).entry_prob
+        states[:, graph.position(node_id)] = rng.random(count) < p
+    return states
+
+
+@given(dag_graphs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sample_states_equals_loop_reference(base, data):
+    # listing the nodes out of id order makes positions differ from ids
+    graph = AttackGraph(data.draw(st.permutations(base.nodes)), base.edges)
+    states = sample_states(graph, 300, np.random.default_rng(7))
+    assert np.array_equal(states, loop_sample_states(graph, 300, np.random.default_rng(7)))

@@ -4,9 +4,23 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import all_states, build_case_graph, lev_quadrature, recursive_joint_prob
-from homecyber.graph import enumerate_joint, sample_states
+from conftest import (
+    all_states,
+    build_case_graph,
+    dag_graphs,
+    lev_quadrature,
+    recursive_joint_prob,
+)
+from homecyber.graph import (
+    AttackGraph,
+    VulnNode,
+    enumerate_joint,
+    marginal_exploit_probs,
+    sample_states,
+)
 from homecyber.losses import (
     BusinessLine,
     DegenerateZero,
@@ -23,6 +37,8 @@ from homecyber.losses import (
     limited_expected_value_of,
     sample_loss_matrix,
 )
+from homecyber.simulate import loss_block
+from homecyber.streams import RUN_LANE, substream
 
 
 def state_with(case_graph, *exploited):
@@ -188,6 +204,96 @@ class TestExactLineMean:
             sample = losses[:, col]
             se = sample.std(ddof=1) / math.sqrt(sample.size)
             assert abs(sample.mean() - exact_line_mean(line, case_graph)) <= 4 * se
+
+
+@st.composite
+def graphs_with_lines(draw):
+    """A random DAG with its nodes listed in shuffled order, one line per family."""
+    base = draw(dag_graphs())
+    graph = AttackGraph(draw(st.permutations(base.nodes)), base.edges)
+    node_ids = st.sampled_from(base.node_ids)
+    families = (RateSumExponential, TriggeredLognormal, TriggeredGamma)
+    lines = []
+    for index, family in enumerate(draw(st.permutations(families)), start=1):
+        triggers = draw(st.frozensets(node_ids, min_size=1))
+        if family is RateSumExponential:
+            model = RateSumExponential(
+                {nid: draw(st.floats(min_value=0.05, max_value=2.0)) for nid in triggers}
+            )
+        elif family is TriggeredLognormal:
+            model = TriggeredLognormal(
+                draw(st.floats(min_value=-1.0, max_value=2.0)),
+                draw(st.floats(min_value=0.1, max_value=1.0)),
+            )
+        else:
+            model = TriggeredGamma(
+                draw(st.floats(min_value=0.5, max_value=5.0)),
+                draw(st.floats(min_value=0.1, max_value=2.0)),
+            )
+        lines.append(BusinessLine(index, family.__name__, triggers, model))
+    return graph, lines
+
+
+def exact_line_sd(line, graph) -> float:
+    """SD of a line's loss from conditional moments over the recursive joint."""
+    first = second = 0.0
+    for states in all_states(graph.n):
+        p = recursive_joint_prob(graph, states)
+        dist = conditional_distribution(line, np.array(states, bool), graph)
+        first += p * dist.mean()
+        second += p * (dist.variance() + dist.mean() ** 2)
+    return math.sqrt(max(second - first**2, 0.0))
+
+
+class TestLossBlockOnRandomGraphs:
+    ROWS = 20_000
+
+    @given(graphs_with_lines())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_line_means_match_exact(self, case):
+        graph, lines = case
+        losses = loss_block(graph, lines, self.ROWS, 2024, 0, RUN_LANE)
+        marginals = marginal_exploit_probs(graph)
+        for col, line in enumerate(lines):
+            column = losses[:, col]
+            positions = [graph.position(nid) for nid in line.trigger_set]
+            if not marginals[positions].any():
+                # no trigger can be exploited: the line never fires
+                assert np.all(column == 0.0)
+            se = exact_line_sd(line, graph) / math.sqrt(self.ROWS)
+            assert abs(column.mean() - exact_line_mean(line, graph)) <= 5 * se
+
+
+class TestFiredOnlySeverities:
+    def test_one_draw_per_fired_row_in_row_order(self, case_graph, case_lines):
+        rows = 3000
+        losses = loss_block(case_graph, case_lines, rows, 5, 2, RUN_LANE)
+        rng = substream(5, 2, RUN_LANE)
+        states = sample_states(case_graph, rows, rng)
+        expected = np.zeros((rows, len(case_lines)))
+        for col, line in enumerate(case_lines):
+            dists = [conditional_distribution(line, s, case_graph) for s in states]
+            fired = [r for r, d in enumerate(dists) if not isinstance(d, DegenerateZero)]
+            model = line.model
+            if isinstance(model, RateSumExponential):
+                rates = np.array([dists[r].rate for r in fired])
+                expected[fired, col] = rng.standard_exponential(len(fired)) / rates
+            elif isinstance(model, TriggeredLognormal):
+                expected[fired, col] = rng.lognormal(model.mu, model.sigma, len(fired))
+            else:
+                expected[fired, col] = rng.gamma(model.alpha, 1.0 / model.beta, len(fired))
+        assert np.array_equal(losses, expected)
+
+    def test_line_that_cannot_fire_draws_nothing(self, case_graph, case_lines):
+        # node 8 is never exploited, so a line on it leaves the stream untouched
+        graph = AttackGraph(
+            case_graph.nodes + (VulnNode(8, entry_prob=0.0),), case_graph.edges
+        )
+        dead = BusinessLine(0, "dead", frozenset({8}), TriggeredGamma(2.0, 1.0))
+        alone = loss_block(graph, case_lines, 5000, 8, 0, RUN_LANE)
+        with_dead = loss_block(graph, [dead, *case_lines], 5000, 8, 0, RUN_LANE)
+        assert np.all(with_dead[:, 0] == 0.0)
+        assert np.array_equal(with_dead[:, 1:], alone)
 
 
 LEV_GRID = {

@@ -9,10 +9,13 @@ from homecyber.losses import exact_line_mean
 from homecyber.portfolio import (
     PortfolioSpec,
     portfolio_summary,
+    replication_group,
     simulate_claims,
     simulate_portfolio,
 )
-from homecyber.pricing import Policy
+from homecyber.pricing import Policy, apply_retention
+from homecyber.simulate import RUN_BLOCK, loss_block
+from homecyber.streams import REPLICATION_LANE
 
 POLICY = Policy(1000.0, 50_000.0)
 
@@ -132,6 +135,44 @@ class TestDeterminism:
             prefix = simulate_claims(case_graph, case_lines, n_homes=25, replications=reps,
                                      policies=policies, master_seed=13)
             assert np.array_equal(prefix, full[:, :reps])
+
+
+class TestReplicationGroups:
+    # (n_homes, group size G, replications): counts that are not multiples
+    # of G leave the last group partial
+    @pytest.mark.parametrize(
+        "n_homes, group, replications",
+        [
+            (1, RUN_BLOCK, RUN_BLOCK + 3),
+            (7, 585, 2 * 585 + 1),
+            (500, 8, 19),
+            (RUN_BLOCK, 1, 3),
+            (RUN_BLOCK + 1, 1, 2),
+        ],
+    )
+    def test_group_is_one_loss_block(
+        self, case_graph, case_lines, n_homes, group, replications
+    ):
+        assert replication_group(n_homes) == group
+        policies = [POLICY, Policy(0.0, 1e18)]
+        claims = simulate_claims(case_graph, case_lines, n_homes, replications,
+                                 policies, master_seed=31)
+        expected = np.empty_like(claims)
+        for g, first in enumerate(range(0, replications, group)):
+            block = loss_block(case_graph, case_lines, group * n_homes, 31, g,
+                               REPLICATION_LANE)
+            totals = np.zeros(group * n_homes)
+            for col in range(block.shape[1]):
+                totals += block[:, col]
+            for k in range(first, min(first + group, replications)):
+                homes = totals[(k - first) * n_homes:(k - first + 1) * n_homes]
+                for p, policy in enumerate(policies):
+                    expected[p, k] = apply_retention(homes, policy).sum()
+        assert np.array_equal(claims, expected)
+        # one replication fewer truncates the last group, not the others
+        shorter = simulate_claims(case_graph, case_lines, n_homes, replications - 1,
+                                  policies, master_seed=31)
+        assert np.array_equal(shorter, claims[:, :-1])
 
 
 class TestSummary:

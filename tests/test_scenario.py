@@ -1,8 +1,10 @@
 import io
 import json
 import math
+import platform
 import re
 
+import numpy as np
 import pytest
 
 from conftest import build_case_graph, joint_csv_reference
@@ -28,6 +30,7 @@ from homecyber.scenario import (
     write_manifest,
 )
 from homecyber.simulate import run_simulation
+from homecyber.streams import STREAM_LAYOUT
 
 
 def case_document() -> dict:
@@ -128,6 +131,27 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=rf"field '{re.escape(field)}' must be a finite"):
             load_scenario(scenario_file)
 
+    # each replacement repeats a key in the bundled file's text
+    @pytest.mark.parametrize(
+        "old, new, where, key",
+        [
+            ('"schema_version": 1,', '"schema_version": 1, "schema_version": 1,',
+             "top level", "schema_version"),
+            ('"entry_prob": 0.9}', '"entry_prob": 0.9, "entry_prob": 0.1}',
+             r"graph\.nodes\[6\]", "entry_prob"),
+            ('{"3": 0.0015625,', '{"3": 0.0015625, "3": 0.5,',
+             r"lines\[1\]\.model\.rates", "3"),
+        ],
+        ids=["top-level", "node-field", "rates-key"],
+    )
+    def test_repeated_key_rejected(self, tmp_path, old, new, where, key):
+        text = bundled_case_study_path().read_text()
+        assert text.count(old) == 1
+        scenario_file = tmp_path / "repeat.json"
+        scenario_file.write_text(text.replace(old, new))
+        with pytest.raises(ScenarioError, match=rf"{where}: key '{key}' appears twice"):
+            load_scenario(scenario_file)
+
     # lines[5] is line index 6, "property theft"
     @pytest.mark.parametrize(
         "triggers",
@@ -197,6 +221,9 @@ class TestManifest:
         assert data["homes"] is None
         assert data["scenario_digest"] == scenario_digest(case_scenario)
         assert data["tool_version"]
+        assert data["stream_layout"] == STREAM_LAYOUT == 3
+        assert data["numpy_version"] == np.__version__
+        assert data["python_version"] == platform.python_version()
 
 
 class TestCsvExport:
