@@ -8,6 +8,7 @@ boolean per node, index-aligned with ``AttackGraph.nodes``.
 """
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -15,6 +16,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 22
+# JointDistribution.total feeds fsum this many doubles at a time
+_FSUM_CHUNK = 1 << 16
 
 # State vectors are boolean arrays index-aligned with AttackGraph.nodes.
 StateVector = np.ndarray
@@ -63,9 +66,10 @@ class AttackGraph:
 
     The topological order, the noisy-OR plan and the exact joint are filled
     lazily and cached for the object's lifetime; the joint holds 2^n doubles
-    (8 MB at n = 20, 32 MB at the default enumeration cap of 22).  Two
-    readers filling a cache at once compute the same value, and either
-    result is kept.
+    (8 MB at n = 20, 32 MB at the default enumeration cap of 22) and is
+    filled in O(2^n), one node at a time in topological order.  Two readers
+    filling a cache at once compute the same value, and either result is
+    kept.
     """
 
     def __init__(self, nodes: Iterable[VulnNode], edges: Iterable[Edge]):
@@ -251,7 +255,13 @@ class JointDistribution:
         return float(self.probs[self.state_index(states)])
 
     def total(self) -> float:
-        return math.fsum(self.probs.tolist())
+        """Exact sum of ``probs``, read a slice at a time so no 2^n list is built."""
+        return math.fsum(
+            itertools.chain.from_iterable(
+                self.probs[i : i + _FSUM_CHUNK].tolist()
+                for i in range(0, self.probs.size, _FSUM_CHUNK)
+            )
+        )
 
     def pattern_probs(self, positions: Sequence[int]) -> np.ndarray:
         """Joint law of the nodes at ``positions`` (strictly ascending).
@@ -269,15 +279,16 @@ class JointDistribution:
     def marginals(self) -> np.ndarray:
         """Per-node exploitation probabilities, aligned with ``node_ids``."""
         n = len(self.node_ids)
-        index = np.arange(1 << n, dtype=np.uint64)
         marginals = np.empty(n)
         for pos in range(n):
-            mask = ((index >> np.uint64(pos)) & np.uint64(1)).astype(bool)
+            # the states with bit pos set, copied out in index order: a sum over
+            # the strided view would add them in another order
+            exploited = self.probs.reshape(-1, 2, 1 << pos)[:, 1, :].reshape(-1)
             if n <= 16:
                 # fsum keeps entry-node marginals exact to the last ulp
-                marginals[pos] = math.fsum(self.probs[mask].tolist())
+                marginals[pos] = math.fsum(exploited.tolist())
             else:
-                marginals[pos] = float(self.probs[mask].sum())
+                marginals[pos] = float(exploited.sum())
         return marginals
 
 
@@ -285,6 +296,13 @@ def enumerate_joint(
     graph: AttackGraph, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> JointDistribution:
     """Exact joint law as the parent-first product of conditional terms.
+
+    The joint is filled in place, one node at a time in topological order:
+    once the first k nodes of that order are placed, the first 2^k entries
+    hold their joint, and node k + 1 splits each of those states into an
+    exploited and a safe half.  That takes about 2 * 2^n multiplications,
+    and the output is the only 2^n array (plus one reordered copy when the
+    topological order is not the listing order of ``graph.nodes``).
 
     Raises :class:`EnumerationSizeError` above ``cap`` nodes (callers should
     fall back to Monte Carlo marginals there).  The result is cached on
@@ -303,26 +321,39 @@ def enumerate_joint(
 
 def _enumerate(graph: AttackGraph) -> JointDistribution:
     n = graph.n
-    size = 1 << n
-    index = np.arange(size, dtype=np.uint64)
-    bits = [((index >> np.uint64(k)) & np.uint64(1)).astype(bool) for k in range(n)]
-    probs = np.ones(size, dtype=np.float64)
-    for step in _noisy_or_plan(graph):
+    plan = _noisy_or_plan(graph)
+    probs = np.empty(1 << n)
+    probs[0] = 1.0
+    # Before step k, probs[:2^k] is the joint of plan nodes 0..k-1, bit j of
+    # the index on plan node j.  Step k writes the states where plan node k
+    # is exploited to probs[2^k:2^(k+1)] and scales the rest by its safe
+    # probability, in place, so no other 2^n array is made.
+    rank = {step.position: k for k, step in enumerate(plan)}
+    for k, step in enumerate(plan):
+        low = probs[: 1 << k]
         if step.entry_prob is not None:
-            exploited_prob = np.full(size, step.entry_prob)
-        else:
-            survive = np.ones(size)
-            for pos, keep in zip(step.parent_positions, step.keep):
-                survive *= np.where(bits[pos], keep, 1.0)
-            exploited_prob = 1.0 - survive
-        probs *= np.where(bits[step.position], exploited_prob, 1.0 - exploited_prob)
-    total = math.fsum(probs.tolist())
+            p = step.entry_prob
+            probs[1 << k : 2 << k] = low * p
+            low *= 1.0 - p
+            continue
+        survive = np.ones(1 << k)
+        for pos, keep in zip(step.parent_positions, step.keep):
+            survive.reshape(-1, 2, 1 << rank[pos])[:, 1, :] *= keep
+        p = np.subtract(1.0, survive, out=survive)
+        np.multiply(low, p, out=probs[1 << k : 2 << k])
+        low *= np.subtract(1.0, p, out=p)
+    if any(step.position != k for k, step in enumerate(plan)):
+        # C order puts bit b on axis n - 1 - b; move plan bits onto node bits
+        axes = [n - 1 - rank[n - 1 - a] for a in range(n)]
+        probs = np.ascontiguousarray(probs.reshape((2,) * n).transpose(axes)).reshape(-1)
+    probs.flags.writeable = False
+    joint = JointDistribution(graph.node_ids, probs)
+    total = joint.total()
     if abs(total - 1.0) > 1e-12:
         raise GraphValidationError(
             f"joint probabilities sum to {total!r}, off by more than 1e-12"
         )
-    probs.flags.writeable = False
-    return JointDistribution(graph.node_ids, probs)
+    return joint
 
 
 def marginal_exploit_probs(

@@ -90,7 +90,8 @@ def parse_scenario(data, source: str = "<scenario>") -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError(f"{source}: top level must be an object")
     version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
+    # true and 1.0 compare equal to 1 but are not the integer version
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ScenarioError(
             f"{source}: schema_version {version!r} not recognized "
             f"(expected {SCHEMA_VERSION})"

@@ -1,9 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from homecyber.graph import AttackGraph, Edge, JointDistribution, VulnNode
+from homecyber.graph import (
+    AttackGraph,
+    Edge,
+    JointDistribution,
+    VulnNode,
+    topological_order,
+)
 from homecyber.losses import (
     BusinessLine,
     RateSumExponential,
@@ -67,9 +74,9 @@ def case_scenario():
 
 
 @st.composite
-def dag_graphs(draw):
-    """Valid DAG of 1-6 nodes; edge i -> j only for i < j, ids 1..n in order."""
-    n = draw(st.integers(min_value=1, max_value=6))
+def dag_graphs(draw, max_nodes: int = 6):
+    """Valid DAG of 1 to ``max_nodes`` nodes; edge i -> j only for i < j, ids 1..n in order."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
     prob = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
     edges = []
     has_parent = [False] * (n + 1)
@@ -83,6 +90,57 @@ def dag_graphs(draw):
         for i in range(1, n + 1)
     ]
     return AttackGraph(nodes, edges)
+
+
+@st.composite
+def shuffled_dag_graphs(draw, max_nodes: int = 8):
+    """A ``dag_graphs`` DAG with its nodes listed in shuffled order.
+
+    Positions then differ from ids and from the topological order, so a
+    state bit must be mapped back from the parent-first order to its node.
+    """
+    base = draw(dag_graphs(max_nodes))
+    return AttackGraph(draw(st.permutations(base.nodes)), base.edges)
+
+
+def full_width_joint(graph: AttackGraph) -> np.ndarray:
+    """Reference joint: every node's factor taken over all 2^n states at once.
+
+    Walks nodes parent-first with parents in ascending id, multiplying the
+    same terms in the same order as ``enumerate_joint``, so the two agree
+    bit for bit; bit k of an index is the state of the node at position k.
+    """
+    size = 1 << graph.n
+    index = np.arange(size, dtype=np.uint64)
+    bits = [((index >> np.uint64(k)) & np.uint64(1)).astype(bool) for k in range(graph.n)]
+    probs = np.ones(size)
+    for node_id in topological_order(graph):
+        parents = graph.parents_of(node_id)
+        if not parents:
+            exploited_prob = np.full(size, graph.node(node_id).entry_prob)
+        else:
+            survive = np.ones(size)
+            for parent_id, cond_prob in parents:
+                survive *= np.where(bits[graph.position(parent_id)], 1.0 - cond_prob, 1.0)
+            exploited_prob = 1.0 - survive
+        probs *= np.where(
+            bits[graph.position(node_id)], exploited_prob, 1.0 - exploited_prob
+        )
+    return probs
+
+
+def mask_marginals(joint: JointDistribution) -> np.ndarray:
+    """Reference marginals: select each node's exploited states with a 2^n mask."""
+    n = len(joint.node_ids)
+    index = np.arange(1 << n, dtype=np.uint64)
+    marginals = np.empty(n)
+    for pos in range(n):
+        mask = ((index >> np.uint64(pos)) & np.uint64(1)).astype(bool)
+        if n <= 16:
+            marginals[pos] = math.fsum(joint.probs[mask].tolist())
+        else:
+            marginals[pos] = float(joint.probs[mask].sum())
+    return marginals
 
 
 def recursive_joint_prob(graph: AttackGraph, states) -> float:

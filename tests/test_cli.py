@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import platform
@@ -79,6 +80,18 @@ class TestEnumerate:
         joint_csv, marginals_csv = enumerate_reference()
         assert (out / "joint.csv").read_bytes() == joint_csv.encode()
         assert (out / "marginals.csv").read_bytes() == marginals_csv.encode()
+
+    def test_golden_output(self, tmp_path):
+        # SHA-256 of the bundled scenario's files; any probability moving by
+        # one ulp, or any change to the CSV layout, shows here
+        golden = {
+            "joint.csv": "25100dcfa8c69f9c9a130bf72162b01dfa11a6be5e6cbded089deee8954733e1",
+            "marginals.csv": "526a013897b894ee925d37f1796d6bf2a10617f61c30789a469311a67dddc399",
+        }
+        out = tmp_path / "enum"
+        assert run("enumerate", "--scenario", CASE, "--out", str(out)) == 0
+        for name, digest in golden.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
     def test_python_m_entry_point(self, capsys):
         assert run("enumerate", "--scenario", CASE) == 0

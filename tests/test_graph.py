@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import (
@@ -11,7 +10,10 @@ from conftest import (
     brute_force_marginals,
     build_case_graph,
     dag_graphs,
+    full_width_joint,
+    mask_marginals,
     recursive_joint_prob,
+    shuffled_dag_graphs,
 )
 from homecyber.graph import (
     AttackGraph,
@@ -348,10 +350,37 @@ def loop_sample_states(graph, count, rng):
     return states
 
 
-@given(dag_graphs(), st.data())
+@given(shuffled_dag_graphs(max_nodes=6))
 @settings(max_examples=60, deadline=None)
-def test_sample_states_equals_loop_reference(base, data):
-    # listing the nodes out of id order makes positions differ from ids
-    graph = AttackGraph(data.draw(st.permutations(base.nodes)), base.edges)
+def test_sample_states_equals_loop_reference(graph):
     states = sample_states(graph, 300, np.random.default_rng(7))
     assert np.array_equal(states, loop_sample_states(graph, 300, np.random.default_rng(7)))
+
+
+@given(shuffled_dag_graphs())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_enumeration_matches_references(graph):
+    joint = enumerate_joint(graph)
+    assert np.array_equal(joint.probs, full_width_joint(graph))
+    for index in range(joint.probs.size):
+        expected = recursive_joint_prob(graph, joint.state_of(index))
+        assert joint.probs[index] == pytest.approx(expected, rel=1e-13, abs=1e-300)
+    assert np.array_equal(joint.marginals(), mask_marginals(joint))
+
+
+@pytest.mark.parametrize("complete", [False, True], ids=["chain", "complete"])
+def test_seventeen_nodes_match_references(complete):
+    # above 16 nodes the marginals take a pairwise sum instead of fsum; in
+    # the complete DAG node j multiplies j - 1 parent factors, so a change in
+    # their order shows; the shuffled listing puts positions out of topological order
+    rng = np.random.default_rng(17)
+    pairs = [(i, j) for j in range(2, 18) for i in range(1, j) if complete or i == j - 1]
+    edges = [Edge(i, j, float(rng.uniform(0.05, 0.95))) for i, j in pairs]
+    nodes = [
+        VulnNode(int(i), entry_prob=0.3 if i == 1 else None)
+        for i in rng.permutation(np.arange(1, 18))
+    ]
+    graph = AttackGraph(nodes, edges)
+    joint = enumerate_joint(graph)
+    assert np.array_equal(joint.probs, full_width_joint(graph))
+    assert np.array_equal(joint.marginals(), mask_marginals(joint))

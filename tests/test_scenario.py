@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_case_graph, joint_csv_reference
 from homecyber.graph import AttackGraph, Edge, VulnNode, enumerate_joint
@@ -88,6 +90,13 @@ class TestLoadScenario:
     def test_schema_version_mismatch(self):
         doc = case_document()
         doc["schema_version"] = 99
+        with pytest.raises(ScenarioError, match="schema_version"):
+            parse_scenario(doc)
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_schema_version_not_an_integer(self, version):
+        doc = case_document()
+        doc["schema_version"] = version
         with pytest.raises(ScenarioError, match="schema_version"):
             parse_scenario(doc)
 
@@ -185,6 +194,51 @@ class TestLoadScenario:
         doc["graph"]["edges"].append({"src": 5, "dst": 3, "cond_prob": 0.5})
         with pytest.raises(ScenarioError, match="cycle"):
             parse_scenario(doc)
+
+
+def document_paths(value, path=()):
+    """Key and index paths of every field and list entry under ``value``."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield path + (key,)
+        yield from document_paths(item, path + (key,))
+
+
+DELETE = object()
+FUZZ_SCALARS = (None, True, False, "", "x", "1", 0, 1, -1, 0.5, 2**70, 1e308, -1e308)
+fuzz_values = st.recursive(
+    st.sampled_from(FUZZ_SCALARS),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["1", "id", "rates", "x"]), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@given(
+    st.sampled_from(list(document_paths(case_document()))),
+    st.just(DELETE) | fuzz_values,
+)
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_one_field_mutation_loads_or_raises(path, value):
+    # replace or delete one field or list entry anywhere in the bundled document
+    doc = case_document()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    try:
+        scenario = parse_scenario(doc)
+    except ScenarioError:
+        return
+    scenario_digest(scenario)  # what loads must also serialize canonically
 
 
 class TestCanonicalForm:
