@@ -37,7 +37,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def scenario_arg(p):
         p.add_argument("--scenario", required=True, help="scenario JSON file")
 
-    def workers_arg(p):
+    def seeded(p, *sizes):
+        """Required int flags ``sizes``, then --seed and the no-op --workers."""
+        for flag in sizes:
+            p.add_argument(flag, type=int, required=True)
+        p.add_argument("--seed", type=int, required=True)
         p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
 
     p = sub.add_parser("validate", help="check a scenario file against all invariants")
@@ -49,16 +53,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo line losses and summary table")
     scenario_arg(p)
-    p.add_argument("--runs", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    workers_arg(p)
+    seeded(p, "--runs")
     p.add_argument("--out", help="directory for summary.csv and manifest.json")
 
     p = sub.add_parser("price", help="per-line premium table under the four principles")
     scenario_arg(p)
-    p.add_argument("--runs", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    workers_arg(p)
+    seeded(p, "--runs")
     p.add_argument("--theta-expectation", type=float, required=True)
     p.add_argument("--theta-stddev", type=float, required=True)
     p.add_argument("--theta-gmd", type=float, required=True)
@@ -69,24 +69,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="solve principle parameters for a baseline premium")
     scenario_arg(p)
-    p.add_argument("--runs", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    workers_arg(p)
+    seeded(p, "--runs")
     p.add_argument("--line", type=int, required=True, help="business line index")
     p.add_argument("--target", type=float, required=True, help="baseline premium")
     p.add_argument("--deductible", type=float, help="calibrate on retained losses")
     p.add_argument("--coverage", type=float)
-    p.add_argument("--out", help="directory for calibration.json and manifest.json")
+    p.add_argument("--out", help="directory for calibration.csv and manifest.json")
 
     p = sub.add_parser("portfolio", help="portfolio Profit and LR report")
     scenario_arg(p)
     p.add_argument("--premium", type=float, required=True, help="total premium per home")
     p.add_argument("--deductible", type=float, required=True)
     p.add_argument("--coverage", type=float, required=True)
-    p.add_argument("--homes", type=int, required=True)
-    p.add_argument("--replications", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    workers_arg(p)
+    seeded(p, "--homes", "--replications")
     p.add_argument("--out", help="directory for portfolio.csv and manifest.json")
 
     def strategy_args(p):
@@ -100,10 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coverage", type=float, required=True)
     p.add_argument("--grid", required=True, help="ascending deductibles, e.g. 100,150,200")
     strategy_args(p)
-    p.add_argument("--homes", type=int, required=True)
-    p.add_argument("--replications", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    workers_arg(p)
+    seeded(p, "--homes", "--replications")
     p.add_argument("--out", help="directory for search.csv and manifest.json")
 
     p = sub.add_parser("solve-premium", help="premium that meets an LR target")
@@ -111,10 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deductible", type=float, required=True)
     p.add_argument("--coverage", type=float, required=True)
     strategy_args(p)
-    p.add_argument("--homes", type=int, required=True)
-    p.add_argument("--replications", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    workers_arg(p)
+    seeded(p, "--homes", "--replications")
     p.add_argument("--out", help="directory for premium.csv and manifest.json")
 
     p = sub.add_parser("propose", help="proposed deductibles per principle (both strategies)")
@@ -126,10 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-target", type=float, default=0.40)
     p.add_argument("--quantile-level", type=float, default=0.995)
     p.add_argument("--quantile-target", type=float, default=0.40)
-    p.add_argument("--homes", type=int, required=True)
-    p.add_argument("--replications", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    workers_arg(p)
+    seeded(p, "--homes", "--replications")
     p.add_argument("--out", help="directory for proposals.csv and manifest.json")
 
     return parser

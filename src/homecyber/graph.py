@@ -4,7 +4,10 @@ Nodes are vulnerabilities; a directed edge (i, j) carries the conditional
 probability that exploiting i leads to exploiting j.  Entry nodes (no
 parents) are exploited with their own entry probability; every other node
 combines its exploited parents with a noisy-OR.  A state vector holds one
-boolean per node, index-aligned with ``AttackGraph.nodes``.
+boolean per node, index-aligned with ``AttackGraph.nodes``; a state index
+packs the same booleans into bits, bit k for the node at position k.
+States are sampled as indices, by inverting the CDF of the exact joint, so
+sampling needs the joint and is limited to ``DEFAULT_ENUMERATION_CAP`` nodes.
 """
 
 import heapq
@@ -304,10 +307,10 @@ def enumerate_joint(
     and the output is the only 2^n array (plus one reordered copy when the
     topological order is not the listing order of ``graph.nodes``).
 
-    Raises :class:`EnumerationSizeError` above ``cap`` nodes (callers should
-    fall back to Monte Carlo marginals there).  The result is cached on
-    ``graph``, so every later call with a large enough ``cap`` returns the
-    same object.
+    Raises :class:`EnumerationSizeError` above ``cap`` nodes; simulation
+    samples from this joint, so it has the same limit.  The result is
+    cached on ``graph``, so every later call with a large enough ``cap``
+    returns the same object.
     """
     n = graph.n
     if n > cap:
@@ -363,24 +366,24 @@ def marginal_exploit_probs(
     return enumerate_joint(graph, cap=cap).marginals()
 
 
-def sample_states(
-    graph: AttackGraph, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Vectorized batch of state vectors, shape ``(count, n)``.
+def state_cdf(graph: AttackGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """The exact joint's running sum over state indices, ending at exactly 1.0.
 
-    Draw order is fixed (one uniform vector per node, topological order), so
-    the batch is reproducible for a given stream regardless of the states
-    that come up.  The result is a transposed view of a node-major array,
-    so each node's column is contiguous.
+    The sum is divided by its last entry.  Read-only and not cached; raises
+    :class:`EnumerationSizeError` above ``cap`` nodes.
     """
-    states = np.zeros((graph.n, count), dtype=bool)
-    for step in _noisy_or_plan(graph):
-        if step.entry_prob is not None:
-            p = step.entry_prob
-        else:
-            survive = np.where(
-                states[step.parent_positions], step.keep[:, None], 1.0
-            ).prod(axis=0)
-            p = 1.0 - survive
-        np.less(rng.random(count), p, out=states[step.position])
-    return states.T
+    cdf = np.cumsum(enumerate_joint(graph, cap=cap).probs)
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
+def sample_state_indices(
+    cdf: np.ndarray, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``count`` state indices, one uniform each, inverted through ``cdf``.
+
+    Each row gets the first index whose cumulative probability exceeds its
+    uniform, so a state of probability 0 is never drawn.
+    """
+    return np.searchsorted(cdf, rng.random(count), side="right")

@@ -4,19 +4,18 @@ Three conditional families: an exponential whose rate is the sum of
 per-trigger rates over exploited trigger nodes, and lognormal / gamma laws
 that fire when any trigger node is exploited.  When nothing fires the loss
 is degenerate at 0.  Closed-form moments and limited expected values back
-the simulation with exact oracles.
+the simulation with exact oracles; they import scipy on first use, so the
+CLI never loads it.  Simulation reads lines through a ``LossPlan`` that
+works on state indices (bit k for the node at position k).
 """
 
-import functools
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import special
 
-from .graph import DEFAULT_ENUMERATION_CAP, AttackGraph, StateVector, enumerate_joint
+from .graph import DEFAULT_ENUMERATION_CAP, AttackGraph, StateVector, enumerate_joint, state_cdf
 
 
 def _canonical_rates(rates) -> tuple[tuple[int, float], ...]:
@@ -38,9 +37,6 @@ class RateSumExponential:
         for nid, rate in self.rates:
             if rate <= 0.0:
                 raise ValueError(f"rate for node {nid} must be positive, got {rate}")
-
-    def rate_map(self) -> dict[int, float]:
-        return dict(self.rates)
 
 
 @dataclass(frozen=True)
@@ -136,6 +132,8 @@ class Lognormal:
     def survival(self, x: float) -> float:
         if x <= 0.0:
             return 1.0
+        from scipy import special
+
         return float(special.ndtr(-(math.log(x) - self.mu) / self.sigma))
 
 
@@ -153,71 +151,23 @@ class Gamma:
     def survival(self, x: float) -> float:
         if x <= 0.0:
             return 1.0
+        from scipy import special
+
         return float(special.gammaincc(self.alpha, self.beta * x))
 
 
 Distribution = DegenerateZero | Exponential | Lognormal | Gamma
 
 
-def _per_graph(fn):
-    """Cache ``fn(key, graph)`` per graph, holding the graph weakly.
-
-    A cache that held graphs strongly, as ``lru_cache`` does, would keep a
-    graph alive after its last use, and with it the joint the graph caches
-    (8 MB at n = 20).
-    """
-    cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-    @functools.wraps(fn)
-    def cached(key, graph: AttackGraph):
-        per_graph = cache.get(graph)
-        if per_graph is None:
-            per_graph = cache[graph] = {}
-        if key not in per_graph:
-            per_graph[key] = fn(key, graph)
-        return per_graph[key]
-
-    return cached
-
-
-@_per_graph
-def _trigger_positions(line: BusinessLine, graph: AttackGraph) -> np.ndarray:
-    positions = np.array(
-        [graph.position(nid) for nid in sorted(line.trigger_set)], dtype=np.intp
-    )
-    positions.flags.writeable = False
-    return positions
-
-
-@_per_graph
-def _rate_vector(model: RateSumExponential, graph: AttackGraph):
-    positions = np.array(
-        [graph.position(nid) for nid, _ in model.rates], dtype=np.intp
-    )
-    rates = np.array([rate for _, rate in model.rates])
-    positions.flags.writeable = False
-    rates.flags.writeable = False
-    return positions, rates
-
-
-def rate_sum(line: BusinessLine, state: StateVector, graph: AttackGraph) -> float:
-    """Sum of per-node rates over exploited trigger nodes; 0 when none fired."""
-    positions, rates = _rate_vector(line.model, graph)
-    state = np.asarray(state, dtype=bool)
-    return float(rates @ state[positions])
-
-
 def conditional_distribution(
     line: BusinessLine, state: Sequence[bool] | StateVector, graph: AttackGraph
 ) -> Distribution:
     """Loss law of one line given a state; degenerate at 0 when nothing fired."""
-    state = np.asarray(state, dtype=bool)
     model = line.model
     if isinstance(model, RateSumExponential):
-        lam = rate_sum(line, state, graph)
+        lam = sum(rate for nid, rate in model.rates if state[graph.position(nid)])
         return Exponential(lam) if lam > 0.0 else DegenerateZero()
-    fired = bool(state[_trigger_positions(line, graph)].any())
-    if not fired:
+    if not any(state[graph.position(nid)] for nid in line.trigger_set):
         return DegenerateZero()
     if isinstance(model, TriggeredLognormal):
         return Lognormal(model.mu, model.sigma)
@@ -230,33 +180,66 @@ def conditional_mean(
     return conditional_distribution(line, state, graph).mean()
 
 
+@dataclass(frozen=True)
+class LossPlan:
+    """What a loss block reads of a graph and its lines, built once per call.
+
+    ``cdf`` is the graph's ``state_cdf``; ``lines`` are in ascending index
+    order.  Line k fires on state index ``i`` when ``i & masks[k]`` is not
+    0.  A rate sum adds over trigger bits, so an exponential line's rate is
+    ``low[i & (2^half - 1)] + high[i >> half]`` for ``(low, high) =
+    rate_tables[k]`` (at most 2^11 entries each); other lines have None.
+    """
+
+    cdf: np.ndarray
+    lines: tuple[BusinessLine, ...]
+    masks: tuple[int, ...]
+    rate_tables: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
+    half: int
+
+
+def loss_plan(graph: AttackGraph, lines: Sequence[BusinessLine]) -> LossPlan:
+    """The plan of ``lines`` on ``graph``; raises above the enumeration cap."""
+    cdf = state_cdf(graph)
+    half = (graph.n + 1) // 2
+    ordered = tuple(sorted(lines, key=lambda ln: ln.index))
+    tables: list[tuple[np.ndarray, np.ndarray] | None] = []
+    for line in ordered:
+        if not isinstance(line.model, RateSumExponential):
+            tables.append(None)
+            continue
+        low, high = np.zeros(1 << half), np.zeros(1 << (graph.n - half))
+        for nid, rate in line.model.rates:
+            pos = graph.position(nid)
+            table, bit = (low, pos) if pos < half else (high, pos - half)
+            # the entries whose index has this trigger's bit set
+            table.reshape(-1, 2, 1 << bit)[:, 1, :] += rate
+        tables.append((low, high))
+    masks = tuple(sum(1 << graph.position(nid) for nid in ln.trigger_set) for ln in ordered)
+    return LossPlan(cdf, ordered, masks, tuple(tables), half)
+
+
 def sample_loss_matrix(
-    lines: Sequence[BusinessLine],
-    states: np.ndarray,
-    graph: AttackGraph,
-    rng: np.random.Generator,
+    plan: LossPlan, indices: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized losses for a batch of states, shape ``(batch, len(lines))``.
+    """Losses for a batch of state indices, shape ``(batch, len(plan.lines))``.
 
     Lines are drawn in ascending index order.  Each line draws one severity
-    vector whose length is the number of rows where it fired (rate sum > 0
-    for an exponential line, any trigger exploited otherwise), assigned to
-    those rows in ascending order; every other row loses exactly 0.  How
-    much a line consumes from ``rng`` therefore depends on the states, but
-    the result is still a pure function of ``states`` and the stream.
+    vector holding a draw for each row where it fired (any trigger
+    exploited), in ascending row order; every other row loses exactly 0.
+    So how much a line consumes from ``rng`` depends on the states, but the
+    result is still a pure function of ``indices`` and the stream.
     """
-    batch = states.shape[0]
-    out = np.zeros((batch, len(lines)))
-    for col, line in enumerate(sorted(lines, key=lambda ln: ln.index)):
+    out = np.zeros((indices.size, len(plan.lines)))
+    low_bits = (1 << plan.half) - 1
+    for col, (line, mask, tables) in enumerate(zip(plan.lines, plan.masks, plan.rate_tables)):
+        rows = np.flatnonzero(indices & mask)
         model = line.model
-        if isinstance(model, RateSumExponential):
-            positions, rates = _rate_vector(model, graph)
-            lam = states[:, positions].astype(float) @ rates
-            rows = np.flatnonzero(lam > 0.0)
-            out[rows, col] = rng.standard_exponential(rows.size) / lam[rows]
-            continue
-        rows = np.flatnonzero(states[:, _trigger_positions(line, graph)].any(axis=1))
-        if isinstance(model, TriggeredLognormal):
+        if tables is not None:
+            fired = indices[rows]
+            lam = tables[0][fired & low_bits] + tables[1][fired >> plan.half]
+            out[rows, col] = rng.standard_exponential(rows.size) / lam
+        elif isinstance(model, TriggeredLognormal):
             out[rows, col] = rng.lognormal(model.mu, model.sigma, rows.size)
         else:
             out[rows, col] = rng.gamma(model.alpha, 1.0 / model.beta, rows.size)
@@ -271,7 +254,7 @@ def exact_line_mean(
     The enumerated joint is summed down to the 2^t patterns of the line's t
     trigger nodes, and the mean is an fsum over the patterns that fire.
     """
-    by_id = _trigger_positions(line, graph)
+    by_id = np.array([graph.position(nid) for nid in sorted(line.trigger_set)])
     order = np.argsort(by_id)
     patterns = enumerate_joint(graph, cap=cap).pattern_probs(by_id[order])
     model = line.model
@@ -279,7 +262,7 @@ def exact_line_mean(
         # fired[j, i]: pattern j has the i-th trigger in position order exploited
         fired = (np.arange(patterns.size)[:, None] >> np.arange(order.size)) & 1 == 1
         # rates follow the triggers in id order, as the trigger positions do
-        lam = fired @ _rate_vector(model, graph)[1][order]
+        lam = fired @ np.array([rate for _, rate in model.rates])[order]
         mask = lam > 0.0
         return math.fsum((patterns[mask] / lam[mask]).tolist())
     fire_prob = math.fsum(patterns[1:].tolist())
@@ -297,6 +280,8 @@ def _lognormal_limited(mu: float, sigma: float, u: float) -> float:
         return 0.0
     if math.isinf(u):
         return math.exp(mu + sigma**2 / 2.0)
+    from scipy import special
+
     z = (math.log(u) - mu) / sigma
     return math.exp(mu + sigma**2 / 2.0) * float(special.ndtr(z - sigma)) + u * float(
         special.ndtr(-z)
@@ -309,6 +294,8 @@ def _gamma_limited(alpha: float, beta: float, u: float) -> float:
         return 0.0
     if math.isinf(u):
         return alpha / beta
+    from scipy import special
+
     x = beta * u
     return (alpha / beta) * float(special.gammainc(alpha + 1.0, x)) + u * float(
         special.gammaincc(alpha, x)

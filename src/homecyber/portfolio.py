@@ -4,15 +4,17 @@ Replications are drawn in groups of G = max(1, RUN_BLOCK // N), so a
 group's block of G * N homes is about one single-home run block.  Group g
 is one ``simulate.loss_block`` from the substream of its group index, and
 replication k is the (k mod G)-th N-row slice of group k // G; the last
-group is drawn whole, so replication k's claims do not depend on K.  The
-insurer's claim for a home is the retention transform applied to that
-home's total annual loss.
+group is drawn whole, so replication k's claims do not depend on K.  All
+groups share one ``losses.LossPlan`` (the exact joint's CDF and the lines'
+trigger masks), so the graph may have at most 22 nodes.  The insurer's
+claim for a home is the retention transform applied to its annual loss.
 Claims depend on the policy but not on the premium, so a single simulation
 prices any premium level, and evaluating several policies against the same
 draws (common random numbers) makes deductible comparisons monotone per
 replication.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import streams
 from .graph import AttackGraph
-from .losses import BusinessLine
+from .losses import BusinessLine, loss_plan
 from .pricing import Policy, apply_retention
 from .simulate import (
     DEFAULT_QUANTILE_LEVELS,
@@ -43,9 +45,9 @@ class PortfolioSpec:
             raise ValueError(f"n_homes must be >= 1, got {self.n_homes}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if self.premium_per_home <= 0.0:
+        if not (math.isfinite(self.premium_per_home) and self.premium_per_home > 0.0):
             raise ValueError(
-                f"premium_per_home must be > 0, got {self.premium_per_home}"
+                f"premium_per_home must be finite and > 0, got {self.premium_per_home}"
             )
 
 
@@ -80,13 +82,18 @@ def simulate_claims(
     is applied to the same rows.  The last group is drawn whole and then
     truncated, so replication k does not depend on ``replications``.
     """
-    ordered = sorted(lines, key=lambda ln: ln.index)
+    if n_homes < 1:
+        raise ValueError(f"n_homes must be >= 1, got {n_homes}")
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
+    plan = loss_plan(graph, lines)
     group = replication_group(n_homes)
     claims = np.zeros((len(policies), replications))
     for g, lo in enumerate(range(0, replications, group)):
         hi = min(lo + group, replications)
         losses = loss_block(
-            graph, ordered, group * n_homes, master_seed, g, streams.REPLICATION_LANE
+            graph, plan.lines, group * n_homes, master_seed, g,
+            streams.REPLICATION_LANE, plan,
         )
         totals = np.zeros(group * n_homes)
         for col in range(losses.shape[1]):

@@ -37,24 +37,31 @@ class Policy:
     coverage: float
 
     def __post_init__(self):
-        if self.deductible < 0.0:
-            raise ValueError(f"deductible must be >= 0, got {self.deductible}")
-        if self.coverage <= 0.0:
+        if not (math.isfinite(self.deductible) and self.deductible >= 0.0):
+            raise ValueError(f"deductible must be finite and >= 0, got {self.deductible}")
+        # unlimited cover (inf) is valid and priced in closed form
+        if not self.coverage > 0.0:
             raise ValueError(f"coverage must be > 0, got {self.coverage}")
 
 
+class _Loading:
+    def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise ValueError(f"{type(self).__name__} theta must be finite, got {self.theta}")
+
+
 @dataclass(frozen=True)
-class Expectation:
+class Expectation(_Loading):
     theta: float
 
 
 @dataclass(frozen=True)
-class StdDev:
+class StdDev(_Loading):
     theta: float
 
 
 @dataclass(frozen=True)
-class GMD:
+class GMD(_Loading):
     theta: float
 
 
@@ -149,8 +156,8 @@ def calibrate(
         CteNotIdentifiableError: the empirical CTE is flat below the target
             and jumps past it, so no beta reproduces the target.
     """
-    if target_premium < 0.0:
-        raise ValueError(f"target premium must be >= 0, got {target_premium}")
+    if not (math.isfinite(target_premium) and target_premium >= 0.0):
+        raise ValueError(f"target premium must be finite and >= 0, got {target_premium}")
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
         raise ValueError("calibration needs at least 2 samples")

@@ -53,6 +53,12 @@ def lr_statistic(samples: np.ndarray, strategy: LRStrategy) -> float:
     return float(np.quantile(samples, strategy.level))
 
 
+def _first_feasible(claims: np.ndarray, total_premium: float, strategy: LRStrategy):
+    """Each policy's LR statistic, and the index of the first within target."""
+    stats = tuple(lr_statistic(c / total_premium, strategy) for c in claims)
+    return stats, next((i for i, s in enumerate(stats) if s <= strategy.target), None)
+
+
 @dataclass(frozen=True)
 class DeductibleSearchResult:
     grid: tuple[float, ...]
@@ -84,21 +90,17 @@ def search_deductible(
         raise ValueError("deductible grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"deductible grid must be strictly ascending: {grid}")
-    if premiums_total <= 0.0:
-        raise ValueError(f"premiums_total must be > 0, got {premiums_total}")
+    if not (math.isfinite(premiums_total) and premiums_total > 0.0):
+        raise ValueError(f"premiums_total must be finite and > 0, got {premiums_total}")
     policies = [Policy(d, coverage) for d in grid]
     claims = simulate_claims(graph, lines, n_homes, replications, policies, master_seed)
-    total_premium = n_homes * premiums_total
-    stats = tuple(lr_statistic(claims[i] / total_premium, strategy) for i in range(len(grid)))
-    target = strategy.target
-    feasible = tuple(s <= target for s in stats)
-    chosen = next((d for d, ok in zip(grid, feasible) if ok), None)
+    stats, first = _first_feasible(claims, n_homes * premiums_total, strategy)
     return DeductibleSearchResult(
         grid=grid,
         statistics=stats,
         mean_claims=tuple(float(c.mean()) for c in claims),
-        feasible=feasible,
-        chosen=chosen,
+        feasible=tuple(s <= strategy.target for s in stats),
+        chosen=None if first is None else grid[first],
     )
 
 
@@ -169,24 +171,18 @@ def report_proposals(
     those same samples.
     """
     grid = tuple(float(d) for d in grid)
+    for name, total in premiums:
+        if not (math.isfinite(total) and total > 0.0):
+            raise ValueError(f"premium for {name} must be finite and > 0, got {total}")
     policies = [Policy(d, coverage) for d in grid]
     claims = simulate_claims(graph, lines, n_homes, replications, policies, master_seed)
     mean_claims = claims.mean(axis=1)
     rows = []
     for name, total in premiums:
-        if total <= 0.0:
-            raise ValueError(f"premium for {name} must be > 0, got {total}")
         denom = n_homes * total
         picks: list[tuple[float | None, float | None]] = []
         for strategy in (MeanLR(mean_target), QuantileLR(quantile_level, quantile_target)):
-            chosen_idx = next(
-                (
-                    i
-                    for i in range(len(grid))
-                    if lr_statistic(claims[i] / denom, strategy) <= strategy.target
-                ),
-                None,
-            )
+            _, chosen_idx = _first_feasible(claims, denom, strategy)
             if chosen_idx is None:
                 picks.append((None, None))
             else:

@@ -2,12 +2,13 @@
 
 Runs are drawn in blocks of ``RUN_BLOCK`` rows, and block b draws from its
 own substream derived from (master_seed, b).  Within a block the draw order
-is fixed: one uniform vector per graph node in topological order, then, per
-business line in ascending line order, one severity vector holding a draw
-for each row where the line fired.  A complete block is therefore the same
-whatever the total number of runs, and only the last, partial block depends
-on it.  The portfolio uses the same kernel, one substream per group of
-replications.
+is fixed: one uniform per row, inverted through the exact joint's CDF to a
+state index, then, per business line in ascending line order, one severity
+vector holding a draw for each row where the line fired.  A complete block
+is therefore the same whatever the total number of runs, and only the last,
+partial block depends on it.  The portfolio uses the same kernel, one
+substream per group of replications.  Sampling from the joint limits
+simulation to ``graph.DEFAULT_ENUMERATION_CAP`` nodes.
 """
 
 from dataclasses import dataclass
@@ -16,11 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from . import streams
-from .graph import AttackGraph, sample_states
-from .losses import BusinessLine, sample_loss_matrix
+from .graph import AttackGraph, sample_state_indices
+from .losses import BusinessLine, LossPlan, loss_plan, sample_loss_matrix
 
 # Rows per run block: large enough that the per-block cost (a new substream,
-# one vector draw per node and line) vanishes, small enough that a block's
+# one vector draw per line) vanishes, small enough that a block's
 # temporaries stay near 200 kB and do not raise peak memory.
 RUN_BLOCK = 4096
 DEFAULT_QUANTILE_LEVELS = (0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.995, 0.999)
@@ -59,16 +60,20 @@ def loss_block(
     master_seed: int,
     index: int,
     lane: int,
+    plan: LossPlan | None = None,
 ) -> np.ndarray:
     """Line losses of ``rows`` homes, shape ``(rows, len(lines))``.
 
     All draws come from the substream (master_seed, index, lane): the
-    states first, then the fired rows' severities of each line in ascending
-    line index order.
+    rows' state indices first, then the fired rows' severities of each line
+    in ascending line index order.  ``plan`` is ``loss_plan(graph, lines)``;
+    callers that draw many blocks build it once and pass it in.
     """
+    if plan is None:
+        plan = loss_plan(graph, lines)
     rng = streams.substream(master_seed, index, lane=lane)
-    states = sample_states(graph, rows, rng)
-    return sample_loss_matrix(lines, states, graph, rng)
+    indices = sample_state_indices(plan.cdf, rows, rng)
+    return sample_loss_matrix(plan, indices, rng)
 
 
 def run_simulation(
@@ -91,16 +96,16 @@ def run_simulation(
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    ordered = sorted(lines, key=lambda ln: ln.index)
-    line_losses = np.empty((runs, len(ordered)))
+    plan = loss_plan(graph, lines)  # raises above the enumeration cap
+    line_losses = np.empty((runs, len(plan.lines)))
     for block, lo in enumerate(range(0, runs, RUN_BLOCK)):
         hi = min(lo + RUN_BLOCK, runs)
         line_losses[lo:hi] = loss_block(
-            graph, ordered, hi - lo, master_seed, block, streams.RUN_LANE
+            graph, plan.lines, hi - lo, master_seed, block, streams.RUN_LANE, plan
         )
 
     total = np.zeros(runs)
-    for col in range(len(ordered)):
+    for col in range(len(plan.lines)):
         total += line_losses[:, col]
     line_losses.flags.writeable = False
     total.flags.writeable = False
@@ -109,7 +114,7 @@ def run_simulation(
         total_losses=total,
         run_count=runs,
         master_seed=master_seed,
-        line_indices=tuple(line.index for line in ordered),
+        line_indices=tuple(line.index for line in plan.lines),
     )
 
 

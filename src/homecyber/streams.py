@@ -3,7 +3,8 @@
 Each (master seed, lane, index) triple selects a disjoint 2^128-draw counter
 range of one Philox stream, so the draws of run block b (or replication
 group g) are a pure function of (master_seed, b) and do not depend on how
-many blocks or groups a command asks for.
+many blocks or groups a command asks for.  A block's stream holds one
+uniform per row for its state indices, then the fired rows' severities.
 """
 
 from functools import lru_cache
@@ -18,8 +19,10 @@ REPLICATION_LANE = 1
 # substream; layout 2 gives each block of simulate.RUN_BLOCK runs one, and
 # each portfolio replication one.  Layout 3 gives each group of
 # max(1, RUN_BLOCK // n_homes) portfolio replications one, and draws a
-# line's severities only for the rows where the line fires.
-STREAM_LAYOUT = 3
+# line's severities only for the rows where the line fires.  Layout 4 keeps
+# those substreams but draws one uniform per row, inverted through the exact
+# joint's CDF to a state index, where layout 3 drew one per node and row.
+STREAM_LAYOUT = 4
 
 
 @lru_cache(maxsize=64)

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import homecyber
 from conftest import joint_csv_reference
@@ -116,7 +117,7 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 42
         assert manifest["runs"] == 500
-        assert manifest["stream_layout"] == 3
+        assert manifest["stream_layout"] == 4
         assert manifest["numpy_version"] == np.__version__
         assert manifest["python_version"] == platform.python_version()
 
@@ -193,7 +194,7 @@ class TestPortfolio:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["replications"] == 400
         assert manifest["homes"] == 50
-        assert manifest["stream_layout"] == 3
+        assert manifest["stream_layout"] == 4
 
 
 class TestSearchAndSolve:
@@ -256,3 +257,126 @@ class TestSearchAndSolve:
             assert rc == 0
             blobs.append((out / "proposals.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestRejectedInputs:
+    SIZES = ("--homes", "50", "--replications", "100", "--seed", "1")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["search-deductible", "--premium", "418", "--coverage", "50000",
+              "--grid", "100,200", "--strategy", "mean", "--lr-target", "0.4",
+              "--homes", "0", "--replications", "100", "--seed", "1"],
+             "n_homes must be >= 1, got 0"),
+            (["solve-premium", "--deductible", "1000", "--coverage", "50000",
+              "--strategy", "mean", "--lr-target", "0.4",
+              "--homes", "0", "--replications", "100", "--seed", "1"],
+             "n_homes must be >= 1, got 0"),
+            (["propose", "--premiums", "418,307", "--coverage", "50000",
+              "--grid", "100,200", "--homes", "0", "--replications", "100", "--seed", "1"],
+             "n_homes must be >= 1, got 0"),
+            (["search-deductible", "--premium", "418", "--coverage", "50000",
+              "--grid", "100,200", "--strategy", "mean", "--lr-target", "0.4",
+              "--homes", "-3", "--replications", "100", "--seed", "1"],
+             "n_homes must be >= 1, got -3"),
+            (["search-deductible", "--premium", "418", "--coverage", "50000",
+              "--grid", "100,200", "--strategy", "quantile", "--lr-target", "0.4",
+              "--homes", "50", "--replications", "0", "--seed", "1"],
+             "replications must be >= 1, got 0"),
+        ],
+        ids=["search-homes-0", "solve-homes-0", "propose-homes-0",
+             "search-homes-negative", "search-quantile-replications-0"],
+    )
+    def test_degenerate_portfolio_sizes(self, argv, message, capsys):
+        assert run(argv[0], "--scenario", CASE, *argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    PRICE = ["price", "--runs", "50", "--seed", "1", "--theta-expectation", "0.5",
+             "--theta-stddev", "0.03", "--theta-gmd", "0.25", "--beta-cte", "0.34"]
+    PORTFOLIO = ["portfolio", "--premium", "418", "--deductible", "1000",
+                 "--coverage", "50000", *SIZES]
+
+    @staticmethod
+    def replaced(argv, flag, value):
+        argv = list(argv)
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+        return argv
+
+    @pytest.mark.parametrize(
+        "base, flag, message",
+        [
+            ("portfolio", "--premium", "premium_per_home must be finite"),
+            ("portfolio", "--deductible", "deductible must be finite"),
+            ("portfolio", "--coverage", "coverage must be > 0, got nan"),
+            ("search", "--premium", "premiums_total must be finite"),
+            ("propose", "--premiums", "premium for rho1 must be finite"),
+            ("price", "--theta-expectation", "Expectation theta must be finite"),
+            ("price", "--theta-stddev", "StdDev theta must be finite"),
+            ("price", "--theta-gmd", "GMD theta must be finite"),
+            ("price", "--deductible", "deductible must be finite"),
+            ("calibrate", "--target", "target premium must be finite"),
+        ],
+    )
+    def test_nan_money_and_loadings(self, base, flag, message, tmp_path, capsys):
+        argv = {
+            "portfolio": self.PORTFOLIO,
+            "search": ["search-deductible", "--premium", "418", "--coverage", "50000",
+                       "--grid", "100,200", "--strategy", "mean", "--lr-target", "0.4",
+                       *self.SIZES],
+            "propose": ["propose", "--premiums", "418", "--coverage", "50000",
+                        "--grid", "100,200", *self.SIZES],
+            "price": [*self.PRICE, "--coverage", "50000"],
+            "calibrate": ["calibrate", "--runs", "50", "--seed", "1", "--line", "4",
+                          "--target", "28"],
+        }[base]
+        argv = self.replaced(argv, flag, "nan")
+        out = tmp_path / "out"
+        assert run(argv[0], "--scenario", CASE, *argv[1:], "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unlimited_coverage_is_valid(self, capsys):
+        argv = self.replaced(self.PORTFOLIO, "--coverage", "inf")
+        assert run(argv[0], "--scenario", CASE, *argv[1:]) == 0
+
+    def test_simulation_above_enumeration_cap(self, tmp_path, capsys):
+        doc = json.loads(bundled_case_study_path().read_text())
+        doc["graph"]["nodes"] = [{"id": 1, "entry_prob": 0.5}] + [
+            {"id": i} for i in range(2, 24)
+        ]
+        doc["graph"]["edges"] = [
+            {"src": i, "dst": i + 1, "cond_prob": 0.5} for i in range(1, 23)
+        ]
+        path = tmp_path / "chain23.json"
+        path.write_text(json.dumps(doc))
+        assert run("validate", "--scenario", str(path)) == 0
+        for argv in (["simulate", "--runs", "10", "--seed", "1"], self.PORTFOLIO):
+            assert run(argv[0], "--scenario", str(path), *argv[1:]) == 1
+            err = capsys.readouterr().err
+            assert "23 nodes exceed the enumeration cap of 22" in err
+
+
+def test_cli_never_imports_scipy():
+    # a fresh interpreter, so no other test's import can hide one
+    src = str(Path(homecyber.__file__).parent.parent)
+    code = (
+        "import sys; from homecyber.cli import cli_dispatch; "
+        f"assert cli_dispatch(['validate', '--scenario', {CASE!r}]) == 0; "
+        f"assert cli_dispatch(['simulate', '--scenario', {CASE!r}, "
+        "'--runs', '100', '--seed', '1']) == 0; "
+        "print('scipy' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

@@ -23,7 +23,8 @@ from homecyber.graph import (
     VulnNode,
     enumerate_joint,
     marginal_exploit_probs,
-    sample_states,
+    sample_state_indices,
+    state_cdf,
     topological_order,
     validate_graph,
 )
@@ -215,22 +216,30 @@ class TestMarginals:
         assert marginals[case_graph.position(3)] == pytest.approx(0.00029998, abs=1e-12)
 
 
+def sample_indices(graph, count, rng):
+    return sample_state_indices(state_cdf(graph), count, rng)
+
+
+def index_bit(indices, graph, node_id):
+    return (indices >> graph.position(node_id)) & 1 == 1
+
+
 class TestSampling:
     def test_certain_entry(self):
         graph = AttackGraph([VulnNode(1, entry_prob=1.0)], [])
         rng = np.random.default_rng(0)
-        assert sample_states(graph, 20, rng)[:, 0].all()
+        assert np.all(sample_indices(graph, 20, rng) == 1)
 
     def test_impossible_entry(self):
         graph = AttackGraph([VulnNode(1, entry_prob=0.0)], [])
         rng = np.random.default_rng(0)
-        assert not sample_states(graph, 20, rng)[:, 0].any()
+        assert np.all(sample_indices(graph, 20, rng) == 0)
 
     def test_all_zero_state_frequency(self, case_graph):
         n = 1_000_000
         rng = np.random.default_rng(42)
-        states = sample_states(case_graph, n, rng)
-        freq = float((~states.any(axis=1)).mean())
+        indices = sample_indices(case_graph, n, rng)
+        freq = float((indices == 0).mean())
         tol = 3 * math.sqrt(0.097 * 0.903 / n)
         assert abs(freq - 0.09702) <= tol
 
@@ -238,11 +247,9 @@ class TestSampling:
         n = 1_000_000
         joint = enumerate_joint(case_graph)
         rng = np.random.default_rng(7)
-        states = sample_states(case_graph, n, rng)
-        index = np.zeros(n, dtype=np.int64)
-        for k in range(case_graph.n):
-            index |= states[:, k].astype(np.int64) << k
-        observed = np.bincount(index, minlength=joint.probs.size).astype(float)
+        indices = sample_indices(case_graph, n, rng)
+        observed = np.bincount(indices, minlength=joint.probs.size).astype(float)
+        assert observed.size == joint.probs.size
         expected = joint.probs * n
         # pool cells with expected count < 5 so the chi-square approximation holds
         keep = expected >= 5.0
@@ -254,13 +261,30 @@ class TestSampling:
     def test_batch_states_respect_parents(self, case_graph):
         # a non-entry node can only be exploited through an exploited parent
         rng = np.random.default_rng(3)
-        states = sample_states(case_graph, 1000, rng)
+        indices = sample_indices(case_graph, 1000, rng)
         # node 6 requires an exploited parent (4 or 7)
-        pos6 = case_graph.position(6)
-        pos4 = case_graph.position(4)
-        pos7 = case_graph.position(7)
-        fired = states[:, pos6]
-        assert np.all(states[fired, pos4] | states[fired, pos7])
+        fired = index_bit(indices, case_graph, 6)
+        assert np.all(index_bit(indices, case_graph, 4)[fired]
+                      | index_bit(indices, case_graph, 7)[fired])
+
+    def test_boundary_uniforms_skip_zero_probability_states(self):
+        # states 0..3 have probabilities 0, .5, 0, .5: a uniform of exactly 0
+        # or exactly on a step of the CDF belongs to the state above the step
+        graph = AttackGraph([VulnNode(1, entry_prob=1.0), VulnNode(2, entry_prob=0.5)], [])
+        cdf = state_cdf(graph)
+        assert cdf.tolist() == [0.0, 0.5, 0.5, 1.0]
+        assert not cdf.flags.writeable
+
+        class FixedUniforms:
+            def random(self, count):
+                return np.array([0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)])
+
+        assert sample_state_indices(cdf, 4, FixedUniforms()).tolist() == [1, 3, 1, 3]
+
+    def test_cap_enforced(self):
+        nodes = [VulnNode(i, entry_prob=0.5) for i in range(1, 24)]
+        with pytest.raises(EnumerationSizeError, match="cap of 22"):
+            state_cdf(AttackGraph(nodes, []))
 
 
 class TestMonotonicity:
@@ -334,27 +358,21 @@ def test_topological_order_properties(graph):
         seen.add(node_id)
 
 
-def loop_sample_states(graph, count, rng):
-    """Reference sampler: one node at a time, multiplying parents one by one."""
-    states = np.zeros((count, graph.n), dtype=bool)
-    for node_id in topological_order(graph):
-        parents = graph.parents_of(node_id)
-        if parents:
-            survive = np.ones(count)
-            for parent_id, cond_prob in parents:
-                survive *= np.where(states[:, graph.position(parent_id)], 1.0 - cond_prob, 1.0)
-            p = 1.0 - survive
-        else:
-            p = graph.node(node_id).entry_prob
-        states[:, graph.position(node_id)] = rng.random(count) < p
-    return states
-
-
 @given(shuffled_dag_graphs(max_nodes=6))
-@settings(max_examples=60, deadline=None)
-def test_sample_states_equals_loop_reference(graph):
-    states = sample_states(graph, 300, np.random.default_rng(7))
-    assert np.array_equal(states, loop_sample_states(graph, 300, np.random.default_rng(7)))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_state_indices_equal_linear_scan(graph):
+    """Each index is the first state whose fsum-accumulated probability exceeds its uniform."""
+    cdf = state_cdf(graph)
+    assert cdf[-1] == 1.0
+    indices = sample_state_indices(cdf, 300, np.random.default_rng(7))
+    uniforms = np.random.default_rng(7).random(300)
+    probs = enumerate_joint(graph).probs.tolist()
+    total = math.fsum(probs)
+    bounds = [math.fsum(probs[: k + 1]) / total for k in range(len(probs))]
+    expected = [next(k for k, b in enumerate(bounds) if b > u) for u in uniforms]
+    assert indices.tolist() == expected
+    # states of probability 0 are never drawn
+    assert all(probs[k] > 0.0 for k in indices.tolist())
 
 
 @given(shuffled_dag_graphs())

@@ -19,7 +19,7 @@ from homecyber.graph import (
     VulnNode,
     enumerate_joint,
     marginal_exploit_probs,
-    sample_states,
+    sample_state_indices,
 )
 from homecyber.losses import (
     BusinessLine,
@@ -35,6 +35,7 @@ from homecyber.losses import (
     exact_line_mean,
     limited_expected_value,
     limited_expected_value_of,
+    loss_plan,
     sample_loss_matrix,
 )
 from homecyber.simulate import loss_block
@@ -113,7 +114,16 @@ class TestConditionalMean:
 def tiled_losses(case_graph, case_lines, state, seed, rows=100_000):
     """Loss matrix for ``rows`` copies of one fixed state."""
     rng = np.random.default_rng(seed)
-    return sample_loss_matrix(case_lines, np.tile(state, (rows, 1)), case_graph, rng)
+    index = enumerate_joint(case_graph).state_index(state)
+    plan = loss_plan(case_graph, case_lines)
+    return sample_loss_matrix(plan, np.full(rows, index), rng)
+
+
+def sampled_losses(graph, lines, rows, rng):
+    """State indices drawn from the joint and the loss matrix drawn on them."""
+    plan = loss_plan(graph, lines)
+    indices = sample_state_indices(plan.cdf, rows, rng)
+    return indices, sample_loss_matrix(plan, indices, rng)
 
 
 class TestSampleLoss:
@@ -153,11 +163,10 @@ class TestSampleLoss:
 
     def test_nonnegative(self, case_graph, case_lines):
         rng = np.random.default_rng(4)
-        states = sample_states(case_graph, 500, rng)
-        losses = sample_loss_matrix(case_lines, states, case_graph, rng)
+        indices, losses = sampled_losses(case_graph, case_lines, 500, rng)
         assert np.all(losses >= 0.0)
         # degenerate exactly zero: rows where no trigger of line 4 fired
-        fired = states[:, case_graph.position(5)]
+        fired = (indices >> case_graph.position(5)) & 1 == 1
         assert np.all(losses[~fired, 3] == 0.0)
 
 
@@ -198,8 +207,7 @@ class TestExactLineMean:
 
     def test_monte_carlo_agrees(self, case_graph, case_lines):
         rng = np.random.default_rng(11)
-        states = sample_states(case_graph, 200_000, rng)
-        losses = sample_loss_matrix(case_lines, states, case_graph, rng)
+        _, losses = sampled_losses(case_graph, case_lines, 200_000, rng)
         for col, line in enumerate(case_lines):
             sample = losses[:, col]
             se = sample.std(ddof=1) / math.sqrt(sample.size)
@@ -263,12 +271,43 @@ class TestLossBlockOnRandomGraphs:
             assert abs(column.mean() - exact_line_mean(line, graph)) <= 5 * se
 
 
+class TestLossPlan:
+    @given(graphs_with_lines())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_masks_and_rate_tables_match_conditional_distribution(self, case):
+        graph, lines = case
+        plan = loss_plan(graph, lines)
+        assert [line.index for line in plan.lines] == sorted(line.index for line in lines)
+        joint = enumerate_joint(graph)
+        for index in range(1 << graph.n):
+            state = joint.state_of(index)
+            for line, mask, tables in zip(plan.lines, plan.masks, plan.rate_tables):
+                dist = conditional_distribution(line, state, graph)
+                assert bool(index & mask) == (not isinstance(dist, DegenerateZero))
+                if tables is None:
+                    continue
+                low, high = tables
+                assert max(low.size, high.size) <= 1 << 11
+                rate = low[index & (1 << plan.half) - 1] + high[index >> plan.half]
+                expected = dist.rate if index & mask else 0.0
+                assert rate == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
 class TestFiredOnlySeverities:
     def test_one_draw_per_fired_row_in_row_order(self, case_graph, case_lines):
         rows = 3000
         losses = loss_block(case_graph, case_lines, rows, 5, 2, RUN_LANE)
         rng = substream(5, 2, RUN_LANE)
-        states = sample_states(case_graph, rows, rng)
+        # one uniform per row; the state is the first whose running sum exceeds it
+        joint = enumerate_joint(case_graph)
+        probs = joint.probs.tolist()
+        bounds = [math.fsum(probs[: k + 1]) / math.fsum(probs) for k in range(len(probs))]
+        states = [
+            joint.state_of(next(k for k, b in enumerate(bounds) if b > u))
+            for u in rng.random(rows)
+        ]
+        # on this graph each rate sum adds its terms in node id order both here
+        # and in the plan's rate tables, so even exponential rows match exactly
         expected = np.zeros((rows, len(case_lines)))
         for col, line in enumerate(case_lines):
             dists = [conditional_distribution(line, s, case_graph) for s in states]

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from homecyber.graph import AttackGraph, VulnNode
+from homecyber.graph import AttackGraph, Edge, EnumerationSizeError, VulnNode
 from homecyber.losses import BusinessLine, TriggeredGamma, exact_line_mean
+from homecyber.portfolio import simulate_claims
+from homecyber.pricing import Policy
 from homecyber.simulate import (
     DEFAULT_QUANTILE_LEVELS,
     RUN_BLOCK,
@@ -99,8 +102,6 @@ class TestRunSimulation:
 
     def test_zero_trigger_line_column_is_zero(self):
         # the line's only trigger sits behind an entry node that never fires
-        from homecyber.graph import Edge
-
         graph = AttackGraph(
             [VulnNode(1, entry_prob=0.0), VulnNode(2)], [Edge(1, 2, 0.9)]
         )
@@ -112,6 +113,31 @@ class TestRunSimulation:
         stats = summarize(case_result.line_losses[:, 3], DEFAULT_QUANTILE_LEVELS)
         assert stats.quantile(0.75) == 0.0
         assert stats.quantile(0.95) == 0.0
+
+
+def chain_graph(n: int) -> AttackGraph:
+    nodes = [VulnNode(1, entry_prob=0.5), *(VulnNode(i) for i in range(2, n + 1))]
+    return AttackGraph(nodes, [Edge(i, i + 1, 0.5) for i in range(1, n)])
+
+
+class TestEnumerationCap:
+    def test_23_node_chain_raises_before_allocating(self, case_lines):
+        graph = chain_graph(23)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationSizeError, match="cap of 22"):
+                run_simulation(graph, case_lines, runs=10, master_seed=1)
+            with pytest.raises(EnumerationSizeError, match="cap of 22"):
+                simulate_claims(graph, case_lines, 5, 10, [Policy(0.0, 1e3)], master_seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the joint or CDF of 2^23 states would take 64 MB
+        assert peak < 1 << 20
+
+    def test_22_node_chain_simulates(self, case_lines):
+        result = run_simulation(chain_graph(22), case_lines, runs=10, master_seed=1)
+        assert result.line_losses.shape == (10, len(case_lines))
 
 
 class TestSummarize:
