@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, pricing, reports, search
-from .graph import enumerate_joint, validate_graph
+from .graph import check_enumerable, enumerate_joint, validate_graph
 from .portfolio import PortfolioSpec, simulate_portfolio
 from .pricing import CTE, CalibrationError, Expectation, GMD, Policy, StdDev
 from .scenario import (
@@ -137,34 +137,35 @@ def _strategy(args) -> search.LRStrategy:
     return search.QuantileLR(args.quantile_level, args.lr_target)
 
 
-def _manifest(scenario: Scenario, args, runs=None, replications=None, homes=None) -> RunManifest:
+def _manifest(scenario: Scenario, args) -> RunManifest:
     return RunManifest(
         scenario_digest=scenario_digest(scenario),
         master_seed=args.seed,
-        runs=runs,
-        replications=replications,
-        homes=homes,
+        runs=getattr(args, "runs", None),
+        replications=getattr(args, "replications", None),
+        homes=getattr(args, "homes", None),
     )
 
 
-def _emit(table: reports.Table, out: str | None, filename: str, manifest: RunManifest | None):
+def _emit(table: reports.Table, out: str | None, filename: str, manifest: RunManifest):
     if out:
         path = reports.export_csv(table, Path(out) / filename)
-        if manifest is not None:
-            write_manifest(manifest, Path(out))
+        write_manifest(manifest, Path(out))
         print(f"wrote {path}")
     else:
         sys.stdout.write(reports.render_csv(table))
 
 
 def _line_samples(scenario, args):
+    if args.deductible is not None and args.coverage is None:
+        raise SystemExit("error: --deductible requires --coverage")
+    if args.coverage is not None and args.deductible is None:
+        raise SystemExit("error: --coverage requires --deductible")
     result = run_simulation(scenario.graph, scenario.lines, args.runs, args.seed)
-    if args.deductible is not None:
-        if args.coverage is None:
-            raise SystemExit("error: --deductible requires --coverage")
-        policy = Policy(args.deductible, args.coverage)
-        return result, pricing.apply_retention(result.line_losses, policy)
-    return result, result.line_losses
+    if args.deductible is None:
+        return result, result.line_losses
+    policy = Policy(args.deductible, args.coverage)
+    return result, pricing.apply_retention(result.line_losses, policy)
 
 
 def cli_dispatch(argv=None) -> int:
@@ -191,6 +192,7 @@ def _run(args) -> int:
 
     if args.command == "validate":
         report = validate_graph(scenario.graph)
+        check_enumerable(scenario.graph)  # every other command needs the joint
         # load_scenario already rejects invalid files; report for transparency
         print(f"scenario OK: {scenario.graph.n} nodes, {len(scenario.lines)} lines, "
               f"digest {scenario_digest(scenario)}")
@@ -214,17 +216,17 @@ def _run(args) -> int:
     if args.command == "simulate":
         result = run_simulation(scenario.graph, scenario.lines, args.runs, args.seed)
         table = reports.summary_table(result)
-        _emit(table, args.out, "summary.csv", _manifest(scenario, args, runs=args.runs))
+        _emit(table, args.out, "summary.csv", _manifest(scenario, args))
         return 0
 
     if args.command == "price":
-        result, samples = _line_samples(scenario, args)
         params = {
             "rho1": Expectation(args.theta_expectation),
             "rho2": StdDev(args.theta_stddev),
             "rho3": GMD(args.theta_gmd),
             "rho4": CTE(args.beta_cte),
         }
+        result, samples = _line_samples(scenario, args)
         per_principle = {
             name: [
                 pricing.premium(samples[:, col], param)
@@ -234,7 +236,7 @@ def _run(args) -> int:
         }
         labels = [f"L{idx}" for idx in result.line_indices]
         table = reports.premium_table(labels, per_principle)
-        _emit(table, args.out, "premiums.csv", _manifest(scenario, args, runs=args.runs))
+        _emit(table, args.out, "premiums.csv", _manifest(scenario, args))
         return 0
 
     if args.command == "calibrate":
@@ -256,7 +258,7 @@ def _run(args) -> int:
         table = reports.Table(header=("Family", "Parameter", "Note"), rows=tuple(rows))
         if args.out:
             reports.export_csv(table, Path(args.out) / "calibration.csv")
-            write_manifest(_manifest(scenario, args, runs=args.runs), Path(args.out))
+            write_manifest(_manifest(scenario, args), Path(args.out))
         return 0
 
     if args.command == "portfolio":
@@ -268,12 +270,9 @@ def _run(args) -> int:
         )
         result = simulate_portfolio(scenario.graph, scenario.lines, spec, args.seed)
         profit_tbl, lr_tbl = reports.portfolio_tables([("portfolio", result)])
-        manifest = _manifest(
-            scenario, args, replications=args.replications, homes=args.homes
-        )
         if args.out:
             reports.export_csv_blocks([profit_tbl, lr_tbl], Path(args.out) / "portfolio.csv")
-            write_manifest(manifest, Path(args.out))
+            write_manifest(_manifest(scenario, args), Path(args.out))
             print(f"wrote {Path(args.out) / 'portfolio.csv'}")
         else:
             sys.stdout.write(reports.render_csv(profit_tbl))
@@ -298,8 +297,7 @@ def _run(args) -> int:
             for d, stat, ok in zip(result.grid, result.statistics, result.feasible)
         )
         table = reports.Table(header=("Deductible", "LR statistic", "Feasible"), rows=rows)
-        manifest = _manifest(scenario, args, replications=args.replications, homes=args.homes)
-        _emit(table, args.out, "search.csv", manifest)
+        _emit(table, args.out, "search.csv", _manifest(scenario, args))
         if result.chosen is None:
             print("no feasible deductible on the grid")
             return 1
@@ -320,8 +318,7 @@ def _run(args) -> int:
             header=("Strategy", "LR target", "Premium per home"),
             rows=((args.strategy, args.lr_target, premium),),
         )
-        manifest = _manifest(scenario, args, replications=args.replications, homes=args.homes)
-        _emit(table, args.out, "premium.csv", manifest)
+        _emit(table, args.out, "premium.csv", _manifest(scenario, args))
         print(f"premium per home: {premium!r}")
         return 0
 
@@ -347,8 +344,7 @@ def _run(args) -> int:
             quantile_target=args.quantile_target,
         )
         table = reports.proposal_table(rows)
-        manifest = _manifest(scenario, args, replications=args.replications, homes=args.homes)
-        _emit(table, args.out, "proposals.csv", manifest)
+        _emit(table, args.out, "proposals.csv", _manifest(scenario, args))
         return 0
 
     raise SystemExit(f"error: unknown command {args.command!r}")

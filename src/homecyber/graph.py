@@ -6,8 +6,10 @@ parents) are exploited with their own entry probability; every other node
 combines its exploited parents with a noisy-OR.  A state vector holds one
 boolean per node, index-aligned with ``AttackGraph.nodes``; a state index
 packs the same booleans into bits, bit k for the node at position k.
-States are sampled as indices, by inverting the CDF of the exact joint, so
-sampling needs the joint and is limited to ``DEFAULT_ENUMERATION_CAP`` nodes.
+States are sampled as indices, by inverting the CDF of the exact joint
+through a guide table, so sampling needs the joint and is limited to
+``DEFAULT_ENUMERATION_CAP`` nodes; the inversion gives the same index as a
+binary search of the CDF.
 """
 
 import heapq
@@ -295,6 +297,14 @@ class JointDistribution:
         return marginals
 
 
+def check_enumerable(graph: AttackGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+    """Raise :class:`EnumerationSizeError` when ``graph`` has more than ``cap`` nodes."""
+    if graph.n > cap:
+        raise EnumerationSizeError(
+            f"{graph.n} nodes exceed the enumeration cap of {cap} (2^{graph.n} states)"
+        )
+
+
 def enumerate_joint(
     graph: AttackGraph, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> JointDistribution:
@@ -312,11 +322,7 @@ def enumerate_joint(
     cached on ``graph``, so every later call with a large enough ``cap``
     returns the same object.
     """
-    n = graph.n
-    if n > cap:
-        raise EnumerationSizeError(
-            f"{n} nodes exceed the enumeration cap of {cap} (2^{n} states)"
-        )
+    check_enumerable(graph, cap)
     if graph._joint_cache is None:
         graph._joint_cache = _enumerate(graph)
     return graph._joint_cache
@@ -378,12 +384,35 @@ def state_cdf(graph: AttackGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndar
     return cdf
 
 
+def state_guide(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Guide table of ``cdf`` for indexed search (Chen and Asau 1974).
+
+    For K = 2^min(n + 5, 16) equal cells of [0, 1), ``cells[j]`` is the index
+    ``np.searchsorted(cdf, j / K, "right")``, and ``settled[j]`` says that
+    every uniform in [j / K, (j + 1) / K) inverts to that index.  K is a
+    power of two, so ``int(u * K)`` finds a uniform's cell exactly.
+    """
+    size = 1 << min(cdf.size.bit_length() + 4, 16)  # cdf.size is 2^n
+    edges = np.arange(size + 1) / size
+    cells = np.searchsorted(cdf, edges[:-1], side="right")
+    settled = np.searchsorted(cdf, edges[1:], side="left") == cells
+    return cells, settled
+
+
 def sample_state_indices(
-    cdf: np.ndarray, count: int, rng: np.random.Generator
+    cdf: np.ndarray, count: int, rng: np.random.Generator, guide: tuple | None = None
 ) -> np.ndarray:
     """``count`` state indices, one uniform each, inverted through ``cdf``.
 
     Each row gets the first index whose cumulative probability exceeds its
-    uniform, so a state of probability 0 is never drawn.
+    uniform, so a state of probability 0 is never drawn.  ``guide`` is
+    ``state_guide(cdf)``, built here when not given: a row reads its cell's
+    index, and only rows whose cell holds a step of the CDF search ``cdf``.
     """
-    return np.searchsorted(cdf, rng.random(count), side="right")
+    cells, settled = state_guide(cdf) if guide is None else guide
+    u = rng.random(count)
+    cell = (u * cells.size).astype(np.intp)
+    indices = cells[cell]
+    rough = np.flatnonzero(~settled[cell])
+    indices[rough] = np.searchsorted(cdf, u[rough], side="right")
+    return indices

@@ -6,16 +6,19 @@ that fire when any trigger node is exploited.  When nothing fires the loss
 is degenerate at 0.  Closed-form moments and limited expected values back
 the simulation with exact oracles; they import scipy on first use, so the
 CLI never loads it.  Simulation reads lines through a ``LossPlan`` that
-works on state indices (bit k for the node at position k).
+works on state indices (bit k for the node at position k); the plan's
+severity draws come back as a line-loss matrix or as per-row totals, from
+one kernel and in one draw order.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .graph import DEFAULT_ENUMERATION_CAP, AttackGraph, StateVector, enumerate_joint, state_cdf
+from .graph import DEFAULT_ENUMERATION_CAP, AttackGraph, StateVector, enumerate_joint
+from .graph import state_cdf, state_guide
 
 
 def _canonical_rates(rates) -> tuple[tuple[int, float], ...]:
@@ -184,14 +187,16 @@ def conditional_mean(
 class LossPlan:
     """What a loss block reads of a graph and its lines, built once per call.
 
-    ``cdf`` is the graph's ``state_cdf``; ``lines`` are in ascending index
-    order.  Line k fires on state index ``i`` when ``i & masks[k]`` is not
-    0.  A rate sum adds over trigger bits, so an exponential line's rate is
-    ``low[i & (2^half - 1)] + high[i >> half]`` for ``(low, high) =
-    rate_tables[k]`` (at most 2^11 entries each); other lines have None.
+    ``cdf`` is the graph's ``state_cdf`` and ``guide`` its ``state_guide``
+    (at most 2^16 cells); ``lines`` are in ascending index order.  Line k
+    fires on state index ``i`` when ``i & masks[k]`` is not 0.  A rate sum
+    adds over trigger bits, so an exponential line's rate is ``low[i &
+    (2^half - 1)] + high[i >> half]`` for ``(low, high) = rate_tables[k]``
+    (at most 2^11 entries each); other lines have None.
     """
 
     cdf: np.ndarray
+    guide: tuple[np.ndarray, np.ndarray]
     lines: tuple[BusinessLine, ...]
     masks: tuple[int, ...]
     rate_tables: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
@@ -216,7 +221,30 @@ def loss_plan(graph: AttackGraph, lines: Sequence[BusinessLine]) -> LossPlan:
             table.reshape(-1, 2, 1 << bit)[:, 1, :] += rate
         tables.append((low, high))
     masks = tuple(sum(1 << graph.position(nid) for nid in ln.trigger_set) for ln in ordered)
-    return LossPlan(cdf, ordered, masks, tuple(tables), half)
+    return LossPlan(cdf, state_guide(cdf), ordered, masks, tuple(tables), half)
+
+
+def _line_draws(
+    plan: LossPlan, indices: np.ndarray, rng: np.random.Generator
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """``(column, fired rows, severities)`` per line, in ascending line order.
+
+    Each line draws one severity vector holding a draw for each row where
+    it fired (any trigger exploited), in ascending row order.  This is the
+    one place that fixes the order of a block's severity draws.
+    """
+    low_bits = (1 << plan.half) - 1
+    for col, (line, mask, tables) in enumerate(zip(plan.lines, plan.masks, plan.rate_tables)):
+        rows = np.flatnonzero((indices & mask) != 0)
+        model = line.model
+        if tables is not None:
+            fired = indices[rows]
+            lam = tables[0][fired & low_bits] + tables[1][fired >> plan.half]
+            yield col, rows, rng.standard_exponential(rows.size) / lam
+        elif isinstance(model, TriggeredLognormal):
+            yield col, rows, rng.lognormal(model.mu, model.sigma, rows.size)
+        else:
+            yield col, rows, rng.gamma(model.alpha, 1.0 / model.beta, rows.size)
 
 
 def sample_loss_matrix(
@@ -224,26 +252,28 @@ def sample_loss_matrix(
 ) -> np.ndarray:
     """Losses for a batch of state indices, shape ``(batch, len(plan.lines))``.
 
-    Lines are drawn in ascending index order.  Each line draws one severity
-    vector holding a draw for each row where it fired (any trigger
-    exploited), in ascending row order; every other row loses exactly 0.
-    So how much a line consumes from ``rng`` depends on the states, but the
-    result is still a pure function of ``indices`` and the stream.
+    Rows where a line did not fire lose exactly 0.  How much a line consumes
+    from ``rng`` depends on the states, but the result is still a pure
+    function of ``indices`` and the stream.
     """
     out = np.zeros((indices.size, len(plan.lines)))
-    low_bits = (1 << plan.half) - 1
-    for col, (line, mask, tables) in enumerate(zip(plan.lines, plan.masks, plan.rate_tables)):
-        rows = np.flatnonzero(indices & mask)
-        model = line.model
-        if tables is not None:
-            fired = indices[rows]
-            lam = tables[0][fired & low_bits] + tables[1][fired >> plan.half]
-            out[rows, col] = rng.standard_exponential(rows.size) / lam
-        elif isinstance(model, TriggeredLognormal):
-            out[rows, col] = rng.lognormal(model.mu, model.sigma, rows.size)
-        else:
-            out[rows, col] = rng.gamma(model.alpha, 1.0 / model.beta, rows.size)
+    for col, rows, draws in _line_draws(plan, indices, rng):
+        out[rows, col] = draws
     return out
+
+
+def sample_loss_totals(
+    plan: LossPlan, indices: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Per-row totals of ``sample_loss_matrix(plan, indices, rng)``, bit for bit.
+
+    Same draws, added line by line in ascending line order without building
+    the matrix: a line that did not fire on a row would add exactly 0.0.
+    """
+    totals = np.zeros(indices.size)
+    for _, rows, draws in _line_draws(plan, indices, rng):
+        totals[rows] += draws
+    return totals
 
 
 def exact_line_mean(

@@ -4,10 +4,12 @@ Replications are drawn in groups of G = max(1, RUN_BLOCK // N), so a
 group's block of G * N homes is about one single-home run block.  Group g
 is one ``simulate.loss_block`` from the substream of its group index, and
 replication k is the (k mod G)-th N-row slice of group k // G; the last
-group is drawn whole, so replication k's claims do not depend on K.  All
-groups share one ``losses.LossPlan`` (the exact joint's CDF and the lines'
-trigger masks), so the graph may have at most 22 nodes.  The insurer's
-claim for a home is the retention transform applied to its annual loss.
+group is drawn whole, so replication k's claims do not depend on K.  A
+group's draws are summed straight into per-home annual losses.  All groups
+share one ``losses.LossPlan`` (the exact joint's CDF and guide table, and
+the lines' trigger masks), so the graph may have at most 22 nodes.  The
+insurer's claim for a home is the retention transform applied to its
+annual loss.
 Claims depend on the policy but not on the premium, so a single simulation
 prices any premium level, and evaluating several policies against the same
 draws (common random numbers) makes deductible comparisons monotone per
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import streams
 from .graph import AttackGraph
-from .losses import BusinessLine, loss_plan
+from .losses import BusinessLine, loss_plan, sample_loss_totals
 from .pricing import Policy, apply_retention
 from .simulate import (
     DEFAULT_QUANTILE_LEVELS,
@@ -89,18 +91,15 @@ def simulate_claims(
     plan = loss_plan(graph, lines)
     group = replication_group(n_homes)
     claims = np.zeros((len(policies), replications))
+    retained = np.empty((group, n_homes))
     for g, lo in enumerate(range(0, replications, group)):
         hi = min(lo + group, replications)
-        losses = loss_block(
+        totals = loss_block(
             graph, plan.lines, group * n_homes, master_seed, g,
-            streams.REPLICATION_LANE, plan,
-        )
-        totals = np.zeros(group * n_homes)
-        for col in range(losses.shape[1]):
-            totals += losses[:, col]
-        totals = totals.reshape(group, n_homes)[: hi - lo]
+            streams.REPLICATION_LANE, plan, sample_loss_totals,
+        ).reshape(group, n_homes)[: hi - lo]
         for p, policy in enumerate(policies):
-            claims[p, lo:hi] = apply_retention(totals, policy).sum(axis=1)
+            claims[p, lo:hi] = apply_retention(totals, policy, retained[: hi - lo]).sum(axis=1)
     return claims
 
 

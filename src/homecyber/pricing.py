@@ -79,11 +79,11 @@ PrincipleParam = Expectation | StdDev | GMD | CTE
 FAMILIES = ("expectation", "stddev", "gmd", "cte")
 
 
-def apply_retention(loss, policy: Policy):
-    """min((loss - d)_+, C); accepts scalars or arrays."""
-    retained = np.minimum(np.maximum(np.asarray(loss, dtype=float) - policy.deductible, 0.0),
-                          policy.coverage)
-    return float(retained) if np.isscalar(loss) or np.ndim(loss) == 0 else retained
+def apply_retention(loss, policy: Policy, out: np.ndarray | None = None):
+    """min((loss - d)_+, C); accepts scalars or arrays, and fills ``out`` if given."""
+    retained = np.subtract(np.atleast_1d(np.asarray(loss, float)), policy.deductible, out=out)
+    np.minimum(np.maximum(retained, 0.0, out=retained), policy.coverage, out=retained)
+    return float(retained[0]) if np.isscalar(loss) or np.ndim(loss) == 0 else retained
 
 
 def gmd(samples: Sequence[float] | np.ndarray) -> float:

@@ -5,7 +5,7 @@ terminator, and floats printed with their shortest round-trip representation
 (Python repr), so every numeric cell re-parses to the identical double.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
 
@@ -116,14 +116,8 @@ def proposal_table(rows: Sequence[ProposalRow]) -> Table:
         "Principle", "Total premium", "Coverage limit",
         "Deductible 1", "Mean Profit 1", "Deductible 2", "Mean Profit 2",
     )
-    body = tuple(
-        (
-            r.principle, r.total_premium, r.coverage,
-            r.deductible_1, r.mean_profit_1, r.deductible_2, r.mean_profit_2,
-        )
-        for r in rows
-    )
-    return Table(header=header, rows=body)
+    # ProposalRow's fields are in column order
+    return Table(header=header, rows=tuple(astuple(r) for r in rows))
 
 
 def _bit_prefixes(count: int) -> list[str]:

@@ -187,15 +187,5 @@ def report_proposals(
                 picks.append((None, None))
             else:
                 picks.append((grid[chosen_idx], denom - float(mean_claims[chosen_idx])))
-        rows.append(
-            ProposalRow(
-                principle=name,
-                total_premium=total,
-                coverage=coverage,
-                deductible_1=picks[0][0],
-                mean_profit_1=picks[0][1],
-                deductible_2=picks[1][0],
-                mean_profit_2=picks[1][1],
-            )
-        )
+        rows.append(ProposalRow(name, total, coverage, *picks[0], *picks[1]))
     return tuple(rows)

@@ -6,13 +6,13 @@ is fixed: one uniform per row, inverted through the exact joint's CDF to a
 state index, then, per business line in ascending line order, one severity
 vector holding a draw for each row where the line fired.  A complete block
 is therefore the same whatever the total number of runs, and only the last,
-partial block depends on it.  The portfolio uses the same kernel, one
-substream per group of replications.  Sampling from the joint limits
+partial block depends on it.  The portfolio sums the same blocks per row,
+one substream per group of replications.  Sampling from the joint limits
 simulation to ``graph.DEFAULT_ENUMERATION_CAP`` nodes.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,19 +61,22 @@ def loss_block(
     index: int,
     lane: int,
     plan: LossPlan | None = None,
+    kernel: Callable[..., np.ndarray] | None = None,
 ) -> np.ndarray:
     """Line losses of ``rows`` homes, shape ``(rows, len(lines))``.
 
     All draws come from the substream (master_seed, index, lane): the
     rows' state indices first, then the fired rows' severities of each line
     in ascending line index order.  ``plan`` is ``loss_plan(graph, lines)``;
-    callers that draw many blocks build it once and pass it in.
+    callers that draw many blocks build it once and pass it in.  ``kernel``
+    is ``losses.sample_loss_matrix`` when None, looked up at each call, or
+    ``sample_loss_totals`` for the same draws as row totals, ``(rows,)``.
     """
     if plan is None:
         plan = loss_plan(graph, lines)
     rng = streams.substream(master_seed, index, lane=lane)
-    indices = sample_state_indices(plan.cdf, rows, rng)
-    return sample_loss_matrix(plan, indices, rng)
+    indices = sample_state_indices(plan.cdf, rows, rng, plan.guide)
+    return (kernel or sample_loss_matrix)(plan, indices, rng)
 
 
 def run_simulation(

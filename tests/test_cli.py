@@ -106,6 +106,37 @@ class TestEnumerate:
         assert done.stdout == in_process.encode()
 
 
+def test_golden_simulation_output(tmp_path):
+    # SHA-256 of stream layout 4's draws on the bundled scenario: 5000 runs
+    # end in a partial run block, and 300 and 500 homes end in a partial
+    # replication group, so any change to which draw lands where shows here
+    golden = {
+        "summary.csv": (
+            "ded6d0e468086ee24a50d7bb6a4f0c8e1b83f4d6d987bc68193e7ef6f59151ea",
+            ["simulate", "--runs", "5000", "--seed", "11"]),
+        "portfolio.csv": (
+            "6fe4eeeaa25665d6da151d3c48592763a0b542b9138e74012d0f32b3be94f285",
+            ["portfolio", "--premium", "418", "--deductible", "1000", "--coverage", "50000",
+             "--homes", "300", "--replications", "50", "--seed", "12"]),
+        "search.csv": (
+            "0d29de45ae25db77ccc5a10631bcacd29798ae043d3a9ca99486d30c6f044ef1",
+            ["search-deductible", "--premium", "418", "--coverage", "50000",
+             "--grid", "100,500,1000", "--strategy", "quantile", "--lr-target", "0.4",
+             "--homes", "300", "--replications", "40", "--seed", "13"]),
+        "proposals.csv": (
+            "dc16ceb8e0f1e0ba6869ed61695f9a8ea2ec8661562f9b7e31739fe7407f6f0c",
+            ["propose", "--premiums", "418,307,368,408", "--coverage", "50000",
+             "--grid", "100,500,1000", "--homes", "500", "--replications", "30",
+             "--seed", "14"]),
+    }
+    for name, (digest, argv) in golden.items():
+        out = tmp_path / name
+        assert run(argv[0], "--scenario", CASE, *argv[1:], "--out", str(out)) == 0
+        actual = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        # the severities come from numpy's samplers, so a numpy upgrade may move them
+        assert actual == digest, f"{name} changed (numpy {np.__version__})"
+
+
 class TestSimulate:
     def test_writes_summary_and_manifest(self, tmp_path):
         out = tmp_path / "res"
@@ -357,11 +388,28 @@ class TestRejectedInputs:
         ]
         path = tmp_path / "chain23.json"
         path.write_text(json.dumps(doc))
-        assert run("validate", "--scenario", str(path)) == 0
-        for argv in (["simulate", "--runs", "10", "--seed", "1"], self.PORTFOLIO):
+        for argv in (["validate"], ["simulate", "--runs", "10", "--seed", "1"], self.PORTFOLIO):
             assert run(argv[0], "--scenario", str(path), *argv[1:]) == 1
-            err = capsys.readouterr().err
-            assert "23 nodes exceed the enumeration cap of 22" in err
+            captured = capsys.readouterr()
+            assert "23 nodes exceed the enumeration cap of 22" in captured.err
+            assert "scenario OK" not in captured.out
+
+    CALIBRATE = ["calibrate", "--runs", "50", "--seed", "1", "--line", "4", "--target", "28"]
+
+    @pytest.mark.parametrize("base", ["price", "calibrate"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--coverage", "10", "error: --coverage requires --deductible"),
+         ("--deductible", "1000", "error: --deductible requires --coverage")],
+        ids=["coverage-alone", "deductible-alone"],
+    )
+    def test_retention_flags_come_in_pairs(self, base, flag, value, message, tmp_path, capsys):
+        argv = {"price": self.PRICE, "calibrate": self.CALIBRATE}[base]
+        out = tmp_path / "out"
+        rc = run(argv[0], "--scenario", CASE, *argv[1:], flag, value, "--out", str(out))
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_never_imports_scipy():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from scipy import stats
 
 from conftest import (
@@ -25,6 +25,7 @@ from homecyber.graph import (
     marginal_exploit_probs,
     sample_state_indices,
     state_cdf,
+    state_guide,
     topological_order,
     validate_graph,
 )
@@ -386,11 +387,8 @@ def test_enumeration_matches_references(graph):
     assert np.array_equal(joint.marginals(), mask_marginals(joint))
 
 
-@pytest.mark.parametrize("complete", [False, True], ids=["chain", "complete"])
-def test_seventeen_nodes_match_references(complete):
-    # above 16 nodes the marginals take a pairwise sum instead of fsum; in
-    # the complete DAG node j multiplies j - 1 parent factors, so a change in
-    # their order shows; the shuffled listing puts positions out of topological order
+def seventeen_node_graph(complete: bool) -> AttackGraph:
+    """A 17-node chain or complete DAG, its nodes listed in shuffled order."""
     rng = np.random.default_rng(17)
     pairs = [(i, j) for j in range(2, 18) for i in range(1, j) if complete or i == j - 1]
     edges = [Edge(i, j, float(rng.uniform(0.05, 0.95))) for i, j in pairs]
@@ -398,7 +396,66 @@ def test_seventeen_nodes_match_references(complete):
         VulnNode(int(i), entry_prob=0.3 if i == 1 else None)
         for i in rng.permutation(np.arange(1, 18))
     ]
-    graph = AttackGraph(nodes, edges)
+    return AttackGraph(nodes, edges)
+
+
+@pytest.mark.parametrize("complete", [False, True], ids=["chain", "complete"])
+def test_seventeen_nodes_match_references(complete):
+    # above 16 nodes the marginals take a pairwise sum instead of fsum; in
+    # the complete DAG node j multiplies j - 1 parent factors, so a change in
+    # their order shows; the shuffled listing puts positions out of topological order
+    graph = seventeen_node_graph(complete)
     joint = enumerate_joint(graph)
     assert np.array_equal(joint.probs, full_width_joint(graph))
     assert np.array_equal(joint.marginals(), mask_marginals(joint))
+
+
+class FixedUniforms:
+    """Stands in for a generator whose ``random`` returns the given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, count):
+        assert count == self.values.size
+        return self.values
+
+
+def assert_guided_inversion_exact(cdf: np.ndarray) -> None:
+    """The guide has min(2^(n+5), 2^16) cells and inverts like a plain search.
+
+    The uniforms are the adversarial ones: 0, every cell edge and the double
+    just below it, every CDF value and both its neighbours, and the largest
+    double below 1.
+    """
+    n = cdf.size.bit_length() - 1
+    cells, settled = state_guide(cdf)
+    size = min(2 ** (n + 5), 2**16)
+    assert cells.shape == settled.shape == (size,)
+    # a cell falls back to the search exactly when a CDF value lies strictly
+    # inside it (scaling by a power of two is exact)
+    scaled = cdf * size
+    stepped = np.unique(np.floor(scaled[scaled != np.floor(scaled)]).astype(np.intp))
+    assert np.array_equal(np.flatnonzero(~settled), stepped)
+    edges = np.arange(size + 1) / size
+    u = np.concatenate([
+        edges, np.nextafter(edges, 0.0),
+        cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+    ])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    assert u.min() == 0.0 and u.max() == np.nextafter(1.0, 0.0)
+    guided = sample_state_indices(cdf, u.size, FixedUniforms(u), (cells, settled))
+    assert np.array_equal(guided, np.searchsorted(cdf, u, side="right"))
+    # the same path when the sampler builds the guide itself
+    assert np.array_equal(sample_state_indices(cdf, u.size, FixedUniforms(u)), guided)
+
+
+@given(shuffled_dag_graphs(max_nodes=8))
+@example(AttackGraph([VulnNode(1, entry_prob=1.0), VulnNode(2, entry_prob=0.5)], []))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_guided_inversion_equals_search(graph):
+    assert_guided_inversion_exact(state_cdf(graph))
+
+
+def test_guided_inversion_equals_search_on_seventeen_nodes():
+    assert_guided_inversion_exact(state_cdf(seventeen_node_graph(complete=True)))
