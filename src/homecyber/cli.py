@@ -4,8 +4,9 @@ portfolio, search-deductible, solve-premium, and propose.
 Every simulation-bearing command takes --seed and, when it writes files,
 records a run manifest (scenario digest, seed, run counts, stream layout,
 tool version) next to its outputs.  Identical scenario + flags + seed give
-byte-identical outputs.  Simulation runs in one thread; --workers is still
-accepted, for existing scripts, and has no effect.
+byte-identical outputs.  --workers N draws run blocks and replication
+groups on up to N threads (never more than there are blocks or CPUs); the
+outputs are the same bytes for every N.
 """
 
 import argparse
@@ -38,11 +39,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="scenario JSON file")
 
     def seeded(p, *sizes):
-        """Required int flags ``sizes``, then --seed and the no-op --workers."""
+        """Required int flags ``sizes``, then --seed and --workers."""
         for flag in sizes:
             p.add_argument(flag, type=int, required=True)
         p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
+        p.add_argument("--workers", type=_workers, default=1,
+                       help="threads that draw blocks (>= 1); outputs do not depend on it")
 
     p = sub.add_parser("validate", help="check a scenario file against all invariants")
     scenario_arg(p)
@@ -121,6 +123,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _workers(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
     try:
         values = tuple(float(v) for v in text.split(","))
@@ -161,7 +173,7 @@ def _line_samples(scenario, args):
         raise SystemExit("error: --deductible requires --coverage")
     if args.coverage is not None and args.deductible is None:
         raise SystemExit("error: --coverage requires --deductible")
-    result = run_simulation(scenario.graph, scenario.lines, args.runs, args.seed)
+    result = run_simulation(scenario.graph, scenario.lines, args.runs, args.seed, args.workers)
     if args.deductible is None:
         return result, result.line_losses
     policy = Policy(args.deductible, args.coverage)
@@ -214,7 +226,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "simulate":
-        result = run_simulation(scenario.graph, scenario.lines, args.runs, args.seed)
+        result = run_simulation(scenario.graph, scenario.lines, args.runs, args.seed, args.workers)
         table = reports.summary_table(result)
         _emit(table, args.out, "summary.csv", _manifest(scenario, args))
         return 0
@@ -240,9 +252,10 @@ def _run(args) -> int:
         return 0
 
     if args.command == "calibrate":
-        result, samples = _line_samples(scenario, args)
-        if args.line not in result.line_indices:
+        if args.line not in {line.index for line in scenario.lines}:
             raise SystemExit(f"error: no business line with index {args.line}")
+        pricing.check_target_premium(args.target)
+        result, samples = _line_samples(scenario, args)
         col = result.line_indices.index(args.line)
         rows = []
         for family in pricing.FAMILIES:
@@ -268,7 +281,7 @@ def _run(args) -> int:
             premium_per_home=args.premium,
             replications=args.replications,
         )
-        result = simulate_portfolio(scenario.graph, scenario.lines, spec, args.seed)
+        result = simulate_portfolio(scenario.graph, scenario.lines, spec, args.seed, args.workers)
         profit_tbl, lr_tbl = reports.portfolio_tables([("portfolio", result)])
         if args.out:
             reports.export_csv_blocks([profit_tbl, lr_tbl], Path(args.out) / "portfolio.csv")
@@ -291,6 +304,7 @@ def _run(args) -> int:
             n_homes=args.homes,
             replications=args.replications,
             master_seed=args.seed,
+            workers=args.workers,
         )
         rows = tuple(
             (d, stat, "yes" if ok else "no")
@@ -313,6 +327,7 @@ def _run(args) -> int:
             n_homes=args.homes,
             replications=args.replications,
             master_seed=args.seed,
+            workers=args.workers,
         )
         table = reports.Table(
             header=("Strategy", "LR target", "Premium per home"),
@@ -342,6 +357,7 @@ def _run(args) -> int:
             mean_target=args.mean_target,
             quantile_level=args.quantile_level,
             quantile_target=args.quantile_target,
+            workers=args.workers,
         )
         table = reports.proposal_table(rows)
         _emit(table, args.out, "proposals.csv", _manifest(scenario, args))

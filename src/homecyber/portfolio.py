@@ -7,9 +7,11 @@ replication k is the (k mod G)-th N-row slice of group k // G; the last
 group is drawn whole, so replication k's claims do not depend on K.  A
 group's draws are summed straight into per-home annual losses.  All groups
 share one ``losses.LossPlan`` (the exact joint's CDF and guide table, and
-the lines' trigger masks), so the graph may have at most 22 nodes.  The
-insurer's claim for a home is the retention transform applied to its
-annual loss.
+the lines' trigger masks), so the graph may have at most 22 nodes.  Groups
+are drawn through ``simulate.draw_blocks`` on up to ``workers`` threads;
+each writes only its own replications, so claims do not depend on the
+worker count.  The insurer's claim for a home is the retention transform
+applied to its annual loss.
 Claims depend on the policy but not on the premium, so a single simulation
 prices any premium level, and evaluating several policies against the same
 draws (common random numbers) makes deductible comparisons monotone per
@@ -30,6 +32,7 @@ from .simulate import (
     DEFAULT_QUANTILE_LEVELS,
     RUN_BLOCK,
     SummaryStats,
+    draw_blocks,
     loss_block,
     summarize,
 )
@@ -74,6 +77,7 @@ def simulate_claims(
     replications: int,
     policies: Sequence[Policy],
     master_seed: int,
+    workers: int = 1,
 ) -> np.ndarray:
     """Portfolio claim samples for each policy under common random numbers.
 
@@ -83,6 +87,7 @@ def simulate_claims(
     drawn from the substream derived from (master_seed, g), and every policy
     is applied to the same rows.  The last group is drawn whole and then
     truncated, so replication k does not depend on ``replications``.
+    ``workers`` threads draw the groups; the claims do not depend on it.
     """
     if n_homes < 1:
         raise ValueError(f"n_homes must be >= 1, got {n_homes}")
@@ -91,15 +96,18 @@ def simulate_claims(
     plan = loss_plan(graph, lines)
     group = replication_group(n_homes)
     claims = np.zeros((len(policies), replications))
-    retained = np.empty((group, n_homes))
-    for g, lo in enumerate(range(0, replications, group)):
-        hi = min(lo + group, replications)
+
+    def draw(g: int) -> None:
+        lo, hi = g * group, min((g + 1) * group, replications)
         totals = loss_block(
             graph, plan.lines, group * n_homes, master_seed, g,
             streams.REPLICATION_LANE, plan, sample_loss_totals,
         ).reshape(group, n_homes)[: hi - lo]
+        retained = np.empty_like(totals)
         for p, policy in enumerate(policies):
-            claims[p, lo:hi] = apply_retention(totals, policy, retained[: hi - lo]).sum(axis=1)
+            claims[p, lo:hi] = apply_retention(totals, policy, retained).sum(axis=1)
+
+    draw_blocks(draw, -(-replications // group), workers)
     return claims
 
 
@@ -123,10 +131,11 @@ def simulate_portfolio(
     lines: Sequence[BusinessLine],
     spec: PortfolioSpec,
     master_seed: int,
+    workers: int = 1,
 ) -> PortfolioResult:
     """Claim, profit, and loss-ratio samples across spec.replications."""
     claims = simulate_claims(
-        graph, lines, spec.n_homes, spec.replications, [spec.policy], master_seed
+        graph, lines, spec.n_homes, spec.replications, [spec.policy], master_seed, workers
     )[0]
     return result_from_claims(claims, spec, master_seed)
 

@@ -136,6 +136,12 @@ def premium(samples: Sequence[float] | np.ndarray, param: PrincipleParam) -> flo
     raise TypeError(f"unknown principle parameter {param!r}")
 
 
+def check_target_premium(target_premium: float) -> None:
+    """Raise ValueError unless ``target_premium`` is finite and >= 0."""
+    if not (math.isfinite(target_premium) and target_premium >= 0.0):
+        raise ValueError(f"target premium must be finite and >= 0, got {target_premium}")
+
+
 def calibrate(
     family: str,
     samples: Sequence[float] | np.ndarray,
@@ -156,8 +162,7 @@ def calibrate(
         CteNotIdentifiableError: the empirical CTE is flat below the target
             and jumps past it, so no beta reproduces the target.
     """
-    if not (math.isfinite(target_premium) and target_premium >= 0.0):
-        raise ValueError(f"target premium must be finite and >= 0, got {target_premium}")
+    check_target_premium(target_premium)
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
         raise ValueError("calibration needs at least 2 samples")

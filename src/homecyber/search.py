@@ -59,6 +59,19 @@ def _first_feasible(claims: np.ndarray, total_premium: float, strategy: LRStrate
     return stats, next((i for i, s in enumerate(stats) if s <= strategy.target), None)
 
 
+def deductible_grid(grid: Sequence[float]) -> tuple[float, ...]:
+    """``grid`` as floats; raises unless it is non-empty and strictly ascending.
+
+    The first-feasible scan relies on the statistic falling along the grid.
+    """
+    grid = tuple(float(d) for d in grid)
+    if not grid:
+        raise ValueError("deductible grid is empty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"deductible grid must be strictly ascending: {grid}")
+    return grid
+
+
 @dataclass(frozen=True)
 class DeductibleSearchResult:
     grid: tuple[float, ...]
@@ -78,6 +91,7 @@ def search_deductible(
     n_homes: int,
     replications: int,
     master_seed: int,
+    workers: int = 1,
 ) -> DeductibleSearchResult:
     """Smallest grid deductible whose LR statistic meets the target.
 
@@ -85,15 +99,11 @@ def search_deductible(
     is non-increasing in the deductible and the feasible set is an up-set of
     the grid; the chosen value is its boundary (None when nothing qualifies).
     """
-    grid = tuple(float(d) for d in grid)
-    if not grid:
-        raise ValueError("deductible grid is empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"deductible grid must be strictly ascending: {grid}")
+    grid = deductible_grid(grid)
     if not (math.isfinite(premiums_total) and premiums_total > 0.0):
         raise ValueError(f"premiums_total must be finite and > 0, got {premiums_total}")
     policies = [Policy(d, coverage) for d in grid]
-    claims = simulate_claims(graph, lines, n_homes, replications, policies, master_seed)
+    claims = simulate_claims(graph, lines, n_homes, replications, policies, master_seed, workers)
     stats, first = _first_feasible(claims, n_homes * premiums_total, strategy)
     return DeductibleSearchResult(
         grid=grid,
@@ -134,10 +144,11 @@ def solve_premium(
     n_homes: int,
     replications: int,
     master_seed: int,
+    workers: int = 1,
 ) -> float:
     """Premium per home that makes the simulated LR statistic hit the target."""
-    claims = simulate_claims(graph, lines, n_homes, replications, [policy], master_seed)[0]
-    return premium_for_claims(claims, n_homes, strategy)
+    claims = simulate_claims(graph, lines, n_homes, replications, [policy], master_seed, workers)
+    return premium_for_claims(claims[0], n_homes, strategy)
 
 
 @dataclass(frozen=True)
@@ -163,6 +174,7 @@ def report_proposals(
     mean_target: float = 0.40,
     quantile_level: float = 0.995,
     quantile_target: float = 0.40,
+    workers: int = 1,
 ) -> tuple[ProposalRow, ...]:
     """Proposed deductibles per premium principle under both LR strategies.
 
@@ -170,12 +182,12 @@ def report_proposals(
     strategies; the mean profit reported for a chosen deductible comes from
     those same samples.
     """
-    grid = tuple(float(d) for d in grid)
+    grid = deductible_grid(grid)
     for name, total in premiums:
         if not (math.isfinite(total) and total > 0.0):
             raise ValueError(f"premium for {name} must be finite and > 0, got {total}")
     policies = [Policy(d, coverage) for d in grid]
-    claims = simulate_claims(graph, lines, n_homes, replications, policies, master_seed)
+    claims = simulate_claims(graph, lines, n_homes, replications, policies, master_seed, workers)
     mean_claims = claims.mean(axis=1)
     rows = []
     for name, total in premiums:

@@ -9,8 +9,15 @@ is therefore the same whatever the total number of runs, and only the last,
 partial block depends on it.  The portfolio sums the same blocks per row,
 one substream per group of replications.  Sampling from the joint limits
 simulation to ``graph.DEFAULT_ENUMERATION_CAP`` nodes.
+
+Blocks are drawn through ``draw_blocks``, on up to ``workers`` threads:
+numpy's samplers and loops release the GIL, and every block owns its
+generator, its temporaries and a disjoint slice of the output, so the
+result is the same bytes for any worker count.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -21,9 +28,9 @@ from .graph import AttackGraph, sample_state_indices
 from .losses import BusinessLine, LossPlan, loss_plan, sample_loss_matrix
 
 # Rows per run block: large enough that the per-block cost (a new substream,
-# one vector draw per line) vanishes, small enough that a block's
-# temporaries stay near 200 kB and do not raise peak memory.
-RUN_BLOCK = 4096
+# one vector draw per line, a GIL handoff per numpy call) vanishes, small
+# enough that a block's temporaries stay near 1 MB per thread.
+RUN_BLOCK = 1 << 14
 DEFAULT_QUANTILE_LEVELS = (0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.995, 0.999)
 
 
@@ -79,11 +86,58 @@ def loss_block(
     return (kernel or sample_loss_matrix)(plan, indices, rng)
 
 
+def thread_count(workers: int, blocks: int, cpus: int | None = None) -> int:
+    """Threads that draw ``blocks`` blocks: min(workers, blocks, cpus), at least 1.
+
+    ``cpus`` is ``os.cpu_count()`` when None.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if cpus is None:
+        cpus = os.cpu_count() or 1
+    return max(1, min(workers, blocks, cpus))
+
+
+def draw_blocks(draw: Callable[[int], object], blocks: int, workers: int = 1) -> None:
+    """Call ``draw(b)`` once for every block index b in ``range(blocks)``.
+
+    ``thread_count(workers, blocks)`` threads take the next undrawn block
+    until none is left: the calling thread, plus a pool of the rest.  The
+    calling thread's part keeps one thread's worth of allocator arenas out
+    of peak memory.  An exception a block raises is re-raised here once
+    every thread has stopped.  ``draw`` must write only its own
+    block's slice of the output and read only state built before this call.
+    """
+    threads = thread_count(workers, blocks)
+    pending = iter(range(blocks))
+    lock = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                block = next(pending, None)
+            if block is None:
+                return
+            draw(block)
+
+    if threads == 1:
+        return drain()
+    # imported here, so that a start-up that draws no threads skips its ~6 ms
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(threads - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(threads - 1)]
+        drain()
+    for helper in helpers:
+        helper.result()
+
+
 def run_simulation(
     graph: AttackGraph,
     lines: Sequence[BusinessLine],
     runs: int,
     master_seed: int,
+    workers: int = 1,
 ) -> SimulationResult:
     """Simulate ``runs`` independent loss rows.
 
@@ -92,6 +146,7 @@ def run_simulation(
         lines: business lines; simulated in ascending ``index`` order.
         runs: number of Monte Carlo runs (>= 1).
         master_seed: seed from which every per-block substream derives.
+        workers: threads that draw blocks; the result does not depend on it.
 
     Returns:
         SimulationResult whose ``total_losses[r]`` is the ascending-index sum
@@ -101,15 +156,18 @@ def run_simulation(
         raise ValueError(f"runs must be >= 1, got {runs}")
     plan = loss_plan(graph, lines)  # raises above the enumeration cap
     line_losses = np.empty((runs, len(plan.lines)))
-    for block, lo in enumerate(range(0, runs, RUN_BLOCK)):
-        hi = min(lo + RUN_BLOCK, runs)
-        line_losses[lo:hi] = loss_block(
+    total = np.zeros(runs)
+
+    def draw(block: int) -> None:
+        lo, hi = block * RUN_BLOCK, min((block + 1) * RUN_BLOCK, runs)
+        rows = line_losses[lo:hi]
+        rows[:] = loss_block(
             graph, plan.lines, hi - lo, master_seed, block, streams.RUN_LANE, plan
         )
+        for col in range(len(plan.lines)):
+            total[lo:hi] += rows[:, col]
 
-    total = np.zeros(runs)
-    for col in range(len(plan.lines)):
-        total += line_losses[:, col]
+    draw_blocks(draw, -(-runs // RUN_BLOCK), workers)
     line_losses.flags.writeable = False
     total.flags.writeable = False
     return SimulationResult(

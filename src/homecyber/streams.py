@@ -22,7 +22,10 @@ REPLICATION_LANE = 1
 # line's severities only for the rows where the line fires.  Layout 4 keeps
 # those substreams but draws one uniform per row, inverted through the exact
 # joint's CDF to a state index, where layout 3 drew one per node and row.
-STREAM_LAYOUT = 4
+# Layout 5 draws the same way in blocks of 2^14 rows where layout 4 used
+# 4096, so portfolio groups hold max(1, 16384 // n_homes) replications.
+# Blocks may be drawn on any number of threads without changing a draw.
+STREAM_LAYOUT = 5
 
 
 @lru_cache(maxsize=64)

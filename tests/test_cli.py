@@ -107,26 +107,28 @@ class TestEnumerate:
 
 
 def test_golden_simulation_output(tmp_path):
-    # SHA-256 of stream layout 4's draws on the bundled scenario: 5000 runs
-    # end in a partial run block, and 300 and 500 homes end in a partial
-    # replication group, so any change to which draw lands where shows here
+    # SHA-256 of stream layout 5's draws on the bundled scenario (2^14-row
+    # blocks): 20000 runs are one complete run block and a partial one, and
+    # 300 homes (54 replications per group) x 60 or 70 and 500 homes (32 per
+    # group) x 40 are one complete replication group and a partial one, so
+    # any change to which draw lands where shows here
     golden = {
         "summary.csv": (
-            "ded6d0e468086ee24a50d7bb6a4f0c8e1b83f4d6d987bc68193e7ef6f59151ea",
-            ["simulate", "--runs", "5000", "--seed", "11"]),
+            "0efa2601c7b55a3027f8ab2f9b7e19c93f8d959a79dff1107428cd6d3bdb1642",
+            ["simulate", "--runs", "20000", "--seed", "11"]),
         "portfolio.csv": (
-            "6fe4eeeaa25665d6da151d3c48592763a0b542b9138e74012d0f32b3be94f285",
+            "ddb093d5b78aaba5c34b96ba764c6c6701447d19325169b5229bff2b66446daf",
             ["portfolio", "--premium", "418", "--deductible", "1000", "--coverage", "50000",
-             "--homes", "300", "--replications", "50", "--seed", "12"]),
+             "--homes", "300", "--replications", "60", "--seed", "12"]),
         "search.csv": (
-            "0d29de45ae25db77ccc5a10631bcacd29798ae043d3a9ca99486d30c6f044ef1",
+            "b4129fe99e1bde6c1b3ac882373a838b57b98525aff7c7a28f8e3cba913311e2",
             ["search-deductible", "--premium", "418", "--coverage", "50000",
              "--grid", "100,500,1000", "--strategy", "quantile", "--lr-target", "0.4",
-             "--homes", "300", "--replications", "40", "--seed", "13"]),
+             "--homes", "300", "--replications", "70", "--seed", "13"]),
         "proposals.csv": (
-            "dc16ceb8e0f1e0ba6869ed61695f9a8ea2ec8661562f9b7e31739fe7407f6f0c",
+            "940f7dbb1479cf065158b8ef0851e22d8c12eb2cb43db748ca9938f091170ddd",
             ["propose", "--premiums", "418,307,368,408", "--coverage", "50000",
-             "--grid", "100,500,1000", "--homes", "500", "--replications", "30",
+             "--grid", "100,500,1000", "--homes", "500", "--replications", "40",
              "--seed", "14"]),
     }
     for name, (digest, argv) in golden.items():
@@ -148,7 +150,7 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 42
         assert manifest["runs"] == 500
-        assert manifest["stream_layout"] == 4
+        assert manifest["stream_layout"] == 5
         assert manifest["numpy_version"] == np.__version__
         assert manifest["python_version"] == platform.python_version()
 
@@ -225,7 +227,7 @@ class TestPortfolio:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["replications"] == 400
         assert manifest["homes"] == 50
-        assert manifest["stream_layout"] == 4
+        assert manifest["stream_layout"] == 5
 
 
 class TestSearchAndSolve:
@@ -288,6 +290,51 @@ class TestSearchAndSolve:
             assert rc == 0
             blobs.append((out / "proposals.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestWorkers:
+    # 3 * 2^14 + 100 runs are four run blocks; 2000 homes make groups of 8
+    # replications, so 29 replications are four groups, the last one partial
+    SIZES = ("--homes", "2000", "--replications", "29", "--seed", "5")
+    COMMANDS = {
+        "simulate": ["simulate", "--runs", str(3 * (1 << 14) + 100), "--seed", "5"],
+        "portfolio": ["portfolio", "--premium", "418", "--deductible", "1000",
+                      "--coverage", "50000", *SIZES],
+        "solve-premium": ["solve-premium", "--deductible", "1000", "--coverage", "50000",
+                          "--strategy", "quantile", "--lr-target", "0.4", *SIZES],
+        "search-deductible": ["search-deductible", "--premium", "418", "--coverage", "50000",
+                              "--grid", "100,500,1000", "--strategy", "mean",
+                              "--lr-target", "0.4", *SIZES],
+        "propose": ["propose", "--premiums", "418,307", "--coverage", "50000",
+                    "--grid", "100,500,1000", *SIZES],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_outputs_identical_for_any_worker_count(self, command, tmp_path):
+        argv = self.COMMANDS[command]
+        outputs = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / workers
+            rc = run(argv[0], "--scenario", CASE, *argv[1:], "--workers", workers,
+                     "--out", str(out))
+            assert rc == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(outputs[0]) == 2  # the table and manifest.json
+        manifest = json.loads(outputs[0]["manifest.json"])
+        assert manifest["stream_layout"] == 5
+        assert "workers" not in manifest
+
+    @pytest.mark.parametrize("value", ["0", "-5", "two"])
+    @pytest.mark.parametrize("command", ["simulate", "portfolio"])
+    def test_bad_worker_count_exits_2(self, command, value, tmp_path, capsys):
+        argv = self.COMMANDS[command]
+        out = tmp_path / "out"
+        rc = run(argv[0], "--scenario", CASE, *argv[1:], "--workers", value,
+                 "--out", str(out))
+        assert rc == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRejectedInputs:
@@ -410,6 +457,30 @@ class TestRejectedInputs:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_propose_grid_must_ascend(self, capsys):
+        argv = ["propose", "--premiums", "418", "--coverage", "50000", *self.SIZES]
+        assert run(argv[0], "--scenario", CASE, *argv[1:], "--grid", "1000,500,100") == 1
+        err = capsys.readouterr().err
+        assert "deductible grid must be strictly ascending" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value, code, message",
+        [("--line", "99", 2, "error: no business line with index 99"),
+         ("--target", "nan", 1, "target premium must be finite"),
+         ("--target", "inf", 1, "target premium must be finite"),
+         ("--target", "-1", 1, "target premium must be finite")],
+    )
+    def test_calibrate_checks_before_simulating(self, flag, value, code, message,
+                                                monkeypatch, capsys):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("run_simulation called")
+
+        monkeypatch.setattr("homecyber.cli.run_simulation", no_simulation)
+        argv = self.replaced(self.CALIBRATE, flag, value)
+        assert run(argv[0], "--scenario", CASE, *argv[1:]) == code
+        assert message in capsys.readouterr().err
 
 
 def test_cli_never_imports_scipy():

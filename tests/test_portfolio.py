@@ -144,11 +144,12 @@ class TestReplicationGroups:
         "n_homes, group, replications",
         [
             (1, RUN_BLOCK, RUN_BLOCK + 3),
-            (7, 585, 2 * 585 + 1),
-            (500, 8, 19),
+            (7, RUN_BLOCK // 7, 2 * (RUN_BLOCK // 7) + 1),
+            (500, RUN_BLOCK // 500, 2 * (RUN_BLOCK // 500) + 3),
             (RUN_BLOCK, 1, 3),
             (RUN_BLOCK + 1, 1, 2),
         ],
+        ids=["1-home", "7-homes", "500-homes", "block-homes", "block+1-homes"],
     )
     def test_group_is_one_loss_block(
         self, case_graph, case_lines, n_homes, group, replications
@@ -169,10 +170,24 @@ class TestReplicationGroups:
                 for p, policy in enumerate(policies):
                     expected[p, k] = apply_retention(homes, policy).sum()
         assert np.array_equal(claims, expected)
+        threaded = simulate_claims(case_graph, case_lines, n_homes, replications,
+                                   policies, master_seed=31, workers=2)
+        assert np.array_equal(threaded, claims)
         # one replication fewer truncates the last group, not the others
         shorter = simulate_claims(case_graph, case_lines, n_homes, replications - 1,
                                   policies, master_seed=31)
         assert np.array_equal(shorter, claims[:, :-1])
+
+    def test_many_groups_on_threads_match_serial(self, case_graph, case_lines):
+        # 19 groups and three policies, drawn eight times, so that a buffer
+        # shared between threads would almost surely corrupt some replication
+        policies = [Policy(d, 50_000.0) for d in (100.0, 500.0, 1000.0)]
+        serial = simulate_claims(case_graph, case_lines, 10, 30_000, policies,
+                                 master_seed=37)
+        for _ in range(8):
+            threaded = simulate_claims(case_graph, case_lines, 10, 30_000, policies,
+                                       master_seed=37, workers=2)
+            assert np.array_equal(threaded, serial)
 
 
 class TestSummary:

@@ -163,6 +163,14 @@ class TestReportProposals:
             assert row.mean_profit_1 is None
             assert row.deductible_2 is None
 
+    def test_grid_must_ascend(self, case_graph, case_lines):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            report_proposals(
+                case_graph, case_lines, premiums=[("rho1", 418.0)],
+                coverage=50_000.0, grid=(1000.0, 500.0, 100.0),
+                n_homes=10, replications=10, master_seed=54,
+            )
+
     def test_strategy_two_pick_at_least_strategy_one(self, case_graph, case_lines):
         rows = report_proposals(
             case_graph, case_lines,

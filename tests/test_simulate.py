@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,9 +14,11 @@ from homecyber.simulate import (
     DEFAULT_QUANTILE_LEVELS,
     RUN_BLOCK,
     SummaryStats,
+    draw_blocks,
     loss_block,
     run_simulation,
     summarize,
+    thread_count,
 )
 from homecyber.streams import RUN_LANE
 
@@ -74,7 +78,8 @@ class TestRunSimulation:
         block1 = loss_block(case_graph, case_lines, RUN_BLOCK, 7, 1, RUN_LANE)
         assert np.array_equal(longest.line_losses[RUN_BLOCK : 2 * RUN_BLOCK], block1)
 
-    @pytest.mark.parametrize("runs", [RUN_BLOCK - 1, RUN_BLOCK, RUN_BLOCK + 1])
+    @pytest.mark.parametrize("runs", [RUN_BLOCK - 1, RUN_BLOCK, RUN_BLOCK + 1],
+                             ids=["block-1", "block", "block+1"])
     def test_block_boundaries(self, case_graph, case_lines, runs):
         result = run_simulation(case_graph, case_lines, runs=runs, master_seed=4)
         assert result.line_losses.shape == (runs, 6)
@@ -113,6 +118,70 @@ class TestRunSimulation:
         stats = summarize(case_result.line_losses[:, 3], DEFAULT_QUANTILE_LEVELS)
         assert stats.quantile(0.75) == 0.0
         assert stats.quantile(0.95) == 0.0
+
+
+class TestThreads:
+    @pytest.mark.parametrize(
+        "workers, blocks, cpus, expected",
+        [
+            (1, 10, 8, 1),
+            (4, 2, 8, 2),
+            (4, 10, 2, 2),
+            (3, 10, 8, 3),
+            (10**9, 3, 64, 3),
+            (10**9, 10**9, 2, 2),
+            (2, 1, 8, 1),
+        ],
+    )
+    def test_thread_count_is_min_of_workers_blocks_cpus(self, workers, blocks, cpus, expected):
+        assert thread_count(workers, blocks, cpus) == expected
+
+    def test_thread_count_defaults_to_cpu_count(self):
+        assert thread_count(10**9, 10**9) == max(1, os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            thread_count(workers, 4, 2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_block_drawn_once(self, workers):
+        seen = []
+        draw_blocks(seen.append, 7, workers)
+        assert sorted(seen) == list(range(7))
+
+    def test_blocks_drawn_side_by_side(self):
+        # each of the first blocks waits until every thread holds one, so
+        # this passes only if thread_count(2, 6) threads draw at once, the
+        # calling thread among them
+        threads = thread_count(2, 6)
+        barrier = threading.Barrier(threads, timeout=30)
+        drew = set()
+
+        def draw(b):
+            drew.add(threading.get_ident())
+            if b < threads:
+                barrier.wait()
+
+        draw_blocks(draw, 6, workers=2)
+        assert len(drew) == threads
+        assert threading.get_ident() in drew
+
+    def test_block_exception_is_raised(self):
+        def draw(b):
+            if b == 2:
+                raise RuntimeError("block 2")
+
+        with pytest.raises(RuntimeError, match="block 2"):
+            draw_blocks(draw, 4, workers=2)
+
+    def test_runs_identical_for_any_worker_count(self, case_graph, case_lines):
+        runs = 3 * RUN_BLOCK + 11
+        serial = run_simulation(case_graph, case_lines, runs, master_seed=17)
+        for workers in (2, 3):
+            threaded = run_simulation(case_graph, case_lines, runs, 17, workers)
+            assert np.array_equal(threaded.line_losses, serial.line_losses)
+            assert np.array_equal(threaded.total_losses, serial.total_losses)
 
 
 def chain_graph(n: int) -> AttackGraph:
