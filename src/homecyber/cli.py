@@ -1,12 +1,11 @@
 """Command-line entry points: validate, enumerate, simulate, price, calibrate,
 portfolio, search-deductible, solve-premium, and propose.
 
-Every simulation-bearing command takes --seed and, when it writes files,
-records a run manifest (scenario digest, seed, run counts, stream layout,
-tool version) next to its outputs.  Identical scenario + flags + seed give
-byte-identical outputs.  --workers N draws run blocks and replication
-groups on up to N threads (never more than there are blocks or CPUs); the
-outputs are the same bytes for every N.
+The parser is built from one command table.  With --out DIR a command
+writes its files to DIR, one ``wrote PATH`` line each, and a run manifest
+(scenario digest, seed, run counts, stream layout, tool version) when it
+takes --seed; without --out the same bytes go to stdout.  The same
+scenario, flags and seed give byte-identical outputs for any --workers N.
 """
 
 import argparse
@@ -14,113 +13,11 @@ import sys
 from pathlib import Path
 
 from . import __version__, pricing, reports, search
-from .graph import check_enumerable, enumerate_joint, validate_graph
+from .graph import check_enumerable, enumerate_joint
 from .portfolio import PortfolioSpec, simulate_portfolio
 from .pricing import CTE, CalibrationError, Expectation, GMD, Policy, StdDev
-from .scenario import (
-    RunManifest,
-    Scenario,
-    load_scenario,
-    scenario_digest,
-    write_manifest,
-)
+from .scenario import RunManifest, Scenario, load_scenario, scenario_digest, write_manifest
 from .simulate import run_simulation
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="homecyber",
-        description="Price smart-home cyber insurance from a vulnerability-graph scenario.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def scenario_arg(p):
-        p.add_argument("--scenario", required=True, help="scenario JSON file")
-
-    def seeded(p, *sizes):
-        """Required int flags ``sizes``, then --seed and --workers."""
-        for flag in sizes:
-            p.add_argument(flag, type=int, required=True)
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--workers", type=_workers, default=1,
-                       help="threads that draw blocks (>= 1); outputs do not depend on it")
-
-    p = sub.add_parser("validate", help="check a scenario file against all invariants")
-    scenario_arg(p)
-
-    p = sub.add_parser("enumerate", help="exact joint state distribution and marginals")
-    scenario_arg(p)
-    p.add_argument("--out", help="directory for joint.csv and marginals.csv")
-
-    p = sub.add_parser("simulate", help="Monte Carlo line losses and summary table")
-    scenario_arg(p)
-    seeded(p, "--runs")
-    p.add_argument("--out", help="directory for summary.csv and manifest.json")
-
-    p = sub.add_parser("price", help="per-line premium table under the four principles")
-    scenario_arg(p)
-    seeded(p, "--runs")
-    p.add_argument("--theta-expectation", type=float, required=True)
-    p.add_argument("--theta-stddev", type=float, required=True)
-    p.add_argument("--theta-gmd", type=float, required=True)
-    p.add_argument("--beta-cte", type=float, required=True)
-    p.add_argument("--deductible", type=float, help="price retained losses (with --coverage)")
-    p.add_argument("--coverage", type=float)
-    p.add_argument("--out", help="directory for premiums.csv and manifest.json")
-
-    p = sub.add_parser("calibrate", help="solve principle parameters for a baseline premium")
-    scenario_arg(p)
-    seeded(p, "--runs")
-    p.add_argument("--line", type=int, required=True, help="business line index")
-    p.add_argument("--target", type=float, required=True, help="baseline premium")
-    p.add_argument("--deductible", type=float, help="calibrate on retained losses")
-    p.add_argument("--coverage", type=float)
-    p.add_argument("--out", help="directory for calibration.csv and manifest.json")
-
-    p = sub.add_parser("portfolio", help="portfolio Profit and LR report")
-    scenario_arg(p)
-    p.add_argument("--premium", type=float, required=True, help="total premium per home")
-    p.add_argument("--deductible", type=float, required=True)
-    p.add_argument("--coverage", type=float, required=True)
-    seeded(p, "--homes", "--replications")
-    p.add_argument("--out", help="directory for portfolio.csv and manifest.json")
-
-    def strategy_args(p):
-        p.add_argument("--strategy", choices=("mean", "quantile"), required=True)
-        p.add_argument("--lr-target", type=float, required=True)
-        p.add_argument("--quantile-level", type=float, default=0.995)
-
-    p = sub.add_parser("search-deductible", help="smallest feasible deductible on a grid")
-    scenario_arg(p)
-    p.add_argument("--premium", type=float, required=True, help="total premium per home")
-    p.add_argument("--coverage", type=float, required=True)
-    p.add_argument("--grid", required=True, help="ascending deductibles, e.g. 100,150,200")
-    strategy_args(p)
-    seeded(p, "--homes", "--replications")
-    p.add_argument("--out", help="directory for search.csv and manifest.json")
-
-    p = sub.add_parser("solve-premium", help="premium that meets an LR target")
-    scenario_arg(p)
-    p.add_argument("--deductible", type=float, required=True)
-    p.add_argument("--coverage", type=float, required=True)
-    strategy_args(p)
-    seeded(p, "--homes", "--replications")
-    p.add_argument("--out", help="directory for premium.csv and manifest.json")
-
-    p = sub.add_parser("propose", help="proposed deductibles per principle (both strategies)")
-    scenario_arg(p)
-    p.add_argument("--premiums", required=True, help="per-principle totals, e.g. 418,307,368,408")
-    p.add_argument("--labels", help="principle labels matching --premiums")
-    p.add_argument("--coverage", type=float, required=True)
-    p.add_argument("--grid", required=True)
-    p.add_argument("--mean-target", type=float, default=0.40)
-    p.add_argument("--quantile-level", type=float, default=0.995)
-    p.add_argument("--quantile-target", type=float, default=0.40)
-    seeded(p, "--homes", "--replications")
-    p.add_argument("--out", help="directory for proposals.csv and manifest.json")
-
-    return parser
 
 
 def _workers(text: str) -> int:
@@ -133,14 +30,58 @@ def _workers(text: str) -> int:
     return value
 
 
+def _flags(kind, *names, **options):
+    """One (name, add_argument keywords) pair per flag in ``names``, all of type ``kind``."""
+    return tuple((name, {"type": kind, **options}) for name in names)
+
+
+WORKERS = _flags(_workers, "--workers", default=1,
+                 help="threads that draw blocks (>= 1); outputs do not depend on it")
+# a seeded command's size flags, then --seed and --workers
+RUNS = (*_flags(int, "--runs", "--seed", required=True), *WORKERS)
+PORTFOLIO_SIZES = (*_flags(int, "--homes", "--replications", "--seed", required=True), *WORKERS)
+STRATEGY = (*_flags(None, "--strategy", choices=("mean", "quantile"), required=True),
+            *_flags(float, "--lr-target", required=True),
+            *_flags(float, "--quantile-level", default=0.995))
+
+# name -> (summary, flags, files, handler), in the order the parser lists them;
+# a command writes its files in order, and takes --out when it writes any
+COMMANDS: dict = {}
+
+
+def _command(name: str, summary: str, files: tuple[str, ...], *flags):
+    """Register ``handler(scenario, args)``, which returns an exit code or None for 0."""
+    def register(handler):
+        COMMANDS[name] = (summary, flags, files, handler)
+        return handler
+    return register
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="homecyber",
+        description="Price smart-home cyber insurance from a vulnerability-graph scenario.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, flags, files, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--scenario", required=True, help="scenario JSON file")
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        if files:
+            seeded = any(flag == "--seed" for flag, _ in flags)
+            written = (*files, "manifest.json") if seeded else files
+            p.add_argument("--out", help=f"directory for {' and '.join(written)}")
+        p.set_defaults(handler=handler, files=files)
+    return parser
+
+
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(v) for v in text.split(","))
+        return tuple(float(v) for v in text.split(","))
     except ValueError:
         raise SystemExit(f"error: {flag} expects comma-separated numbers, got {text!r}")
-    if not values:
-        raise SystemExit(f"error: {flag} is empty")
-    return values
 
 
 def _strategy(args) -> search.LRStrategy:
@@ -149,30 +90,44 @@ def _strategy(args) -> search.LRStrategy:
     return search.QuantileLR(args.quantile_level, args.lr_target)
 
 
-def _manifest(scenario: Scenario, args) -> RunManifest:
-    return RunManifest(
-        scenario_digest=scenario_digest(scenario),
-        master_seed=args.seed,
-        runs=getattr(args, "runs", None),
-        replications=getattr(args, "replications", None),
-        homes=getattr(args, "homes", None),
-    )
+def _write(scenario: Scenario, args, *bodies) -> None:
+    """Write the command's files (``args.files``, in order) to --out or to stdout.
+
+    A body is a table, a tuple of tables written one after the other, or a
+    function that streams its file to an open text stream (joint.csv has
+    2^n rows, so it is never built as one string).  With --out, each file
+    gets one ``wrote PATH`` line, and a seeded command also writes
+    manifest.json; without it, the files' bytes go to stdout in order.
+    """
+    for name, body in zip(args.files, bodies, strict=True):
+        path = Path(args.out) / name if args.out else None
+        if path and callable(body):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(path, "w") as f:
+                body(f)
+        elif path:
+            reports.export_csv(body, path)
+        elif callable(body):
+            body(sys.stdout)
+        else:
+            sys.stdout.write(reports.render_csv(body))
+        if path:
+            print(f"wrote {path}")
+    if args.out and hasattr(args, "seed"):
+        sizes = {size: getattr(args, size, None) for size in ("runs", "replications", "homes")}
+        write_manifest(RunManifest(scenario_digest(scenario), args.seed, **sizes), Path(args.out))
 
 
-def _emit(table: reports.Table, out: str | None, filename: str, manifest: RunManifest):
-    if out:
-        path = reports.export_csv(table, Path(out) / filename)
-        write_manifest(manifest, Path(out))
-        print(f"wrote {path}")
-    else:
-        sys.stdout.write(reports.render_csv(table))
+def _portfolio_args(scenario, args) -> dict:
+    """The arguments every portfolio search takes, by keyword."""
+    return {"graph": scenario.graph, "lines": scenario.lines, "n_homes": args.homes,
+            "replications": args.replications, "master_seed": args.seed, "workers": args.workers}
 
 
 def _line_samples(scenario, args):
-    if args.deductible is not None and args.coverage is None:
-        raise SystemExit("error: --deductible requires --coverage")
-    if args.coverage is not None and args.deductible is None:
-        raise SystemExit("error: --coverage requires --deductible")
+    for given, needed in (("deductible", "coverage"), ("coverage", "deductible")):
+        if getattr(args, given) is not None and getattr(args, needed) is None:
+            raise SystemExit(f"error: --{given} requires --{needed}")
     result = run_simulation(scenario.graph, scenario.lines, args.runs, args.seed, args.workers)
     if args.deductible is None:
         return result, result.line_losses
@@ -180,195 +135,166 @@ def _line_samples(scenario, args):
     return result, pricing.apply_retention(result.line_losses, policy)
 
 
+@_command("validate", "check a scenario file against all invariants", ())
+def _validate(scenario, args) -> None:
+    # load_scenario has rejected invalid graphs; every other command needs the joint
+    check_enumerable(scenario.graph)
+    print(f"scenario OK: {scenario.graph.n} nodes, {len(scenario.lines)} lines, "
+          f"digest {scenario_digest(scenario)}")
+
+
+@_command("enumerate", "exact joint state distribution and marginals",
+          ("joint.csv", "marginals.csv"))
+def _enumerate(scenario, args) -> None:
+    joint = enumerate_joint(scenario.graph)
+    marginals = reports.marginals_table(scenario.graph, joint.marginals())
+    _write(scenario, args, lambda out: reports.write_joint_csv(joint, out), marginals)
+
+
+@_command("simulate", "Monte Carlo line losses and summary table", ("summary.csv",), *RUNS)
+def _simulate(scenario, args) -> None:
+    result = run_simulation(scenario.graph, scenario.lines, args.runs, args.seed, args.workers)
+    _write(scenario, args, reports.summary_table(result))
+
+
+@_command("price", "per-line premium table under the four principles", ("premiums.csv",), *RUNS,
+          *_flags(float, "--theta-expectation", "--theta-stddev", "--theta-gmd", "--beta-cte",
+                  required=True),
+          *_flags(float, "--deductible", help="price retained losses (with --coverage)"),
+          *_flags(float, "--coverage"))
+def _price(scenario, args) -> None:
+    # principles rho1..rho4, built before simulating so a bad loading fails fast
+    params = (Expectation(args.theta_expectation), StdDev(args.theta_stddev),
+              GMD(args.theta_gmd), CTE(args.beta_cte))
+    result, samples = _line_samples(scenario, args)
+    per_principle = {
+        f"rho{k}": [pricing.premium(column, param) for column in samples.T]
+        for k, param in enumerate(params, 1)
+    }
+    labels = [f"L{idx}" for idx in result.line_indices]
+    _write(scenario, args, reports.premium_table(labels, per_principle))
+
+
+@_command("calibrate", "solve principle parameters for a baseline premium", ("calibration.csv",),
+          *RUNS,
+          *_flags(int, "--line", required=True, help="business line index"),
+          *_flags(float, "--target", required=True, help="baseline premium"),
+          *_flags(float, "--deductible", help="calibrate on retained losses"),
+          *_flags(float, "--coverage"))
+def _calibrate(scenario, args) -> None:
+    if args.line not in {line.index for line in scenario.lines}:
+        raise SystemExit(f"error: no business line with index {args.line}")
+    pricing.check_target_premium(args.target)
+    result, samples = _line_samples(scenario, args)
+    col = result.line_indices.index(args.line)
+    rows = []
+    for family in pricing.FAMILIES:
+        try:
+            param = pricing.calibrate(family, samples[:, col], args.target)
+        except CalibrationError as exc:
+            rows.append((family, "", f"{type(exc).__name__}: {exc}"))
+            print(f"{family}: not calibrated ({exc})")
+        else:
+            value = param.beta if isinstance(param, CTE) else param.theta
+            rows.append((family, float(value), ""))
+            print(f"{family}: {value!r}")
+    _write(scenario, args, reports.Table(header=("Family", "Parameter", "Note"), rows=tuple(rows)))
+
+
+@_command("portfolio", "portfolio Profit and LR report", ("portfolio.csv",),
+          *_flags(float, "--premium", required=True, help="total premium per home"),
+          *_flags(float, "--deductible", "--coverage", required=True), *PORTFOLIO_SIZES)
+def _portfolio(scenario, args) -> None:
+    spec = PortfolioSpec(
+        n_homes=args.homes,
+        policy=Policy(args.deductible, args.coverage),
+        premium_per_home=args.premium,
+        replications=args.replications,
+    )
+    result = simulate_portfolio(scenario.graph, scenario.lines, spec, args.seed, args.workers)
+    _write(scenario, args, reports.portfolio_tables([("portfolio", result)]))
+
+
+@_command("search-deductible", "smallest feasible deductible on a grid", ("search.csv",),
+          *_flags(float, "--premium", required=True, help="total premium per home"),
+          *_flags(float, "--coverage", required=True),
+          *_flags(None, "--grid", required=True, help="ascending deductibles, e.g. 100,150,200"),
+          *STRATEGY, *PORTFOLIO_SIZES)
+def _search_deductible(scenario, args) -> int | None:
+    result = search.search_deductible(
+        premiums_total=args.premium,
+        coverage=args.coverage,
+        grid=_parse_floats(args.grid, "--grid"),
+        strategy=_strategy(args),
+        **_portfolio_args(scenario, args),
+    )
+    rows = tuple(
+        (d, stat, "yes" if ok else "no")
+        for d, stat, ok in zip(result.grid, result.statistics, result.feasible)
+    )
+    _write(scenario, args,
+           reports.Table(header=("Deductible", "LR statistic", "Feasible"), rows=rows))
+    if result.chosen is None:
+        print("no feasible deductible on the grid")
+        return 1
+    print(f"smallest feasible deductible: {result.chosen!r}")
+
+
+@_command("solve-premium", "premium that meets an LR target", ("premium.csv",),
+          *_flags(float, "--deductible", "--coverage", required=True), *STRATEGY, *PORTFOLIO_SIZES)
+def _solve_premium(scenario, args) -> None:
+    premium = search.solve_premium(
+        policy=Policy(args.deductible, args.coverage),
+        strategy=_strategy(args),
+        **_portfolio_args(scenario, args),
+    )
+    _write(scenario, args, reports.Table(
+        header=("Strategy", "LR target", "Premium per home"),
+        rows=((args.strategy, args.lr_target, premium),),
+    ))
+    print(f"premium per home: {premium!r}")
+
+
+@_command("propose", "proposed deductibles per principle (both strategies)", ("proposals.csv",),
+          *_flags(None, "--premiums", required=True,
+                  help="per-principle totals, e.g. 418,307,368,408"),
+          *_flags(None, "--labels", help="principle labels matching --premiums"),
+          *_flags(float, "--coverage", required=True), *_flags(None, "--grid", required=True),
+          *_flags(float, "--mean-target", default=0.40),
+          *_flags(float, "--quantile-level", default=0.995),
+          *_flags(float, "--quantile-target", default=0.40), *PORTFOLIO_SIZES)
+def _propose(scenario, args) -> None:
+    totals = _parse_floats(args.premiums, "--premiums")
+    labels = args.labels.split(",") if args.labels else [f"rho{i + 1}" for i in range(len(totals))]
+    if len(labels) != len(totals):
+        raise SystemExit("error: --labels must match --premiums in length")
+    rows = search.report_proposals(
+        premiums=list(zip(labels, totals)),
+        coverage=args.coverage,
+        grid=_parse_floats(args.grid, "--grid"),
+        mean_target=args.mean_target,
+        quantile_level=args.quantile_level,
+        quantile_target=args.quantile_target,
+        **_portfolio_args(scenario, args),
+    )
+    _write(scenario, args, reports.proposal_table(rows))
+
+
 def cli_dispatch(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, --version or a usage error
+        return exc.code
     try:
-        return _run(args)
-    except SystemExit as exc:
-        message = exc.code
-        if isinstance(message, str):
-            print(message, file=sys.stderr)
-            return 2
-        return int(message) if message is not None else 0
+        return args.handler(load_scenario(args.scenario), args) or 0
+    except SystemExit as exc:  # a handler's usage error
+        print(exc.code, file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
-def _run(args) -> int:
-    scenario = load_scenario(args.scenario)
-
-    if args.command == "validate":
-        report = validate_graph(scenario.graph)
-        check_enumerable(scenario.graph)  # every other command needs the joint
-        # load_scenario already rejects invalid files; report for transparency
-        print(f"scenario OK: {scenario.graph.n} nodes, {len(scenario.lines)} lines, "
-              f"digest {scenario_digest(scenario)}")
-        return 0 if report.ok else 1
-
-    if args.command == "enumerate":
-        joint = enumerate_joint(scenario.graph)
-        marg_tbl = reports.marginals_table(scenario.graph, joint.marginals())
-        if args.out:
-            joint_path = Path(args.out) / "joint.csv"
-            joint_path.parent.mkdir(parents=True, exist_ok=True)
-            with open(joint_path, "w") as f:
-                reports.write_joint_csv(joint, f)
-            path = reports.export_csv(marg_tbl, Path(args.out) / "marginals.csv")
-            print(f"wrote {path.parent}/joint.csv and {path}")
-        else:
-            reports.write_joint_csv(joint, sys.stdout)
-            sys.stdout.write(reports.render_csv(marg_tbl))
-        return 0
-
-    if args.command == "simulate":
-        result = run_simulation(scenario.graph, scenario.lines, args.runs, args.seed, args.workers)
-        table = reports.summary_table(result)
-        _emit(table, args.out, "summary.csv", _manifest(scenario, args))
-        return 0
-
-    if args.command == "price":
-        params = {
-            "rho1": Expectation(args.theta_expectation),
-            "rho2": StdDev(args.theta_stddev),
-            "rho3": GMD(args.theta_gmd),
-            "rho4": CTE(args.beta_cte),
-        }
-        result, samples = _line_samples(scenario, args)
-        per_principle = {
-            name: [
-                pricing.premium(samples[:, col], param)
-                for col in range(samples.shape[1])
-            ]
-            for name, param in params.items()
-        }
-        labels = [f"L{idx}" for idx in result.line_indices]
-        table = reports.premium_table(labels, per_principle)
-        _emit(table, args.out, "premiums.csv", _manifest(scenario, args))
-        return 0
-
-    if args.command == "calibrate":
-        if args.line not in {line.index for line in scenario.lines}:
-            raise SystemExit(f"error: no business line with index {args.line}")
-        pricing.check_target_premium(args.target)
-        result, samples = _line_samples(scenario, args)
-        col = result.line_indices.index(args.line)
-        rows = []
-        for family in pricing.FAMILIES:
-            try:
-                param = pricing.calibrate(family, samples[:, col], args.target)
-            except CalibrationError as exc:
-                rows.append((family, "", f"{type(exc).__name__}: {exc}"))
-                print(f"{family}: not calibrated ({exc})")
-            else:
-                value = param.beta if isinstance(param, CTE) else param.theta
-                rows.append((family, float(value), ""))
-                print(f"{family}: {value!r}")
-        table = reports.Table(header=("Family", "Parameter", "Note"), rows=tuple(rows))
-        if args.out:
-            reports.export_csv(table, Path(args.out) / "calibration.csv")
-            write_manifest(_manifest(scenario, args), Path(args.out))
-        return 0
-
-    if args.command == "portfolio":
-        spec = PortfolioSpec(
-            n_homes=args.homes,
-            policy=Policy(args.deductible, args.coverage),
-            premium_per_home=args.premium,
-            replications=args.replications,
-        )
-        result = simulate_portfolio(scenario.graph, scenario.lines, spec, args.seed, args.workers)
-        profit_tbl, lr_tbl = reports.portfolio_tables([("portfolio", result)])
-        if args.out:
-            reports.export_csv_blocks([profit_tbl, lr_tbl], Path(args.out) / "portfolio.csv")
-            write_manifest(_manifest(scenario, args), Path(args.out))
-            print(f"wrote {Path(args.out) / 'portfolio.csv'}")
-        else:
-            sys.stdout.write(reports.render_csv(profit_tbl))
-            sys.stdout.write(reports.render_csv(lr_tbl))
-        return 0
-
-    if args.command == "search-deductible":
-        grid = _parse_floats(args.grid, "--grid")
-        result = search.search_deductible(
-            scenario.graph,
-            scenario.lines,
-            premiums_total=args.premium,
-            coverage=args.coverage,
-            grid=grid,
-            strategy=_strategy(args),
-            n_homes=args.homes,
-            replications=args.replications,
-            master_seed=args.seed,
-            workers=args.workers,
-        )
-        rows = tuple(
-            (d, stat, "yes" if ok else "no")
-            for d, stat, ok in zip(result.grid, result.statistics, result.feasible)
-        )
-        table = reports.Table(header=("Deductible", "LR statistic", "Feasible"), rows=rows)
-        _emit(table, args.out, "search.csv", _manifest(scenario, args))
-        if result.chosen is None:
-            print("no feasible deductible on the grid")
-            return 1
-        print(f"smallest feasible deductible: {result.chosen!r}")
-        return 0
-
-    if args.command == "solve-premium":
-        premium = search.solve_premium(
-            scenario.graph,
-            scenario.lines,
-            Policy(args.deductible, args.coverage),
-            _strategy(args),
-            n_homes=args.homes,
-            replications=args.replications,
-            master_seed=args.seed,
-            workers=args.workers,
-        )
-        table = reports.Table(
-            header=("Strategy", "LR target", "Premium per home"),
-            rows=((args.strategy, args.lr_target, premium),),
-        )
-        _emit(table, args.out, "premium.csv", _manifest(scenario, args))
-        print(f"premium per home: {premium!r}")
-        return 0
-
-    if args.command == "propose":
-        totals = _parse_floats(args.premiums, "--premiums")
-        if args.labels:
-            labels = tuple(args.labels.split(","))
-            if len(labels) != len(totals):
-                raise SystemExit("error: --labels must match --premiums in length")
-        else:
-            labels = tuple(f"rho{i + 1}" for i in range(len(totals)))
-        rows = search.report_proposals(
-            scenario.graph,
-            scenario.lines,
-            premiums=list(zip(labels, totals)),
-            coverage=args.coverage,
-            grid=_parse_floats(args.grid, "--grid"),
-            n_homes=args.homes,
-            replications=args.replications,
-            master_seed=args.seed,
-            mean_target=args.mean_target,
-            quantile_level=args.quantile_level,
-            quantile_target=args.quantile_target,
-            workers=args.workers,
-        )
-        table = reports.proposal_table(rows)
-        _emit(table, args.out, "proposals.csv", _manifest(scenario, args))
-        return 0
-
-    raise SystemExit(f"error: unknown command {args.command!r}")
-
-
 def main() -> None:
     raise SystemExit(cli_dispatch())
 
-
-if __name__ == "__main__":
-    main()

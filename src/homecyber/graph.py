@@ -69,12 +69,11 @@ class AttackGraph:
     lists) is precomputed once and shared, so instances are safe for
     concurrent readers.
 
-    The topological order, the noisy-OR plan and the exact joint are filled
-    lazily and cached for the object's lifetime; the joint holds 2^n doubles
-    (8 MB at n = 20, 32 MB at the default enumeration cap of 22) and is
-    filled in O(2^n), one node at a time in topological order.  Two readers
-    filling a cache at once compute the same value, and either result is
-    kept.
+    The topological order and the exact joint are filled lazily and cached
+    for the object's lifetime; the joint holds 2^n doubles (8 MB at n = 20,
+    32 MB at the default enumeration cap of 22) and is filled in O(2^n), one
+    node at a time in topological order.  Two readers filling a cache at
+    once compute the same value, and either result is kept.
     """
 
     def __init__(self, nodes: Iterable[VulnNode], edges: Iterable[Edge]):
@@ -92,7 +91,6 @@ class AttackGraph:
             nid: tuple(sorted(plist)) for nid, plist in parents.items()
         }
         self._topo_cache: tuple[int, ...] | None = None
-        self._plan_cache: tuple[NoisyOrStep, ...] | None = None
         self._joint_cache: JointDistribution | None = None
 
     @property
@@ -194,44 +192,6 @@ def topological_order(graph: AttackGraph) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class NoisyOrStep:
-    """One node of the noisy-OR recursion, as array positions and factors.
-
-    An entry node is exploited with ``entry_prob``; any other node with
-    ``1 - prod(keep[i] for each exploited parent i)``, where ``keep`` holds
-    the ``1 - cond_prob`` of each parent in ``parent_positions`` order
-    (ascending parent id).
-    """
-
-    position: int
-    entry_prob: float | None
-    parent_positions: np.ndarray
-    keep: np.ndarray
-
-
-def _noisy_or_plan(graph: AttackGraph) -> tuple[NoisyOrStep, ...]:
-    """Parent-first noisy-OR steps, computed once per graph and cached."""
-    if graph._plan_cache is None:
-        steps = []
-        for node_id in topological_order(graph):
-            parents = graph.parents_of(node_id)
-            entry = graph.node(node_id).entry_prob if not parents else None
-            if not parents and entry is None:
-                raise GraphValidationError(f"entry node {node_id} has no entry_prob")
-            parent_positions = np.array(
-                [graph.position(pid) for pid, _ in parents], dtype=np.intp
-            )
-            keep = np.array([1.0 - cond for _, cond in parents])
-            parent_positions.flags.writeable = False
-            keep.flags.writeable = False
-            steps.append(
-                NoisyOrStep(graph.position(node_id), entry, parent_positions, keep)
-            )
-        graph._plan_cache = tuple(steps)
-    return graph._plan_cache
-
-
-@dataclass(frozen=True)
 class JointDistribution:
     """Exact probability of each of the 2^n states.
 
@@ -330,29 +290,35 @@ def enumerate_joint(
 
 def _enumerate(graph: AttackGraph) -> JointDistribution:
     n = graph.n
-    plan = _noisy_or_plan(graph)
+    order = [graph.position(node_id) for node_id in topological_order(graph)]
+    rank = {pos: k for k, pos in enumerate(order)}
     probs = np.empty(1 << n)
     probs[0] = 1.0
-    # Before step k, probs[:2^k] is the joint of plan nodes 0..k-1, bit j of
-    # the index on plan node j.  Step k writes the states where plan node k
-    # is exploited to probs[2^k:2^(k+1)] and scales the rest by its safe
-    # probability, in place, so no other 2^n array is made.
-    rank = {step.position: k for k, step in enumerate(plan)}
-    for k, step in enumerate(plan):
+    # Before step k, probs[:2^k] is the joint of the first k nodes of the
+    # topological order, bit j of the index on its node j.  Step k writes
+    # the states where node k is exploited to probs[2^k:2^(k+1)] and scales
+    # the rest by its safe probability, in place, so no other 2^n array is
+    # made.  An entry node is exploited with its entry_prob; any other node
+    # with 1 - prod(1 - cond_prob) over its exploited parents, in ascending
+    # parent id.
+    for k, node_id in enumerate(topological_order(graph)):
         low = probs[: 1 << k]
-        if step.entry_prob is not None:
-            p = step.entry_prob
+        parents = graph.parents_of(node_id)
+        if not parents:
+            p = graph.node(node_id).entry_prob
+            if p is None:
+                raise GraphValidationError(f"entry node {node_id} has no entry_prob")
             probs[1 << k : 2 << k] = low * p
             low *= 1.0 - p
             continue
         survive = np.ones(1 << k)
-        for pos, keep in zip(step.parent_positions, step.keep):
-            survive.reshape(-1, 2, 1 << rank[pos])[:, 1, :] *= keep
+        for pid, cond in parents:
+            survive.reshape(-1, 2, 1 << rank[graph.position(pid)])[:, 1, :] *= 1.0 - cond
         p = np.subtract(1.0, survive, out=survive)
         np.multiply(low, p, out=probs[1 << k : 2 << k])
         low *= np.subtract(1.0, p, out=p)
-    if any(step.position != k for k, step in enumerate(plan)):
-        # C order puts bit b on axis n - 1 - b; move plan bits onto node bits
+    if order != list(range(n)):
+        # C order puts bit b on axis n - 1 - b; move order bits onto node bits
         axes = [n - 1 - rank[n - 1 - a] for a in range(n)]
         probs = np.ascontiguousarray(probs.reshape((2,) * n).transpose(axes)).reshape(-1)
     probs.flags.writeable = False

@@ -100,8 +100,8 @@ def simulate_claims(
     def draw(g: int) -> None:
         lo, hi = g * group, min((g + 1) * group, replications)
         totals = loss_block(
-            graph, plan.lines, group * n_homes, master_seed, g,
-            streams.REPLICATION_LANE, plan, sample_loss_totals,
+            plan, group * n_homes, master_seed, g, streams.REPLICATION_LANE,
+            sample_loss_totals,
         ).reshape(group, n_homes)[: hi - lo]
         retained = np.empty_like(totals)
         for p, policy in enumerate(policies):

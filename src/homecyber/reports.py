@@ -47,24 +47,22 @@ def _format_cell(value) -> str:
     return text
 
 
-def render_csv(table: Table) -> str:
-    out = [",".join(table.header)]
-    for row in table.rows:
-        out.append(",".join(_format_cell(cell) for cell in row))
+def render_csv(tables: Table | Sequence[Table]) -> str:
+    """CSV text of one table, or of several tables one after another."""
+    if isinstance(tables, Table):
+        tables = (tables,)
+    out = []
+    for table in tables:
+        out.append(",".join(table.header))
+        out.extend(",".join(_format_cell(cell) for cell in row) for row in table.rows)
     return "\n".join(out) + "\n"
 
 
-def export_csv(table: Table, path: str | Path) -> Path:
+def export_csv(tables: Table | Sequence[Table], path: str | Path) -> Path:
+    """Write ``render_csv(tables)`` to ``path``, creating its directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_csv(table))
-    return path
-
-
-def export_csv_blocks(tables: Sequence[Table], path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("".join(render_csv(t) for t in tables))
+    path.write_text(render_csv(tables))
     return path
 
 

@@ -186,6 +186,7 @@ def report_proposals(
     for name, total in premiums:
         if not (math.isfinite(total) and total > 0.0):
             raise ValueError(f"premium for {name} must be finite and > 0, got {total}")
+    strategies = (MeanLR(mean_target), QuantileLR(quantile_level, quantile_target))
     policies = [Policy(d, coverage) for d in grid]
     claims = simulate_claims(graph, lines, n_homes, replications, policies, master_seed, workers)
     mean_claims = claims.mean(axis=1)
@@ -193,7 +194,7 @@ def report_proposals(
     for name, total in premiums:
         denom = n_homes * total
         picks: list[tuple[float | None, float | None]] = []
-        for strategy in (MeanLR(mean_target), QuantileLR(quantile_level, quantile_target)):
+        for strategy in strategies:
             _, chosen_idx = _first_feasible(claims, denom, strategy)
             if chosen_idx is None:
                 picks.append((None, None))

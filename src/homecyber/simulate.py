@@ -61,29 +61,24 @@ class SummaryStats:
 
 
 def loss_block(
-    graph: AttackGraph,
-    lines: Sequence[BusinessLine],
+    plan: LossPlan,
     rows: int,
     master_seed: int,
     index: int,
     lane: int,
-    plan: LossPlan | None = None,
-    kernel: Callable[..., np.ndarray] | None = None,
+    kernel: Callable[[LossPlan, np.ndarray, np.random.Generator], np.ndarray],
 ) -> np.ndarray:
-    """Line losses of ``rows`` homes, shape ``(rows, len(lines))``.
+    """``kernel``'s losses for ``rows`` homes drawn under ``plan``.
 
     All draws come from the substream (master_seed, index, lane): the
     rows' state indices first, then the fired rows' severities of each line
-    in ascending line index order.  ``plan`` is ``loss_plan(graph, lines)``;
-    callers that draw many blocks build it once and pass it in.  ``kernel``
-    is ``losses.sample_loss_matrix`` when None, looked up at each call, or
+    in ascending line index order.  ``kernel`` is ``sample_loss_matrix``
+    for the ``(rows, len(plan.lines))`` line losses, or
     ``sample_loss_totals`` for the same draws as row totals, ``(rows,)``.
     """
-    if plan is None:
-        plan = loss_plan(graph, lines)
     rng = streams.substream(master_seed, index, lane=lane)
     indices = sample_state_indices(plan.cdf, rows, rng, plan.guide)
-    return (kernel or sample_loss_matrix)(plan, indices, rng)
+    return kernel(plan, indices, rng)
 
 
 def thread_count(workers: int, blocks: int, cpus: int | None = None) -> int:
@@ -161,9 +156,9 @@ def run_simulation(
     def draw(block: int) -> None:
         lo, hi = block * RUN_BLOCK, min((block + 1) * RUN_BLOCK, runs)
         rows = line_losses[lo:hi]
-        rows[:] = loss_block(
-            graph, plan.lines, hi - lo, master_seed, block, streams.RUN_LANE, plan
-        )
+        # sample_loss_matrix is looked up here, so a wrapper bound later applies
+        rows[:] = loss_block(plan, hi - lo, master_seed, block, streams.RUN_LANE,
+                             sample_loss_matrix)
         for col in range(len(plan.lines)):
             total[lo:hi] += rows[:, col]
 

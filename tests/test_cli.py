@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import homecyber
 from conftest import joint_csv_reference
-from homecyber.cli import cli_dispatch
+from homecyber.cli import _build_parser, cli_dispatch
 from homecyber.graph import enumerate_joint
 from homecyber.reports import marginals_table, render_csv
 from homecyber.scenario import bundled_case_study_path, load_scenario
@@ -38,6 +39,116 @@ class TestDispatch:
 
     def test_missing_scenario_file(self, tmp_path):
         assert run("validate", "--scenario", str(tmp_path / "nope.json")) == 1
+
+
+# Every subcommand's options in usage order: (flag, required, type name,
+# default, choices, help).  Usage lines, argparse error messages and --help
+# all follow these, so the parser built from the command table must keep them.
+SCENARIO_OPT = ("--scenario", True, None, None, None, "scenario JSON file")
+SEED_OPTS = (
+    ("--seed", True, "int", None, None, None),
+    ("--workers", False, "_workers", 1, None,
+     "threads that draw blocks (>= 1); outputs do not depend on it"),
+)
+RUNS_OPTS = (("--runs", True, "int", None, None, None), *SEED_OPTS)
+PORTFOLIO_OPTS = (("--homes", True, "int", None, None, None),
+                  ("--replications", True, "int", None, None, None), *SEED_OPTS)
+STRATEGY_OPTS = (
+    ("--strategy", True, None, None, ("mean", "quantile"), None),
+    ("--lr-target", True, "float", None, None, None),
+    ("--quantile-level", False, "float", 0.995, None, None),
+)
+
+
+def out_opt(*files):
+    return ("--out", False, None, None, None, f"directory for {' and '.join(files)}")
+
+
+PARSER_SURFACE = {
+    "validate": ("check a scenario file against all invariants", [SCENARIO_OPT]),
+    "enumerate": ("exact joint state distribution and marginals", [
+        SCENARIO_OPT, out_opt("joint.csv", "marginals.csv"),
+    ]),
+    "simulate": ("Monte Carlo line losses and summary table", [
+        SCENARIO_OPT, *RUNS_OPTS, out_opt("summary.csv", "manifest.json"),
+    ]),
+    "price": ("per-line premium table under the four principles", [
+        SCENARIO_OPT, *RUNS_OPTS,
+        ("--theta-expectation", True, "float", None, None, None),
+        ("--theta-stddev", True, "float", None, None, None),
+        ("--theta-gmd", True, "float", None, None, None),
+        ("--beta-cte", True, "float", None, None, None),
+        ("--deductible", False, "float", None, None, "price retained losses (with --coverage)"),
+        ("--coverage", False, "float", None, None, None),
+        out_opt("premiums.csv", "manifest.json"),
+    ]),
+    "calibrate": ("solve principle parameters for a baseline premium", [
+        SCENARIO_OPT, *RUNS_OPTS,
+        ("--line", True, "int", None, None, "business line index"),
+        ("--target", True, "float", None, None, "baseline premium"),
+        ("--deductible", False, "float", None, None, "calibrate on retained losses"),
+        ("--coverage", False, "float", None, None, None),
+        out_opt("calibration.csv", "manifest.json"),
+    ]),
+    "portfolio": ("portfolio Profit and LR report", [
+        SCENARIO_OPT,
+        ("--premium", True, "float", None, None, "total premium per home"),
+        ("--deductible", True, "float", None, None, None),
+        ("--coverage", True, "float", None, None, None),
+        *PORTFOLIO_OPTS, out_opt("portfolio.csv", "manifest.json"),
+    ]),
+    "search-deductible": ("smallest feasible deductible on a grid", [
+        SCENARIO_OPT,
+        ("--premium", True, "float", None, None, "total premium per home"),
+        ("--coverage", True, "float", None, None, None),
+        ("--grid", True, None, None, None, "ascending deductibles, e.g. 100,150,200"),
+        *STRATEGY_OPTS, *PORTFOLIO_OPTS, out_opt("search.csv", "manifest.json"),
+    ]),
+    "solve-premium": ("premium that meets an LR target", [
+        SCENARIO_OPT,
+        ("--deductible", True, "float", None, None, None),
+        ("--coverage", True, "float", None, None, None),
+        *STRATEGY_OPTS, *PORTFOLIO_OPTS, out_opt("premium.csv", "manifest.json"),
+    ]),
+    "propose": ("proposed deductibles per principle (both strategies)", [
+        SCENARIO_OPT,
+        ("--premiums", True, None, None, None, "per-principle totals, e.g. 418,307,368,408"),
+        ("--labels", False, None, None, None, "principle labels matching --premiums"),
+        ("--coverage", True, "float", None, None, None),
+        ("--grid", True, None, None, None, None),
+        ("--mean-target", False, "float", 0.4, None, None),
+        ("--quantile-level", False, "float", 0.995, None, None),
+        ("--quantile-target", False, "float", 0.4, None, None),
+        *PORTFOLIO_OPTS, out_opt("proposals.csv", "manifest.json"),
+    ]),
+}
+
+
+class TestParserSurface:
+    @staticmethod
+    def subcommands():
+        parser = _build_parser()
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    def test_commands_in_order_with_help(self):
+        sub = self.subcommands()
+        listed = [(action.dest, action.help) for action in sub._choices_actions]
+        assert listed == [(name, summary) for name, (summary, _) in PARSER_SURFACE.items()]
+
+    @pytest.mark.parametrize("command", list(PARSER_SURFACE))
+    def test_options(self, command):
+        parser = self.subcommands().choices[command]
+        options = [
+            (a.option_strings[0], a.required, getattr(a.type, "__name__", None),
+             a.default, a.choices, a.help)
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)
+        ]
+        assert options == PARSER_SURFACE[command][1]
+        assert all(len(a.option_strings) == 1 for a in parser._actions[1:])
+
+    def test_version(self, capsys):
+        assert run("--version") == 0
+        assert capsys.readouterr().out == f"homecyber {homecyber.__version__}\n"
 
 
 class TestValidate:
@@ -466,6 +577,23 @@ class TestRejectedInputs:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--mean-target", "0", "target must lie in (0, 1], got 0.0"),
+         ("--quantile-level", "1.5", "level must lie in (0, 1), got 1.5"),
+         ("--quantile-target", "nan", "target must lie in (0, 1], got nan")],
+    )
+    def test_propose_checks_targets_before_simulating(self, flag, value, message,
+                                                      monkeypatch, capsys):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulate_claims called")
+
+        monkeypatch.setattr("homecyber.search.simulate_claims", no_simulation)
+        argv = ["propose", "--premiums", "418", "--coverage", "50000", "--grid", "100,1000",
+                *self.SIZES, flag, value]
+        assert run(argv[0], "--scenario", CASE, *argv[1:]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "flag, value, code, message",
         [("--line", "99", 2, "error: no business line with index 99"),
          ("--target", "nan", 1, "target premium must be finite"),
@@ -481,6 +609,50 @@ class TestRejectedInputs:
         argv = self.replaced(self.CALIBRATE, flag, value)
         assert run(argv[0], "--scenario", CASE, *argv[1:]) == code
         assert message in capsys.readouterr().err
+
+
+class TestOutputPath:
+    # every command that writes files, with the files it writes in order
+    SIZES = ("--homes", "40", "--replications", "60", "--seed", "3")
+    COMMANDS = {
+        "enumerate": (["enumerate"], ["joint.csv", "marginals.csv"]),
+        "simulate": (["simulate", "--runs", "500", "--seed", "2"], ["summary.csv"]),
+        "price": (["price", "--runs", "500", "--seed", "2", "--theta-expectation", "0.5",
+                   "--theta-stddev", "0.03", "--theta-gmd", "0.25", "--beta-cte", "0.34"],
+                  ["premiums.csv"]),
+        "calibrate": (["calibrate", "--runs", "500", "--seed", "2", "--line", "4",
+                       "--target", "28"], ["calibration.csv"]),
+        "portfolio": (["portfolio", "--premium", "418", "--deductible", "1000",
+                       "--coverage", "50000", *SIZES], ["portfolio.csv"]),
+        "search-deductible": (["search-deductible", "--premium", "418", "--coverage", "50000",
+                               "--grid", "100,1000", "--strategy", "mean", "--lr-target", "0.4",
+                               *SIZES], ["search.csv"]),
+        "solve-premium": (["solve-premium", "--deductible", "1000", "--coverage", "50000",
+                           "--strategy", "mean", "--lr-target", "0.4", *SIZES], ["premium.csv"]),
+        "propose": (["propose", "--premiums", "418,307", "--coverage", "50000",
+                     "--grid", "100,1000", *SIZES], ["proposals.csv"]),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_stdout_holds_the_files(self, command, tmp_path, capsys):
+        argv, files = self.COMMANDS[command]
+        assert run(argv[0], "--scenario", CASE, *argv[1:]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "out"
+        assert run(argv[0], "--scenario", CASE, *argv[1:], "--out", str(out)) == 0
+        announced = capsys.readouterr().out.splitlines()
+
+        # without --out, stdout holds the files' bytes in order, and nothing else changes
+        blob = "".join((out / name).read_text() for name in files)
+        assert blob in printed
+        rest = printed.replace(blob, "", 1).splitlines()
+        assert rest == [line for line in announced if not line.startswith("wrote ")]
+        assert [line for line in announced if line.startswith("wrote ")] == [
+            f"wrote {out / name}" for name in files
+        ]
+        # seeded commands record a manifest; enumerate has no seed
+        manifest = [] if command == "enumerate" else ["manifest.json"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(files + manifest)
 
 
 def test_cli_never_imports_scipy():

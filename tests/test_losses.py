@@ -259,7 +259,8 @@ class TestLossBlockOnRandomGraphs:
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_line_means_match_exact(self, case):
         graph, lines = case
-        losses = loss_block(graph, lines, self.ROWS, 2024, 0, RUN_LANE)
+        losses = loss_block(loss_plan(graph, lines), self.ROWS, 2024, 0, RUN_LANE,
+                            sample_loss_matrix)
         marginals = marginal_exploit_probs(graph)
         for col, line in enumerate(lines):
             column = losses[:, col]
@@ -296,7 +297,8 @@ class TestLossPlan:
 class TestFiredOnlySeverities:
     def test_one_draw_per_fired_row_in_row_order(self, case_graph, case_lines):
         rows = 3000
-        losses = loss_block(case_graph, case_lines, rows, 5, 2, RUN_LANE)
+        losses = loss_block(loss_plan(case_graph, case_lines), rows, 5, 2, RUN_LANE,
+                            sample_loss_matrix)
         rng = substream(5, 2, RUN_LANE)
         # one uniform per row; the state is the first whose running sum exceeds it
         joint = enumerate_joint(case_graph)
@@ -328,8 +330,10 @@ class TestFiredOnlySeverities:
             case_graph.nodes + (VulnNode(8, entry_prob=0.0),), case_graph.edges
         )
         dead = BusinessLine(0, "dead", frozenset({8}), TriggeredGamma(2.0, 1.0))
-        alone = loss_block(graph, case_lines, 5000, 8, 0, RUN_LANE)
-        with_dead = loss_block(graph, [dead, *case_lines], 5000, 8, 0, RUN_LANE)
+        alone = loss_block(loss_plan(graph, case_lines), 5000, 8, 0, RUN_LANE,
+                           sample_loss_matrix)
+        with_dead = loss_block(loss_plan(graph, [dead, *case_lines]), 5000, 8, 0, RUN_LANE,
+                               sample_loss_matrix)
         assert np.all(with_dead[:, 0] == 0.0)
         assert np.array_equal(with_dead[:, 1:], alone)
 

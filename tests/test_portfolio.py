@@ -5,7 +5,7 @@ import pytest
 
 from conftest import build_case_graph
 from homecyber.graph import AttackGraph, VulnNode
-from homecyber.losses import exact_line_mean
+from homecyber.losses import exact_line_mean, loss_plan, sample_loss_matrix
 from homecyber.portfolio import (
     PortfolioSpec,
     portfolio_summary,
@@ -160,8 +160,8 @@ class TestReplicationGroups:
                                  policies, master_seed=31)
         expected = np.empty_like(claims)
         for g, first in enumerate(range(0, replications, group)):
-            block = loss_block(case_graph, case_lines, group * n_homes, 31, g,
-                               REPLICATION_LANE)
+            block = loss_block(loss_plan(case_graph, case_lines), group * n_homes, 31, g,
+                               REPLICATION_LANE, sample_loss_matrix)
             totals = np.zeros(group * n_homes)
             for col in range(block.shape[1]):
                 totals += block[:, col]

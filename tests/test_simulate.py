@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from homecyber.graph import AttackGraph, Edge, EnumerationSizeError, VulnNode
-from homecyber.losses import BusinessLine, TriggeredGamma, exact_line_mean
+from homecyber.losses import (
+    BusinessLine,
+    TriggeredGamma,
+    exact_line_mean,
+    loss_plan,
+    sample_loss_matrix,
+)
 from homecyber.portfolio import simulate_claims
 from homecyber.pricing import Policy
 from homecyber.simulate import (
@@ -75,7 +81,8 @@ class TestRunSimulation:
                 shorter.line_losses[:complete], longest.line_losses[:complete]
             )
         # block b is the kernel's draw from substream (seed, b) of the run lane
-        block1 = loss_block(case_graph, case_lines, RUN_BLOCK, 7, 1, RUN_LANE)
+        block1 = loss_block(loss_plan(case_graph, case_lines), RUN_BLOCK, 7, 1, RUN_LANE,
+                            sample_loss_matrix)
         assert np.array_equal(longest.line_losses[RUN_BLOCK : 2 * RUN_BLOCK], block1)
 
     @pytest.mark.parametrize("runs", [RUN_BLOCK - 1, RUN_BLOCK, RUN_BLOCK + 1],
