@@ -9,6 +9,7 @@ scenario, flags and seed give byte-identical outputs for any --workers N.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -268,6 +269,8 @@ def _propose(scenario, args) -> None:
     labels = args.labels.split(",") if args.labels else [f"rho{i + 1}" for i in range(len(totals))]
     if len(labels) != len(totals):
         raise SystemExit("error: --labels must match --premiums in length")
+    if len(set(labels)) != len(labels):
+        raise SystemExit("error: --labels must be distinct")
     rows = search.report_proposals(
         premiums=list(zip(labels, totals)),
         coverage=args.coverage,
@@ -290,11 +293,19 @@ def cli_dispatch(argv=None) -> int:
     except SystemExit as exc:  # a handler's usage error
         print(exc.code, file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout was closed; main() exits quietly
+        raise
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
-    raise SystemExit(cli_dispatch())
+    try:
+        code = cli_dispatch()
+        sys.stdout.flush()
+    except BrokenPipeError:  # as by `| head`; on devnull the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, the status of a writer that the signal ended
+    raise SystemExit(code)
 

@@ -9,6 +9,8 @@ from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
 
+import numpy as np
+
 from .graph import AttackGraph, JointDistribution
 from .portfolio import PortfolioResult, profit_summary
 from .search import ProposalRow
@@ -129,20 +131,23 @@ def _bit_prefixes(count: int) -> list[str]:
 def write_joint_csv(joint: JointDistribution, out: TextIO) -> None:
     """Write the 2^n-row joint table to ``out`` in the :func:`render_csv` layout.
 
-    Rows go out one chunk per value of the high state bits, so no 2^n-row
-    table or string is built: each row is a precomputed low-bits prefix, a
-    high-bits prefix and the probability's repr.
+    One join per value of the high state bits (no 2^n-row table or string):
+    newline-led low-bits prefixes, the high-bits prefix and each probability's
+    repr.  Rows of probability +0.0, most of an attack-graph joint, skip
+    ``repr`` and get its text ``0.0``, so the output is unchanged.
     """
     n = len(joint.node_ids)
     low = n // 2
-    low_prefixes = _bit_prefixes(low)
-    out.write(",".join((*(f"S{nid}" for nid in joint.node_ids), "Prob")) + "\n")
+    parts = np.empty(3 << low, dtype=object)
+    parts[0::3] = ["\n" + prefix for prefix in _bit_prefixes(low)]
+    out.write(",".join((*(f"S{nid}" for nid in joint.node_ids), "Prob")))
     for high, high_prefix in enumerate(_bit_prefixes(n - low)):
-        chunk = joint.probs[high << low:(high + 1) << low].tolist()
-        out.write("".join([
-            f"{low_prefix}{high_prefix}{p!r}\n"
-            for low_prefix, p in zip(low_prefixes, chunk)
-        ]))
+        chunk = joint.probs[high << low:(high + 1) << low]
+        nonzero = np.flatnonzero(chunk.view(np.uint64))  # bits, so -0.0 and subnormals run repr
+        parts[1::3], parts[2::3] = high_prefix, "0.0"
+        parts[3 * nonzero + 2] = list(map(repr, chunk[nonzero].tolist()))
+        out.write("".join(parts.tolist()))
+    out.write("\n")
 
 
 def marginals_table(graph: AttackGraph, marginals) -> Table:

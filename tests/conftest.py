@@ -103,6 +103,18 @@ def shuffled_dag_graphs(draw, max_nodes: int = 8):
     return AttackGraph(draw(st.permutations(base.nodes)), base.edges)
 
 
+def seventeen_node_graph(complete: bool) -> AttackGraph:
+    """A 17-node chain or complete DAG, its nodes listed in shuffled order."""
+    rng = np.random.default_rng(17)
+    pairs = [(i, j) for j in range(2, 18) for i in range(1, j) if complete or i == j - 1]
+    edges = [Edge(i, j, float(rng.uniform(0.05, 0.95))) for i, j in pairs]
+    nodes = [
+        VulnNode(int(i), entry_prob=0.3 if i == 1 else None)
+        for i in rng.permutation(np.arange(1, 18))
+    ]
+    return AttackGraph(nodes, edges)
+
+
 def full_width_joint(graph: AttackGraph) -> np.ndarray:
     """Reference joint: every node's factor taken over all 2^n states at once.
 

@@ -24,6 +24,19 @@ def run(*argv) -> int:
     return cli_dispatch(list(argv))
 
 
+def write_chain(path: Path, n: int, entry_prob: float, cond_prob: float) -> str:
+    """The bundled scenario with its graph replaced by the chain 1 -> 2 -> ... -> n."""
+    doc = json.loads(bundled_case_study_path().read_text())
+    doc["graph"]["nodes"] = [{"id": 1, "entry_prob": entry_prob}] + [
+        {"id": i} for i in range(2, n + 1)
+    ]
+    doc["graph"]["edges"] = [
+        {"src": i, "dst": i + 1, "cond_prob": cond_prob} for i in range(1, n)
+    ]
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestDispatch:
     def test_unknown_command(self, capsys):
         assert run("frobnicate") == 2
@@ -204,6 +217,37 @@ class TestEnumerate:
         assert run("enumerate", "--scenario", CASE, "--out", str(out)) == 0
         for name, digest in golden.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+    def test_golden_sparse_chain(self, tmp_path):
+        # a 17-node chain with one entry node: 18 of its 2^17 states have
+        # nonzero probability, so nearly every row is the literal 0.0 and a
+        # change in how zero or nonzero rows are written shows here
+        golden = {
+            "joint.csv": "87b18e328d981e179de185d5272dc52e07f98748d3b66b9a5c205f1649f86146",
+            "marginals.csv": "dd8a77d77949b26fdc34301256e76bb2c5514cce05f28b3bba19baa77d10f86a",
+        }
+        path = write_chain(tmp_path / "chain17.json", 17, 0.3, 0.6)
+        out = tmp_path / "enum"
+        assert run("enumerate", "--scenario", path, "--out", str(out)) == 0
+        for name, digest in golden.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # the chain's joint.csv is about 5 MB, far more than a pipe holds, so
+        # the command is still writing when the reader closes its end
+        path = write_chain(tmp_path / "chain17.json", 17, 0.3, 0.6)
+        src = str(Path(homecyber.__file__).parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "homecyber", "enumerate", "--scenario", path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.readline().startswith(b"S1,S2,")
+        proc.stdout.close()
+        # 128 + SIGPIPE, as a shell reports `seq 100000 | head -1`
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
     def test_python_m_entry_point(self, capsys):
         assert run("enumerate", "--scenario", CASE) == 0
@@ -537,17 +581,9 @@ class TestRejectedInputs:
         assert run(argv[0], "--scenario", CASE, *argv[1:]) == 0
 
     def test_simulation_above_enumeration_cap(self, tmp_path, capsys):
-        doc = json.loads(bundled_case_study_path().read_text())
-        doc["graph"]["nodes"] = [{"id": 1, "entry_prob": 0.5}] + [
-            {"id": i} for i in range(2, 24)
-        ]
-        doc["graph"]["edges"] = [
-            {"src": i, "dst": i + 1, "cond_prob": 0.5} for i in range(1, 23)
-        ]
-        path = tmp_path / "chain23.json"
-        path.write_text(json.dumps(doc))
+        path = write_chain(tmp_path / "chain23.json", 23, 0.5, 0.5)
         for argv in (["validate"], ["simulate", "--runs", "10", "--seed", "1"], self.PORTFOLIO):
-            assert run(argv[0], "--scenario", str(path), *argv[1:]) == 1
+            assert run(argv[0], "--scenario", path, *argv[1:]) == 1
             captured = capsys.readouterr()
             assert "23 nodes exceed the enumeration cap of 22" in captured.err
             assert "scenario OK" not in captured.out
@@ -575,6 +611,16 @@ class TestRejectedInputs:
         err = capsys.readouterr().err
         assert "deductible grid must be strictly ascending" in err
         assert "Traceback" not in err
+
+    def test_propose_labels_must_be_distinct(self, monkeypatch, capsys):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulate_claims called")
+
+        monkeypatch.setattr("homecyber.search.simulate_claims", no_simulation)
+        argv = ["propose", "--premiums", "418,307", "--labels", "a,a", "--coverage", "50000",
+                "--grid", "100,1000", *self.SIZES]
+        assert run(argv[0], "--scenario", CASE, *argv[1:]) == 2
+        assert "error: --labels must be distinct" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value, message",

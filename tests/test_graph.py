@@ -13,6 +13,7 @@ from conftest import (
     full_width_joint,
     mask_marginals,
     recursive_joint_prob,
+    seventeen_node_graph,
     shuffled_dag_graphs,
 )
 from homecyber.graph import (
@@ -385,18 +386,6 @@ def test_enumeration_matches_references(graph):
         expected = recursive_joint_prob(graph, joint.state_of(index))
         assert joint.probs[index] == pytest.approx(expected, rel=1e-13, abs=1e-300)
     assert np.array_equal(joint.marginals(), mask_marginals(joint))
-
-
-def seventeen_node_graph(complete: bool) -> AttackGraph:
-    """A 17-node chain or complete DAG, its nodes listed in shuffled order."""
-    rng = np.random.default_rng(17)
-    pairs = [(i, j) for j in range(2, 18) for i in range(1, j) if complete or i == j - 1]
-    edges = [Edge(i, j, float(rng.uniform(0.05, 0.95))) for i, j in pairs]
-    nodes = [
-        VulnNode(int(i), entry_prob=0.3 if i == 1 else None)
-        for i in rng.permutation(np.arange(1, 18))
-    ]
-    return AttackGraph(nodes, edges)
 
 
 @pytest.mark.parametrize("complete", [False, True], ids=["chain", "complete"])

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_case_graph, joint_csv_reference
-from homecyber.graph import AttackGraph, Edge, VulnNode, enumerate_joint
+from conftest import build_case_graph, joint_csv_reference, seventeen_node_graph
+from homecyber.graph import AttackGraph, Edge, JointDistribution, VulnNode, enumerate_joint
 from homecyber.losses import RateSumExponential
 from homecyber.reports import (
     SUMMARY_HEADER,
@@ -338,6 +338,36 @@ class TestJointCsv:
     @pytest.mark.parametrize("name", SMALL_GRAPHS)
     def test_matches_rendered_table(self, name):
         joint = enumerate_joint(SMALL_GRAPHS[name])
+        out = io.StringIO()
+        write_joint_csv(joint, out)
+        assert out.getvalue() == joint_csv_reference(joint)
+
+    def test_values_that_must_still_run_repr(self):
+        # n = 11: 64 chunks of 32 rows.  Chunk 0 and most others are all zero;
+        # chunk 1's only nonzero row is its first, chunk 2's its last and the
+        # file's last row ends chunk 63.  -0.0 == 0, and so is a subnormal
+        # under flush-to-zero, but neither has +0.0's bits: both keep repr's text
+        probs = np.zeros(1 << 11)
+        probs[32] = 1.0
+        probs[3 * 32 - 1] = 5e-324
+        probs[3 * 32 + 7] = -0.0
+        probs[4 * 32:5 * 32] = np.random.default_rng(11).random(32)
+        probs[5 * 32 + 3] = 0.1 + 0.2
+        probs[-1] = np.nextafter(0.1, 1.0)
+        joint = JointDistribution(tuple(range(1, 12)), probs)
+        out = io.StringIO()
+        write_joint_csv(joint, out)
+        text = out.getvalue()
+        assert text == joint_csv_reference(joint)
+        for cell in (",1.0\n", ",5e-324\n", ",-0.0\n", ",0.30000000000000004\n",
+                     ",0.10000000000000002\n"):
+            assert cell in text
+        assert text.count(",0.0\n") == 2048 - 32 - 5
+
+    def test_seventeen_node_complete_dag(self):
+        # n > 16 splits 8 low bits and 9 high; half the rows of the complete
+        # DAG's joint are nonzero, spread over every chunk
+        joint = enumerate_joint(seventeen_node_graph(complete=True))
         out = io.StringIO()
         write_joint_csv(joint, out)
         assert out.getvalue() == joint_csv_reference(joint)
