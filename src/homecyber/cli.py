@@ -168,10 +168,8 @@ def _price(scenario, args) -> None:
     params = (Expectation(args.theta_expectation), StdDev(args.theta_stddev),
               GMD(args.theta_gmd), CTE(args.beta_cte))
     result, samples = _line_samples(scenario, args)
-    per_principle = {
-        f"rho{k}": [pricing.premium(column, param) for column in samples.T]
-        for k, param in enumerate(params, 1)
-    }
+    per_line = [pricing.premiums(column, params) for column in samples.T]
+    per_principle = {f"rho{k}": col for k, col in enumerate(zip(*per_line), 1)}
     labels = [f"L{idx}" for idx in result.line_indices]
     _write(scenario, args, reports.premium_table(labels, per_principle))
 

@@ -220,13 +220,9 @@ class JointDistribution:
         return float(self.probs[self.state_index(states)])
 
     def total(self) -> float:
-        """Exact sum of ``probs``, read a slice at a time so no 2^n list is built."""
-        return math.fsum(
-            itertools.chain.from_iterable(
-                self.probs[i : i + _FSUM_CHUNK].tolist()
-                for i in range(0, self.probs.size, _FSUM_CHUNK)
-            )
-        )
+        """Exact ``math.fsum`` of the nonzero ``probs``, a slice at a time (no 2^n list)."""
+        chunks = (self.probs[i : i + _FSUM_CHUNK] for i in range(0, self.probs.size, _FSUM_CHUNK))
+        return math.fsum(itertools.chain.from_iterable(c[c != 0.0].tolist() for c in chunks))
 
     def pattern_probs(self, positions: Sequence[int]) -> np.ndarray:
         """Joint law of the nodes at ``positions`` (strictly ascending).

@@ -159,10 +159,8 @@ def profit_summary(result: PortfolioResult, levels) -> SummaryStats:
     return replace(stats, sd=claim_sd)
 
 
-def portfolio_summary(result: PortfolioResult, levels=None) -> PortfolioSummary:
+def portfolio_summary(result: PortfolioResult, levels=DEFAULT_QUANTILE_LEVELS) -> PortfolioSummary:
     """Summary statistics for claim, profit, and LR with one shared level set."""
-    if levels is None:
-        levels = DEFAULT_QUANTILE_LEVELS
     return PortfolioSummary(
         claim=summarize(result.claim, levels),
         profit=profit_summary(result, levels),

@@ -6,6 +6,7 @@ above the empirical value-at-risk.  Calibration inverts each principle so a
 chosen baseline premium pins the loading parameter.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -86,54 +87,76 @@ def apply_retention(loss, policy: Policy, out: np.ndarray | None = None):
     return float(retained[0]) if np.isscalar(loss) or np.ndim(loss) == 0 else retained
 
 
+def _sorted_gmd(ordered: np.ndarray) -> float:
+    n = ordered.size
+    if n < 2:
+        raise ValueError(f"GMD needs at least 2 samples, got {n}")
+    k = np.arange(1, n + 1, dtype=float)
+    return float((2.0 * k - n - 1.0) @ ordered) * 2.0 / (n * (n - 1))
+
+
 def gmd(samples: Sequence[float] | np.ndarray) -> float:
     """Mean absolute difference over unordered pairs, via the sorted identity.
 
     Equals (2 / (n (n-1))) * sum_{i<j} |x_i - x_j| exactly; the sorted form
-    sum_k (2k - n - 1) x_(k) avoids the O(n^2) pair loop.
+    sum_k (2k - n - 1) x_(k) avoids the pair loop.  ``premiums`` shares the sort.
     """
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = x.size
-    if n < 2:
-        raise ValueError(f"GMD needs at least 2 samples, got {n}")
-    k = np.arange(1, n + 1, dtype=float)
-    return float((2.0 * k - n - 1.0) @ x) * 2.0 / (n * (n - 1))
+    return _sorted_gmd(np.sort(np.asarray(samples, dtype=float)))
+
+
+def var_rank(n: int, beta: float) -> int:
+    """Smallest k in 1..n with k / n >= beta; ``ceil(n * beta)`` can overshoot by one."""
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    return bisect.bisect_left(range(1, n + 1), beta, key=lambda k: k / n) + 1
 
 
 def var_beta(samples: Sequence[float] | np.ndarray, beta: float) -> float:
-    """Smallest order statistic x_(k) with k/n >= beta (no interpolation)."""
+    """Order statistic x_(k) for k = ``var_rank(n, beta)`` (no interpolation)."""
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ValueError("value-at-risk of an empty sample")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    k = max(1, math.ceil(x.size * beta))
-    return float(np.sort(x)[k - 1])
+    return float(np.sort(x)[var_rank(x.size, beta) - 1])
 
 
 def cte(samples: Sequence[float] | np.ndarray, beta: float) -> float:
     """Mean of the samples at or above the empirical value-at-risk."""
+    return premium(samples, CTE(beta))
+
+
+def premiums(
+    samples: Sequence[float] | np.ndarray, params: Sequence[PrincipleParam]
+) -> tuple[float, ...]:
+    """Premiums of one retained-loss sample under each of ``params``, in order.
+
+    GMD and the CTE's value-at-risk read one sorted copy; means, SDs and tail
+    means sum ``samples`` in its own order, so the bits match ``premium``'s.
+    """
     x = np.asarray(samples, dtype=float)
-    threshold = var_beta(x, beta)
-    return float(x[x >= threshold].mean())
+    if x.size == 0:
+        raise ValueError("premium of an empty sample")
+    mean = float(x.mean())
+    ordered = np.sort(x) if any(isinstance(p, (GMD, CTE)) for p in params) else None
+    out = []
+    for param in params:
+        if isinstance(param, Expectation):
+            out.append((1.0 + param.theta) * mean)
+        elif isinstance(param, StdDev):
+            if x.size < 2:
+                raise ValueError("standard-deviation principle needs at least 2 samples")
+            out.append(mean + param.theta * float(np.std(x, ddof=1)))
+        elif isinstance(param, GMD):
+            out.append(mean + param.theta * _sorted_gmd(ordered))
+        elif isinstance(param, CTE):
+            out.append(float(x[x >= ordered[var_rank(x.size, param.beta) - 1]].mean()))
+        else:
+            raise TypeError(f"unknown principle parameter {param!r}")
+    return tuple(out)
 
 
 def premium(samples: Sequence[float] | np.ndarray, param: PrincipleParam) -> float:
     """Premium of a retained-loss sample under one principle."""
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise ValueError("premium of an empty sample")
-    if isinstance(param, Expectation):
-        return (1.0 + param.theta) * float(x.mean())
-    if isinstance(param, StdDev):
-        if x.size < 2:
-            raise ValueError("standard-deviation principle needs at least 2 samples")
-        return float(x.mean()) + param.theta * float(np.std(x, ddof=1))
-    if isinstance(param, GMD):
-        return float(x.mean()) + param.theta * gmd(x)
-    if isinstance(param, CTE):
-        return cte(x, param.beta)
-    raise TypeError(f"unknown principle parameter {param!r}")
+    return premiums(samples, (param,))[0]
 
 
 def check_target_premium(target_premium: float) -> None:
@@ -189,12 +212,16 @@ def calibrate(
 
 
 def _calibrate_cte(x: np.ndarray, target: float, tol: float) -> CTE:
+    """CTE(k / n) for the first candidate k whose tail mean is within ``tol``.
+
+    One vectorised scan of k = 1..n-1 (beta inside (1/n, 1 - 1/n)), each run of
+    ties at its first k; raises unless a k is within ``tol`` before one passes it.
+    """
     n = x.size
     ordered = np.sort(x)
     # suffix means: tail_mean[k] = mean(ordered[k:]); CTE at threshold x_(k+1)
     suffix = np.cumsum(ordered[::-1])[::-1]
-    counts = np.arange(n, 0, -1, dtype=float)
-    tail_means = suffix / counts
+    tail_means = suffix / np.arange(n, 0, -1, dtype=float)
 
     if target < tail_means[0] - tol:
         raise TargetNotAchievableError(
@@ -205,27 +232,19 @@ def _calibrate_cte(x: np.ndarray, target: float, tol: float) -> CTE:
             f"target {target} is above the sample maximum {ordered[-1]:.6g}"
         )
 
-    # candidate thresholds k = 1..n-1 (beta bracketed inside (1/n, 1 - 1/n));
-    # with ties, CTE depends on the threshold value only, via its first index
-    best_k = None
-    below = tail_means[0]
-    above = None
-    for k in range(1, n):  # 1-indexed order statistic
-        if k > 1 and ordered[k - 1] == ordered[k - 2]:
-            continue
-        value = float(tail_means[k - 1])
-        if abs(value - target) <= tol:
-            best_k = k
-            break
-        if value < target:
-            below = value
-        elif above is None:
-            above = value
-            break
-    if best_k is None:
-        jump = "the sample maximum" if above is None else f"{above:.6g}"
-        raise CteNotIdentifiableError(
-            f"empirical CTE is flat at {below:.6g} below the target {target} "
-            f"and jumps to {jump}; no beta attains the target"
-        )
-    return CTE(best_k / n)
+    # 0-based first indices of the distinct values among ordered[:n-1]
+    firsts = np.flatnonzero(np.concatenate(([True], ordered[1 : n - 1] != ordered[: n - 2])))
+    values = tail_means[firsts]
+    hit = np.abs(values - target) <= tol
+    stop = hit | ~(values < target)
+    i = int(np.argmax(stop))
+    if not stop[i]:  # every candidate lies below the target
+        below, jump = values[-1], "the sample maximum"
+    elif hit[i]:
+        return CTE((int(firsts[i]) + 1) / n)
+    else:
+        below, jump = values[max(i - 1, 0)], f"{values[i]:.6g}"
+    raise CteNotIdentifiableError(
+        f"empirical CTE is flat at {below:.6g} below the target {target} "
+        f"and jumps to {jump}; no beta attains the target"
+    )

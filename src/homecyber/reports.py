@@ -20,7 +20,6 @@ SUMMARY_HEADER = (
     "Min", "Q25", "Median", "Q75", "Q90", "Q95", "Q99", "Q99.5", "Q99.9",
     "Max", "Mean", "SD",
 )
-SUMMARY_LEVELS = (0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.995, 0.999)
 PROFIT_LEVELS = (0.01, 0.05, 0.1, 0.15, 0.5, 0.75)
 PROFIT_HEADER = ("Label", "Min", "Q1", "Q5", "Q10", "Q15", "Q50", "Q75", "Max", "Mean", "SD")
 LR_LEVELS = (0.25, 0.5, 0.75, 0.9, 0.95, 0.995)
@@ -77,8 +76,8 @@ def summary_table(result: SimulationResult) -> Table:
     """Per-line rows then the total-loss row, with the twelve stat columns."""
     rows = []
     for col in range(result.line_losses.shape[1]):
-        rows.append(_stat_row(summarize(result.line_losses[:, col], SUMMARY_LEVELS)))
-    rows.append(_stat_row(summarize(result.total_losses, SUMMARY_LEVELS)))
+        rows.append(_stat_row(summarize(result.line_losses[:, col])))
+    rows.append(_stat_row(summarize(result.total_losses)))
     return Table(header=SUMMARY_HEADER, rows=tuple(rows))
 
 
@@ -101,10 +100,8 @@ def portfolio_tables(
     profit_rows = []
     lr_rows = []
     for label, result in results:
-        p = profit_summary(result, PROFIT_LEVELS)
-        profit_rows.append((f"{label} Profit", *_stat_row(p)))
-        l = summarize(result.lr, LR_LEVELS)
-        lr_rows.append((f"{label} LR", *_stat_row(l)))
+        profit_rows.append((f"{label} Profit", *_stat_row(profit_summary(result, PROFIT_LEVELS))))
+        lr_rows.append((f"{label} LR", *_stat_row(summarize(result.lr, LR_LEVELS))))
     return (
         Table(header=PROFIT_HEADER, rows=tuple(profit_rows)),
         Table(header=LR_HEADER, rows=tuple(lr_rows)),

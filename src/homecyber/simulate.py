@@ -180,7 +180,9 @@ def summarize(
 ) -> SummaryStats:
     """Sample statistics with linearly interpolated empirical quantiles.
 
-    SD uses the n-1 divisor; a single observation reports SD 0.
+    The quantiles (Hyndman and Fan's type 7) come from one sorted copy, with the
+    bits of ``np.quantile(samples, levels)`` up to the sign of a zero.  SD uses
+    the n-1 divisor; a single observation reports SD 0.
     """
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
@@ -190,7 +192,7 @@ def summarize(
         raise ValueError(f"quantile levels must lie in (0, 1): {levels}")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"quantile levels must be strictly increasing: {levels}")
-    qs = np.quantile(x, levels) if levels else np.empty(0)
+    qs = np.quantile(np.sort(x), levels, overwrite_input=True) if levels else np.empty(0)
     sd = float(np.std(x, ddof=1)) if x.size > 1 else 0.0
     return SummaryStats(
         minimum=float(x.min()),

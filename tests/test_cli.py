@@ -266,28 +266,43 @@ def test_golden_simulation_output(tmp_path):
     # blocks): 20000 runs are one complete run block and a partial one, and
     # 300 homes (54 replications per group) x 60 or 70 and 500 homes (32 per
     # group) x 40 are one complete replication group and a partial one, so
-    # any change to which draw lands where shows here
-    golden = {
-        "summary.csv": (
-            "0efa2601c7b55a3027f8ab2f9b7e19c93f8d959a79dff1107428cd6d3bdb1642",
-            ["simulate", "--runs", "20000", "--seed", "11"]),
-        "portfolio.csv": (
-            "ddb093d5b78aaba5c34b96ba764c6c6701447d19325169b5229bff2b66446daf",
-            ["portfolio", "--premium", "418", "--deductible", "1000", "--coverage", "50000",
-             "--homes", "300", "--replications", "60", "--seed", "12"]),
-        "search.csv": (
-            "b4129fe99e1bde6c1b3ac882373a838b57b98525aff7c7a28f8e3cba913311e2",
-            ["search-deductible", "--premium", "418", "--coverage", "50000",
-             "--grid", "100,500,1000", "--strategy", "quantile", "--lr-target", "0.4",
-             "--homes", "300", "--replications", "70", "--seed", "13"]),
-        "proposals.csv": (
-            "940f7dbb1479cf065158b8ef0851e22d8c12eb2cb43db748ca9938f091170ddd",
-            ["propose", "--premiums", "418,307,368,408", "--coverage", "50000",
-             "--grid", "100,500,1000", "--homes", "500", "--replications", "40",
-             "--seed", "14"]),
-    }
-    for name, (digest, argv) in golden.items():
-        out = tmp_path / name
+    # any change to which draw lands where shows here.  The price and calibrate
+    # digests also pin the premium principles and the CTE calibration scan:
+    # 20000 * 0.9 is exactly 18000, so the CTE's value-at-risk rank is the
+    # same under ceil(n * beta) and the smallest k with k / n >= beta; line 4
+    # at target 28 reports the flat CTE, and line 1 at its own CTE(0.9) hits
+    golden = (
+        ("summary.csv",
+         "0efa2601c7b55a3027f8ab2f9b7e19c93f8d959a79dff1107428cd6d3bdb1642",
+         ["simulate", "--runs", "20000", "--seed", "11"]),
+        ("portfolio.csv",
+         "ddb093d5b78aaba5c34b96ba764c6c6701447d19325169b5229bff2b66446daf",
+         ["portfolio", "--premium", "418", "--deductible", "1000", "--coverage", "50000",
+          "--homes", "300", "--replications", "60", "--seed", "12"]),
+        ("search.csv",
+         "b4129fe99e1bde6c1b3ac882373a838b57b98525aff7c7a28f8e3cba913311e2",
+         ["search-deductible", "--premium", "418", "--coverage", "50000",
+          "--grid", "100,500,1000", "--strategy", "quantile", "--lr-target", "0.4",
+          "--homes", "300", "--replications", "70", "--seed", "13"]),
+        ("proposals.csv",
+         "940f7dbb1479cf065158b8ef0851e22d8c12eb2cb43db748ca9938f091170ddd",
+         ["propose", "--premiums", "418,307,368,408", "--coverage", "50000",
+          "--grid", "100,500,1000", "--homes", "500", "--replications", "40",
+          "--seed", "14"]),
+        ("premiums.csv",
+         "dae26843b05508e07c9acfe3c8368a787947f55624a983b7de4285aaa10e6618",
+         ["price", "--runs", "20000", "--seed", "15", "--theta-expectation", "0.5",
+          "--theta-stddev", "0.03", "--theta-gmd", "0.25", "--beta-cte", "0.9"]),
+        ("calibration.csv",
+         "2a8b1d3d798d1efdababe1454a544729c4dcfd608b5e25ddee0ceeb101e028cd",
+         ["calibrate", "--runs", "20000", "--seed", "16", "--line", "4", "--target", "28"]),
+        ("calibration.csv",
+         "8413d923cbbf2fcd64f85779ec62a4be698adef2ca5912d0442d843d68c4a067",
+         ["calibrate", "--runs", "20000", "--seed", "16", "--line", "1",
+          "--target", "505.78260874222775"]),
+    )
+    for k, (name, digest, argv) in enumerate(golden):
+        out = tmp_path / f"{k}"
         assert run(argv[0], "--scenario", CASE, *argv[1:], "--out", str(out)) == 0
         actual = hashlib.sha256((out / name).read_bytes()).hexdigest()
         # the severities come from numpy's samplers, so a numpy upgrade may move them

@@ -21,6 +21,7 @@ from homecyber.graph import (
     Edge,
     EnumerationSizeError,
     GraphValidationError,
+    JointDistribution,
     VulnNode,
     enumerate_joint,
     marginal_exploit_probs,
@@ -170,6 +171,18 @@ class TestEnumerateJoint:
 
     def test_sums_to_one(self, case_graph):
         assert enumerate_joint(case_graph).total() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("density", [0.0, 1e-4, 0.08, 1.0])
+    def test_total_is_the_fsum_of_every_entry(self, density):
+        # total() skips zeros; fsum is exact, so the sum must not move.  2^18
+        # entries are four fsum chunks, and the tiny and huge values make a
+        # plain float sum round where fsum does not
+        rng = np.random.default_rng(int(density * 1e4))
+        size = 1 << 18
+        probs = rng.random(size) * 10.0 ** rng.integers(-300, 0, size)
+        probs[rng.random(size) >= density] = 0.0
+        joint = JointDistribution(tuple(range(1, 19)), probs)
+        assert joint.total() == math.fsum(probs.tolist())
 
     def test_matches_recursive_oracle(self, case_graph):
         joint = enumerate_joint(case_graph)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from homecyber.pricing import (
     CTE,
+    CalibrationError,
     CteNotIdentifiableError,
     Expectation,
     GMD,
@@ -19,7 +20,9 @@ from homecyber.pricing import (
     cte,
     gmd,
     premium,
+    premiums,
     var_beta,
+    var_rank,
 )
 
 BASE_POLICY = Policy(deductible=1000.0, coverage=50_000.0)
@@ -218,3 +221,179 @@ class TestCalibrate:
     def test_negative_target_rejected(self):
         with pytest.raises(ValueError):
             calibrate("expectation", [1.0, 2.0], -1.0)
+
+
+class TestPremiums:
+    PARAMS = (Expectation(0.5), StdDev(0.03), GMD(0.25), CTE(0.34))
+
+    def test_same_bits_as_one_principle_at_a_time(self):
+        rng = np.random.default_rng(11)
+        losses = rng.lognormal(3.0, 1.5, (3_000, 3))
+        losses[rng.random(losses.shape) < 0.6] = 0.0
+        for column in losses.T:  # strided, as the price command passes them
+            together = premiums(column, self.PARAMS)
+            alone = tuple(premium(column, param) for param in self.PARAMS)
+            assert np.array(together).tobytes() == np.array(alone).tobytes()
+        assert premium(losses[:, 0], CTE(0.34)) == cte(losses[:, 0], 0.34)
+
+    def test_one_sort_for_all_principles(self, monkeypatch):
+        calls = []
+        sort = np.sort
+        monkeypatch.setattr(np, "sort", lambda a, *args, **kw: calls.append(1) or sort(a))
+        x = np.arange(10.0)
+        premiums(x, self.PARAMS)
+        assert len(calls) == 1
+        premiums(x, self.PARAMS[:2])
+        assert len(calls) == 1  # expectation and SD read no order statistic
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="empty"):
+            premiums([], self.PARAMS)
+        with pytest.raises(ValueError, match="at least 2"):
+            premiums([1.0], self.PARAMS)
+        with pytest.raises(TypeError, match="unknown principle"):
+            premiums([1.0, 2.0], (Expectation(0.1), 0.5))
+        assert premiums([1.0, 2.0], ()) == ()
+
+
+class TestVarRank:
+    @pytest.mark.parametrize("n", [100, 5_000, 10_000, 20_000, 100_000])
+    def test_smallest_k_with_k_over_n_at_least_beta(self, n):
+        # float64 k / n never falls as k grows, so a search of the table of
+        # every k / n is the brute-force answer
+        table = np.arange(1, n + 1) / n
+        grid = table[:-1]
+        betas = np.concatenate((grid, np.nextafter(grid, 0.0), np.nextafter(grid, 1.0)))
+        betas = betas[(betas > 0.0) & (betas < 1.0)]
+        expected = np.searchsorted(table, betas, side="left") + 1
+        assert [var_rank(n, beta) for beta in betas.tolist()] == expected.tolist()
+
+    def test_ceil_shortcut_overshoots(self):
+        # 10000 * 0.34 rounds up to 3400.0000000000005, and 100 * 0.07 to
+        # 7.000000000000001: ceil(n * beta) would take one rank too many
+        assert math.ceil(10_000 * 0.34) == 3401 and var_rank(10_000, 0.34) == 3400
+        assert math.ceil(100 * 0.07) == 8 and var_rank(100, 0.07) == 7
+        assert var_rank(100_000, 0.34) == 34_000
+
+    def test_tiny_and_bad_beta(self):
+        assert var_rank(3, 1e-9) == 1
+        assert var_rank(3, 1.0 - 1e-12) == 3
+        for beta in (0.0, 1.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="beta must lie"):
+                var_rank(5, beta)
+
+    def test_round_trip_every_k(self):
+        n = 100
+        x = np.random.default_rng(12).permutation(np.arange(1.0, n + 1.0))
+        for k in range(1, n):
+            tail = float(np.arange(k, n + 1.0).mean())  # integers: every sum is exact
+            assert var_beta(x, k / n) == k
+            assert premium(x, CTE(k / n)) == tail
+            assert calibrate("cte", x, tail) == CTE(k / n)
+
+    def test_cte_round_trip_example(self):
+        x = np.arange(1.0, 101.0)
+        target = float(x[6:].mean())
+        assert target == 53.5
+        param = calibrate("cte", x, target)
+        assert param == CTE(0.07)
+        assert premium(x, param) == target
+
+
+def _reference_calibrate_cte(x: np.ndarray, target: float, tol: float) -> CTE:
+    """The order-statistic loop that the vectorised CTE scan replaced, verbatim."""
+    n = x.size
+    ordered = np.sort(x)
+    # suffix means: tail_mean[k] = mean(ordered[k:]); CTE at threshold x_(k+1)
+    suffix = np.cumsum(ordered[::-1])[::-1]
+    counts = np.arange(n, 0, -1, dtype=float)
+    tail_means = suffix / counts
+
+    if target < tail_means[0] - tol:
+        raise TargetNotAchievableError(
+            f"target {target} is below the sample mean {tail_means[0]:.6g}"
+        )
+    if target > ordered[-1] + tol:
+        raise TargetNotAchievableError(
+            f"target {target} is above the sample maximum {ordered[-1]:.6g}"
+        )
+
+    # candidate thresholds k = 1..n-1 (beta bracketed inside (1/n, 1 - 1/n));
+    # with ties, CTE depends on the threshold value only, via its first index
+    best_k = None
+    below = tail_means[0]
+    above = None
+    for k in range(1, n):  # 1-indexed order statistic
+        if k > 1 and ordered[k - 1] == ordered[k - 2]:
+            continue
+        value = float(tail_means[k - 1])
+        if abs(value - target) <= tol:
+            best_k = k
+            break
+        if value < target:
+            below = value
+        elif above is None:
+            above = value
+            break
+    if best_k is None:
+        jump = "the sample maximum" if above is None else f"{above:.6g}"
+        raise CteNotIdentifiableError(
+            f"empirical CTE is flat at {below:.6g} below the target {target} "
+            f"and jumps to {jump}; no beta attains the target"
+        )
+    return CTE(best_k / n)
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except CalibrationError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def cte_cases(draw):
+    """Samples with ties and heavy zero mass, and targets on, near and between plateaus."""
+    n = draw(st.integers(2, 200))
+    pool = np.array(draw(st.lists(st.floats(0.0, 1e4, allow_nan=False), min_size=1, max_size=5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # ties from the pool, continuous values elsewhere, then a block of zeros
+    x = np.where(rng.random(n) < draw(st.sampled_from((0.0, 0.5, 1.0))),
+                 rng.choice(pool, n), rng.uniform(0.0, 1e4, n))
+    x[: draw(st.sampled_from((0, n // 2, n - 2, n - 1)))] = 0.0
+    ordered = np.sort(x)
+    tail_means = np.cumsum(ordered[::-1])[::-1] / np.arange(n, 0, -1, dtype=float)
+    j = draw(st.integers(0, n - 2))
+    a, b = float(tail_means[j]), float(tail_means[j + 1])
+    tol = 1e-6 * max(1.0, a)
+    target = draw(st.sampled_from((
+        a, (a + b) / 2.0, a + 0.5 * tol, a - 0.5 * tol, a + tol, a + 2.0 * tol,
+        b - 0.5 * tol, float(ordered[-1]) + 2.0 * tol, 0.0,
+    )))
+    target = draw(st.one_of(st.just(max(target, 0.0)), st.floats(0.0, 1.2e4)))
+    return x, target
+
+
+class TestCteScan:
+    @given(cte_cases())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_the_reference_loop(self, case):
+        x, target = case
+        tol = 1e-6 * max(1.0, target)  # calibrate's default rel_tol
+        expected = _outcome(_reference_calibrate_cte, x, target, tol)
+        assert _outcome(calibrate, "cte", x, target) == expected
+
+    @pytest.mark.parametrize("target", [0.5, 1.0, 3.0, 3.0 + 2e-6, 28.0, 150.0, 199.0, 200.0,
+                                        500.0])
+    def test_zero_heavy_sample(self, target):
+        x = np.array([0.0] * 98 + [100.0, 200.0])
+        tol = 1e-6 * max(1.0, target)
+        expected = _outcome(_reference_calibrate_cte, x, target, tol)
+        assert _outcome(calibrate, "cte", x, target) == expected
+
+    def test_every_candidate_below_the_target(self):
+        # tail means 1.5 (k = 1) and then the sample maximum 2.0 is never a candidate
+        x = np.array([1.0, 2.0])
+        got = _outcome(calibrate, "cte", x, 1.9)
+        assert got == _outcome(_reference_calibrate_cte, x, 1.9, 1.9e-6)
+        assert got[0] is CteNotIdentifiableError and "the sample maximum" in got[1]

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homecyber.graph import AttackGraph, Edge, EnumerationSizeError, VulnNode
 from homecyber.losses import (
@@ -249,6 +251,40 @@ class TestSummarize:
         stats = summarize(x)
         for _, value in stats.quantiles:
             assert stats.minimum <= value <= stats.maximum
+
+    @staticmethod
+    def _bits(stats: SummaryStats) -> tuple[bytes, bytes]:
+        quantiles = np.array([value for _, value in stats.quantiles])
+        return quantiles.tobytes(), np.array([stats.minimum, stats.maximum]).tobytes()
+
+    @given(st.lists(st.one_of(st.just(0.0), st.sampled_from((1.0, 2.5, 1e6, -3.0)),
+                              st.floats(-1e9, 1e9, allow_nan=False).map(lambda v: v + 0.0)),
+                    min_size=1, max_size=80),
+           st.sampled_from((DEFAULT_QUANTILE_LEVELS, (0.5,), (0.01, 0.05, 0.1, 0.15, 0.5, 0.75))))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_bits_match_numpy(self, values, levels):
+        # the sorted-copy quantiles are np.quantile's bits, for ties, zeros,
+        # n = 1 and n = 2, on a strided column as well as a contiguous one
+        # (v + 0.0 turns -0.0 into 0.0; the next test takes signed zeros)
+        x = np.array(values)
+        expected = (np.quantile(x, levels).tobytes(), np.array([x.min(), x.max()]).tobytes())
+        assert self._bits(summarize(x, levels)) == expected
+        matrix = np.zeros((x.size, 3))
+        matrix[:, 1] = x
+        assert self._bits(summarize(matrix[:, 1], levels)) == expected
+
+    @given(st.lists(st.sampled_from((-0.0, 0.0, 1.0, 2.0)), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_signed_zeros(self, values):
+        # min and max are x.min() and x.max() bit for bit; a quantile that
+        # lands on a tie of -0.0 and 0.0 is either zero: np.quantile itself
+        # picks the sign its partition happens to leave at that index
+        x = np.array(values)
+        stats = summarize(x)
+        assert self._bits(stats)[1] == np.array([x.min(), x.max()]).tobytes()
+        quantiles = np.array([value for _, value in stats.quantiles])
+        expected = np.quantile(x, DEFAULT_QUANTILE_LEVELS)
+        assert (quantiles + 0.0).tobytes() == (expected + 0.0).tobytes()
 
     def test_unknown_level_lookup(self):
         stats = summarize([1.0, 2.0], levels=(0.5,))
