@@ -349,12 +349,13 @@ def state_cdf(graph: AttackGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndar
 def state_guide(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Guide table of ``cdf`` for indexed search (Chen and Asau 1974).
 
-    For K = 2^min(n + 5, 16) equal cells of [0, 1), ``cells[j]`` is the index
-    ``np.searchsorted(cdf, j / K, "right")``, and ``settled[j]`` says that
-    every uniform in [j / K, (j + 1) / K) inverts to that index.  K is a
-    power of two, so ``int(u * K)`` finds a uniform's cell exactly.
+    For K = 2^min(b + 5, 16) equal cells of [0, 1), 2^b the least power of
+    two >= ``cdf.size``, ``cells[j]`` is ``np.searchsorted(cdf, j / K,
+    "right")`` and ``settled[j]`` says that every uniform in [j / K, (j +
+    1) / K) inverts to that index.  K is a power of two, so ``int(u * K)``
+    finds a uniform's cell exactly.
     """
-    size = 1 << min(cdf.size.bit_length() + 4, 16)  # cdf.size is 2^n
+    size = 1 << min((cdf.size - 1).bit_length() + 5, 16)
     edges = np.arange(size + 1) / size
     cells = np.searchsorted(cdf, edges[:-1], side="right")
     settled = np.searchsorted(cdf, edges[1:], side="left") == cells
@@ -364,7 +365,7 @@ def state_guide(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sample_state_indices(
     cdf: np.ndarray, count: int, rng: np.random.Generator, guide: tuple | None = None
 ) -> np.ndarray:
-    """``count`` state indices, one uniform each, inverted through ``cdf``.
+    """``count`` indices into ``cdf``, one uniform each, inverted through it.
 
     Each row gets the first index whose cumulative probability exceeds its
     uniform, so a state of probability 0 is never drawn.  ``guide`` is

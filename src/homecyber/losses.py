@@ -5,10 +5,11 @@ per-trigger rates over exploited trigger nodes, and lognormal / gamma laws
 that fire when any trigger node is exploited.  When nothing fires the loss
 is degenerate at 0.  Closed-form moments and limited expected values back
 the simulation with exact oracles; they import scipy on first use, so the
-CLI never loads it.  Simulation reads lines through a ``LossPlan`` that
-works on state indices (bit k for the node at position k); the plan's
-severity draws come back as a line-loss matrix or as per-row totals, from
-one kernel and in one draw order.
+CLI never loads it.  Simulation reads lines through a ``LossPlan`` over
+the joint's support: rows are positions into its states, and each line
+has a table of where it fires (and, if exponential, of its rate) over them.
+The severity draws come back as a line-loss matrix or as per-row totals,
+from one kernel and in one draw order.
 """
 
 import math
@@ -187,60 +188,62 @@ def conditional_mean(
 class LossPlan:
     """What a loss block reads of a graph and its lines, built once per call.
 
-    ``cdf`` is the graph's ``state_cdf`` and ``guide`` its ``state_guide``
-    (at most 2^16 cells); ``lines`` are in ascending index order.  Line k
-    fires on state index ``i`` when ``i & masks[k]`` is not 0.  A rate sum
-    adds over trigger bits, so an exponential line's rate is ``low[i &
-    (2^half - 1)] + high[i >> half]`` for ``(low, high) = rate_tables[k]``
-    (at most 2^11 entries each); other lines have None.
+    ``states`` are the joint's support, ascending (bit k of a state index
+    for the node at position k): the only indices that inverting the full
+    ``state_cdf`` can return.  A block samples positions into
+    ``states`` through ``cdf``, which is ``state_cdf`` at ``states``, and its
+    ``state_guide`` ``guide``.  ``lines`` are in ascending index order; line
+    k fires at position p when ``fired[k][p]``, and an exponential line's
+    rate there is ``rates[k][p]`` (other lines have None).
     """
 
+    states: np.ndarray
     cdf: np.ndarray
     guide: tuple[np.ndarray, np.ndarray]
     lines: tuple[BusinessLine, ...]
-    masks: tuple[int, ...]
-    rate_tables: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
-    half: int
+    fired: tuple[np.ndarray, ...]
+    rates: tuple[np.ndarray | None, ...]
 
 
 def loss_plan(graph: AttackGraph, lines: Sequence[BusinessLine]) -> LossPlan:
     """The plan of ``lines`` on ``graph``; raises above the enumeration cap."""
-    cdf = state_cdf(graph)
+    states = np.flatnonzero(enumerate_joint(graph).probs)
+    cdf = state_cdf(graph)[states]
     half = (graph.n + 1) // 2
     ordered = tuple(sorted(lines, key=lambda ln: ln.index))
-    tables: list[tuple[np.ndarray, np.ndarray] | None] = []
+    fired, rates = [], []
     for line in ordered:
-        if not isinstance(line.model, RateSumExponential):
-            tables.append(None)
-            continue
-        low, high = np.zeros(1 << half), np.zeros(1 << (graph.n - half))
-        for nid, rate in line.model.rates:
-            pos = graph.position(nid)
-            table, bit = (low, pos) if pos < half else (high, pos - half)
-            # the entries whose index has this trigger's bit set
-            table.reshape(-1, 2, 1 << bit)[:, 1, :] += rate
-        tables.append((low, high))
-    masks = tuple(sum(1 << graph.position(nid) for nid in ln.trigger_set) for ln in ordered)
-    return LossPlan(cdf, state_guide(cdf), ordered, masks, tuple(tables), half)
+        fired.append((states & sum(1 << graph.position(nid) for nid in line.trigger_set)) > 0)
+        rates.append(None)
+        if isinstance(line.model, RateSumExponential):
+            # the rates of the low ``half`` bits and of the high bits each add
+            # up in id order, then the two sums add: stream layout 5 fixes
+            # this order, and with it the bits of every exponential draw
+            sums = np.zeros((2, states.size))
+            for nid, rate in line.model.rates:
+                pos = graph.position(nid)
+                sums[int(pos >= half), (states >> pos) & 1 == 1] += rate
+            rates[-1] = sums[0] + sums[1]
+    return LossPlan(states, cdf, state_guide(cdf), ordered, tuple(fired), tuple(rates))
 
 
 def _line_draws(
-    plan: LossPlan, indices: np.ndarray, rng: np.random.Generator
+    plan: LossPlan, positions: np.ndarray, rng: np.random.Generator
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """``(column, fired rows, severities)`` per line, in ascending line order.
 
-    Each line draws one severity vector holding a draw for each row where
-    it fired (any trigger exploited), in ascending row order.  This is the
-    one place that fixes the order of a block's severity draws.
+    Row r stands for state ``plan.states[positions[r]]``.  Each line draws
+    one severity vector holding a draw for each row where it fired (any
+    trigger exploited), in ascending row order.  This is the one place that
+    fixes the order of a block's severity draws.
     """
-    low_bits = (1 << plan.half) - 1
-    for col, (line, mask, tables) in enumerate(zip(plan.lines, plan.masks, plan.rate_tables)):
-        rows = np.flatnonzero((indices & mask) != 0)
+    for col, (line, fired, rates) in enumerate(zip(plan.lines, plan.fired, plan.rates)):
+        rows = np.flatnonzero(fired.take(positions))
         model = line.model
-        if tables is not None:
-            fired = indices[rows]
-            lam = tables[0][fired & low_bits] + tables[1][fired >> plan.half]
-            yield col, rows, rng.standard_exponential(rows.size) / lam
+        if rates is not None:
+            draws = rng.standard_exponential(rows.size)
+            draws /= rates.take(positions.take(rows))
+            yield col, rows, draws
         elif isinstance(model, TriggeredLognormal):
             yield col, rows, rng.lognormal(model.mu, model.sigma, rows.size)
         else:
@@ -248,31 +251,32 @@ def _line_draws(
 
 
 def sample_loss_matrix(
-    plan: LossPlan, indices: np.ndarray, rng: np.random.Generator
+    plan: LossPlan, positions: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Losses for a batch of state indices, shape ``(batch, len(plan.lines))``.
+    """Losses for a batch of positions into ``plan.states``, ``(batch, len(plan.lines))``.
 
     Rows where a line did not fire lose exactly 0.  How much a line consumes
     from ``rng`` depends on the states, but the result is still a pure
-    function of ``indices`` and the stream.
+    function of ``positions`` and the stream.
     """
-    out = np.zeros((indices.size, len(plan.lines)))
-    for col, rows, draws in _line_draws(plan, indices, rng):
+    out = np.zeros((positions.size, len(plan.lines)))
+    for col, rows, draws in _line_draws(plan, positions, rng):
         out[rows, col] = draws
     return out
 
 
 def sample_loss_totals(
-    plan: LossPlan, indices: np.ndarray, rng: np.random.Generator
+    plan: LossPlan, positions: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Per-row totals of ``sample_loss_matrix(plan, indices, rng)``, bit for bit.
+    """Per-row totals of ``sample_loss_matrix(plan, positions, rng)``, bit for bit.
 
     Same draws, added line by line in ascending line order without building
-    the matrix: a line that did not fire on a row would add exactly 0.0.
+    the matrix: a line that did not fire on a row would add exactly 0.0, and
+    a line's fired rows are distinct, so ``np.add.at`` adds each draw once.
     """
-    totals = np.zeros(indices.size)
-    for _, rows, draws in _line_draws(plan, indices, rng):
-        totals[rows] += draws
+    totals = np.zeros(positions.size)
+    for _, rows, draws in _line_draws(plan, positions, rng):
+        np.add.at(totals, rows, draws)
     return totals
 
 

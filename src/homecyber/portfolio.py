@@ -6,12 +6,13 @@ is one ``simulate.loss_block`` from the substream of its group index, and
 replication k is the (k mod G)-th N-row slice of group k // G; the last
 group is drawn whole, so replication k's claims do not depend on K.  A
 group's draws are summed straight into per-home annual losses.  All groups
-share one ``losses.LossPlan`` (the exact joint's CDF and guide table, and
-the lines' trigger masks), so the graph may have at most 22 nodes.  Groups
-are drawn through ``simulate.draw_blocks`` on up to ``workers`` threads;
-each writes only its own replications, so claims do not depend on the
-worker count.  The insurer's claim for a home is the retention transform
-applied to its annual loss.
+share one ``losses.LossPlan`` (the exact joint's support with its CDF and
+guide table, and per-line tables over it), so the graph may have at most
+22 nodes.  Groups are drawn through ``simulate.draw_blocks`` on up to
+``workers`` threads; each writes only its own replications, so claims do
+not depend on the worker count.  The insurer's claim for a home is the
+retention transform applied to its annual loss, for all policies in one
+pass over a group.
 Claims depend on the policy but not on the premium, so a single simulation
 prices any premium level, and evaluating several policies against the same
 draws (common random numbers) makes deductible comparisons monotone per
@@ -27,7 +28,7 @@ import numpy as np
 from . import streams
 from .graph import AttackGraph
 from .losses import BusinessLine, loss_plan, sample_loss_totals
-from .pricing import Policy, apply_retention
+from .pricing import Policy, retain
 from .simulate import (
     DEFAULT_QUANTILE_LEVELS,
     RUN_BLOCK,
@@ -96,6 +97,9 @@ def simulate_claims(
     plan = loss_plan(graph, lines)
     group = replication_group(n_homes)
     claims = np.zeros((len(policies), replications))
+    # (P, 1, 1): every policy's retention of a (G, N) block in one pass
+    deductibles = np.array([p.deductible for p in policies]).reshape(-1, 1, 1)
+    coverages = np.array([p.coverage for p in policies]).reshape(-1, 1, 1)
 
     def draw(g: int) -> None:
         lo, hi = g * group, min((g + 1) * group, replications)
@@ -103,9 +107,7 @@ def simulate_claims(
             plan, group * n_homes, master_seed, g, streams.REPLICATION_LANE,
             sample_loss_totals,
         ).reshape(group, n_homes)[: hi - lo]
-        retained = np.empty_like(totals)
-        for p, policy in enumerate(policies):
-            claims[p, lo:hi] = apply_retention(totals, policy, retained).sum(axis=1)
+        claims[:, lo:hi] = retain(totals, deductibles, coverages).sum(axis=2)
 
     draw_blocks(draw, -(-replications // group), workers)
     return claims

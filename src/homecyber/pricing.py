@@ -80,10 +80,15 @@ PrincipleParam = Expectation | StdDev | GMD | CTE
 FAMILIES = ("expectation", "stddev", "gmd", "cte")
 
 
-def apply_retention(loss, policy: Policy, out: np.ndarray | None = None):
-    """min((loss - d)_+, C); accepts scalars or arrays, and fills ``out`` if given."""
-    retained = np.subtract(np.atleast_1d(np.asarray(loss, float)), policy.deductible, out=out)
-    np.minimum(np.maximum(retained, 0.0, out=retained), policy.coverage, out=retained)
+def retain(loss: np.ndarray, deductible, coverage) -> np.ndarray:
+    """min((loss - d)_+, C) in a new array; d and C broadcast against ``loss``."""
+    retained = np.subtract(loss, deductible)
+    return np.minimum(np.maximum(retained, 0.0, out=retained), coverage, out=retained)
+
+
+def apply_retention(loss, policy: Policy):
+    """``retain`` under one policy; accepts scalars or arrays."""
+    retained = retain(np.atleast_1d(np.asarray(loss, float)), policy.deductible, policy.coverage)
     return float(retained[0]) if np.isscalar(loss) or np.ndim(loss) == 0 else retained
 
 

@@ -101,27 +101,15 @@ def parse_scenario(data, source: str = "<scenario>") -> Scenario:
     nodes = []
     for i, node_doc in enumerate(_require(graph_doc, "nodes", list, source)):
         where = f"{source}: graph.nodes[{i}]"
-        nodes.append(
-            VulnNode(
-                id=_require(node_doc, "id", int, where),
-                label=str(node_doc.get("label", "")),
-                entry_prob=(
-                    _number(node_doc["entry_prob"], "entry_prob", where)
-                    if node_doc.get("entry_prob") is not None
-                    else None
-                ),
-            )
-        )
+        nid = _require(node_doc, "id", int, where)
+        entry = node_doc.get("entry_prob")
+        entry = None if entry is None else _number(entry, "entry_prob", where)
+        nodes.append(VulnNode(nid, str(node_doc.get("label", "")), entry))
     edges = []
     for i, edge_doc in enumerate(_require(graph_doc, "edges", list, source)):
         where = f"{source}: graph.edges[{i}]"
-        edges.append(
-            Edge(
-                src=_require(edge_doc, "src", int, where),
-                dst=_require(edge_doc, "dst", int, where),
-                cond_prob=_require_number(edge_doc, "cond_prob", where),
-            )
-        )
+        src, dst = (_require(edge_doc, key, int, where) for key in ("src", "dst"))
+        edges.append(Edge(src, dst, _require_number(edge_doc, "cond_prob", where)))
     graph = AttackGraph(nodes, edges)
     report = validate_graph(graph)
     if not report.ok:
@@ -150,14 +138,7 @@ def parse_scenario(data, source: str = "<scenario>") -> Scenario:
                 raise ScenarioError(f"{where}: trigger node {nid} not in graph")
         try:
             model = _parse_model(_require(line_doc, "model", dict, where), where)
-            lines.append(
-                BusinessLine(
-                    index=index,
-                    name=name,
-                    trigger_set=frozenset(triggers),
-                    model=model,
-                )
-            )
+            lines.append(BusinessLine(index, name, frozenset(triggers), model))
         except ScenarioError:
             raise
         except ValueError as exc:

@@ -70,26 +70,28 @@ def loss_block(
 ) -> np.ndarray:
     """``kernel``'s losses for ``rows`` homes drawn under ``plan``.
 
-    All draws come from the substream (master_seed, index, lane): the
-    rows' state indices first, then the fired rows' severities of each line
-    in ascending line index order.  ``kernel`` is ``sample_loss_matrix``
-    for the ``(rows, len(plan.lines))`` line losses, or
-    ``sample_loss_totals`` for the same draws as row totals, ``(rows,)``.
+    All draws come from the substream (master_seed, index, lane): the rows'
+    positions into ``plan.states`` first, then the fired rows' severities
+    of each line in ascending line index order.  ``kernel`` is
+    ``sample_loss_matrix`` for the ``(rows, len(plan.lines))`` line losses,
+    or ``sample_loss_totals`` for the same draws as row totals, ``(rows,)``.
     """
     rng = streams.substream(master_seed, index, lane=lane)
-    indices = sample_state_indices(plan.cdf, rows, rng, plan.guide)
-    return kernel(plan, indices, rng)
+    positions = sample_state_indices(plan.cdf, rows, rng, plan.guide)
+    return kernel(plan, positions, rng)
 
 
 def thread_count(workers: int, blocks: int, cpus: int | None = None) -> int:
     """Threads that draw ``blocks`` blocks: min(workers, blocks, cpus), at least 1.
 
-    ``cpus`` is ``os.cpu_count()`` when None.
+    ``cpus`` is the number of CPUs this process may run on when None: its
+    affinity mask where the platform has one, else ``os.cpu_count()``.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if cpus is None:
-        cpus = os.cpu_count() or 1
+        affinity = getattr(os, "sched_getaffinity", None)
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     return max(1, min(workers, blocks, cpus))
 
 

@@ -424,15 +424,15 @@ class FixedUniforms:
 
 
 def assert_guided_inversion_exact(cdf: np.ndarray) -> None:
-    """The guide has min(2^(n+5), 2^16) cells and inverts like a plain search.
+    """The guide has min(2^(b+5), 2^16) cells and inverts like a plain search.
 
-    The uniforms are the adversarial ones: 0, every cell edge and the double
-    just below it, every CDF value and both its neighbours, and the largest
-    double below 1.
+    2^b is the least power of two >= cdf.size.  The uniforms are the
+    adversarial ones: 0, every cell edge and the double just below it, every
+    CDF value and both its neighbours, and the largest double below 1.
     """
-    n = cdf.size.bit_length() - 1
+    b = math.ceil(math.log2(cdf.size))
     cells, settled = state_guide(cdf)
-    size = min(2 ** (n + 5), 2**16)
+    size = min(2 ** (b + 5), 2**16)
     assert cells.shape == settled.shape == (size,)
     # a cell falls back to the search exactly when a CDF value lies strictly
     # inside it (scaling by a power of two is exact)
@@ -457,6 +457,15 @@ def assert_guided_inversion_exact(cdf: np.ndarray) -> None:
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_guided_inversion_equals_search(graph):
     assert_guided_inversion_exact(state_cdf(graph))
+
+
+@given(shuffled_dag_graphs(max_nodes=8))
+@example(AttackGraph([VulnNode(1, entry_prob=1.0), VulnNode(2, entry_prob=0.5)], []))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_guided_inversion_on_the_support(graph):
+    # a loss plan samples positions into the joint's support through this CDF
+    support = np.flatnonzero(enumerate_joint(graph).probs)
+    assert_guided_inversion_exact(state_cdf(graph)[support])
 
 
 def test_guided_inversion_equals_search_on_seventeen_nodes():

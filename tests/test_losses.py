@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from homecyber.graph import (
     enumerate_joint,
     marginal_exploit_probs,
     sample_state_indices,
+    state_cdf,
 )
 from homecyber.losses import (
     BusinessLine,
@@ -37,9 +39,11 @@ from homecyber.losses import (
     limited_expected_value_of,
     loss_plan,
     sample_loss_matrix,
+    sample_loss_totals,
 )
 from homecyber.simulate import loss_block
 from homecyber.streams import RUN_LANE, substream
+from reference_kernel import reference_loss_matrix, reference_loss_totals
 
 
 def state_with(case_graph, *exploited):
@@ -112,18 +116,29 @@ class TestConditionalMean:
 
 
 def tiled_losses(case_graph, case_lines, state, seed, rows=100_000):
-    """Loss matrix for ``rows`` copies of one fixed state."""
+    """Loss matrix for ``rows`` copies of one fixed state, of any probability.
+
+    The plan is narrowed to that one state, with its tables taken from
+    ``conditional_distribution``, so every row is position 0.
+    """
     rng = np.random.default_rng(seed)
-    index = enumerate_joint(case_graph).state_index(state)
     plan = loss_plan(case_graph, case_lines)
-    return sample_loss_matrix(plan, np.full(rows, index), rng)
+    dists = [conditional_distribution(line, state, case_graph) for line in plan.lines]
+    plan = replace(
+        plan,
+        states=np.array([enumerate_joint(case_graph).state_index(state)]),
+        fired=tuple(np.array([not isinstance(d, DegenerateZero)]) for d in dists),
+        rates=tuple(None if r is None else np.array([getattr(d, "rate", 0.0)])
+                    for r, d in zip(plan.rates, dists)),
+    )
+    return sample_loss_matrix(plan, np.zeros(rows, dtype=np.intp), rng)
 
 
 def sampled_losses(graph, lines, rows, rng):
     """State indices drawn from the joint and the loss matrix drawn on them."""
     plan = loss_plan(graph, lines)
-    indices = sample_state_indices(plan.cdf, rows, rng)
-    return indices, sample_loss_matrix(plan, indices, rng)
+    positions = sample_state_indices(plan.cdf, rows, rng, plan.guide)
+    return plan.states[positions], sample_loss_matrix(plan, positions, rng)
 
 
 class TestSampleLoss:
@@ -275,23 +290,53 @@ class TestLossBlockOnRandomGraphs:
 class TestLossPlan:
     @given(graphs_with_lines())
     @settings(max_examples=40, deadline=None, derandomize=True)
-    def test_masks_and_rate_tables_match_conditional_distribution(self, case):
+    def test_fired_and_rates_match_conditional_distribution(self, case):
         graph, lines = case
         plan = loss_plan(graph, lines)
         assert [line.index for line in plan.lines] == sorted(line.index for line in lines)
         joint = enumerate_joint(graph)
-        for index in range(1 << graph.n):
+        assert np.array_equal(plan.states, np.flatnonzero(joint.probs))
+        assert np.array_equal(plan.cdf, state_cdf(graph)[plan.states])
+        for line, fired, rates in zip(plan.lines, plan.fired, plan.rates):
+            assert fired.dtype == bool and fired.shape == plan.states.shape
+            assert (rates is None) == (not isinstance(line.model, RateSumExponential))
+            assert rates is None or rates.shape == plan.states.shape
+        for pos, index in enumerate(plan.states.tolist()):
             state = joint.state_of(index)
-            for line, mask, tables in zip(plan.lines, plan.masks, plan.rate_tables):
+            for line, fired, rates in zip(plan.lines, plan.fired, plan.rates):
                 dist = conditional_distribution(line, state, graph)
-                assert bool(index & mask) == (not isinstance(dist, DegenerateZero))
-                if tables is None:
-                    continue
-                low, high = tables
-                assert max(low.size, high.size) <= 1 << 11
-                rate = low[index & (1 << plan.half) - 1] + high[index >> plan.half]
-                expected = dist.rate if index & mask else 0.0
-                assert rate == pytest.approx(expected, rel=1e-14, abs=0.0)
+                assert fired[pos] == (not isinstance(dist, DegenerateZero))
+                if rates is not None:
+                    expected = dist.rate if fired[pos] else 0.0
+                    assert rates[pos] == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def assert_kernels_match_reference(graph, lines, rows, seed):
+    """Both kernels give the state-index kernel's bits for the same uniforms."""
+    plan = loss_plan(graph, lines)
+    positions = sample_state_indices(plan.cdf, rows, np.random.default_rng(seed), plan.guide)
+    # the full CDF inverts the same uniforms to the states at those positions
+    indices = sample_state_indices(state_cdf(graph), rows, np.random.default_rng(seed))
+    assert np.array_equal(plan.states[positions], indices)
+    for kernel, reference in (
+        (sample_loss_matrix, reference_loss_matrix),
+        (sample_loss_totals, reference_loss_totals),
+    ):
+        ours = kernel(plan, positions, np.random.default_rng(seed + 1))
+        theirs = reference(graph, lines, indices, np.random.default_rng(seed + 1))
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
+
+
+class TestKernelMatchesReference:
+    @given(graphs_with_lines(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_graphs(self, case, seed):
+        graph, lines = case
+        assert_kernels_match_reference(graph, lines, 2000, seed)
+
+    def test_bundled_scenario(self, case_graph, case_lines):
+        assert_kernels_match_reference(case_graph, case_lines, 50_000, 12)
 
 
 class TestFiredOnlySeverities:

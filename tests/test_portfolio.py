@@ -190,6 +190,35 @@ class TestReplicationGroups:
             assert np.array_equal(threaded, serial)
 
 
+class TestOneRetentionPass:
+    # unsorted deductibles, a zero deductible and unlimited cover; the
+    # replication counts leave the last group partial, except at 20 000
+    # homes, where a group is one replication
+    POLICIES = [
+        Policy(1000.0, 50_000.0),
+        Policy(0.0, math.inf),
+        Policy(250.0, 500.0),
+        Policy(0.0, 2_000.0),
+        Policy(5_000.0, math.inf),
+    ]
+
+    @pytest.mark.parametrize(
+        "n_homes, replications",
+        [(1, RUN_BLOCK + 5), (7, 2 * (RUN_BLOCK // 7) + 3), (500, 70), (20_000, 3)],
+        ids=["1-home", "7-homes", "500-homes", "20000-homes"],
+    )
+    def test_policies_together_equal_one_call_each(
+        self, case_graph, case_lines, n_homes, replications
+    ):
+        together = simulate_claims(case_graph, case_lines, n_homes, replications,
+                                   self.POLICIES, master_seed=43)
+        assert together.shape == (len(self.POLICIES), replications)
+        for p, policy in enumerate(self.POLICIES):
+            alone = simulate_claims(case_graph, case_lines, n_homes, replications,
+                                    [policy], master_seed=43)
+            assert alone.tobytes() == together[p:p + 1].tobytes()
+
+
 class TestSummary:
     def test_constant_claims_zero_sd(self, case_lines):
         nodes = [

@@ -146,7 +146,17 @@ class TestThreads:
         assert thread_count(workers, blocks, cpus) == expected
 
     def test_thread_count_defaults_to_cpu_count(self):
-        assert thread_count(10**9, 10**9) == max(1, os.cpu_count() or 1)
+        usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        expected = len(usable) if usable else os.cpu_count() or 1
+        assert thread_count(10**9, 10**9) == expected
+
+    def test_thread_count_follows_the_affinity_mask(self, monkeypatch):
+        # two CPUs usable on a 64-CPU host: never more than two threads
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert thread_count(8, 100) == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert thread_count(8, 100) == 8
 
     @pytest.mark.parametrize("workers", [0, -5])
     def test_workers_below_one_rejected(self, workers):
