@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__, pricing, reports, search
 from .graph import check_enumerable, enumerate_joint
-from .portfolio import PortfolioSpec, simulate_portfolio
+from .portfolio import simulate_claims
 from .pricing import CTE, CalibrationError, Expectation, GMD, Policy, StdDev
 from .scenario import RunManifest, Scenario, load_scenario, scenario_digest, write_manifest
 from .simulate import run_simulation
@@ -129,10 +129,11 @@ def _line_samples(scenario, args):
     for given, needed in (("deductible", "coverage"), ("coverage", "deductible")):
         if getattr(args, given) is not None and getattr(args, needed) is None:
             raise SystemExit(f"error: --{given} requires --{needed}")
+    # the policy is built before simulating, so a bad deductible fails fast
+    policy = None if args.deductible is None else Policy(args.deductible, args.coverage)
     result = run_simulation(scenario.graph, scenario.lines, args.runs, args.seed, args.workers)
-    if args.deductible is None:
+    if policy is None:
         return result, result.line_losses
-    policy = Policy(args.deductible, args.coverage)
     return result, pricing.apply_retention(result.line_losses, policy)
 
 
@@ -204,14 +205,11 @@ def _calibrate(scenario, args) -> None:
           *_flags(float, "--premium", required=True, help="total premium per home"),
           *_flags(float, "--deductible", "--coverage", required=True), *PORTFOLIO_SIZES)
 def _portfolio(scenario, args) -> None:
-    spec = PortfolioSpec(
-        n_homes=args.homes,
-        policy=Policy(args.deductible, args.coverage),
-        premium_per_home=args.premium,
-        replications=args.replications,
-    )
-    result = simulate_portfolio(scenario.graph, scenario.lines, spec, args.seed, args.workers)
-    _write(scenario, args, reports.portfolio_tables([("portfolio", result)]))
+    policy = Policy(args.deductible, args.coverage)
+    pricing.check_premium("premium_per_home", args.premium)
+    claims = simulate_claims(scenario.graph, scenario.lines, args.homes, args.replications,
+                             [policy], args.seed, args.workers)[0]
+    _write(scenario, args, reports.portfolio_tables(claims, args.homes * args.premium))
 
 
 @_command("search-deductible", "smallest feasible deductible on a grid", ("search.csv",),

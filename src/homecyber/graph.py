@@ -327,13 +327,6 @@ def _enumerate(graph: AttackGraph) -> JointDistribution:
     return joint
 
 
-def marginal_exploit_probs(
-    graph: AttackGraph, cap: int = DEFAULT_ENUMERATION_CAP
-) -> np.ndarray:
-    """Exact per-node exploitation probabilities, aligned with ``graph.nodes``."""
-    return enumerate_joint(graph, cap=cap).marginals()
-
-
 def state_cdf(graph: AttackGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """The exact joint's running sum over state indices, ending at exactly 1.0.
 

@@ -178,12 +178,6 @@ def conditional_distribution(
     return Gamma(model.alpha, model.beta)
 
 
-def conditional_mean(
-    line: BusinessLine, state: Sequence[bool] | StateVector, graph: AttackGraph
-) -> float:
-    return conditional_distribution(line, state, graph).mean()
-
-
 @dataclass(frozen=True)
 class LossPlan:
     """What a loss block reads of a graph and its lines, built once per call.
@@ -355,14 +349,3 @@ def limited_expected_value_of(dist: Distribution, d: float, c: float) -> float:
     return _gamma_limited(dist.alpha, dist.beta, d + c) - _gamma_limited(
         dist.alpha, dist.beta, d
     )
-
-
-def limited_expected_value(
-    line: BusinessLine,
-    state: Sequence[bool] | StateVector,
-    d: float,
-    c: float,
-    graph: AttackGraph,
-) -> float:
-    """E[min((loss - d)_+, c)] under the state-conditional law."""
-    return limited_expected_value_of(conditional_distribution(line, state, graph), d, c)

@@ -19,8 +19,6 @@ draws (common random numbers) makes deductible comparisons monotone per
 replication.
 """
 
-import math
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -29,41 +27,7 @@ from . import streams
 from .graph import AttackGraph
 from .losses import BusinessLine, loss_plan, sample_loss_totals
 from .pricing import Policy, retain
-from .simulate import (
-    DEFAULT_QUANTILE_LEVELS,
-    RUN_BLOCK,
-    SummaryStats,
-    draw_blocks,
-    loss_block,
-    summarize,
-)
-
-
-@dataclass(frozen=True)
-class PortfolioSpec:
-    n_homes: int
-    policy: Policy
-    premium_per_home: float
-    replications: int
-
-    def __post_init__(self):
-        if self.n_homes < 1:
-            raise ValueError(f"n_homes must be >= 1, got {self.n_homes}")
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if not (math.isfinite(self.premium_per_home) and self.premium_per_home > 0.0):
-            raise ValueError(
-                f"premium_per_home must be finite and > 0, got {self.premium_per_home}"
-            )
-
-
-@dataclass(frozen=True)
-class PortfolioResult:
-    claim: np.ndarray
-    profit: np.ndarray
-    lr: np.ndarray
-    spec: PortfolioSpec
-    master_seed: int
+from .simulate import RUN_BLOCK, draw_blocks, loss_block
 
 
 def replication_group(n_homes: int) -> int:
@@ -111,60 +75,3 @@ def simulate_claims(
 
     draw_blocks(draw, -(-replications // group), workers)
     return claims
-
-
-def result_from_claims(
-    claims: np.ndarray, spec: PortfolioSpec, master_seed: int
-) -> PortfolioResult:
-    """Derive profit and LR vectors from claim samples (exact identities)."""
-    claims = np.array(claims, dtype=float)
-    total_premium = spec.n_homes * spec.premium_per_home
-    profit = total_premium - claims
-    lr = claims / total_premium
-    for arr in (claims, profit, lr):
-        arr.flags.writeable = False
-    return PortfolioResult(
-        claim=claims, profit=profit, lr=lr, spec=spec, master_seed=master_seed
-    )
-
-
-def simulate_portfolio(
-    graph: AttackGraph,
-    lines: Sequence[BusinessLine],
-    spec: PortfolioSpec,
-    master_seed: int,
-    workers: int = 1,
-) -> PortfolioResult:
-    """Claim, profit, and loss-ratio samples across spec.replications."""
-    claims = simulate_claims(
-        graph, lines, spec.n_homes, spec.replications, [spec.policy], master_seed, workers
-    )[0]
-    return result_from_claims(claims, spec, master_seed)
-
-
-@dataclass(frozen=True)
-class PortfolioSummary:
-    claim: SummaryStats
-    profit: SummaryStats
-    lr: SummaryStats
-
-
-def profit_summary(result: PortfolioResult, levels) -> SummaryStats:
-    """Profit statistics; the SD comes from the unshifted claim samples.
-
-    SD is translation-invariant, so computing it before the premium shift
-    keeps the reported value identical across premium levels instead of
-    merely equal up to the last ulp.
-    """
-    stats = summarize(result.profit, levels)
-    claim_sd = float(np.std(result.claim, ddof=1)) if result.claim.size > 1 else 0.0
-    return replace(stats, sd=claim_sd)
-
-
-def portfolio_summary(result: PortfolioResult, levels=DEFAULT_QUANTILE_LEVELS) -> PortfolioSummary:
-    """Summary statistics for claim, profit, and LR with one shared level set."""
-    return PortfolioSummary(
-        claim=summarize(result.claim, levels),
-        profit=profit_summary(result, levels),
-        lr=summarize(result.lr, levels),
-    )

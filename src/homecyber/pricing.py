@@ -164,6 +164,12 @@ def premium(samples: Sequence[float] | np.ndarray, param: PrincipleParam) -> flo
     return premiums(samples, (param,))[0]
 
 
+def check_premium(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless the premium ``value`` is finite and > 0."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 def check_target_premium(target_premium: float) -> None:
     """Raise ValueError unless ``target_premium`` is finite and >= 0."""
     if not (math.isfinite(target_premium) and target_premium >= 0.0):

@@ -5,14 +5,13 @@ terminator, and floats printed with their shortest round-trip representation
 (Python repr), so every numeric cell re-parses to the identical double.
 """
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Sequence, TextIO
 
 import numpy as np
 
 from .graph import AttackGraph, JointDistribution
-from .portfolio import PortfolioResult, profit_summary
 from .search import ProposalRow
 from .simulate import SimulationResult, SummaryStats, summarize
 
@@ -43,7 +42,7 @@ def _format_cell(value) -> str:
         text = ""
     else:
         text = str(value)
-        if "," in text or "\n" in text:
+        if any(ch in text for ch in ",\n\r"):
             raise ValueError(f"cell {text!r} would break the CSV layout")
     return text
 
@@ -93,19 +92,19 @@ def premium_table(
     return Table(header=("Line", *principles), rows=tuple(rows))
 
 
-def portfolio_tables(
-    results: Sequence[tuple[str, PortfolioResult]]
-) -> tuple[Table, Table]:
-    """Profit block and LR block in the two-block portfolio layout."""
-    profit_rows = []
-    lr_rows = []
-    for label, result in results:
-        profit_rows.append((f"{label} Profit", *_stat_row(profit_summary(result, PROFIT_LEVELS))))
-        lr_rows.append((f"{label} LR", *_stat_row(summarize(result.lr, LR_LEVELS))))
-    return (
-        Table(header=PROFIT_HEADER, rows=tuple(profit_rows)),
-        Table(header=LR_HEADER, rows=tuple(lr_rows)),
-    )
+def portfolio_tables(claims: np.ndarray, income: float) -> tuple[Table, Table]:
+    """The portfolio report's Profit block and LR block for one claims sample.
+
+    Profit is ``income - claims`` and LR is ``claims / income``.  The profit
+    SD comes from the unshifted claims: SD is translation-invariant, so this
+    keeps it the same bits at every premium level, not merely equal up to the
+    last ulp.
+    """
+    profit = summarize(income - claims, PROFIT_LEVELS)
+    claim_sd = float(np.std(claims, ddof=1)) if claims.size > 1 else 0.0
+    profit_row = ("portfolio Profit", *_stat_row(replace(profit, sd=claim_sd)))
+    lr_row = ("portfolio LR", *_stat_row(summarize(claims / income, LR_LEVELS)))
+    return Table(header=PROFIT_HEADER, rows=(profit_row,)), Table(header=LR_HEADER, rows=(lr_row,))
 
 
 def proposal_table(rows: Sequence[ProposalRow]) -> Table:

@@ -104,7 +104,14 @@ def parse_scenario(data, source: str = "<scenario>") -> Scenario:
         nid = _require(node_doc, "id", int, where)
         entry = node_doc.get("entry_prob")
         entry = None if entry is None else _number(entry, "entry_prob", where)
-        nodes.append(VulnNode(nid, str(node_doc.get("label", "")), entry))
+        label = node_doc.get("label", "")
+        # labels are marginals.csv cells, which the CSV layout cannot quote
+        if not isinstance(label, str) or any(ch in label for ch in ",\n\r"):
+            raise ScenarioError(
+                f"{where}: field 'label' must be a string without ',' or line breaks, "
+                f"got {label!r}"
+            )
+        nodes.append(VulnNode(nid, label, entry))
     edges = []
     for i, edge_doc in enumerate(_require(graph_doc, "edges", list, source)):
         where = f"{source}: graph.edges[{i}]"

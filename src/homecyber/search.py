@@ -15,7 +15,7 @@ import numpy as np
 from .graph import AttackGraph
 from .losses import BusinessLine
 from .portfolio import simulate_claims
-from .pricing import Policy
+from .pricing import Policy, check_premium
 
 
 class DegenerateClaimsError(ValueError):
@@ -76,7 +76,6 @@ def deductible_grid(grid: Sequence[float]) -> tuple[float, ...]:
 class DeductibleSearchResult:
     grid: tuple[float, ...]
     statistics: tuple[float, ...]
-    mean_claims: tuple[float, ...]
     feasible: tuple[bool, ...]
     chosen: float | None
 
@@ -100,15 +99,13 @@ def search_deductible(
     the grid; the chosen value is its boundary (None when nothing qualifies).
     """
     grid = deductible_grid(grid)
-    if not (math.isfinite(premiums_total) and premiums_total > 0.0):
-        raise ValueError(f"premiums_total must be finite and > 0, got {premiums_total}")
+    check_premium("premiums_total", premiums_total)
     policies = [Policy(d, coverage) for d in grid]
     claims = simulate_claims(graph, lines, n_homes, replications, policies, master_seed, workers)
     stats, first = _first_feasible(claims, n_homes * premiums_total, strategy)
     return DeductibleSearchResult(
         grid=grid,
         statistics=stats,
-        mean_claims=tuple(float(c.mean()) for c in claims),
         feasible=tuple(s <= strategy.target for s in stats),
         chosen=None if first is None else grid[first],
     )
@@ -184,12 +181,11 @@ def report_proposals(
     """
     grid = deductible_grid(grid)
     for name, total in premiums:
-        if not (math.isfinite(total) and total > 0.0):
-            raise ValueError(f"premium for {name} must be finite and > 0, got {total}")
+        check_premium(f"premium for {name}", total)
     strategies = (MeanLR(mean_target), QuantileLR(quantile_level, quantile_target))
     policies = [Policy(d, coverage) for d in grid]
     claims = simulate_claims(graph, lines, n_homes, replications, policies, master_seed, workers)
-    mean_claims = claims.mean(axis=1)
+    claim_means = claims.mean(axis=1)
     rows = []
     for name, total in premiums:
         denom = n_homes * total
@@ -199,6 +195,6 @@ def report_proposals(
             if chosen_idx is None:
                 picks.append((None, None))
             else:
-                picks.append((grid[chosen_idx], denom - float(mean_claims[chosen_idx])))
+                picks.append((grid[chosen_idx], denom - float(claim_means[chosen_idx])))
         rows.append(ProposalRow(name, total, coverage, *picks[0], *picks[1]))
     return tuple(rows)

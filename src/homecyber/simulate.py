@@ -36,12 +36,11 @@ DEFAULT_QUANTILE_LEVELS = (0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.995, 0.999)
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Per-run line losses (R x M) and their row sums, plus the seed record."""
+    """Per-run line losses (R x M) and their row sums."""
 
     line_losses: np.ndarray
     total_losses: np.ndarray
     run_count: int
-    master_seed: int
     line_indices: tuple[int, ...]
 
 
@@ -171,7 +170,6 @@ def run_simulation(
         line_losses=line_losses,
         total_losses=total,
         run_count=runs,
-        master_seed=master_seed,
         line_indices=tuple(line.index for line in plan.lines),
     )
 

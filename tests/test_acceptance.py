@@ -9,7 +9,7 @@ import pytest
 
 from conftest import all_states, lev_quadrature, recursive_joint_prob
 from homecyber.cli import cli_dispatch
-from homecyber.graph import enumerate_joint, marginal_exploit_probs
+from homecyber.graph import enumerate_joint
 from homecyber.losses import (
     Exponential,
     Gamma,
@@ -27,6 +27,7 @@ from homecyber.pricing import (
     premium,
 )
 from homecyber.portfolio import simulate_claims
+from homecyber.reports import portfolio_tables
 from homecyber.scenario import bundled_case_study_path, load_scenario
 from homecyber.search import MeanLR, QuantileLR, premium_for_claims
 from homecyber.simulate import run_simulation
@@ -131,7 +132,7 @@ def test_criterion_01_exact_state_probabilities(scenario):
 
 
 def test_criterion_02_exact_marginals(scenario):
-    marginals = marginal_exploit_probs(scenario.graph)
+    marginals = enumerate_joint(scenario.graph).marginals()
     graph = scenario.graph
     brute = {nid: 0.0 for nid in (3, 5, 7)}
     for states in all_states(graph.n):
@@ -265,22 +266,15 @@ def test_criterion_07_calibration_round_trip(scenario, pooled_sim):
 
 
 def test_criterion_08_portfolio_reproduction(crn_grid_claims):
-    from homecyber.portfolio import PortfolioSpec, portfolio_summary, result_from_claims
-
     claims = crn_grid_claims[201][GRID.index(1000.0)]
-    results = {
-        prem: result_from_claims(
-            claims,
-            PortfolioSpec(500, BASE_POLICY, prem, claims.size),
-            master_seed=201,
-        )
-        for _, prem in PREMIUMS
-    }
-    mean_lr = float(results[418.0].lr.mean())
-    mean_profit = float(results[418.0].profit.mean())
-    sds = {
-        prem: portfolio_summary(res).profit.sd for prem, res in results.items()
-    }
+    rows = {}
+    for _, prem in PREMIUMS:
+        profit, lr = portfolio_tables(claims, 500 * prem)
+        rows[prem] = (dict(zip(profit.header, profit.rows[0])),
+                      dict(zip(lr.header, lr.rows[0])))
+    mean_lr = rows[418.0][1]["Mean"]
+    mean_profit = rows[418.0][0]["Mean"]
+    sds = {prem: profit["SD"] for prem, (profit, _) in rows.items()}
     ok = (
         0.05 <= mean_lr <= 0.09
         and abs(mean_profit - 195_089.0) / 195_089.0 <= 0.05

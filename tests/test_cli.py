@@ -12,7 +12,7 @@ import pytest
 
 import homecyber
 from conftest import joint_csv_reference
-from homecyber.cli import _build_parser, cli_dispatch
+from homecyber.cli import COMMANDS, _build_parser, cli_dispatch
 from homecyber.graph import enumerate_joint
 from homecyber.reports import marginals_table, render_csv
 from homecyber.scenario import bundled_case_study_path, load_scenario
@@ -232,6 +232,21 @@ class TestEnumerate:
         for name, digest in golden.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("label", ["CVE-1, router", "CVE-1\nrouter", "CVE-1\rrouter", 12.5])
+    def test_label_outside_csv_layout_writes_nothing(self, label, tmp_path, capsys):
+        doc = json.loads(bundled_case_study_path().read_text())
+        doc["graph"]["nodes"][2]["label"] = label
+        path = tmp_path / "label.json"
+        path.write_text(json.dumps(doc))
+        assert run("validate", "--scenario", str(path)) == 1
+        captured = capsys.readouterr()
+        assert "graph.nodes[2]: field 'label'" in captured.err
+        assert "scenario OK" not in captured.out
+        out = tmp_path / "out"
+        assert run("enumerate", "--scenario", str(path), "--out", str(out)) == 1
+        assert "graph.nodes[2]: field 'label'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_closed_stdout_exits_quietly(self, tmp_path):
         # the chain's joint.csv is about 5 MB, far more than a pipe holds, so
         # the command is still writing when the reader closes its end
@@ -279,6 +294,11 @@ def test_golden_simulation_output(tmp_path):
          "ddb093d5b78aaba5c34b96ba764c6c6701447d19325169b5229bff2b66446daf",
          ["portfolio", "--premium", "418", "--deductible", "1000", "--coverage", "50000",
           "--homes", "300", "--replications", "60", "--seed", "12"]),
+        # one replication: the size-1 branch that reports SD 0
+        ("portfolio.csv",
+         "8417b60b2dc53f68ac42637d938f4c5da8e488a9af167eddcae20a275789c825",
+         ["portfolio", "--premium", "418", "--deductible", "1000", "--coverage", "50000",
+          "--homes", "300", "--replications", "1", "--seed", "12"]),
         ("search.csv",
          "b4129fe99e1bde6c1b3ac882373a838b57b98525aff7c7a28f8e3cba913311e2",
          ["search-deductible", "--premium", "418", "--coverage", "50000",
@@ -620,6 +640,28 @@ class TestRejectedInputs:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("base", ["price", "calibrate"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--deductible", "nan", "deductible must be finite and >= 0, got nan"),
+         ("--deductible", "-1", "deductible must be finite and >= 0, got -1.0"),
+         ("--coverage", "0", "coverage must be > 0, got 0.0")],
+        ids=["deductible-nan", "deductible-negative", "coverage-zero"],
+    )
+    def test_retention_checked_before_simulating(self, base, flag, value, message,
+                                                 monkeypatch, tmp_path, capsys):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("run_simulation called")
+
+        monkeypatch.setattr("homecyber.cli.run_simulation", no_simulation)
+        argv = {"price": self.PRICE, "calibrate": self.CALIBRATE}[base]
+        argv = [*argv, "--deductible", "1000", "--coverage", "50000"]
+        argv = self.replaced(argv, flag, value)
+        out = tmp_path / "out"
+        assert run(argv[0], "--scenario", CASE, *argv[1:], "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_propose_grid_must_ascend(self, capsys):
         argv = ["propose", "--premiums", "418", "--coverage", "50000", *self.SIZES]
         assert run(argv[0], "--scenario", CASE, *argv[1:], "--grid", "1000,500,100") == 1
@@ -717,13 +759,34 @@ class TestOutputPath:
 
 
 def test_cli_never_imports_scipy():
-    # a fresh interpreter, so no other test's import can hide one
+    # a fresh interpreter, so no other test's import can hide one; every
+    # command runs in it, at small sizes
     src = str(Path(homecyber.__file__).parent.parent)
+    sizes = ["--homes", "20", "--replications", "30", "--seed", "1"]
+    commands = [
+        ["validate"],
+        ["enumerate"],
+        ["simulate", "--runs", "100", "--seed", "1"],
+        ["price", "--runs", "100", "--seed", "1", "--theta-expectation", "0.5",
+         "--theta-stddev", "0.03", "--theta-gmd", "0.25", "--beta-cte", "0.9",
+         "--deductible", "100", "--coverage", "5000"],
+        ["calibrate", "--runs", "100", "--seed", "1", "--line", "4", "--target", "28"],
+        ["portfolio", "--premium", "418", "--deductible", "1000", "--coverage", "50000",
+         *sizes],
+        ["search-deductible", "--premium", "418", "--coverage", "50000",
+         "--grid", "100,1000", "--strategy", "quantile", "--lr-target", "0.4", *sizes],
+        ["solve-premium", "--deductible", "1000", "--coverage", "50000",
+         "--strategy", "mean", "--lr-target", "0.4", *sizes],
+        ["propose", "--premiums", "418,307", "--coverage", "50000", "--grid", "100,1000",
+         *sizes],
+    ]
+    assert [argv[0] for argv in commands] == list(COMMANDS)
     code = (
-        "import sys; from homecyber.cli import cli_dispatch; "
-        f"assert cli_dispatch(['validate', '--scenario', {CASE!r}]) == 0; "
-        f"assert cli_dispatch(['simulate', '--scenario', {CASE!r}, "
-        "'--runs', '100', '--seed', '1']) == 0; "
+        "import io, sys, contextlib; from homecyber.cli import cli_dispatch\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        code = cli_dispatch([argv[0], '--scenario', {CASE!r}, *argv[1:]])\n"
+        "    assert code == 0, argv\n"
         "print('scipy' in sys.modules)"
     )
     done = subprocess.run(

@@ -24,7 +24,6 @@ from homecyber.graph import (
     JointDistribution,
     VulnNode,
     enumerate_joint,
-    marginal_exploit_probs,
     sample_state_indices,
     state_cdf,
     state_guide,
@@ -140,24 +139,24 @@ class TestConditionalExploitProb:
 
     def test_two_exploited_parents(self):
         graph = pinned_case_graph(n1=1.0, n2=1.0, n7=0.0)
-        p = marginal_exploit_probs(graph)[graph.position(3)]
+        p = enumerate_joint(graph).marginals()[graph.position(3)]
         assert p == pytest.approx(1 - 0.99**2, abs=1e-15)
         assert p == pytest.approx(0.0199, abs=1e-15)
 
     def test_no_exploited_parents(self):
         graph = pinned_case_graph(n1=0.0, n2=0.0)
-        assert marginal_exploit_probs(graph)[graph.position(3)] == 0.0
+        assert enumerate_joint(graph).marginals()[graph.position(3)] == 0.0
 
     def test_single_parent(self):
         graph = pinned_case_graph(n1=0.0, n2=0.0, n7=1.0)
-        p = marginal_exploit_probs(graph)[graph.position(5)]
+        p = enumerate_joint(graph).marginals()[graph.position(5)]
         assert p == pytest.approx(0.01)
 
     def test_entry_node_ignores_states(self):
         # a marginal sums rounded products, so it can sit one ulp off 0.9
         for pins in ({"n1": 1.0, "n2": 1.0}, {"n1": 0.0, "n2": 0.0}, {"n1": 1.0}):
             graph = pinned_case_graph(**pins)
-            p = marginal_exploit_probs(graph)[graph.position(7)]
+            p = enumerate_joint(graph).marginals()[graph.position(7)]
             assert p == pytest.approx(0.9, abs=1e-15)
 
 
@@ -202,7 +201,6 @@ class TestEnumerateJoint:
         graph = build_case_graph()
         joint = enumerate_joint(graph)
         assert enumerate_joint(graph) is joint
-        assert marginal_exploit_probs(graph).tolist() == joint.marginals().tolist()
         with pytest.raises(EnumerationSizeError):
             enumerate_joint(graph, cap=graph.n - 1)
 
@@ -214,11 +212,11 @@ class TestEnumerateJoint:
 
 class TestMarginals:
     def test_entry_marginal_exact(self, case_graph):
-        marginals = marginal_exploit_probs(case_graph)
+        marginals = enumerate_joint(case_graph).marginals()
         assert marginals[case_graph.position(7)] == 0.9
 
     def test_against_brute_force(self, case_graph):
-        marginals = marginal_exploit_probs(case_graph)
+        marginals = enumerate_joint(case_graph).marginals()
         brute = brute_force_marginals(case_graph)
         for node in case_graph.nodes:
             assert marginals[case_graph.position(node.id)] == pytest.approx(
@@ -226,7 +224,7 @@ class TestMarginals:
             )
 
     def test_known_values(self, case_graph):
-        marginals = marginal_exploit_probs(case_graph)
+        marginals = enumerate_joint(case_graph).marginals()
         assert marginals[case_graph.position(5)] == pytest.approx(0.009003, abs=5e-7)
         assert marginals[case_graph.position(3)] == pytest.approx(0.00029998, abs=1e-12)
 
@@ -309,7 +307,7 @@ class TestMonotonicity:
             graph = _random_dag(rng)
             if not graph.edges:
                 continue
-            base = marginal_exploit_probs(graph)
+            base = enumerate_joint(graph).marginals()
             drop = rng.integers(len(graph.edges))
             reduced = AttackGraph(
                 _strip_orphan_entry(graph, drop),
@@ -317,7 +315,7 @@ class TestMonotonicity:
             )
             if not validate_graph(reduced).ok:
                 continue
-            after = marginal_exploit_probs(reduced)
+            after = enumerate_joint(reduced).marginals()
             assert np.all(after <= base + 1e-12)
 
 

@@ -19,7 +19,6 @@ from homecyber.graph import (
     AttackGraph,
     VulnNode,
     enumerate_joint,
-    marginal_exploit_probs,
     sample_state_indices,
     state_cdf,
 )
@@ -33,9 +32,7 @@ from homecyber.losses import (
     TriggeredGamma,
     TriggeredLognormal,
     conditional_distribution,
-    conditional_mean,
     exact_line_mean,
-    limited_expected_value,
     limited_expected_value_of,
     loss_plan,
     sample_loss_matrix,
@@ -103,16 +100,16 @@ class TestConditionalDistribution:
 
 class TestConditionalMean:
     def test_loss_of_use_single_node(self, case_graph, case_lines):
-        assert conditional_mean(case_lines[1], state_with(case_graph, 3), case_graph) == \
-            pytest.approx(640.0)
+        dist = conditional_distribution(case_lines[1], state_with(case_graph, 3), case_graph)
+        assert dist.mean() == pytest.approx(640.0)
 
     def test_property_theft(self, case_graph, case_lines):
-        assert conditional_mean(case_lines[5], state_with(case_graph, 6), case_graph) == \
-            pytest.approx(2000.0)
+        dist = conditional_distribution(case_lines[5], state_with(case_graph, 6), case_graph)
+        assert dist.mean() == pytest.approx(2000.0)
 
     def test_all_zero_state(self, case_graph, case_lines):
         for line in case_lines:
-            assert conditional_mean(line, state_with(case_graph), case_graph) == 0.0
+            assert conditional_distribution(line, state_with(case_graph), case_graph).mean() == 0.0
 
 
 def tiled_losses(case_graph, case_lines, state, seed, rows=100_000):
@@ -203,7 +200,8 @@ class TestExactLineMean:
             for states in all_states(case_graph.n):
                 p = recursive_joint_prob(case_graph, states)
                 if p > 0.0:
-                    oracle += p * conditional_mean(line, np.array(states, bool), case_graph)
+                    state = np.array(states, bool)
+                    oracle += p * conditional_distribution(line, state, case_graph).mean()
             assert exact_line_mean(line, case_graph) == pytest.approx(oracle, rel=1e-10)
 
     def test_cached_and_fresh_graph_agree(self, case_graph, case_lines):
@@ -276,7 +274,7 @@ class TestLossBlockOnRandomGraphs:
         graph, lines = case
         losses = loss_block(loss_plan(graph, lines), self.ROWS, 2024, 0, RUN_LANE,
                             sample_loss_matrix)
-        marginals = marginal_exploit_probs(graph)
+        marginals = enumerate_joint(graph).marginals()
         for col, line in enumerate(lines):
             column = losses[:, col]
             positions = [graph.position(nid) for nid in line.trigger_set]
@@ -428,12 +426,12 @@ class TestLimitedExpectedValue:
                 for c in COVERAGES:
                     assert limited_expected_value_of(dist, d, c) <= min(dist.mean(), c) + 1e-9
 
-    def test_line_level_wrapper(self, case_graph, case_lines):
+    def test_line_level_value(self, case_graph, case_lines):
         state = state_with(case_graph, 7)
-        value = limited_expected_value(case_lines[0], state, 0.0, math.inf, case_graph)
-        assert value == pytest.approx(160.0)
-        zero = limited_expected_value(case_lines[3], state_with(case_graph), 10.0, 100.0, case_graph)
-        assert zero == 0.0
+        dist = conditional_distribution(case_lines[0], state, case_graph)
+        assert limited_expected_value_of(dist, 0.0, math.inf) == pytest.approx(160.0)
+        dist = conditional_distribution(case_lines[3], state_with(case_graph), case_graph)
+        assert limited_expected_value_of(dist, 10.0, 100.0) == 0.0
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -6,80 +6,95 @@ import pytest
 from conftest import build_case_graph
 from homecyber.graph import AttackGraph, VulnNode
 from homecyber.losses import exact_line_mean, loss_plan, sample_loss_matrix
-from homecyber.portfolio import (
-    PortfolioSpec,
-    portfolio_summary,
-    replication_group,
-    simulate_claims,
-    simulate_portfolio,
-)
-from homecyber.pricing import Policy, apply_retention
+from homecyber.portfolio import replication_group, simulate_claims
+from homecyber.pricing import Policy, apply_retention, check_premium
+from homecyber.reports import LR_LEVELS, PROFIT_LEVELS, portfolio_tables, render_csv
 from homecyber.simulate import RUN_BLOCK, loss_block
 from homecyber.streams import REPLICATION_LANE
 
 POLICY = Policy(1000.0, 50_000.0)
+INCOME = 50 * 418.0
+
+
+def report(claims: np.ndarray, income: float) -> tuple[dict, dict]:
+    """The Profit row and the LR row of ``portfolio_tables`` as header -> cell."""
+    profit, lr = portfolio_tables(claims, income)
+    assert len(profit.rows) == len(lr.rows) == 1
+    return dict(zip(profit.header, profit.rows[0])), dict(zip(lr.header, lr.rows[0]))
+
+
+def stat_cells(row: dict) -> dict:
+    """Every statistic of a report row except its label and its SD."""
+    return {k: v for k, v in row.items() if k not in ("Label", "SD")}
+
+
+def zero_entry_graph() -> AttackGraph:
+    """The case graph with every entry probability 0: no home ever loses."""
+    nodes = [VulnNode(i, entry_prob=0.0 if i in (1, 2, 7) else None) for i in range(1, 8)]
+    return AttackGraph(nodes, build_case_graph().edges)
 
 
 @pytest.fixture(scope="module")
-def small_result(case_graph, case_lines):
-    spec = PortfolioSpec(n_homes=50, policy=POLICY, premium_per_home=418.0,
-                         replications=2_000)
-    return simulate_portfolio(case_graph, case_lines, spec, master_seed=21)
+def small_claims(case_graph, case_lines):
+    return simulate_claims(case_graph, case_lines, 50, 2_000, [POLICY], master_seed=21)[0]
 
 
 class TestSpec:
-    def test_rejects_nonpositive_fields(self):
-        with pytest.raises(ValueError):
-            PortfolioSpec(0, POLICY, 418.0, 10)
-        with pytest.raises(ValueError):
-            PortfolioSpec(10, POLICY, 418.0, 0)
-        with pytest.raises(ValueError):
-            # zero premium would make the loss ratio undefined
-            PortfolioSpec(10, POLICY, 0.0, 10)
+    def test_rejects_nonpositive_fields(self, case_graph, case_lines):
+        with pytest.raises(ValueError, match="n_homes must be >= 1, got 0"):
+            simulate_claims(case_graph, case_lines, 0, 10, [POLICY], master_seed=1)
+        with pytest.raises(ValueError, match="replications must be >= 1, got 0"):
+            simulate_claims(case_graph, case_lines, 10, 0, [POLICY], master_seed=1)
+        # zero premium would make the loss ratio undefined
+        for premium in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="premium_per_home must be finite and > 0"):
+                check_premium("premium_per_home", premium)
+        check_premium("premium_per_home", 418.0)
 
 
 class TestIdentities:
-    def test_profit_identity_exact(self, small_result):
-        spec = small_result.spec
-        expected = spec.n_homes * spec.premium_per_home - small_result.claim
-        assert np.array_equal(small_result.profit, expected)
+    def test_profit_identity_exact(self, small_claims):
+        profit, _ = report(small_claims, INCOME)
+        samples = INCOME - small_claims
+        assert profit["Label"] == "portfolio Profit"
+        expected = [samples.min(), *np.quantile(samples, PROFIT_LEVELS), samples.max(),
+                    samples.mean()]
+        assert list(stat_cells(profit).values()) == [float(v) for v in expected]
+        # the SD is the claims' SD, which the premium shift leaves unchanged
+        assert profit["SD"] == float(np.std(small_claims, ddof=1))
+        assert math.isclose(profit["SD"], float(np.std(samples, ddof=1)), rel_tol=1e-12)
 
-    def test_lr_identity_exact(self, small_result):
-        spec = small_result.spec
-        expected = small_result.claim / (spec.n_homes * spec.premium_per_home)
-        assert np.array_equal(small_result.lr, expected)
+    def test_lr_identity_exact(self, small_claims):
+        _, lr = report(small_claims, INCOME)
+        samples = small_claims / INCOME
+        assert lr["Label"] == "portfolio LR"
+        expected = [samples.min(), *np.quantile(samples, LR_LEVELS), samples.max(),
+                    samples.mean(), np.std(samples, ddof=1)]
+        assert [lr[k] for k in lr if k != "Label"] == [float(v) for v in expected]
 
-    def test_claims_nonnegative(self, small_result):
-        assert np.all(small_result.claim >= 0.0)
+    def test_claims_nonnegative(self, small_claims):
+        assert np.all(small_claims >= 0.0)
 
 
 class TestDegenerateScenario:
     def test_zero_entry_probs(self, case_lines):
-        nodes = [
-            VulnNode(i, entry_prob=0.0 if i in (1, 2, 7) else None) for i in range(1, 8)
-        ]
-        graph = AttackGraph(nodes, build_case_graph().edges)
-        spec = PortfolioSpec(n_homes=20, policy=POLICY, premium_per_home=100.0,
-                             replications=50)
-        result = simulate_portfolio(graph, case_lines, spec, master_seed=1)
-        assert np.all(result.claim == 0.0)
-        assert np.all(result.profit == 20 * 100.0)
-        assert np.all(result.lr == 0.0)
+        claims = simulate_claims(zero_entry_graph(), case_lines, 20, 50, [POLICY],
+                                 master_seed=1)[0]
+        assert np.all(claims == 0.0)
+        profit, lr = report(claims, 20 * 100.0)
+        assert set(stat_cells(profit).values()) == {20 * 100.0}
+        assert set(stat_cells(lr).values()) == {0.0}
+        assert profit["SD"] == lr["SD"] == 0.0
 
 
 class TestAgainstOracle:
     def test_full_coverage_single_home_mean(self, case_graph, case_lines):
         # d=0 and effectively unlimited coverage: the claim is the total loss
-        spec = PortfolioSpec(
-            n_homes=1,
-            policy=Policy(0.0, 1e18),
-            premium_per_home=418.0,
-            replications=30_000,
-        )
-        result = simulate_portfolio(case_graph, case_lines, spec, master_seed=77)
+        claims = simulate_claims(case_graph, case_lines, 1, 30_000, [Policy(0.0, 1e18)],
+                                 master_seed=77)[0]
         oracle = sum(exact_line_mean(line, case_graph) for line in case_lines)
-        se = result.claim.std(ddof=1) / math.sqrt(result.claim.size)
-        assert abs(result.claim.mean() - oracle) <= 4 * se
+        se = claims.std(ddof=1) / math.sqrt(claims.size)
+        assert abs(claims.mean() - oracle) <= 4 * se
 
 
 class TestCommonRandomNumbers:
@@ -93,39 +108,32 @@ class TestCommonRandomNumbers:
         assert np.all(claims[1] >= claims[2])
 
     def test_profit_sd_invariant_to_premium(self, case_graph, case_lines):
-        base = dict(n_homes=30, replications=400)
-        results = [
-            simulate_portfolio(
-                case_graph, case_lines,
-                PortfolioSpec(policy=POLICY, premium_per_home=p, **base),
-                master_seed=9,
-            )
-            for p in (418.0, 307.0, 368.0, 408.0)
-        ]
-        sds = [portfolio_summary(r).profit.sd for r in results]
-        assert all(sd == sds[0] for sd in sds)
+        claims = simulate_claims(case_graph, case_lines, 30, 400, [POLICY], master_seed=9)[0]
+        # claims far below the income as well: their shifted copies round, so
+        # an SD of the profit samples would move in its last bits
+        tiny = np.random.default_rng(9).random(400)
+        for sample in (claims, tiny):
+            sds = [report(sample, 30 * p)[0]["SD"] for p in (418.0, 307.0, 368.0, 408.0)]
+            # the same bits, not merely equal up to the last ulp
+            assert {sd.hex() for sd in sds} == {float(np.std(sample, ddof=1)).hex()}
 
     def test_profit_increasing_lr_decreasing_in_premium(self, case_graph, case_lines):
-        base = dict(n_homes=30, replications=200)
-        lo = simulate_portfolio(
-            case_graph, case_lines,
-            PortfolioSpec(policy=POLICY, premium_per_home=100.0, **base), master_seed=3,
-        )
-        hi = simulate_portfolio(
-            case_graph, case_lines,
-            PortfolioSpec(policy=POLICY, premium_per_home=400.0, **base), master_seed=3,
-        )
-        assert np.all(hi.profit > lo.profit)
-        positive = lo.claim > 0.0
-        assert np.all(hi.lr[positive] < lo.lr[positive])
-        assert np.all(hi.lr[~positive] == lo.lr[~positive])
+        claims = simulate_claims(case_graph, case_lines, 30, 200, [POLICY], master_seed=3)[0]
+        lo_profit, lo_lr = report(claims, 30 * 100.0)
+        hi_profit, hi_lr = report(claims, 30 * 400.0)
+        for stat, lo in stat_cells(lo_profit).items():
+            assert hi_profit[stat] > lo, stat
+        for stat, lo in stat_cells(lo_lr).items():
+            assert hi_lr[stat] < lo if lo > 0.0 else hi_lr[stat] == 0.0, stat
+        assert hi_profit["SD"] == lo_profit["SD"]
 
 
 class TestDeterminism:
-    def test_same_seed_bitwise(self, case_graph, case_lines, small_result):
-        spec = small_result.spec
-        again = simulate_portfolio(case_graph, case_lines, spec, master_seed=21)
-        assert np.array_equal(again.claim, small_result.claim)
+    def test_same_seed_bitwise(self, case_graph, case_lines, small_claims):
+        again = simulate_claims(case_graph, case_lines, 50, 2_000, [POLICY], master_seed=21)[0]
+        assert np.array_equal(again, small_claims)
+        assert render_csv(portfolio_tables(again, INCOME)) == render_csv(
+            portfolio_tables(small_claims, INCOME))
 
     def test_replication_independent_of_count(self, case_graph, case_lines):
         policies = [POLICY, Policy(100.0, 5_000.0)]
@@ -221,18 +229,21 @@ class TestOneRetentionPass:
 
 class TestSummary:
     def test_constant_claims_zero_sd(self, case_lines):
-        nodes = [
-            VulnNode(i, entry_prob=0.0 if i in (1, 2, 7) else None) for i in range(1, 8)
-        ]
-        graph = AttackGraph(nodes, build_case_graph().edges)
-        spec = PortfolioSpec(n_homes=5, policy=POLICY, premium_per_home=50.0,
-                             replications=30)
-        result = simulate_portfolio(graph, case_lines, spec, master_seed=2)
-        summary = portfolio_summary(result)
-        assert summary.profit.sd == 0.0
-        assert summary.claim.mean == 0.0
-        assert summary.lr.maximum == 0.0
+        claims = simulate_claims(zero_entry_graph(), case_lines, 5, 30, [POLICY],
+                                 master_seed=2)[0]
+        profit, lr = report(claims, 5 * 50.0)
+        assert profit["SD"] == 0.0
+        assert profit["Mean"] == 5 * 50.0
+        assert lr["Max"] == 0.0
+        # one replication: its SD is reported as 0
+        profit, lr = report(np.array([1234.5]), 5 * 50.0)
+        assert profit["SD"] == lr["SD"] == 0.0
+        assert set(stat_cells(profit).values()) == {5 * 50.0 - 1234.5}
 
-    def test_summary_levels(self, small_result):
-        summary = portfolio_summary(small_result, levels=(0.5, 0.995))
-        assert summary.lr.quantile(0.5) <= summary.lr.quantile(0.995)
+    def test_summary_levels(self, small_claims):
+        profit, lr = portfolio_tables(small_claims, INCOME)
+        assert profit.header[2:8] == tuple(f"Q{round(lv * 100)}" for lv in PROFIT_LEVELS)
+        assert lr.header[2:8] == ("Q25", "Q50", "Q75", "Q90", "Q95", "Q99.5")
+        # Min, the quantiles by level, then Max never decrease
+        for row in (profit.rows[0], lr.rows[0]):
+            assert list(row[1:9]) == sorted(row[1:9])

@@ -189,6 +189,20 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=r"lines\[1\].*'rates' keys"):
             parse_scenario(doc)
 
+    # graph.nodes[3] is node 4, the smart sensor
+    @pytest.mark.parametrize(
+        "label",
+        ["CVE-2021-29438, smart sensor", "CVE-2021-29438\nsmart sensor",
+         "CVE-2021-29438\rsmart sensor", "sensor,", 12.5, 4, None, True, ["sensor"]],
+        ids=["comma", "newline", "carriage-return", "trailing-comma", "float", "int", "null",
+             "bool", "list"],
+    )
+    def test_label_rejected(self, label):
+        doc = case_document()
+        doc["graph"]["nodes"][3]["label"] = label
+        with pytest.raises(ScenarioError, match=r"graph\.nodes\[3\]: field 'label'"):
+            parse_scenario(doc)
+
     def test_cycle_reported(self):
         doc = case_document()
         doc["graph"]["edges"].append({"src": 5, "dst": 3, "cond_prob": 0.5})
@@ -317,8 +331,10 @@ class TestCsvExport:
         assert float(values[1]) == 1e-300
 
     def test_comma_in_label_rejected(self):
-        with pytest.raises(ValueError, match="CSV layout"):
-            render_csv(Table(header=("x",), rows=(("a,b",),)))
+        # a comma or a line break would split the row
+        for cell in ("a,b", "a\nb", "a\rb"):
+            with pytest.raises(ValueError, match="CSV layout"):
+                render_csv(Table(header=("x",), rows=((cell,),)))
 
 
 SMALL_GRAPHS = {
