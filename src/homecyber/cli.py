@@ -13,6 +13,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, pricing, reports, search
 from .graph import check_enumerable, enumerate_joint
 from .portfolio import simulate_claims
@@ -186,11 +188,12 @@ def _calibrate(scenario, args) -> None:
         raise SystemExit(f"error: no business line with index {args.line}")
     pricing.check_target_premium(args.target)
     result, samples = _line_samples(scenario, args)
-    col = result.line_indices.index(args.line)
+    column = samples[:, result.line_indices.index(args.line)]
+    ordered = np.sort(column)
     rows = []
     for family in pricing.FAMILIES:
         try:
-            param = pricing.calibrate(family, samples[:, col], args.target)
+            param = pricing.calibrate(family, column, args.target, ordered=ordered)
         except CalibrationError as exc:
             rows.append((family, "", f"{type(exc).__name__}: {exc}"))
             print(f"{family}: not calibrated ({exc})")

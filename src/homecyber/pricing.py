@@ -83,7 +83,7 @@ FAMILIES = ("expectation", "stddev", "gmd", "cte")
 def retain(loss: np.ndarray, deductible, coverage) -> np.ndarray:
     """min((loss - d)_+, C) in a new array; d and C broadcast against ``loss``."""
     retained = np.subtract(loss, deductible)
-    return np.minimum(np.maximum(retained, 0.0, out=retained), coverage, out=retained)
+    return np.clip(retained, 0.0, coverage, out=retained)
 
 
 def apply_retention(loss, policy: Policy):
@@ -181,6 +181,7 @@ def calibrate(
     samples: Sequence[float] | np.ndarray,
     target_premium: float,
     rel_tol: float = 1e-6,
+    ordered: np.ndarray | None = None,
 ) -> PrincipleParam:
     """Solve for the parameter that makes ``premium(samples, param) == target``.
 
@@ -188,6 +189,7 @@ def calibrate(
     theta = (target - mean) / scale with scale = mean, SD, GMD.  The CTE
     family searches the finitely many attainable tail expectations (the exact
     limit of a monotone bisection over beta, bracketed in (1/n, 1 - 1/n)).
+    GMD and CTE read ``ordered``, which is ``np.sort(samples)`` (sorted here if None).
 
     Raises:
         NotCalibratableError: the scale statistic is zero.
@@ -202,6 +204,8 @@ def calibrate(
         raise ValueError("calibration needs at least 2 samples")
     tol = rel_tol * max(1.0, target_premium)
     mean = float(x.mean())
+    if ordered is None and family in ("gmd", "cte"):
+        ordered = np.sort(x)
 
     if family == "expectation":
         if mean == 0.0:
@@ -213,23 +217,22 @@ def calibrate(
             raise NotCalibratableError("sample SD is 0; stddev loading has no effect")
         return StdDev((target_premium - mean) / sd)
     if family == "gmd":
-        scale = gmd(x)
+        scale = _sorted_gmd(ordered)
         if scale == 0.0:
             raise NotCalibratableError("sample GMD is 0; GMD loading has no effect")
         return GMD((target_premium - mean) / scale)
     if family == "cte":
-        return _calibrate_cte(x, target_premium, tol)
+        return _calibrate_cte(ordered, target_premium, tol)
     raise ValueError(f"unknown principle family {family!r}; expected one of {FAMILIES}")
 
 
-def _calibrate_cte(x: np.ndarray, target: float, tol: float) -> CTE:
+def _calibrate_cte(ordered: np.ndarray, target: float, tol: float) -> CTE:
     """CTE(k / n) for the first candidate k whose tail mean is within ``tol``.
 
     One vectorised scan of k = 1..n-1 (beta inside (1/n, 1 - 1/n)), each run of
     ties at its first k; raises unless a k is within ``tol`` before one passes it.
     """
-    n = x.size
-    ordered = np.sort(x)
+    n = ordered.size
     # suffix means: tail_mean[k] = mean(ordered[k:]); CTE at threshold x_(k+1)
     suffix = np.cumsum(ordered[::-1])[::-1]
     tail_means = suffix / np.arange(n, 0, -1, dtype=float)

@@ -40,7 +40,6 @@ class SimulationResult:
 
     line_losses: np.ndarray
     total_losses: np.ndarray
-    run_count: int
     line_indices: tuple[int, ...]
 
 
@@ -169,7 +168,6 @@ def run_simulation(
     return SimulationResult(
         line_losses=line_losses,
         total_losses=total,
-        run_count=runs,
         line_indices=tuple(line.index for line in plan.lines),
     )
 

@@ -1,13 +1,12 @@
 """Deterministic random substreams for reproducible simulation.
 
-Each (master seed, lane, index) triple selects a disjoint 2^128-draw counter
-range of one Philox stream, so the draws of run block b (or replication
-group g) are a pure function of (master_seed, b) and do not depend on how
-many blocks or groups a command asks for.  A block's stream holds one
-uniform per row for its state indices, then the fired rows' severities.
+Each (master seed, lane, index) triple seeds one SFC64 generator with the
+spawn key (lane, index) of the master seed's SeedSequence, so the draws of
+run block b (or replication group g) are a pure function of (master_seed, b)
+and do not depend on how many blocks or groups a command asks for.  A
+block's stream holds one uniform per row for its state indices, then the
+fired rows' severities.
 """
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,18 +23,13 @@ REPLICATION_LANE = 1
 # joint's CDF to a state index, where layout 3 drew one per node and row.
 # Layout 5 draws the same way in blocks of 2^14 rows where layout 4 used
 # 4096, so portfolio groups hold max(1, 16384 // n_homes) replications.
+# Layout 6 draws the same way from SFC64 generators seeded by SeedSequence
+# spawn keys, where layouts 1-5 used Philox counter substreams of one key.
 # Blocks may be drawn on any number of threads without changing a draw.
-STREAM_LAYOUT = 5
-
-
-@lru_cache(maxsize=64)
-def _philox_key(master_seed: int) -> tuple[int, int]:
-    state = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
-    return int(state[0]), int(state[1])
+STREAM_LAYOUT = 6
 
 
 def substream(master_seed: int, index: int, lane: int = 0) -> np.random.Generator:
-    """Generator for one substream; counter word 0 is the one that increments."""
-    key = np.array(_philox_key(master_seed), dtype=np.uint64)
-    counter = np.array([0, 0, lane, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    """Generator for one substream, seeded by the spawn key ``(lane, index)``."""
+    seed = np.random.SeedSequence(master_seed, spawn_key=(lane, index))
+    return np.random.Generator(np.random.SFC64(seed))

@@ -16,6 +16,7 @@ from homecyber.cli import COMMANDS, _build_parser, cli_dispatch
 from homecyber.graph import enumerate_joint
 from homecyber.reports import marginals_table, render_csv
 from homecyber.scenario import bundled_case_study_path, load_scenario
+from homecyber.streams import STREAM_LAYOUT
 
 CASE = str(bundled_case_study_path())
 
@@ -277,7 +278,7 @@ class TestEnumerate:
 
 
 def test_golden_simulation_output(tmp_path):
-    # SHA-256 of stream layout 5's draws on the bundled scenario (2^14-row
+    # SHA-256 of stream layout 6's draws on the bundled scenario (2^14-row
     # blocks): 20000 runs are one complete run block and a partial one, and
     # 300 homes (54 replications per group) x 60 or 70 and 500 homes (32 per
     # group) x 40 are one complete replication group and a partial one, so
@@ -288,38 +289,38 @@ def test_golden_simulation_output(tmp_path):
     # at target 28 reports the flat CTE, and line 1 at its own CTE(0.9) hits
     golden = (
         ("summary.csv",
-         "0efa2601c7b55a3027f8ab2f9b7e19c93f8d959a79dff1107428cd6d3bdb1642",
+         "b437842cc26acafbdbe4645868bfd3be2cd901283eaafe2839f8863e1ccdeac4",
          ["simulate", "--runs", "20000", "--seed", "11"]),
         ("portfolio.csv",
-         "ddb093d5b78aaba5c34b96ba764c6c6701447d19325169b5229bff2b66446daf",
+         "3ad9d2eb1621ffb38b95cf4bf1d02aabdb347b5a4f15547429363cb7af8a145c",
          ["portfolio", "--premium", "418", "--deductible", "1000", "--coverage", "50000",
           "--homes", "300", "--replications", "60", "--seed", "12"]),
         # one replication: the size-1 branch that reports SD 0
         ("portfolio.csv",
-         "8417b60b2dc53f68ac42637d938f4c5da8e488a9af167eddcae20a275789c825",
+         "7032117eb653fd58e92374691f9986e4eef2c4a492640373e85844fd77bf76f0",
          ["portfolio", "--premium", "418", "--deductible", "1000", "--coverage", "50000",
           "--homes", "300", "--replications", "1", "--seed", "12"]),
         ("search.csv",
-         "b4129fe99e1bde6c1b3ac882373a838b57b98525aff7c7a28f8e3cba913311e2",
+         "7f9a62d97e16d9ff709021aaab2c097c0fbd8d232823769343ae5b62ad2924b4",
          ["search-deductible", "--premium", "418", "--coverage", "50000",
           "--grid", "100,500,1000", "--strategy", "quantile", "--lr-target", "0.4",
           "--homes", "300", "--replications", "70", "--seed", "13"]),
         ("proposals.csv",
-         "940f7dbb1479cf065158b8ef0851e22d8c12eb2cb43db748ca9938f091170ddd",
+         "1a75712f8d0d8c26744bfbb0ee22a5dd299fb749ca0e7e9cd3959a9640a39aa6",
          ["propose", "--premiums", "418,307,368,408", "--coverage", "50000",
           "--grid", "100,500,1000", "--homes", "500", "--replications", "40",
           "--seed", "14"]),
         ("premiums.csv",
-         "dae26843b05508e07c9acfe3c8368a787947f55624a983b7de4285aaa10e6618",
+         "5d3bcb957c319394be3c987ee0da06fc5bdd308016875ef3c51bff6311efd18e",
          ["price", "--runs", "20000", "--seed", "15", "--theta-expectation", "0.5",
           "--theta-stddev", "0.03", "--theta-gmd", "0.25", "--beta-cte", "0.9"]),
         ("calibration.csv",
-         "2a8b1d3d798d1efdababe1454a544729c4dcfd608b5e25ddee0ceeb101e028cd",
+         "d160af5f4deb18a760b6a91a099419d69494f546434c2f441e5f12c556292225",
          ["calibrate", "--runs", "20000", "--seed", "16", "--line", "4", "--target", "28"]),
         ("calibration.csv",
-         "8413d923cbbf2fcd64f85779ec62a4be698adef2ca5912d0442d843d68c4a067",
+         "c45878722ac906f378d5dd2a52a97ecad1b41d56a4b86e36a5e1ca45f998135b",
          ["calibrate", "--runs", "20000", "--seed", "16", "--line", "1",
-          "--target", "505.78260874222775"]),
+          "--target", "504.81419062352876"]),
     )
     for k, (name, digest, argv) in enumerate(golden):
         out = tmp_path / f"{k}"
@@ -340,7 +341,7 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 42
         assert manifest["runs"] == 500
-        assert manifest["stream_layout"] == 5
+        assert manifest["stream_layout"] == STREAM_LAYOUT
         assert manifest["numpy_version"] == np.__version__
         assert manifest["python_version"] == platform.python_version()
 
@@ -399,6 +400,15 @@ class TestCalibrate:
         table = (out / "calibration.csv").read_text()
         assert "CteNotIdentifiableError" in table
 
+    def test_one_sort_for_all_families(self, monkeypatch, capsys):
+        calls = []
+        sort = np.sort
+        monkeypatch.setattr(np, "sort", lambda a, *args, **kw: calls.append(1) or sort(a))
+        assert run("calibrate", "--scenario", CASE, "--runs", "4000", "--seed", "6",
+                   "--line", "1", "--target", "600") == 0
+        assert "gmd:" in capsys.readouterr().out
+        assert len(calls) == 1  # GMD and the CTE scan share one sorted column
+
 
 class TestPortfolio:
     def test_two_block_report(self, tmp_path):
@@ -417,7 +427,7 @@ class TestPortfolio:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["replications"] == 400
         assert manifest["homes"] == 50
-        assert manifest["stream_layout"] == 5
+        assert manifest["stream_layout"] == STREAM_LAYOUT
 
 
 class TestSearchAndSolve:
@@ -512,7 +522,7 @@ class TestWorkers:
         assert outputs[0] == outputs[1] == outputs[2]
         assert len(outputs[0]) == 2  # the table and manifest.json
         manifest = json.loads(outputs[0]["manifest.json"])
-        assert manifest["stream_layout"] == 5
+        assert manifest["stream_layout"] == STREAM_LAYOUT
         assert "workers" not in manifest
 
     @pytest.mark.parametrize("value", ["0", "-5", "two"])

@@ -21,6 +21,7 @@ from homecyber.pricing import (
     gmd,
     premium,
     premiums,
+    retain,
     var_beta,
     var_rank,
 )
@@ -67,6 +68,34 @@ class TestApplyRetention:
             Policy(-1.0, 100.0)
         with pytest.raises(ValueError):
             Policy(0.0, 0.0)
+
+
+class TestRetain:
+    @staticmethod
+    def reference(loss, d, c):
+        return np.minimum(np.maximum(np.subtract(loss, d), 0.0), c)
+
+    @pytest.mark.parametrize("d, c", [(1000.0, 50_000.0), (1000.0, math.inf), (0.0, 500.0),
+                                      (0.0, math.inf)])
+    def test_same_bits_as_maximum_then_minimum(self, d, c):
+        rng = np.random.default_rng(23)
+        loss = rng.lognormal(6.0, 2.0, 5_000)
+        loss[:100] = 0.0
+        loss[100:200] = d  # exactly the deductible
+        loss[200:300] = d + c
+        out = retain(loss, d, c)
+        assert out.tobytes() == self.reference(loss, d, c).tobytes()
+        assert not np.signbit(out).any()
+
+    def test_policy_broadcast(self):
+        rng = np.random.default_rng(24)
+        totals = rng.lognormal(6.0, 2.0, (8, 50))
+        totals[0, :5] = 500.0
+        d = np.array([0.0, 500.0, 1000.0]).reshape(-1, 1, 1)
+        c = np.array([math.inf, 50_000.0, 2000.0]).reshape(-1, 1, 1)
+        out = retain(totals, d, c)
+        assert out.shape == (3, 8, 50)
+        assert out.tobytes() == self.reference(totals, d, c).tobytes()
 
 
 class TestPremium:
@@ -213,6 +242,19 @@ class TestCalibrate:
         x = [0.0] * 98 + [100.0, 200.0]
         param = calibrate("cte", x, 3.0)  # the flat level itself
         assert premium(x, param) == pytest.approx(3.0, rel=1e-6)
+
+    def test_shared_sort_gives_same_parameters(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        x = rng.lognormal(3.0, 1.5, 4_000)
+        x[rng.random(x.size) < 0.5] = 0.0
+        ordered = np.sort(x)
+        target = cte(x, 0.8)
+        alone = [calibrate(family, x, target) for family in ("gmd", "cte")]
+        calls = []
+        sort = np.sort
+        monkeypatch.setattr(np, "sort", lambda a, *args, **kw: calls.append(1) or sort(a))
+        shared = [calibrate(family, x, target, ordered=ordered) for family in ("gmd", "cte")]
+        assert shared == alone and calls == []
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown principle family"):
