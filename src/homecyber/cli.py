@@ -13,8 +13,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, pricing, reports, search
 from .graph import check_enumerable, enumerate_joint
 from .portfolio import simulate_claims
@@ -189,14 +187,12 @@ def _calibrate(scenario, args) -> None:
     pricing.check_target_premium(args.target)
     result, samples = _line_samples(scenario, args)
     column = samples[:, result.line_indices.index(args.line)]
-    ordered = np.sort(column)
     rows = []
-    for family in pricing.FAMILIES:
-        try:
-            param = pricing.calibrate(family, column, args.target, ordered=ordered)
-        except CalibrationError as exc:
-            rows.append((family, "", f"{type(exc).__name__}: {exc}"))
-            print(f"{family}: not calibrated ({exc})")
+    for family, param in zip(pricing.FAMILIES,
+                             pricing.calibrations(column, pricing.FAMILIES, args.target)):
+        if isinstance(param, CalibrationError):
+            rows.append((family, "", f"{type(param).__name__}: {param}"))
+            print(f"{family}: not calibrated ({param})")
         else:
             value = param.beta if isinstance(param, CTE) else param.theta
             rows.append((family, float(value), ""))

@@ -13,7 +13,7 @@ from one kernel and in one draw order.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -188,9 +188,7 @@ class LossPlan:
     ``states`` through ``cdf``, which is ``state_cdf`` at ``states``, and its
     ``state_guide`` ``guide``.  ``lines`` are in ascending index order; line
     k fires at position p when ``fired[k][p]``, and an exponential line's
-    rate there is ``rates[k][p]`` (other lines have None).  A ``rare`` line
-    looks for its rows only among those where ``union``, the OR of the rare
-    lines' ``fired`` (None when no line is rare), holds.
+    rate there is ``rates[k][p]`` (other lines have None).
     """
 
     states: np.ndarray
@@ -199,18 +197,11 @@ class LossPlan:
     lines: tuple[BusinessLine, ...]
     fired: tuple[np.ndarray, ...]
     rates: tuple[np.ndarray | None, ...]
-    rare: tuple[bool, ...]
-    union: np.ndarray | None = field(init=False)
-
-    def __post_init__(self):
-        rare = [fired for fired, r in zip(self.fired, self.rare) if r]
-        object.__setattr__(self, "union", np.logical_or.reduce(rare) if rare else None)
 
 
 def loss_plan(graph: AttackGraph, lines: Sequence[BusinessLine]) -> LossPlan:
     """The plan of ``lines`` on ``graph``; raises above the enumeration cap."""
-    probs = enumerate_joint(graph).probs
-    states = np.flatnonzero(probs)
+    states = np.flatnonzero(enumerate_joint(graph).probs)
     cdf = state_cdf(graph)[states]
     half = (graph.n + 1) // 2
     ordered = tuple(sorted(lines, key=lambda ln: ln.index))
@@ -220,16 +211,14 @@ def loss_plan(graph: AttackGraph, lines: Sequence[BusinessLine]) -> LossPlan:
         rates.append(None)
         if isinstance(line.model, RateSumExponential):
             # the rates of the low ``half`` bits and of the high bits each add
-            # up in id order, then the two sums add: stream layout 5 fixes
+            # up in id order, then the two sums add: the stream layout fixes
             # this order, and with it the bits of every exponential draw
             sums = np.zeros((2, states.size))
             for nid, rate in line.model.rates:
                 pos = graph.position(nid)
                 sums[int(pos >= half), (states >> pos) & 1 == 1] += rate
             rates[-1] = sums[0] + sums[1]
-    # rare: fires on at most 1/4 of rows, by the scenario alone; it changes no draw
-    rare = tuple(float(probs[states[f]].sum()) <= 0.25 for f in fired)
-    return LossPlan(states, cdf, state_guide(cdf), ordered, tuple(fired), tuple(rates), rare)
+    return LossPlan(states, cdf, state_guide(cdf), ordered, tuple(fired), tuple(rates))
 
 
 def _line_draws(
@@ -242,14 +231,8 @@ def _line_draws(
     trigger exploited), in ascending row order.  This is the one place that
     fixes the order of a block's severity draws.
     """
-    if plan.union is not None:
-        sub = np.flatnonzero(plan.union.take(positions))
-        sub_positions = positions.take(sub)
-    for col, (line, fired, rates, rare) in enumerate(
-        zip(plan.lines, plan.fired, plan.rates, plan.rare)
-    ):
-        # a rare line's rows are the same rows, found among the union's
-        rows = sub[fired.take(sub_positions)] if rare else np.flatnonzero(fired.take(positions))
+    for col, (line, fired, rates) in enumerate(zip(plan.lines, plan.fired, plan.rates)):
+        rows = np.flatnonzero(fired.take(positions))
         model = line.model
         if rates is not None:
             draws = rng.standard_exponential(rows.size)

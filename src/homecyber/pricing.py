@@ -181,7 +181,6 @@ def calibrate(
     samples: Sequence[float] | np.ndarray,
     target_premium: float,
     rel_tol: float = 1e-6,
-    ordered: np.ndarray | None = None,
 ) -> PrincipleParam:
     """Solve for the parameter that makes ``premium(samples, param) == target``.
 
@@ -189,7 +188,6 @@ def calibrate(
     theta = (target - mean) / scale with scale = mean, SD, GMD.  The CTE
     family searches the finitely many attainable tail expectations (the exact
     limit of a monotone bisection over beta, bracketed in (1/n, 1 - 1/n)).
-    GMD and CTE read ``ordered``, which is ``np.sort(samples)`` (sorted here if None).
 
     Raises:
         NotCalibratableError: the scale statistic is zero.
@@ -198,15 +196,38 @@ def calibrate(
         CteNotIdentifiableError: the empirical CTE is flat below the target
             and jumps past it, so no beta reproduces the target.
     """
+    result = calibrations(samples, (family,), target_premium, rel_tol)[0]
+    if isinstance(result, CalibrationError):
+        raise result
+    return result
+
+
+def calibrations(
+    samples: Sequence[float] | np.ndarray,
+    families: Sequence[str],
+    target_premium: float,
+    rel_tol: float = 1e-6,
+) -> tuple[PrincipleParam | CalibrationError, ...]:
+    """``calibrate`` for each of ``families``, in order, returning rather than
+    raising each family's ``CalibrationError``; GMD and CTE read one sorted copy.
+    """
     check_target_premium(target_premium)
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
         raise ValueError("calibration needs at least 2 samples")
     tol = rel_tol * max(1.0, target_premium)
     mean = float(x.mean())
-    if ordered is None and family in ("gmd", "cte"):
-        ordered = np.sort(x)
+    ordered = np.sort(x) if {"gmd", "cte"} & set(families) else None
+    out = []
+    for family in families:
+        try:
+            out.append(_calibrate_one(family, x, ordered, mean, target_premium, tol))
+        except CalibrationError as exc:  # its traceback would hold x in a cycle
+            out.append(exc.with_traceback(None))
+    return tuple(out)
 
+
+def _calibrate_one(family, x, ordered, mean, target_premium, tol) -> PrincipleParam:
     if family == "expectation":
         if mean == 0.0:
             raise NotCalibratableError("sample mean is 0; expectation loading has no effect")

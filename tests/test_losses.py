@@ -337,38 +337,6 @@ class TestKernelMatchesReference:
         assert_kernels_match_reference(case_graph, case_lines, 50_000, 12)
 
 
-def assert_rare_choice_changes_no_bit(graph, lines, rows, seed):
-    """Every choice of rare lines gives the kernels the same bits from one stream."""
-    plan = loss_plan(graph, lines)
-    positions = sample_state_indices(plan.cdf, rows, np.random.default_rng(seed), plan.guide)
-    m = len(plan.lines)
-    plans = (plan, replace(plan, rare=(True,) * m), replace(plan, rare=(False,) * m))
-    assert plans[2].union is None
-    assert np.array_equal(plans[1].union, np.logical_or.reduce(plan.fired))
-    for kernel in (sample_loss_matrix, sample_loss_totals):
-        first, *others = (kernel(p, positions, np.random.default_rng(seed + 1)) for p in plans)
-        for other in others:
-            assert other.tobytes() == first.tobytes()
-
-
-class TestRareLinePrefilter:
-    def test_bundled_rare_lines(self, case_graph, case_lines):
-        # lines 2, 4, 5 and 6 fire on about 1 % of rows, lines 1 and 3 on most
-        plan = loss_plan(case_graph, case_lines)
-        assert plan.rare == (False, True, False, True, True, True)
-        rare = [fired for fired, r in zip(plan.fired, plan.rare) if r]
-        assert np.array_equal(plan.union, np.logical_or.reduce(rare))
-
-    @given(graphs_with_lines(), st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_random_graphs(self, case, seed):
-        graph, lines = case
-        assert_rare_choice_changes_no_bit(graph, lines, 2000, seed)
-
-    def test_bundled_scenario(self, case_graph, case_lines):
-        assert_rare_choice_changes_no_bit(case_graph, case_lines, 50_000, 12)
-
-
 class TestFiredOnlySeverities:
     def test_one_draw_per_fired_row_in_row_order(self, case_graph, case_lines):
         rows = 3000

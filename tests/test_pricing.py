@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from homecyber.pricing import (
     CTE,
+    FAMILIES,
     CalibrationError,
     CteNotIdentifiableError,
     Expectation,
@@ -17,6 +20,7 @@ from homecyber.pricing import (
     TargetNotAchievableError,
     apply_retention,
     calibrate,
+    calibrations,
     cte,
     gmd,
     premium,
@@ -243,18 +247,39 @@ class TestCalibrate:
         param = calibrate("cte", x, 3.0)  # the flat level itself
         assert premium(x, param) == pytest.approx(3.0, rel=1e-6)
 
-    def test_shared_sort_gives_same_parameters(self, monkeypatch):
+    def test_calibrations_match_calibrate_with_one_sort(self, monkeypatch):
         rng = np.random.default_rng(12)
         x = rng.lognormal(3.0, 1.5, 4_000)
         x[rng.random(x.size) < 0.5] = 0.0
-        ordered = np.sort(x)
-        target = cte(x, 0.8)
-        alone = [calibrate(family, x, target) for family in ("gmd", "cte")]
-        calls = []
-        sort = np.sort
-        monkeypatch.setattr(np, "sort", lambda a, *args, **kw: calls.append(1) or sort(a))
-        shared = [calibrate(family, x, target, ordered=ordered) for family in ("gmd", "cte")]
-        assert shared == alone and calls == []
+        for target in (cte(x, 0.8), float(x.mean()) / 2):  # the second fails for cte
+            alone = []
+            for family in FAMILIES:
+                try:
+                    alone.append(calibrate(family, x, target))
+                except CalibrationError as exc:
+                    alone.append((type(exc), str(exc)))
+            calls = []
+            sort = np.sort
+            monkeypatch.setattr(np, "sort", lambda a, *args, **kw: calls.append(1) or sort(a))
+            together = calibrations(x, FAMILIES, target)
+            monkeypatch.undo()
+            assert calls == [1]
+            assert [(type(r), str(r)) if isinstance(r, CalibrationError) else r
+                    for r in together] == alone
+            assert calibrations(x, ("expectation", "stddev"), target) == tuple(alone[:2])
+
+    def test_returned_error_keeps_no_sample_alive(self):
+        # a kept traceback would hold the samples in a reference cycle
+        x = np.array([0.0, 0.0, 0.0, 10.0])
+        ref = weakref.ref(x)
+        gc.disable()
+        try:
+            (error,) = calibrations(x, ("cte",), 5.0)
+            del x
+            assert isinstance(error, CteNotIdentifiableError)
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown principle family"):
