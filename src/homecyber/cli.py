@@ -119,10 +119,19 @@ def _write(scenario: Scenario, args, *bodies) -> None:
         write_manifest(RunManifest(scenario_digest(scenario), args.seed, **sizes), Path(args.out))
 
 
-def _portfolio_args(scenario, args) -> dict:
-    """The arguments every portfolio search takes, by keyword."""
-    return {"graph": scenario.graph, "lines": scenario.lines, "n_homes": args.homes,
-            "replications": args.replications, "master_seed": args.seed, "workers": args.workers}
+def _income(args, name: str, premium: float) -> float:
+    """``--homes`` x ``premium``, both checked; a --homes below 1 is left to simulate_claims."""
+    pricing.check_premium(name, premium)
+    if args.homes >= 1:  # an overflow to inf would make every LR 0
+        pricing.check_premium(f"--homes x {name}", args.homes * premium)
+    return args.homes * premium
+
+
+def _claims(scenario, args, policies):
+    """The command's one simulation, claims of shape (len(policies), replications);
+    every check of the command runs before it."""
+    return simulate_claims(scenario.graph, scenario.lines, args.homes, args.replications,
+                           policies, args.seed, args.workers)
 
 
 def _line_samples(scenario, args):
@@ -134,7 +143,7 @@ def _line_samples(scenario, args):
     result = run_simulation(scenario.graph, scenario.lines, args.runs, args.seed, args.workers)
     if policy is None:
         return result, result.line_losses
-    return result, pricing.apply_retention(result.line_losses, policy)
+    return result, pricing.retain(result.line_losses, policy.deductible, policy.coverage)
 
 
 @_command("validate", "check a scenario file against all invariants", ())
@@ -205,10 +214,8 @@ def _calibrate(scenario, args) -> None:
           *_flags(float, "--deductible", "--coverage", required=True), *PORTFOLIO_SIZES)
 def _portfolio(scenario, args) -> None:
     policy = Policy(args.deductible, args.coverage)
-    pricing.check_premium("premium_per_home", args.premium)
-    claims = simulate_claims(scenario.graph, scenario.lines, args.homes, args.replications,
-                             [policy], args.seed, args.workers)[0]
-    _write(scenario, args, reports.portfolio_tables(claims, args.homes * args.premium))
+    income = _income(args, "premium_per_home", args.premium)
+    _write(scenario, args, reports.portfolio_tables(_claims(scenario, args, [policy])[0], income))
 
 
 @_command("search-deductible", "smallest feasible deductible on a grid", ("search.csv",),
@@ -217,16 +224,15 @@ def _portfolio(scenario, args) -> None:
           *_flags(None, "--grid", required=True, help="ascending deductibles, e.g. 100,150,200"),
           *STRATEGY, *PORTFOLIO_SIZES)
 def _search_deductible(scenario, args) -> int | None:
-    result = search.search_deductible(
-        premiums_total=args.premium,
-        coverage=args.coverage,
-        grid=_parse_floats(args.grid, "--grid"),
-        strategy=_strategy(args),
-        **_portfolio_args(scenario, args),
-    )
+    grid = _parse_floats(args.grid, "--grid")
+    strategy = _strategy(args)
+    grid = search.deductible_grid(grid)
+    income = _income(args, "premiums_total", args.premium)
+    claims = _claims(scenario, args, [Policy(d, args.coverage) for d in grid])
+    result = search.search_deductible(claims, grid, income, strategy)
     rows = tuple(
         (d, stat, "yes" if ok else "no")
-        for d, stat, ok in zip(result.grid, result.statistics, result.feasible)
+        for d, stat, ok in zip(grid, result.statistics, result.feasible)
     )
     _write(scenario, args,
            reports.Table(header=("Deductible", "LR statistic", "Feasible"), rows=rows))
@@ -239,11 +245,9 @@ def _search_deductible(scenario, args) -> int | None:
 @_command("solve-premium", "premium that meets an LR target", ("premium.csv",),
           *_flags(float, "--deductible", "--coverage", required=True), *STRATEGY, *PORTFOLIO_SIZES)
 def _solve_premium(scenario, args) -> None:
-    premium = search.solve_premium(
-        policy=Policy(args.deductible, args.coverage),
-        strategy=_strategy(args),
-        **_portfolio_args(scenario, args),
-    )
+    policy = Policy(args.deductible, args.coverage)
+    strategy = _strategy(args)
+    premium = search.premium_for_claims(_claims(scenario, args, [policy])[0], args.homes, strategy)
     _write(scenario, args, reports.Table(
         header=("Strategy", "LR target", "Premium per home"),
         rows=((args.strategy, args.lr_target, premium),),
@@ -266,15 +270,14 @@ def _propose(scenario, args) -> None:
         raise SystemExit("error: --labels must match --premiums in length")
     if len(set(labels)) != len(labels):
         raise SystemExit("error: --labels must be distinct")
-    rows = search.report_proposals(
-        premiums=list(zip(labels, totals)),
-        coverage=args.coverage,
-        grid=_parse_floats(args.grid, "--grid"),
-        mean_target=args.mean_target,
-        quantile_level=args.quantile_level,
-        quantile_target=args.quantile_target,
-        **_portfolio_args(scenario, args),
-    )
+    grid = search.deductible_grid(_parse_floats(args.grid, "--grid"))
+    for label, total in zip(labels, totals):
+        _income(args, f"premium for {label}", total)
+    strategies = (search.MeanLR(args.mean_target),
+                  search.QuantileLR(args.quantile_level, args.quantile_target))
+    claims = _claims(scenario, args, [Policy(d, args.coverage) for d in grid])
+    rows = search.report_proposals(claims, grid, list(zip(labels, totals)), args.coverage,
+                                   args.homes, strategies)
     _write(scenario, args, reports.proposal_table(rows))
 
 

@@ -33,7 +33,7 @@ class GraphValidationError(ValueError):
 
 
 class EnumerationSizeError(ValueError):
-    """Raised when exact enumeration would exceed the configured state cap."""
+    """Raised when exact enumeration would exceed the state cap."""
 
 
 @dataclass(frozen=True)
@@ -50,15 +50,6 @@ class Edge:
     src: int
     dst: int
     cond_prob: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 class AttackGraph:
@@ -115,8 +106,9 @@ class AttackGraph:
         return self._parents.get(node_id, ())
 
 
-def validate_graph(graph: AttackGraph) -> ValidationReport:
-    """Check every type invariant; violations are data, not exceptions."""
+def validate_graph(graph: AttackGraph) -> tuple[str, ...]:
+    """Every broken type invariant, one message each (empty when the graph is
+    valid); violations are data, not exceptions."""
     violations: list[str] = []
     seen_ids: set[int] = set()
     for node in graph.nodes:
@@ -149,11 +141,12 @@ def validate_graph(graph: AttackGraph) -> ValidationReport:
         if not has_parents and node.entry_prob is None:
             violations.append(f"node {node.id}: entry node missing entry_prob")
 
-    if _kahn_order(graph) is None:
-        cyclic = sorted(set(graph.node_ids) - set(_kahn_prefix(graph)))
+    order = _kahn_prefix(graph)
+    if len(order) < graph.n:
+        cyclic = sorted(set(graph.node_ids) - set(order))
         violations.append(f"cycle detected involving nodes {cyclic}")
 
-    return ValidationReport(tuple(violations))
+    return tuple(violations)
 
 
 def _kahn_prefix(graph: AttackGraph) -> list[int]:
@@ -176,16 +169,11 @@ def _kahn_prefix(graph: AttackGraph) -> list[int]:
     return order
 
 
-def _kahn_order(graph: AttackGraph) -> list[int] | None:
-    order = _kahn_prefix(graph)
-    return order if len(order) == graph.n else None
-
-
 def topological_order(graph: AttackGraph) -> tuple[int, ...]:
     """Parent-first node ids, ties broken by ascending id.  Raises on cycles."""
     if graph._topo_cache is None:
-        order = _kahn_order(graph)
-        if order is None:
+        order = _kahn_prefix(graph)
+        if len(order) < graph.n:
             raise GraphValidationError("graph contains a cycle; no topological order")
         graph._topo_cache = tuple(order)
     return graph._topo_cache
@@ -202,22 +190,8 @@ class JointDistribution:
     node_ids: tuple[int, ...]
     probs: np.ndarray
 
-    def state_index(self, states: Sequence[bool] | StateVector) -> int:
-        if len(states) != len(self.node_ids):
-            raise ValueError(
-                f"state vector length {len(states)} != node count {len(self.node_ids)}"
-            )
-        idx = 0
-        for k, s in enumerate(states):
-            if s:
-                idx |= 1 << k
-        return idx
-
     def state_of(self, index: int) -> tuple[int, ...]:
         return tuple((index >> k) & 1 for k in range(len(self.node_ids)))
-
-    def prob_of(self, states: Sequence[bool] | StateVector) -> float:
-        return float(self.probs[self.state_index(states)])
 
     def total(self) -> float:
         """Exact ``math.fsum`` of the nonzero ``probs``, a slice at a time (no 2^n list)."""
@@ -253,17 +227,14 @@ class JointDistribution:
         return marginals
 
 
-def check_enumerable(graph: AttackGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
-    """Raise :class:`EnumerationSizeError` when ``graph`` has more than ``cap`` nodes."""
-    if graph.n > cap:
-        raise EnumerationSizeError(
-            f"{graph.n} nodes exceed the enumeration cap of {cap} (2^{graph.n} states)"
-        )
+def check_enumerable(graph: AttackGraph) -> None:
+    """Raise :class:`EnumerationSizeError` above ``DEFAULT_ENUMERATION_CAP`` nodes."""
+    if graph.n > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationSizeError(f"{graph.n} nodes exceed the enumeration cap of "
+                                   f"{DEFAULT_ENUMERATION_CAP} (2^{graph.n} states)")
 
 
-def enumerate_joint(
-    graph: AttackGraph, cap: int = DEFAULT_ENUMERATION_CAP
-) -> JointDistribution:
+def enumerate_joint(graph: AttackGraph) -> JointDistribution:
     """Exact joint law as the parent-first product of conditional terms.
 
     The joint is filled in place, one node at a time in topological order:
@@ -273,12 +244,12 @@ def enumerate_joint(
     and the output is the only 2^n array (plus one reordered copy when the
     topological order is not the listing order of ``graph.nodes``).
 
-    Raises :class:`EnumerationSizeError` above ``cap`` nodes; simulation
-    samples from this joint, so it has the same limit.  The result is
-    cached on ``graph``, so every later call with a large enough ``cap``
-    returns the same object.
+    Raises :class:`EnumerationSizeError` above ``DEFAULT_ENUMERATION_CAP``
+    nodes; simulation samples from this joint, so it has the same limit.
+    The result is cached on ``graph``, so every later call returns the same
+    object.
     """
-    check_enumerable(graph, cap)
+    check_enumerable(graph)
     if graph._joint_cache is None:
         graph._joint_cache = _enumerate(graph)
     return graph._joint_cache
@@ -327,13 +298,13 @@ def _enumerate(graph: AttackGraph) -> JointDistribution:
     return joint
 
 
-def state_cdf(graph: AttackGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+def state_cdf(graph: AttackGraph) -> np.ndarray:
     """The exact joint's running sum over state indices, ending at exactly 1.0.
 
     The sum is divided by its last entry.  Read-only and not cached; raises
-    :class:`EnumerationSizeError` above ``cap`` nodes.
+    :class:`EnumerationSizeError` above ``DEFAULT_ENUMERATION_CAP`` nodes.
     """
-    cdf = np.cumsum(enumerate_joint(graph, cap=cap).probs)
+    cdf = np.cumsum(enumerate_joint(graph).probs)
     cdf /= cdf[-1]
     cdf.flags.writeable = False
     return cdf

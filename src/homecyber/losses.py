@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .graph import DEFAULT_ENUMERATION_CAP, AttackGraph, StateVector, enumerate_joint
+from .graph import AttackGraph, StateVector, enumerate_joint
 from .graph import state_cdf, state_guide
 
 
@@ -274,9 +274,7 @@ def sample_loss_totals(
     return totals
 
 
-def exact_line_mean(
-    line: BusinessLine, graph: AttackGraph, cap: int = DEFAULT_ENUMERATION_CAP
-) -> float:
+def exact_line_mean(line: BusinessLine, graph: AttackGraph) -> float:
     """Exact E[loss] under the joint state law.
 
     The enumerated joint is summed down to the 2^t patterns of the line's t
@@ -284,7 +282,7 @@ def exact_line_mean(
     """
     by_id = np.array([graph.position(nid) for nid in sorted(line.trigger_set)])
     order = np.argsort(by_id)
-    patterns = enumerate_joint(graph, cap=cap).pattern_probs(by_id[order])
+    patterns = enumerate_joint(graph).pattern_probs(by_id[order])
     model = line.model
     if isinstance(model, RateSumExponential):
         # fired[j, i]: pattern j has the i-th trigger in position order exploited

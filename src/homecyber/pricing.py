@@ -86,13 +86,10 @@ def retain(loss: np.ndarray, deductible, coverage) -> np.ndarray:
     return np.clip(retained, 0.0, coverage, out=retained)
 
 
-def apply_retention(loss, policy: Policy):
-    """``retain`` under one policy; accepts scalars or arrays."""
-    retained = retain(np.atleast_1d(np.asarray(loss, float)), policy.deductible, policy.coverage)
-    return float(retained[0]) if np.isscalar(loss) or np.ndim(loss) == 0 else retained
-
-
 def _sorted_gmd(ordered: np.ndarray) -> float:
+    """Mean absolute difference over unordered pairs of an ascending sample:
+    (2 / (n (n-1))) * sum_{i<j} |x_i - x_j| = sum_k (2k - n - 1) x_(k) * 2 / (n (n-1)),
+    so sorting replaces the pair loop."""
     n = ordered.size
     if n < 2:
         raise ValueError(f"GMD needs at least 2 samples, got {n}")
@@ -100,33 +97,11 @@ def _sorted_gmd(ordered: np.ndarray) -> float:
     return float((2.0 * k - n - 1.0) @ ordered) * 2.0 / (n * (n - 1))
 
 
-def gmd(samples: Sequence[float] | np.ndarray) -> float:
-    """Mean absolute difference over unordered pairs, via the sorted identity.
-
-    Equals (2 / (n (n-1))) * sum_{i<j} |x_i - x_j| exactly; the sorted form
-    sum_k (2k - n - 1) x_(k) avoids the pair loop.  ``premiums`` shares the sort.
-    """
-    return _sorted_gmd(np.sort(np.asarray(samples, dtype=float)))
-
-
 def var_rank(n: int, beta: float) -> int:
     """Smallest k in 1..n with k / n >= beta; ``ceil(n * beta)`` can overshoot by one."""
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     return bisect.bisect_left(range(1, n + 1), beta, key=lambda k: k / n) + 1
-
-
-def var_beta(samples: Sequence[float] | np.ndarray, beta: float) -> float:
-    """Order statistic x_(k) for k = ``var_rank(n, beta)`` (no interpolation)."""
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise ValueError("value-at-risk of an empty sample")
-    return float(np.sort(x)[var_rank(x.size, beta) - 1])
-
-
-def cte(samples: Sequence[float] | np.ndarray, beta: float) -> float:
-    """Mean of the samples at or above the empirical value-at-risk."""
-    return premium(samples, CTE(beta))
 
 
 def premiums(
@@ -176,46 +151,34 @@ def check_target_premium(target_premium: float) -> None:
         raise ValueError(f"target premium must be finite and >= 0, got {target_premium}")
 
 
-def calibrate(
-    family: str,
+def calibrations(
     samples: Sequence[float] | np.ndarray,
+    families: Sequence[str],
     target_premium: float,
-    rel_tol: float = 1e-6,
-) -> PrincipleParam:
-    """Solve for the parameter that makes ``premium(samples, param) == target``.
+) -> tuple[PrincipleParam | CalibrationError, ...]:
+    """The parameter of each of ``families``, in order, that makes
+    ``premium(samples, param) == target_premium``; GMD and CTE read one sorted copy.
 
     Expectation / stddev / gmd solve in closed form:
     theta = (target - mean) / scale with scale = mean, SD, GMD.  The CTE
     family searches the finitely many attainable tail expectations (the exact
-    limit of a monotone bisection over beta, bracketed in (1/n, 1 - 1/n)).
+    limit of a monotone bisection over beta, bracketed in (1/n, 1 - 1/n)) and
+    takes one within 1e-6 x max(1, target) of the target.
 
-    Raises:
+    A family that cannot be calibrated gets, in its place, the
+    ``CalibrationError`` it would raise:
         NotCalibratableError: the scale statistic is zero.
         TargetNotAchievableError: CTE target below the sample mean or above
             the sample maximum.
         CteNotIdentifiableError: the empirical CTE is flat below the target
             and jumps past it, so no beta reproduces the target.
-    """
-    result = calibrations(samples, (family,), target_premium, rel_tol)[0]
-    if isinstance(result, CalibrationError):
-        raise result
-    return result
-
-
-def calibrations(
-    samples: Sequence[float] | np.ndarray,
-    families: Sequence[str],
-    target_premium: float,
-    rel_tol: float = 1e-6,
-) -> tuple[PrincipleParam | CalibrationError, ...]:
-    """``calibrate`` for each of ``families``, in order, returning rather than
-    raising each family's ``CalibrationError``; GMD and CTE read one sorted copy.
+    An unknown family, a bad target or fewer than 2 samples raise ValueError.
     """
     check_target_premium(target_premium)
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
         raise ValueError("calibration needs at least 2 samples")
-    tol = rel_tol * max(1.0, target_premium)
+    tol = 1e-6 * max(1.0, target_premium)
     mean = float(x.mean())
     ordered = np.sort(x) if {"gmd", "cte"} & set(families) else None
     out = []

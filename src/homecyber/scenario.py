@@ -118,10 +118,9 @@ def parse_scenario(data, source: str = "<scenario>") -> Scenario:
         src, dst = (_require(edge_doc, key, int, where) for key in ("src", "dst"))
         edges.append(Edge(src, dst, _require_number(edge_doc, "cond_prob", where)))
     graph = AttackGraph(nodes, edges)
-    report = validate_graph(graph)
-    if not report.ok:
-        listing = "; ".join(report.violations)
-        raise ScenarioError(f"{source}: invalid graph: {listing}")
+    violations = validate_graph(graph)
+    if violations:
+        raise ScenarioError(f"{source}: invalid graph: {'; '.join(violations)}")
 
     lines = []
     seen_indices: set[int] = set()

@@ -4,6 +4,8 @@ Two strategies bound the portfolio loss ratio: a permissible mean LR and a
 permissible high quantile of LR.  Claims do not depend on the premium, so
 the premium that hits an LR target inverts in closed form, and one set of
 common-random-number claims serves every grid point and premium level.
+Every function here reads a claims matrix that the caller simulated, one
+row per policy (``portfolio.simulate_claims``).
 """
 
 import math
@@ -12,14 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import AttackGraph
-from .losses import BusinessLine
-from .portfolio import simulate_claims
-from .pricing import Policy, check_premium
-
 
 class DegenerateClaimsError(ValueError):
-    """Claims are all zero, so the LR constraint prices the policy at zero."""
+    """The claims cannot price the policy: a zero premium, or one that misses the target."""
 
 
 @dataclass(frozen=True)
@@ -53,9 +50,9 @@ def lr_statistic(samples: np.ndarray, strategy: LRStrategy) -> float:
     return float(np.quantile(samples, strategy.level))
 
 
-def _first_feasible(claims: np.ndarray, total_premium: float, strategy: LRStrategy):
+def _first_feasible(claims: np.ndarray, income: float, strategy: LRStrategy):
     """Each policy's LR statistic, and the index of the first within target."""
-    stats = tuple(lr_statistic(c / total_premium, strategy) for c in claims)
+    stats = tuple(lr_statistic(c / income, strategy) for c in claims)
     return stats, next((i for i, s in enumerate(stats) if s <= strategy.target), None)
 
 
@@ -74,37 +71,24 @@ def deductible_grid(grid: Sequence[float]) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class DeductibleSearchResult:
-    grid: tuple[float, ...]
     statistics: tuple[float, ...]
     feasible: tuple[bool, ...]
     chosen: float | None
 
 
 def search_deductible(
-    graph: AttackGraph,
-    lines: Sequence[BusinessLine],
-    premiums_total: float,
-    coverage: float,
-    grid: Sequence[float],
-    strategy: LRStrategy,
-    n_homes: int,
-    replications: int,
-    master_seed: int,
-    workers: int = 1,
+    claims: np.ndarray, grid: Sequence[float], income: float, strategy: LRStrategy
 ) -> DeductibleSearchResult:
     """Smallest grid deductible whose LR statistic meets the target.
 
-    Every grid point is evaluated on the same claim draws, so the statistic
-    is non-increasing in the deductible and the feasible set is an up-set of
+    Row i of ``claims`` holds the portfolio claims under deductible
+    ``grid[i]`` (a ``deductible_grid``), and ``income`` is the portfolio's
+    total premium.  Under common random numbers the statistic is
+    non-increasing in the deductible and the feasible set is an up-set of
     the grid; the chosen value is its boundary (None when nothing qualifies).
     """
-    grid = deductible_grid(grid)
-    check_premium("premiums_total", premiums_total)
-    policies = [Policy(d, coverage) for d in grid]
-    claims = simulate_claims(graph, lines, n_homes, replications, policies, master_seed, workers)
-    stats, first = _first_feasible(claims, n_homes * premiums_total, strategy)
+    stats, first = _first_feasible(claims, income, strategy)
     return DeductibleSearchResult(
-        grid=grid,
         statistics=stats,
         feasible=tuple(s <= strategy.target for s in stats),
         chosen=None if first is None else grid[first],
@@ -117,7 +101,9 @@ def premium_for_claims(
     """Invert the LR constraint: P = stat(claims) / (N * target).
 
     The LR statistic is positively homogeneous in the claims, so plugging the
-    returned premium back into the same samples reproduces the target.
+    returned premium back into the same samples reproduces the target; when
+    rounding breaks that (claims near the bottom of the float range), it
+    raises :class:`DegenerateClaimsError`.
     """
     stat = lr_statistic(np.asarray(claims, dtype=float), strategy)
     if stat <= 0.0:
@@ -127,25 +113,10 @@ def premium_for_claims(
     prem = stat / (n_homes * strategy.target)
     achieved = lr_statistic(np.asarray(claims, dtype=float) / (n_homes * prem), strategy)
     if not math.isclose(achieved, strategy.target, rel_tol=1e-9):
-        raise AssertionError(
+        raise DegenerateClaimsError(
             f"round-trip LR statistic {achieved!r} misses target {strategy.target!r}"
         )
     return prem
-
-
-def solve_premium(
-    graph: AttackGraph,
-    lines: Sequence[BusinessLine],
-    policy: Policy,
-    strategy: LRStrategy,
-    n_homes: int,
-    replications: int,
-    master_seed: int,
-    workers: int = 1,
-) -> float:
-    """Premium per home that makes the simulated LR statistic hit the target."""
-    claims = simulate_claims(graph, lines, n_homes, replications, [policy], master_seed, workers)
-    return premium_for_claims(claims[0], n_homes, strategy)
 
 
 @dataclass(frozen=True)
@@ -160,41 +131,30 @@ class ProposalRow:
 
 
 def report_proposals(
-    graph: AttackGraph,
-    lines: Sequence[BusinessLine],
+    claims: np.ndarray,
+    grid: Sequence[float],
     premiums: Sequence[tuple[str, float]],
     coverage: float,
-    grid: Sequence[float],
     n_homes: int,
-    replications: int,
-    master_seed: int,
-    mean_target: float = 0.40,
-    quantile_level: float = 0.995,
-    quantile_target: float = 0.40,
-    workers: int = 1,
+    strategies: tuple[LRStrategy, LRStrategy],
 ) -> tuple[ProposalRow, ...]:
-    """Proposed deductibles per premium principle under both LR strategies.
+    """Proposed deductibles per premium principle under two LR strategies.
 
-    One common-random-number claim set serves all principles and both
-    strategies; the mean profit reported for a chosen deductible comes from
-    those same samples.
+    Row i of ``claims`` holds the portfolio claims of ``n_homes`` homes
+    under deductible ``grid[i]`` (a ``deductible_grid``) and ``coverage``; every principle's
+    ``(name, premium per home)`` and both strategies read those same
+    samples, as does the mean profit reported for a chosen deductible.
     """
-    grid = deductible_grid(grid)
-    for name, total in premiums:
-        check_premium(f"premium for {name}", total)
-    strategies = (MeanLR(mean_target), QuantileLR(quantile_level, quantile_target))
-    policies = [Policy(d, coverage) for d in grid]
-    claims = simulate_claims(graph, lines, n_homes, replications, policies, master_seed, workers)
     claim_means = claims.mean(axis=1)
     rows = []
     for name, total in premiums:
-        denom = n_homes * total
+        income = n_homes * total
         picks: list[tuple[float | None, float | None]] = []
         for strategy in strategies:
-            _, chosen_idx = _first_feasible(claims, denom, strategy)
+            _, chosen_idx = _first_feasible(claims, income, strategy)
             if chosen_idx is None:
                 picks.append((None, None))
             else:
-                picks.append((grid[chosen_idx], denom - float(claim_means[chosen_idx])))
+                picks.append((grid[chosen_idx], income - float(claim_means[chosen_idx])))
         rows.append(ProposalRow(name, total, coverage, *picks[0], *picks[1]))
     return tuple(rows)

@@ -51,12 +51,6 @@ class SummaryStats:
     sd: float
     quantiles: tuple[tuple[float, float], ...]
 
-    def quantile(self, level: float) -> float:
-        for lv, value in self.quantiles:
-            if lv == level:
-                return value
-        raise KeyError(f"no quantile at level {level}")
-
 
 def loss_block(
     plan: LossPlan,

@@ -103,6 +103,33 @@ def shuffled_dag_graphs(draw, max_nodes: int = 8):
     return AttackGraph(draw(st.permutations(base.nodes)), base.edges)
 
 
+@st.composite
+def graphs_with_lines(draw):
+    """A random DAG with its nodes listed in shuffled order, one line per family."""
+    graph = draw(shuffled_dag_graphs(max_nodes=6))
+    node_ids = st.sampled_from(sorted(graph.node_ids))
+    families = (RateSumExponential, TriggeredLognormal, TriggeredGamma)
+    lines = []
+    for index, family in enumerate(draw(st.permutations(families)), start=1):
+        triggers = draw(st.frozensets(node_ids, min_size=1))
+        if family is RateSumExponential:
+            model = RateSumExponential(
+                {nid: draw(st.floats(min_value=0.05, max_value=2.0)) for nid in triggers}
+            )
+        elif family is TriggeredLognormal:
+            model = TriggeredLognormal(
+                draw(st.floats(min_value=-1.0, max_value=2.0)),
+                draw(st.floats(min_value=0.1, max_value=1.0)),
+            )
+        else:
+            model = TriggeredGamma(
+                draw(st.floats(min_value=0.5, max_value=5.0)),
+                draw(st.floats(min_value=0.1, max_value=2.0)),
+            )
+        lines.append(BusinessLine(index, family.__name__, triggers, model))
+    return graph, lines
+
+
 def seventeen_node_graph(complete: bool) -> AttackGraph:
     """A 17-node chain or complete DAG, its nodes listed in shuffled order."""
     rng = np.random.default_rng(17)
@@ -181,6 +208,11 @@ def recursive_joint_prob(graph: AttackGraph, states) -> float:
         return node_term(remaining[0]) * product(remaining[1:])
 
     return product(sorted(graph.nodes, key=lambda nd: nd.id))
+
+
+def state_index(states) -> int:
+    """Index of a state vector into ``JointDistribution.probs``: bit k is position k."""
+    return sum(1 << k for k, s in enumerate(states) if s)
 
 
 def all_states(n: int):

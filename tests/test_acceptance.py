@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import all_states, lev_quadrature, recursive_joint_prob
+from conftest import all_states, lev_quadrature, recursive_joint_prob, state_index
 from homecyber.cli import cli_dispatch
 from homecyber.graph import enumerate_joint
 from homecyber.losses import (
@@ -19,12 +19,12 @@ from homecyber.losses import (
     limited_expected_value_of,
 )
 from homecyber.pricing import (
+    GMD,
     CteNotIdentifiableError,
     Policy,
-    apply_retention,
-    calibrate,
-    gmd,
+    calibrations,
     premium,
+    retain,
 )
 from homecyber.portfolio import simulate_claims
 from homecyber.reports import portfolio_tables
@@ -119,11 +119,11 @@ def test_criterion_01_exact_state_probabilities(scenario):
     start = time.perf_counter()
     joint = enumerate_joint(scenario.graph)
     worst = max(
-        abs(joint.prob_of(states) - rounded)
+        abs(joint.probs[state_index(states)] - rounded)
         for states, rounded in REFERENCE_STATE_PROBS.items()
     )
     elapsed = time.perf_counter() - start
-    all_zero = joint.prob_of((0,) * 7)
+    all_zero = joint.probs[state_index((0,) * 7)]
     check(
         worst <= 5e-4 and abs(all_zero - 0.09702) < 1e-12 and elapsed < 1.0,
         "1. exact state probabilities reproduce the eight reference rows",
@@ -197,9 +197,7 @@ def test_criterion_05_retention_and_lev():
     d = rng.uniform(0.0, 3_000.0, n)
     c = rng.uniform(1.0, 100_000.0, n)
     x = np.minimum(np.maximum(loss - d, 0.0), c)
-    retained = np.array(
-        [apply_retention(li, Policy(di, ci)) for li, di, ci in zip(loss[:500], d[:500], c[:500])]
-    )
+    retained = retain(loss[:500], d[:500], c[:500])
     ok = (
         np.array_equal(retained, x[:500])
         and np.all(x >= 0.0)
@@ -237,7 +235,7 @@ def test_criterion_06_gmd_estimator():
         n = int(rng.integers(2, 2001))
         x = rng.lognormal(rng.uniform(0, 5), rng.uniform(0.2, 2.0), n)
         brute = float(np.abs(x[:, None] - x[None, :]).sum()) / (n * (n - 1))
-        value = gmd(x)
+        value = premium(x, GMD(1.0)) - float(x.mean())
         worst = max(worst, abs(value - brute) / max(brute, 1e-300))
     check(worst <= 1e-9, "6. GMD sorted formula equals pairwise brute force",
           f"worst rel err {worst:.2e}")
@@ -246,20 +244,22 @@ def test_criterion_06_gmd_estimator():
 def test_criterion_07_calibration_round_trip(scenario, pooled_sim):
     _, _, base_result, _ = pooled_sim
     col = base_result.line_indices.index(4)
-    retained = apply_retention(base_result.line_losses[:10_000, col], BASE_POLICY)
+    retained = retain(base_result.line_losses[:10_000, col], BASE_POLICY.deductible,
+                      BASE_POLICY.coverage)
     target = 28.0
     details = []
     ok = True
+    families = ("expectation", "stddev", "gmd", "cte")
+    params = dict(zip(families, calibrations(retained, families, target)))
     for family in ("expectation", "stddev", "gmd"):
-        param = calibrate(family, retained, target)
+        param = params[family]
         achieved = premium(retained, param)
         ok &= abs(achieved - target) <= 1e-6 * max(1.0, target)
         details.append(f"{family} round-trip {achieved:.8f}")
-    try:
-        calibrate("cte", retained, target)
+    if not isinstance(params["cte"], CteNotIdentifiableError):
         ok = False
         details.append("cte unexpectedly calibrated")
-    except CteNotIdentifiableError as exc:
+    else:
         details.append("cte flagged non-identifiable")
     check(ok, "7. calibration round-trips; CTE reports non-identifiability",
           "; ".join(details))

@@ -1,21 +1,26 @@
 import argparse
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import homecyber
-from conftest import joint_csv_reference
+from conftest import graphs_with_lines, joint_csv_reference
 from homecyber.cli import COMMANDS, _build_parser, cli_dispatch
 from homecyber.graph import enumerate_joint
 from homecyber.reports import marginals_table, render_csv
-from homecyber.scenario import bundled_case_study_path, load_scenario
+from homecyber.scenario import Scenario, bundled_case_study_path, canonical_document, load_scenario
 from homecyber.streams import STREAM_LAYOUT
 
 CASE = str(bundled_case_study_path())
@@ -444,6 +449,22 @@ class TestSearchAndSolve:
         value = float((out / "premium.csv").read_text().splitlines()[1].split(",")[2])
         assert value > 0.0
 
+    @pytest.mark.parametrize("coverage, strategy, homes, achieved", [
+        ("1e-320", "mean", "100", "0.40000724574421653"),
+        ("5e-324", "quantile", "3", "0.5"),
+    ], ids=["mean", "quantile"])
+    def test_solve_premium_subnormal_coverage(self, coverage, strategy, homes, achieved,
+                                              tmp_path, capsys):
+        # claims and premium are subnormal, so the premium misses the target on the way back
+        out = tmp_path / "solve"
+        rc = run("solve-premium", "--scenario", CASE, "--deductible", "0",
+                 "--coverage", coverage, "--strategy", strategy, "--lr-target", "0.4",
+                 "--homes", homes, "--replications", "200", "--seed", "1", "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: round-trip LR statistic {achieved} misses target 0.4\n"
+        assert not out.exists()
+
     def test_search_deductible(self, tmp_path, capsys):
         out = tmp_path / "search"
         rc = run("search-deductible", "--scenario", CASE, "--premium", "418",
@@ -679,32 +700,106 @@ class TestRejectedInputs:
         assert "deductible grid must be strictly ascending" in err
         assert "Traceback" not in err
 
-    def test_propose_labels_must_be_distinct(self, monkeypatch, capsys):
+    # the four commands that simulate a portfolio, before their rejected flags
+    PORTFOLIO_COMMANDS = {
+        "portfolio": ["portfolio", "--premium", "418", "--deductible", "1000",
+                      "--coverage", "50000"],
+        "search": ["search-deductible", "--premium", "418", "--coverage", "50000",
+                   "--grid", "100,1000", "--strategy", "quantile", "--lr-target", "0.4"],
+        "solve": ["solve-premium", "--deductible", "1000", "--coverage", "50000",
+                  "--strategy", "quantile", "--lr-target", "0.4"],
+        "propose": ["propose", "--premiums", "418,307", "--coverage", "50000",
+                    "--grid", "100,1000"],
+    }
+    INCOME = "must be finite and > 0, got inf"
+
+    @pytest.mark.parametrize("base, changes, code, message", [
+        pytest.param("portfolio", {"--premium": "nan"}, 1,
+                     "premium_per_home must be finite and > 0, got nan", id="portfolio-premium"),
+        pytest.param("portfolio", {"--premium": "1e307"}, 1,
+                     f"--homes x premium_per_home {INCOME}", id="portfolio-income"),
+        pytest.param("portfolio", {"--deductible": "-1"}, 1,
+                     "deductible must be finite and >= 0, got -1.0", id="portfolio-deductible"),
+        pytest.param("portfolio", {"--coverage": "0"}, 1, "coverage must be > 0, got 0.0",
+                     id="portfolio-coverage"),
+        pytest.param("search", {"--grid": "100,x"}, 2,
+                     "error: --grid expects comma-separated numbers, got '100,x'",
+                     id="search-grid-text"),
+        pytest.param("search", {"--grid": "1000,100"}, 1,
+                     "deductible grid must be strictly ascending", id="search-grid-order"),
+        pytest.param("search", {"--grid": "nan,100"}, 1,
+                     "deductible must be finite and >= 0, got nan", id="search-deductible"),
+        pytest.param("search", {"--premium": "-418"}, 1,
+                     "premiums_total must be finite and > 0, got -418.0", id="search-premium"),
+        pytest.param("search", {"--premium": "1e307"}, 1, f"--homes x premiums_total {INCOME}",
+                     id="search-income"),
+        pytest.param("search", {"--coverage": "nan"}, 1, "coverage must be > 0, got nan",
+                     id="search-coverage"),
+        pytest.param("search", {"--lr-target": "0"}, 1, "target must lie in (0, 1], got 0.0",
+                     id="search-lr-target"),
+        pytest.param("search", {"--quantile-level": "1"}, 1,
+                     "level must lie in (0, 1), got 1.0", id="search-quantile-level"),
+        pytest.param("solve", {"--deductible": "nan"}, 1,
+                     "deductible must be finite and >= 0, got nan", id="solve-deductible"),
+        pytest.param("solve", {"--coverage": "-1"}, 1, "coverage must be > 0, got -1.0",
+                     id="solve-coverage"),
+        pytest.param("solve", {"--lr-target": "1.5"}, 1, "target must lie in (0, 1], got 1.5",
+                     id="solve-lr-target"),
+        pytest.param("solve", {"--quantile-level": "0"}, 1,
+                     "level must lie in (0, 1), got 0.0", id="solve-quantile-level"),
+        pytest.param("propose", {"--premiums": "418,x"}, 2,
+                     "error: --premiums expects comma-separated numbers, got '418,x'",
+                     id="propose-premiums-text"),
+        pytest.param("propose", {"--labels": "a"}, 2,
+                     "error: --labels must match --premiums in length", id="propose-labels-count"),
+        pytest.param("propose", {"--labels": "a,a"}, 2, "error: --labels must be distinct",
+                     id="propose-labels-repeated"),
+        pytest.param("propose", {"--grid": "100,100"}, 1,
+                     "deductible grid must be strictly ascending", id="propose-grid-order"),
+        pytest.param("propose", {"--premiums": "418,nan"}, 1,
+                     "premium for rho2 must be finite and > 0, got nan", id="propose-premium"),
+        pytest.param("propose", {"--premiums": "1e307,300"}, 1,
+                     f"--homes x premium for rho1 {INCOME}", id="propose-income"),
+        pytest.param("propose", {"--mean-target": "0"}, 1, "target must lie in (0, 1], got 0.0",
+                     id="propose-mean-target-0"),
+        pytest.param("propose", {"--quantile-level": "1.5"}, 1,
+                     "level must lie in (0, 1), got 1.5", id="propose-quantile-level-1.5"),
+        pytest.param("propose", {"--quantile-target": "nan"}, 1,
+                     "target must lie in (0, 1], got nan", id="propose-quantile-target-nan"),
+        pytest.param("propose", {"--grid": "100,inf"}, 1,
+                     "deductible must be finite and >= 0, got inf", id="propose-deductible"),
+        pytest.param("propose", {"--coverage": "0"}, 1, "coverage must be > 0, got 0.0",
+                     id="propose-coverage"),
+        # two rejected flags: the check that runs first names the error
+        pytest.param("portfolio", {"--premium": "nan", "--deductible": "-1"}, 1,
+                     "deductible must be finite", id="portfolio-policy-first"),
+        pytest.param("search", {"--grid": "1000,100", "--lr-target": "0"}, 1,
+                     "target must lie in (0, 1]", id="search-strategy-first"),
+        pytest.param("search", {"--grid": "1000,100", "--premium": "nan"}, 1,
+                     "deductible grid must be strictly ascending",
+                     id="search-grid-before-premium"),
+        pytest.param("search", {"--premium": "1e307", "--coverage": "0"}, 1,
+                     f"--homes x premiums_total {INCOME}", id="search-income-before-coverage"),
+        pytest.param("solve", {"--coverage": "0", "--lr-target": "0"}, 1,
+                     "coverage must be > 0", id="solve-policy-first"),
+        pytest.param("propose", {"--premiums": "nan", "--mean-target": "0"}, 1,
+                     "premium for rho1 must be finite", id="propose-premium-first"),
+        pytest.param("propose", {"--mean-target": "0", "--coverage": "0"}, 1,
+                     "target must lie in (0, 1]", id="propose-targets-before-policy"),
+    ])
+    def test_portfolio_flags_checked_first(self, base, changes, code, message, monkeypatch,
+                                           capsys):
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulate_claims called")
 
-        monkeypatch.setattr("homecyber.search.simulate_claims", no_simulation)
-        argv = ["propose", "--premiums", "418,307", "--labels", "a,a", "--coverage", "50000",
-                "--grid", "100,1000", *self.SIZES]
-        assert run(argv[0], "--scenario", CASE, *argv[1:]) == 2
-        assert "error: --labels must be distinct" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "flag, value, message",
-        [("--mean-target", "0", "target must lie in (0, 1], got 0.0"),
-         ("--quantile-level", "1.5", "level must lie in (0, 1), got 1.5"),
-         ("--quantile-target", "nan", "target must lie in (0, 1], got nan")],
-    )
-    def test_propose_checks_targets_before_simulating(self, flag, value, message,
-                                                      monkeypatch, capsys):
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("simulate_claims called")
-
-        monkeypatch.setattr("homecyber.search.simulate_claims", no_simulation)
-        argv = ["propose", "--premiums", "418", "--coverage", "50000", "--grid", "100,1000",
-                *self.SIZES, flag, value]
-        assert run(argv[0], "--scenario", CASE, *argv[1:]) == 1
-        assert message in capsys.readouterr().err
+        monkeypatch.setattr("homecyber.cli.simulate_claims", no_simulation)
+        argv = self.PORTFOLIO_COMMANDS[base]
+        for flag, value in changes.items():
+            argv = self.replaced(argv, flag, value)
+        assert run(argv[0], "--scenario", CASE, *argv[1:], *self.SIZES) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "flag, value, code, message",
@@ -805,3 +900,68 @@ def test_cli_never_imports_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def csv_rows(path: Path) -> list[dict]:
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
+def written(directory: Path) -> dict[str, bytes]:
+    """Every file a command wrote to ``directory`` (none when it failed first)."""
+    return {p.name: p.read_bytes() for p in directory.iterdir()} if directory.exists() else {}
+
+
+@given(graphs_with_lines())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_portfolio_commands_agree_on_random_scenarios(case):
+    # The four portfolio commands draw the same claims for the same scenario
+    # and seed, so their CSVs must agree: the search statistic at the
+    # portfolio's deductible is the portfolio's Q99.5 LR, propose's quantile
+    # pick is search's, and the solved premium scales that LR to the target.
+    graph, lines = case
+    scenario = Scenario(graph, tuple(lines), None, "random DAG", 1)
+    grid, premium, target = ("0.0", "0.5", "1.0", "2.0"), 6.0, 0.4
+    flags = ["--coverage", "8", "--homes", "50", "--replications", "200", "--seed", "3"]
+    commands = {
+        "portfolio": ["--premium", str(premium), "--deductible", grid[2]],
+        "search-deductible": ["--premium", str(premium), "--grid", ",".join(grid),
+                              "--strategy", "quantile", "--lr-target", str(target)],
+        "solve-premium": ["--deductible", grid[2], "--strategy", "quantile",
+                          "--lr-target", str(target)],
+        "propose": ["--premiums", f"{premium},7", "--grid", ",".join(grid)],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        path = work / "scenario.json"
+        path.write_text(json.dumps(canonical_document(scenario)))
+        codes = {}
+        for command, argv in commands.items():
+            for workers in ("1", "2"):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    codes[command, workers] = run(
+                        command, "--scenario", str(path), *argv, *flags,
+                        "--workers", workers, "--out", str(work / command / workers))
+            assert written(work / command / "1") == written(work / command / "2")
+            assert codes[command, "1"] == codes[command, "2"]
+
+        # portfolio.csv is the Profit block, then the LR block: a header and a row each
+        report = (work / "portfolio" / "1" / "portfolio.csv").read_text().splitlines()
+        q_lr = float(dict(zip(report[2].split(","), report[3].split(",")))["Q99.5"])
+        search = csv_rows(work / "search-deductible" / "1" / "search.csv")
+        stats = [float(row["LR statistic"]) for row in search]
+        assert [float(row["Deductible"]) for row in search] == [float(d) for d in grid]
+        assert all(b <= a for a, b in zip(stats, stats[1:]))
+        assert stats[2] == q_lr
+        chosen = next((float(d) for d, s in zip(grid, stats) if s <= target), None)
+        assert codes["search-deductible", "1"] == (1 if chosen is None else 0)
+
+        pick = csv_rows(work / "propose" / "1" / "proposals.csv")[0]["Deductible 2"]
+        assert (float(pick) if pick else None) == chosen
+
+        if q_lr == 0.0:  # no claims in the tail: no premium meets the target
+            assert codes["solve-premium", "1"] == 1
+        else:
+            row = csv_rows(work / "solve-premium" / "1" / "premium.csv")[0]
+            solved = float(row["Premium per home"])
+            assert solved == pytest.approx(q_lr * premium / target, rel=1e-9)

@@ -15,6 +15,7 @@ from conftest import (
     recursive_joint_prob,
     seventeen_node_graph,
     shuffled_dag_graphs,
+    state_index,
 )
 from homecyber.graph import (
     AttackGraph,
@@ -23,6 +24,7 @@ from homecyber.graph import (
     GraphValidationError,
     JointDistribution,
     VulnNode,
+    check_enumerable,
     enumerate_joint,
     sample_state_indices,
     state_cdf,
@@ -48,46 +50,45 @@ REFERENCE_JOINT = {
 
 class TestValidation:
     def test_case_study_is_valid(self, case_graph):
-        assert validate_graph(case_graph).ok
+        assert validate_graph(case_graph) == ()
 
     def test_cycle_is_reported(self, case_graph):
         graph = AttackGraph(case_graph.nodes, case_graph.edges + (Edge(5, 3, 0.5),))
-        report = validate_graph(graph)
-        assert any("cycle" in v for v in report.violations)
+        assert any("cycle" in v for v in validate_graph(graph))
 
     def test_entry_prob_on_parented_node(self, case_graph):
         nodes = [
             VulnNode(n.id, n.label, 0.5 if n.id == 3 else n.entry_prob)
             for n in case_graph.nodes
         ]
-        report = validate_graph(AttackGraph(nodes, case_graph.edges))
-        assert any("entry_prob on parented node" in v for v in report.violations)
+        violations = validate_graph(AttackGraph(nodes, case_graph.edges))
+        assert any("entry_prob on parented node" in v for v in violations)
 
     def test_missing_entry_prob(self):
-        report = validate_graph(AttackGraph([VulnNode(1)], []))
-        assert any("missing entry_prob" in v for v in report.violations)
+        violations = validate_graph(AttackGraph([VulnNode(1)], []))
+        assert any("missing entry_prob" in v for v in violations)
 
     def test_out_of_range_probs(self):
         graph = AttackGraph(
             [VulnNode(1, entry_prob=1.5), VulnNode(2)], [Edge(1, 2, -0.2)]
         )
-        report = validate_graph(graph)
-        assert any("entry_prob" in v and "outside" in v for v in report.violations)
-        assert any("cond_prob" in v and "outside" in v for v in report.violations)
+        violations = validate_graph(graph)
+        assert any("entry_prob" in v and "outside" in v for v in violations)
+        assert any("cond_prob" in v and "outside" in v for v in violations)
 
     def test_self_loop_duplicate_and_unknown_endpoint(self):
         graph = AttackGraph(
             [VulnNode(1, entry_prob=0.1), VulnNode(2)],
             [Edge(1, 2, 0.5), Edge(1, 2, 0.5), Edge(2, 2, 0.1), Edge(1, 9, 0.1)],
         )
-        violations = "\n".join(validate_graph(graph).violations)
+        violations = "\n".join(validate_graph(graph))
         assert "duplicate edge" in violations
         assert "self-loop" in violations
         assert "unknown node 9" in violations
 
     def test_duplicate_node_id(self):
         graph = AttackGraph([VulnNode(1, entry_prob=0.1), VulnNode(1, entry_prob=0.2)], [])
-        assert any("duplicate id" in v for v in validate_graph(graph).violations)
+        assert any("duplicate id" in v for v in validate_graph(graph))
 
 
 class TestTopologicalOrder:
@@ -164,7 +165,7 @@ class TestEnumerateJoint:
     def test_reference_states(self, case_graph):
         joint = enumerate_joint(case_graph)
         for states, (exact, rounded) in REFERENCE_JOINT.items():
-            p = joint.prob_of(states)
+            p = joint.probs[state_index(states)]
             assert p == pytest.approx(exact, abs=1e-12)
             assert abs(p - rounded) <= 5e-4
 
@@ -187,27 +188,20 @@ class TestEnumerateJoint:
         joint = enumerate_joint(case_graph)
         for states in all_states(7):
             expected = recursive_joint_prob(case_graph, states)
-            assert joint.prob_of(states) == pytest.approx(expected, rel=1e-13, abs=1e-300)
+            assert joint.probs[state_index(states)] == pytest.approx(expected, rel=1e-13,
+                                                                     abs=1e-300)
 
     def test_cap_enforced(self):
         nodes = [VulnNode(i, entry_prob=0.5) for i in range(1, 24)]
-        with pytest.raises(EnumerationSizeError):
+        with pytest.raises(EnumerationSizeError, match="23 nodes exceed the enumeration cap of 22"):
             enumerate_joint(AttackGraph(nodes, []))
-        # and a custom cap
-        with pytest.raises(EnumerationSizeError):
-            enumerate_joint(build_case_graph(), cap=5)
+        # 22 nodes are within the cap (check_enumerable alone: no 2^22 joint is built)
+        check_enumerable(AttackGraph(nodes[:22], []))
 
     def test_cached_per_graph_after_cap_check(self):
         graph = build_case_graph()
         joint = enumerate_joint(graph)
         assert enumerate_joint(graph) is joint
-        with pytest.raises(EnumerationSizeError):
-            enumerate_joint(graph, cap=graph.n - 1)
-
-    def test_state_index_length_check(self, case_graph):
-        joint = enumerate_joint(case_graph)
-        with pytest.raises(ValueError, match="length"):
-            joint.prob_of((0, 1))
 
 
 class TestMarginals:
@@ -313,7 +307,7 @@ class TestMonotonicity:
                 _strip_orphan_entry(graph, drop),
                 graph.edges[:drop] + graph.edges[drop + 1 :],
             )
-            if not validate_graph(reduced).ok:
+            if validate_graph(reduced):
                 continue
             after = enumerate_joint(reduced).marginals()
             assert np.all(after <= base + 1e-12)
@@ -354,7 +348,7 @@ def _strip_orphan_entry(graph: AttackGraph, drop_index: int):
 @given(dag_graphs())
 @settings(max_examples=60, deadline=None)
 def test_joint_is_a_distribution(graph):
-    assert validate_graph(graph).ok
+    assert validate_graph(graph) == ()
     joint = enumerate_joint(graph)
     assert np.all(joint.probs >= 0.0)
     assert joint.total() == pytest.approx(1.0, abs=1e-12)

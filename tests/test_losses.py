@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from conftest import (
     all_states,
     build_case_graph,
+    graphs_with_lines,
     lev_quadrature,
     recursive_joint_prob,
-    shuffled_dag_graphs,
+    state_index,
 )
 from homecyber.graph import (
     AttackGraph,
@@ -123,7 +124,7 @@ def tiled_losses(case_graph, case_lines, state, seed, rows=100_000):
     dists = [conditional_distribution(line, state, case_graph) for line in plan.lines]
     plan = replace(
         plan,
-        states=np.array([enumerate_joint(case_graph).state_index(state)]),
+        states=np.array([state_index(state)]),
         fired=tuple(np.array([not isinstance(d, DegenerateZero)]) for d in dists),
         rates=tuple(None if r is None else np.array([getattr(d, "rate", 0.0)])
                     for r, d in zip(plan.rates, dists)),
@@ -225,33 +226,6 @@ class TestExactLineMean:
             sample = losses[:, col]
             se = sample.std(ddof=1) / math.sqrt(sample.size)
             assert abs(sample.mean() - exact_line_mean(line, case_graph)) <= 4 * se
-
-
-@st.composite
-def graphs_with_lines(draw):
-    """A random DAG with its nodes listed in shuffled order, one line per family."""
-    graph = draw(shuffled_dag_graphs(max_nodes=6))
-    node_ids = st.sampled_from(sorted(graph.node_ids))
-    families = (RateSumExponential, TriggeredLognormal, TriggeredGamma)
-    lines = []
-    for index, family in enumerate(draw(st.permutations(families)), start=1):
-        triggers = draw(st.frozensets(node_ids, min_size=1))
-        if family is RateSumExponential:
-            model = RateSumExponential(
-                {nid: draw(st.floats(min_value=0.05, max_value=2.0)) for nid in triggers}
-            )
-        elif family is TriggeredLognormal:
-            model = TriggeredLognormal(
-                draw(st.floats(min_value=-1.0, max_value=2.0)),
-                draw(st.floats(min_value=0.1, max_value=1.0)),
-            )
-        else:
-            model = TriggeredGamma(
-                draw(st.floats(min_value=0.5, max_value=5.0)),
-                draw(st.floats(min_value=0.1, max_value=2.0)),
-            )
-        lines.append(BusinessLine(index, family.__name__, triggers, model))
-    return graph, lines
 
 
 def exact_line_sd(line, graph) -> float:

@@ -7,7 +7,7 @@ from conftest import build_case_graph
 from homecyber.graph import AttackGraph, VulnNode
 from homecyber.losses import exact_line_mean, loss_plan, sample_loss_matrix
 from homecyber.portfolio import replication_group, simulate_claims
-from homecyber.pricing import Policy, apply_retention, check_premium
+from homecyber.pricing import Policy, check_premium
 from homecyber.reports import LR_LEVELS, PROFIT_LEVELS, portfolio_tables, render_csv
 from homecyber.simulate import RUN_BLOCK, loss_block
 from homecyber.streams import REPLICATION_LANE
@@ -176,7 +176,10 @@ class TestReplicationGroups:
             for k in range(first, min(first + group, replications)):
                 homes = totals[(k - first) * n_homes:(k - first + 1) * n_homes]
                 for p, policy in enumerate(policies):
-                    expected[p, k] = apply_retention(homes, policy).sum()
+                    # min((T - d)+, C), the retention transform's reference
+                    retained = np.minimum(np.maximum(homes - policy.deductible, 0.0),
+                                          policy.coverage)
+                    expected[p, k] = retained.sum()
         assert np.array_equal(claims, expected)
         threaded = simulate_claims(case_graph, case_lines, n_homes, replications,
                                    policies, master_seed=31, workers=2)

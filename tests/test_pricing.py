@@ -18,15 +18,10 @@ from homecyber.pricing import (
     Policy,
     StdDev,
     TargetNotAchievableError,
-    apply_retention,
-    calibrate,
     calibrations,
-    cte,
-    gmd,
     premium,
     premiums,
     retain,
-    var_beta,
     var_rank,
 )
 
@@ -39,18 +34,39 @@ def brute_force_gmd(x):
     return float(np.abs(x[:, None] - x[None, :]).sum()) / (n * (n - 1))
 
 
+def gmd_of(x):
+    """The GMD that the GMD principle loads: its premium at theta 1 less the mean."""
+    return premium(x, GMD(1.0)) - float(np.mean(x))
+
+
+def var_of(x, beta):
+    """Reference value-at-risk: the order statistic of rank ``var_rank``."""
+    return float(np.sort(x)[var_rank(len(x), beta) - 1])
+
+
+def calibrated(family, x, target):
+    """``calibrations`` of one family: its parameter or its CalibrationError."""
+    (result,) = calibrations(x, (family,), target)
+    return result
+
+
 class TestApplyRetention:
+    # ``retain`` under BASE_POLICY, one loss at a time
+    @staticmethod
+    def retained(loss):
+        return retain(np.array([loss]), BASE_POLICY.deductible, BASE_POLICY.coverage).tolist()
+
     def test_below_deductible(self):
-        assert apply_retention(500.0, BASE_POLICY) == 0.0
+        assert self.retained(500.0) == [0.0]
 
     def test_between(self):
-        assert apply_retention(1500.0, BASE_POLICY) == 500.0
+        assert self.retained(1500.0) == [500.0]
 
     def test_capped(self):
-        assert apply_retention(60_000.0, BASE_POLICY) == 50_000.0
+        assert self.retained(60_000.0) == [50_000.0]
 
     def test_vectorized(self):
-        out = apply_retention(np.array([0.0, 1000.0, 2500.0, 99_999.0]), BASE_POLICY)
+        out = retain(np.array([0.0, 1000.0, 2500.0, 99_999.0]), 1000.0, 50_000.0)
         assert np.array_equal(out, [0.0, 0.0, 1500.0, 50_000.0])
 
     def test_randomized_identities(self):
@@ -59,13 +75,11 @@ class TestApplyRetention:
         loss = rng.lognormal(5, 2, n)
         d = rng.uniform(0, 2000, n)
         c = rng.uniform(1, 100_000, n)
-        for li, di, ci in zip(loss[:200], d[:200], c[:200]):
-            policy = Policy(di, ci)
-            x = apply_retention(li, policy)
-            assert 0.0 <= x <= ci
-            assert (x == 0.0) == (li <= di)
-            assert apply_retention(li + 1.0, policy) >= x
-            assert apply_retention(li, Policy(di + 1.0, ci)) <= x
+        x = retain(loss, d, c)
+        assert np.all((0.0 <= x) & (x <= c))
+        assert np.array_equal(x == 0.0, loss <= d)
+        assert np.all(retain(loss + 1.0, d, c) >= x)
+        assert np.all(retain(loss, d + 1.0, c) <= x)
 
     def test_policy_invariants(self):
         with pytest.raises(ValueError):
@@ -107,7 +121,7 @@ class TestPremium:
         assert premium([7.0, 7.0, 7.0], Expectation(0.5)) == pytest.approx(10.5)
 
     def test_gmd_two_points(self):
-        assert gmd([0.0, 10.0]) == pytest.approx(10.0)
+        assert gmd_of([0.0, 10.0]) == pytest.approx(10.0)
         assert premium([0.0, 10.0], GMD(0.25)) == pytest.approx(7.5)
 
     def test_stddev_two_points(self):
@@ -122,8 +136,8 @@ class TestPremium:
             premium([], Expectation(0.1))
         with pytest.raises(ValueError):
             premium([1.0], StdDev(0.1))
-        with pytest.raises(ValueError):
-            gmd([1.0])
+        with pytest.raises(ValueError, match="GMD needs at least 2 samples"):
+            premium([1.0], GMD(0.1))
 
     def test_loading_nonnegativity(self):
         rng = np.random.default_rng(2)
@@ -155,117 +169,110 @@ class TestPremium:
 
 class TestGmd:
     def test_identical_values(self):
-        assert gmd([3.0, 3.0, 3.0]) == 0.0
+        assert gmd_of([3.0, 3.0, 3.0]) == 0.0
 
     def test_sorted_equals_brute_force(self):
         rng = np.random.default_rng(8)
         x = rng.uniform(0, 1000, 2000)
-        assert gmd(x) == pytest.approx(brute_force_gmd(x), rel=1e-9)
+        assert gmd_of(x) == pytest.approx(brute_force_gmd(x), rel=1e-9)
 
     @given(st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=2, max_size=60))
     @settings(max_examples=100, deadline=None)
     def test_sorted_equals_brute_force_property(self, values):
-        assert gmd(values) == pytest.approx(brute_force_gmd(values), rel=1e-9, abs=1e-9)
+        assert gmd_of(values) == pytest.approx(brute_force_gmd(values), rel=1e-9, abs=1e-9)
 
 
 class TestVarBeta:
     def test_four_samples(self):
-        assert var_beta([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
+        assert var_of([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
+        assert premium([1.0, 2.0, 3.0, 4.0], CTE(0.5)) == 3.0  # mean of {2, 3, 4}
 
     def test_tiny_beta_gives_minimum(self):
-        assert var_beta([5.0, 1.0, 9.0], 1e-9) == 1.0
+        assert var_of([5.0, 1.0, 9.0], 1e-9) == 1.0
+        assert premium([5.0, 1.0, 9.0], CTE(1e-9)) == 5.0  # every sample
 
     def test_heavy_zero_mass(self):
         x = [0.0] * 99 + [50.0]
-        assert var_beta(x, 0.34) == 0.0
-        assert cte(x, 0.34) == pytest.approx(0.5)  # mean of everything >= 0
+        assert var_of(x, 0.34) == 0.0
+        assert premium(x, CTE(0.34)) == pytest.approx(0.5)  # mean of everything >= 0
 
     def test_bad_beta(self):
         with pytest.raises(ValueError):
-            var_beta([1.0], 0.0)
+            CTE(0.0)
         with pytest.raises(ValueError):
-            var_beta([1.0], 1.0)
+            var_rank(1, 1.0)
 
 
 class TestCalibrate:
     def test_expectation_closed_form(self):
         x = np.full(50, 14.0)
-        param = calibrate("expectation", x, 28.0)
+        param = calibrated("expectation", x, 28.0)
         assert param == Expectation(1.0)
         assert premium(x, param) == pytest.approx(28.0, rel=1e-6)
 
     def test_stddev_closed_form(self):
-        param = calibrate("stddev", [0.0, 10.0], 12.0)
+        param = calibrated("stddev", [0.0, 10.0], 12.0)
         assert param.theta == pytest.approx((12.0 - 5.0) / math.sqrt(50.0))
         assert param.theta == pytest.approx(0.98995, abs=1e-5)
         assert premium([0.0, 10.0], param) == pytest.approx(12.0, rel=1e-6)
 
     def test_gmd_closed_form(self):
-        param = calibrate("gmd", [0.0, 10.0], 12.0)
+        param = calibrated("gmd", [0.0, 10.0], 12.0)
         assert param.theta == pytest.approx(0.7)
         assert premium([0.0, 10.0], param) == pytest.approx(12.0, rel=1e-6)
 
     def test_round_trip_on_random_samples(self):
         rng = np.random.default_rng(9)
         x = rng.lognormal(4, 1.5, 5_000)
-        for family in ("expectation", "stddev", "gmd"):
-            for target in (10.0, 150.0, 2_000.0):
-                param = calibrate(family, x, target)
+        for target in (10.0, 150.0, 2_000.0):
+            for param in calibrations(x, ("expectation", "stddev", "gmd"), target):
                 assert premium(x, param) == pytest.approx(target, rel=1e-6)
 
     def test_cte_round_trip(self):
         rng = np.random.default_rng(10)
         x = np.sort(rng.gamma(2.0, 30.0, 1_000))
-        target = cte(x, 0.75)
-        param = calibrate("cte", x, target)
+        target = premium(x, CTE(0.75))
+        param = calibrated("cte", x, target)
         assert isinstance(param, CTE)
         assert premium(x, param) == pytest.approx(target, rel=1e-6)
 
     def test_constant_samples_not_calibratable(self):
         x = np.full(20, 5.0)
         for family in ("stddev", "gmd"):
-            with pytest.raises(NotCalibratableError):
-                calibrate(family, x, 9.0)
-        with pytest.raises(NotCalibratableError):
-            calibrate("expectation", np.zeros(20), 9.0)
+            assert isinstance(calibrated(family, x, 9.0), NotCalibratableError)
+        assert isinstance(calibrated("expectation", np.zeros(20), 9.0), NotCalibratableError)
 
     def test_cte_not_achievable(self):
         x = [0.0] * 98 + [100.0, 200.0]
-        with pytest.raises(TargetNotAchievableError):
-            calibrate("cte", x, 1.0)  # below the sample mean of 3
-        with pytest.raises(TargetNotAchievableError):
-            calibrate("cte", x, 500.0)  # above the sample maximum
+        # below the sample mean of 3, then above the sample maximum
+        for target, where in ((1.0, "below the sample mean"), (500.0, "above the sample maximum")):
+            error = calibrated("cte", x, target)
+            assert isinstance(error, TargetNotAchievableError) and where in str(error)
 
     def test_cte_flat_gap_reports_non_identifiable(self):
         # CTE is flat at 3.0 (98% zeros) and then jumps to 150; 28 sits in the gap
         x = [0.0] * 98 + [100.0, 200.0]
-        with pytest.raises(CteNotIdentifiableError, match="flat"):
-            calibrate("cte", x, 28.0)
+        error = calibrated("cte", x, 28.0)
+        assert isinstance(error, CteNotIdentifiableError) and "flat" in str(error)
 
     def test_cte_target_attainable_on_plateau(self):
         x = [0.0] * 98 + [100.0, 200.0]
-        param = calibrate("cte", x, 3.0)  # the flat level itself
+        param = calibrated("cte", x, 3.0)  # the flat level itself
         assert premium(x, param) == pytest.approx(3.0, rel=1e-6)
 
     def test_calibrations_match_calibrate_with_one_sort(self, monkeypatch):
         rng = np.random.default_rng(12)
         x = rng.lognormal(3.0, 1.5, 4_000)
         x[rng.random(x.size) < 0.5] = 0.0
-        for target in (cte(x, 0.8), float(x.mean()) / 2):  # the second fails for cte
-            alone = []
-            for family in FAMILIES:
-                try:
-                    alone.append(calibrate(family, x, target))
-                except CalibrationError as exc:
-                    alone.append((type(exc), str(exc)))
+        for target in (premium(x, CTE(0.8)), float(x.mean()) / 2):  # the second fails for cte
+            alone = [_outcome(calibrated(family, x, target)) for family in FAMILIES]
             calls = []
             sort = np.sort
             monkeypatch.setattr(np, "sort", lambda a, *args, **kw: calls.append(1) or sort(a))
             together = calibrations(x, FAMILIES, target)
             monkeypatch.undo()
             assert calls == [1]
-            assert [(type(r), str(r)) if isinstance(r, CalibrationError) else r
-                    for r in together] == alone
+            assert [_outcome(r) for r in together] == alone
             assert calibrations(x, ("expectation", "stddev"), target) == tuple(alone[:2])
 
     def test_returned_error_keeps_no_sample_alive(self):
@@ -283,11 +290,11 @@ class TestCalibrate:
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown principle family"):
-            calibrate("esscher", [1.0, 2.0], 1.5)
+            calibrations([1.0, 2.0], ("esscher",), 1.5)
 
     def test_negative_target_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate("expectation", [1.0, 2.0], -1.0)
+        with pytest.raises(ValueError, match="target premium must be finite and >= 0"):
+            calibrations([1.0, 2.0], ("expectation",), -1.0)
 
 
 class TestPremiums:
@@ -301,7 +308,6 @@ class TestPremiums:
             together = premiums(column, self.PARAMS)
             alone = tuple(premium(column, param) for param in self.PARAMS)
             assert np.array(together).tobytes() == np.array(alone).tobytes()
-        assert premium(losses[:, 0], CTE(0.34)) == cte(losses[:, 0], 0.34)
 
     def test_one_sort_for_all_principles(self, monkeypatch):
         calls = []
@@ -354,15 +360,15 @@ class TestVarRank:
         x = np.random.default_rng(12).permutation(np.arange(1.0, n + 1.0))
         for k in range(1, n):
             tail = float(np.arange(k, n + 1.0).mean())  # integers: every sum is exact
-            assert var_beta(x, k / n) == k
+            assert var_of(x, k / n) == k
             assert premium(x, CTE(k / n)) == tail
-            assert calibrate("cte", x, tail) == CTE(k / n)
+            assert calibrated("cte", x, tail) == CTE(k / n)
 
     def test_cte_round_trip_example(self):
         x = np.arange(1.0, 101.0)
         target = float(x[6:].mean())
         assert target == 53.5
-        param = calibrate("cte", x, target)
+        param = calibrated("cte", x, target)
         assert param == CTE(0.07)
         assert premium(x, param) == target
 
@@ -411,9 +417,14 @@ def _reference_calibrate_cte(x: np.ndarray, target: float, tol: float) -> CTE:
     return CTE(best_k / n)
 
 
-def _outcome(solve, *args):
+def _outcome(result):
+    """A calibration result, with an error as its (type, message) so that results compare."""
+    return (type(result), str(result)) if isinstance(result, CalibrationError) else result
+
+
+def _reference_outcome(x, target, tol):
     try:
-        return solve(*args)
+        return _reference_calibrate_cte(x, target, tol)
     except CalibrationError as exc:
         return type(exc), str(exc)
 
@@ -446,21 +457,21 @@ class TestCteScan:
     @settings(max_examples=400, deadline=None, derandomize=True)
     def test_matches_the_reference_loop(self, case):
         x, target = case
-        tol = 1e-6 * max(1.0, target)  # calibrate's default rel_tol
-        expected = _outcome(_reference_calibrate_cte, x, target, tol)
-        assert _outcome(calibrate, "cte", x, target) == expected
+        tol = 1e-6 * max(1.0, target)  # the CTE tolerance of calibrations
+        expected = _reference_outcome(x, target, tol)
+        assert _outcome(calibrated("cte", x, target)) == expected
 
     @pytest.mark.parametrize("target", [0.5, 1.0, 3.0, 3.0 + 2e-6, 28.0, 150.0, 199.0, 200.0,
                                         500.0])
     def test_zero_heavy_sample(self, target):
         x = np.array([0.0] * 98 + [100.0, 200.0])
         tol = 1e-6 * max(1.0, target)
-        expected = _outcome(_reference_calibrate_cte, x, target, tol)
-        assert _outcome(calibrate, "cte", x, target) == expected
+        expected = _reference_outcome(x, target, tol)
+        assert _outcome(calibrated("cte", x, target)) == expected
 
     def test_every_candidate_below_the_target(self):
         # tail means 1.5 (k = 1) and then the sample maximum 2.0 is never a candidate
         x = np.array([1.0, 2.0])
-        got = _outcome(calibrate, "cte", x, 1.9)
-        assert got == _outcome(_reference_calibrate_cte, x, 1.9, 1.9e-6)
+        got = _outcome(calibrated("cte", x, 1.9))
+        assert got == _reference_outcome(x, 1.9, 1.9e-6)
         assert got[0] is CteNotIdentifiableError and "the sample maximum" in got[1]

@@ -1,19 +1,27 @@
 import numpy as np
 import pytest
 
+from homecyber.portfolio import simulate_claims
 from homecyber.pricing import Policy
 from homecyber.search import (
     DegenerateClaimsError,
     MeanLR,
     QuantileLR,
+    deductible_grid,
     lr_statistic,
     premium_for_claims,
     report_proposals,
     search_deductible,
-    solve_premium,
 )
 
 GRID = (100.0, 150.0, 200.0, 250.0, 500.0, 1000.0)
+BOTH = (MeanLR(0.40), QuantileLR(0.995, 0.40))
+
+
+def grid_claims(graph, lines, n_homes, replications, seed, grid=GRID):
+    """Claims of one CRN simulation, one row per grid deductible at 50 000 cover."""
+    return simulate_claims(graph, lines, n_homes, replications,
+                           [Policy(d, 50_000.0) for d in grid], seed)
 
 
 class TestStrategies:
@@ -48,32 +56,34 @@ class TestPremiumForClaims:
         with pytest.raises(DegenerateClaimsError):
             premium_for_claims(np.zeros(100), 500, MeanLR(0.4))
 
+    @pytest.mark.parametrize("claim, strategy", [(1e-320, MeanLR(0.4)),
+                                                 (5e-324, QuantileLR(0.995, 0.4))])
+    def test_subnormal_round_trip_flagged(self, claim, strategy):
+        # the premium is subnormal too, so claims / (N * P) rounds off the target
+        with pytest.raises(DegenerateClaimsError, match="round-trip LR statistic"):
+            premium_for_claims(np.full(50, claim), 3, strategy)
+
 
 class TestSolvePremium:
     def test_round_trip_on_case_study(self, case_graph, case_lines):
-        prem = solve_premium(
-            case_graph, case_lines, Policy(1000.0, 50_000.0), MeanLR(0.40),
-            n_homes=100, replications=2_000, master_seed=31,
-        )
-        assert prem > 0.0
-        # re-simulating with the same seed must reproduce the target exactly
-        from homecyber.portfolio import simulate_claims
-
         claims = simulate_claims(
             case_graph, case_lines, 100, 2_000, [Policy(1000.0, 50_000.0)], 31
         )[0]
-        assert lr_statistic(claims / (100 * prem), MeanLR(0.40)) == pytest.approx(
+        prem = premium_for_claims(claims, 100, MeanLR(0.40))
+        assert prem > 0.0
+        # the same claims, re-simulated from the same seed, reproduce the target exactly
+        again = simulate_claims(
+            case_graph, case_lines, 100, 2_000, [Policy(1000.0, 50_000.0)], 31
+        )[0]
+        assert lr_statistic(again / (100 * prem), MeanLR(0.40)) == pytest.approx(
             0.40, rel=1e-9
         )
 
 
 @pytest.fixture(scope="module")
 def search_result(case_graph, case_lines):
-    return search_deductible(
-        case_graph, case_lines, premiums_total=418.0, coverage=50_000.0,
-        grid=GRID, strategy=MeanLR(0.40),
-        n_homes=100, replications=2_000, master_seed=41,
-    )
+    claims = grid_claims(case_graph, case_lines, 100, 2_000, 41)
+    return search_deductible(claims, GRID, 100 * 418.0, MeanLR(0.40))
 
 
 class TestSearchDeductible:
@@ -92,57 +102,40 @@ class TestSearchDeductible:
         if search_result.chosen is None:
             assert not any(feasible)
         else:
-            idx = search_result.grid.index(search_result.chosen)
+            idx = GRID.index(search_result.chosen)
             assert feasible[idx]
             assert all(not f for f in feasible[:idx])
 
     def test_trivial_target_returns_smallest(self, case_graph, case_lines):
-        result = search_deductible(
-            case_graph, case_lines, premiums_total=100_000.0, coverage=50_000.0,
-            grid=GRID, strategy=MeanLR(1.0),
-            n_homes=20, replications=100, master_seed=1,
-        )
+        claims = grid_claims(case_graph, case_lines, 20, 100, 1)
+        result = search_deductible(claims, GRID, 20 * 100_000.0, MeanLR(1.0))
         assert result.chosen == GRID[0]
 
     def test_infeasible_target(self, case_graph, case_lines):
-        result = search_deductible(
-            case_graph, case_lines, premiums_total=1.0, coverage=50_000.0,
-            grid=(0.0, 100.0), strategy=MeanLR(1e-9),
-            n_homes=20, replications=100, master_seed=1,
-        )
+        claims = grid_claims(case_graph, case_lines, 20, 100, 1, grid=(0.0, 100.0))
+        result = search_deductible(claims, (0.0, 100.0), 20 * 1.0, MeanLR(1e-9))
         assert result.chosen is None
         assert not any(result.feasible)
 
-    def test_grid_must_ascend(self, case_graph, case_lines):
+    def test_grid_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):
-            search_deductible(
-                case_graph, case_lines, premiums_total=418.0, coverage=50_000.0,
-                grid=(500.0, 100.0), strategy=MeanLR(0.4),
-                n_homes=10, replications=10, master_seed=1,
-            )
+            deductible_grid((500.0, 100.0))
+        with pytest.raises(ValueError, match="empty"):
+            deductible_grid(())
 
     def test_quantile_never_below_mean_deductible(self, case_graph, case_lines):
-        common = dict(
-            premiums_total=418.0, coverage=50_000.0, grid=GRID,
-            n_homes=100, replications=2_000, master_seed=43,
+        claims = grid_claims(case_graph, case_lines, 100, 2_000, 43)
+        mean_pick, tail_pick = (
+            search_deductible(claims, GRID, 100 * 418.0, strategy).chosen for strategy in BOTH
         )
-        mean_pick = search_deductible(
-            case_graph, case_lines, strategy=MeanLR(0.40), **common
-        ).chosen
-        tail_pick = search_deductible(
-            case_graph, case_lines, strategy=QuantileLR(0.995, 0.40), **common
-        ).chosen
         assert mean_pick is not None
         assert tail_pick is None or tail_pick >= mean_pick
 
 
 class TestReportProposals:
     def test_single_principle_row(self, case_graph, case_lines):
-        rows = report_proposals(
-            case_graph, case_lines, premiums=[("rho1", 418.0)],
-            coverage=50_000.0, grid=GRID,
-            n_homes=100, replications=1_000, master_seed=51,
-        )
+        claims = grid_claims(case_graph, case_lines, 100, 1_000, 51)
+        rows = report_proposals(claims, GRID, [("rho1", 418.0)], 50_000.0, 100, BOTH)
         assert len(rows) == 1
         row = rows[0]
         assert row.principle == "rho1"
@@ -152,32 +145,24 @@ class TestReportProposals:
             assert row.mean_profit_1 < 100 * 418.0
 
     def test_zero_targets_infeasible(self, case_graph, case_lines):
-        rows = report_proposals(
-            case_graph, case_lines, premiums=[("rho1", 418.0), ("rho2", 307.0)],
-            coverage=50_000.0, grid=GRID,
-            n_homes=50, replications=500, master_seed=52,
-            mean_target=1e-12, quantile_target=1e-12,
-        )
+        claims = grid_claims(case_graph, case_lines, 50, 500, 52)
+        rows = report_proposals(claims, GRID, [("rho1", 418.0), ("rho2", 307.0)], 50_000.0, 50,
+                                (MeanLR(1e-12), QuantileLR(0.995, 1e-12)))
         for row in rows:
             assert row.deductible_1 is None
             assert row.mean_profit_1 is None
             assert row.deductible_2 is None
 
-    def test_grid_must_ascend(self, case_graph, case_lines):
+    def test_grid_must_ascend(self):
+        # a repeated deductible is not strictly ascending either
         with pytest.raises(ValueError, match="strictly ascending"):
-            report_proposals(
-                case_graph, case_lines, premiums=[("rho1", 418.0)],
-                coverage=50_000.0, grid=(1000.0, 500.0, 100.0),
-                n_homes=10, replications=10, master_seed=54,
-            )
+            deductible_grid((100.0, 500.0, 500.0))
+        assert deductible_grid([100, 500]) == (100.0, 500.0)
 
     def test_strategy_two_pick_at_least_strategy_one(self, case_graph, case_lines):
-        rows = report_proposals(
-            case_graph, case_lines,
-            premiums=[("rho1", 418.0), ("rho2", 307.0), ("rho3", 368.0), ("rho4", 408.0)],
-            coverage=50_000.0, grid=GRID,
-            n_homes=100, replications=2_000, master_seed=53,
-        )
+        claims = grid_claims(case_graph, case_lines, 100, 2_000, 53)
+        premiums = [("rho1", 418.0), ("rho2", 307.0), ("rho3", 368.0), ("rho4", 408.0)]
+        rows = report_proposals(claims, GRID, premiums, 50_000.0, 100, BOTH)
         for row in rows:
             if row.deductible_1 is not None and row.deductible_2 is not None:
                 assert row.deductible_2 >= row.deductible_1

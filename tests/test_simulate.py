@@ -124,8 +124,9 @@ class TestRunSimulation:
 
     def test_cyber_extortion_mostly_zero(self, case_result):
         stats = summarize(case_result.line_losses[:, 3], DEFAULT_QUANTILE_LEVELS)
-        assert stats.quantile(0.75) == 0.0
-        assert stats.quantile(0.95) == 0.0
+        quantiles = dict(stats.quantiles)
+        assert quantiles[0.75] == 0.0
+        assert quantiles[0.95] == 0.0
 
 
 class TestThreads:
@@ -236,7 +237,7 @@ class TestSummarize:
 
     def test_linear_interpolation(self):
         stats = summarize([0.0, 10.0], levels=(0.5,))
-        assert stats.quantile(0.5) == 5.0
+        assert stats.quantiles == ((0.5, 5.0),)
         assert stats.sd == pytest.approx(math.sqrt(50.0))
 
     def test_single_observation(self):
@@ -294,9 +295,3 @@ class TestSummarize:
         quantiles = np.array([value for _, value in stats.quantiles])
         expected = np.quantile(x, DEFAULT_QUANTILE_LEVELS)
         assert (quantiles + 0.0).tobytes() == (expected + 0.0).tobytes()
-
-    def test_unknown_level_lookup(self):
-        stats = summarize([1.0, 2.0], levels=(0.5,))
-        with pytest.raises(KeyError):
-            stats.quantile(0.9)
-        assert isinstance(stats, SummaryStats)

@@ -1,0 +1,119 @@
+"""SHA-256 of every output of every CLI command, for byte-identity checks.
+
+Runs all nine commands, with ``--out`` where the command writes files and
+at ``--workers`` 1 and 2 where it takes that flag, on the bundled scenario
+and on the scenarios that ``bench/scenario_gen.py --seed N`` prints for
+N = 3, 5 and 7.  Prints one ``sha256  scenario/command/workers/file`` line
+per output file and per stdout.  A change that must keep every output byte-identical diffs this
+script's output at the parent commit and at the change:
+
+    PYTHONPATH=src python tools/output_digests.py > digests.txt
+
+Commands run in this interpreter, in a temporary directory, with relative
+paths, so the ``wrote PATH`` lines on stdout do not depend on where it is.
+Exits 1 if a command fails.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from homecyber.cli import COMMANDS, cli_dispatch
+from homecyber.scenario import bundled_case_study_path, load_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
+GENERATED_SEEDS = (3, 5, 7)
+GRID = "100,150,200,250,500,1000"
+RETAINED = ("--deductible", "1000", "--coverage", "50000")
+THETAS = ("--theta-expectation", "0.5", "--theta-stddev", "0.03", "--theta-gmd", "0.25",
+          "--beta-cte", "0.9")
+SEARCH = ("--premium", "418", "--coverage", "50000", "--grid", GRID, "--lr-target", "0.4",
+          "--homes", "300", "--replications", "70", "--seed", "13")
+SOLVE = (*RETAINED, "--lr-target", "0.4", "--homes", "300", "--replications", "70",
+         "--seed", "13")
+
+
+def runs(line: int) -> list[tuple[str, list[str]]]:
+    """(label, argv) of every run; ``line`` is a business line of the scenario."""
+    calibrate = ["calibrate", "--runs", "20000", "--seed", "16", "--line", str(line),
+                 "--target", "28"]
+    price = ["price", "--runs", "20000", "--seed", "15", *THETAS]
+    return [
+        ("validate", ["validate"]),
+        ("enumerate", ["enumerate"]),
+        ("simulate", ["simulate", "--runs", "20000", "--seed", "11"]),
+        ("price", price),
+        ("price-retained", [*price, "--deductible", "100", "--coverage", "5000"]),
+        ("calibrate", calibrate),
+        ("calibrate-retained", [*calibrate, "--deductible", "100", "--coverage", "5000"]),
+        ("portfolio", ["portfolio", "--premium", "418", *RETAINED, "--homes", "300",
+                       "--replications", "60", "--seed", "12"]),
+        ("search-deductible-mean", ["search-deductible", *SEARCH, "--strategy", "mean"]),
+        ("search-deductible-quantile", ["search-deductible", *SEARCH, "--strategy", "quantile"]),
+        ("solve-premium-mean", ["solve-premium", *SOLVE, "--strategy", "mean"]),
+        ("solve-premium-quantile", ["solve-premium", *SOLVE, "--strategy", "quantile"]),
+        ("propose", ["propose", "--premiums", "418,307,368,408", "--coverage", "50000",
+                     "--grid", GRID, "--homes", "500", "--replications", "40", "--seed", "14"]),
+    ]
+
+
+def sha256(data: bytes | Path) -> str:
+    digest = hashlib.sha256()
+    if isinstance(data, bytes):
+        digest.update(data)
+    else:
+        with open(data, "rb") as f:
+            for chunk in iter(lambda: f.read(1 << 20), b""):
+                digest.update(chunk)
+    return digest.hexdigest()
+
+
+def scenarios(work: Path) -> list[str]:
+    """Write every scenario into ``work``; returns their file names."""
+    shutil.copyfile(bundled_case_study_path(), work / "bundled.json")
+    names = ["bundled.json"]
+    for seed in GENERATED_SEEDS:
+        text = subprocess.run([sys.executable, str(ROOT / "bench" / "scenario_gen.py"),
+                               "--seed", str(seed)], capture_output=True, check=True).stdout
+        names.append(f"generated-{seed}.json")
+        (work / names[-1]).write_bytes(text)
+    return names
+
+
+def main() -> int:
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        os.chdir(work)
+        for scenario in scenarios(work):
+            line = load_scenario(scenario).lines[0].index
+            for label, argv in runs(line):
+                _, flags, files, _ = COMMANDS[argv[0]]
+                takes_workers = any(flag == "--workers" for flag, _ in flags)
+                for workers in ("1", "2") if takes_workers else ("-",):
+                    out = Path(scenario.removesuffix(".json"), label, workers)
+                    extra = ["--workers", workers] if takes_workers else []
+                    extra += ["--out", str(out)] if files else []
+                    stdout = io.StringIO()
+                    with contextlib.redirect_stdout(stdout):
+                        code = cli_dispatch([argv[0], "--scenario", scenario, *argv[1:], *extra])
+                    # search-deductible exits 1 when no grid point is feasible
+                    if code not in ((0, 1) if argv[0] == "search-deductible" else (0,)):
+                        print(f"{out}: exit {code}", file=sys.stderr)
+                        failed = 1
+                    for path in sorted(out.iterdir()) if out.is_dir() else ():
+                        print(f"{sha256(path)}  {out}/{path.name}")
+                    print(f"{sha256(stdout.getvalue().encode())}  {out}/stdout")
+                    shutil.rmtree(out, ignore_errors=True)
+        os.chdir(ROOT)
+    return failed
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
