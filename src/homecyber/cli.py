@@ -10,6 +10,7 @@ scenario, flags and seed give byte-identical outputs for any --workers N.
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -21,14 +22,23 @@ from .scenario import RunManifest, Scenario, load_scenario, scenario_digest, wri
 from .simulate import run_simulation
 
 
-def _workers(text: str) -> int:
+def _int_at_least(text: str, minimum: int) -> int:
+    """``text`` as an int >= ``minimum``; a parse-time check, so the usage error names the flag."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
+
+
+def _workers(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _seed(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _flags(kind, *names, **options):
@@ -38,9 +48,10 @@ def _flags(kind, *names, **options):
 
 WORKERS = _flags(_workers, "--workers", default=1,
                  help="threads that draw blocks (>= 1); outputs do not depend on it")
+SEED = (*_flags(_seed, "--seed", required=True), *WORKERS)
 # a seeded command's size flags, then --seed and --workers
-RUNS = (*_flags(int, "--runs", "--seed", required=True), *WORKERS)
-PORTFOLIO_SIZES = (*_flags(int, "--homes", "--replications", "--seed", required=True), *WORKERS)
+RUNS = (*_flags(int, "--runs", required=True), *SEED)
+PORTFOLIO_SIZES = (*_flags(int, "--homes", "--replications", required=True), *SEED)
 STRATEGY = (*_flags(None, "--strategy", choices=("mean", "quantile"), required=True),
             *_flags(float, "--lr-target", required=True),
             *_flags(float, "--quantile-level", default=0.995))
@@ -281,9 +292,31 @@ def _propose(scenario, args) -> None:
     _write(scenario, args, reports.proposal_table(rows))
 
 
+# a value that starts like a negative number, or like a list of numbers that starts with one
+_NEGATIVE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+def _negative_values_joined(argv: list[str]) -> list[str]:
+    """``argv`` with ``--flag -5,100`` spelled ``--flag=-5,100``.
+
+    argparse takes a value that starts with a minus sign for an option unless
+    it is a plain negative number, so ``--grid -5,100`` would be a usage error
+    before the program's own check of the grid could name the bad deductible.
+    """
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1].startswith("--") and "=" not in joined[-1] \
+                and _NEGATIVE.match(arg):
+            joined[-1] += f"={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def cli_dispatch(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_negative_values_joined(argv))
     except SystemExit as exc:  # --help, --version or a usage error
         return exc.code
     try:
@@ -295,6 +328,9 @@ def cli_dispatch(argv=None) -> int:
         raise
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a size too large to allocate, as numpy reports it
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

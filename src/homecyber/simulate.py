@@ -29,8 +29,9 @@ from .losses import BusinessLine, LossPlan, loss_plan, sample_loss_matrix
 
 # Rows per run block: large enough that the per-block cost (a new substream,
 # one vector draw per line, a GIL handoff per numpy call) vanishes, small
-# enough that a block's temporaries stay near 1 MB per thread.
-RUN_BLOCK = 1 << 14
+# enough that a block's temporaries stay within a few MB per thread (one
+# float64 value per row is 256 KB).
+RUN_BLOCK = 1 << 15
 DEFAULT_QUANTILE_LEVELS = (0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.995, 0.999)
 
 

@@ -25,8 +25,11 @@ REPLICATION_LANE = 1
 # 4096, so portfolio groups hold max(1, 16384 // n_homes) replications.
 # Layout 6 draws the same way from SFC64 generators seeded by SeedSequence
 # spawn keys, where layouts 1-5 used Philox counter substreams of one key.
+# Layout 7 draws the same way in blocks of 2^15 rows, so portfolio groups
+# hold max(1, 32768 // n_homes) replications; up to 16384 runs are one
+# block under either layout, so their draws match layout 6's.
 # Blocks may be drawn on any number of threads without changing a draw.
-STREAM_LAYOUT = 6
+STREAM_LAYOUT = 7
 
 
 def substream(master_seed: int, index: int, lane: int = 0) -> np.random.Generator:

@@ -19,8 +19,10 @@ import homecyber
 from conftest import graphs_with_lines, joint_csv_reference
 from homecyber.cli import COMMANDS, _build_parser, cli_dispatch
 from homecyber.graph import enumerate_joint
+from homecyber.portfolio import replication_group
 from homecyber.reports import marginals_table, render_csv
 from homecyber.scenario import Scenario, bundled_case_study_path, canonical_document, load_scenario
+from homecyber.simulate import RUN_BLOCK
 from homecyber.streams import STREAM_LAYOUT
 
 CASE = str(bundled_case_study_path())
@@ -65,7 +67,7 @@ class TestDispatch:
 # all follow these, so the parser built from the command table must keep them.
 SCENARIO_OPT = ("--scenario", True, None, None, None, "scenario JSON file")
 SEED_OPTS = (
-    ("--seed", True, "int", None, None, None),
+    ("--seed", True, "_seed", None, None, None),
     ("--workers", False, "_workers", 1, None,
      "threads that draw blocks (>= 1); outputs do not depend on it"),
 )
@@ -283,49 +285,60 @@ class TestEnumerate:
 
 
 def test_golden_simulation_output(tmp_path):
-    # SHA-256 of stream layout 6's draws on the bundled scenario (2^14-row
-    # blocks): 20000 runs are one complete run block and a partial one, and
-    # 300 homes (54 replications per group) x 60 or 70 and 500 homes (32 per
-    # group) x 40 are one complete replication group and a partial one, so
+    # SHA-256 of stream layout 7's draws on the bundled scenario (2^15-row
+    # blocks): 40000 runs are one complete run block and a partial one, and
+    # 300 homes (109 replications per group) x 120 or 130 and 500 homes (65 per
+    # group) x 70 are one complete replication group and a partial one, so
     # any change to which draw lands where shows here.  The price and calibrate
     # digests also pin the premium principles and the CTE calibration scan:
-    # 20000 * 0.9 is exactly 18000, so the CTE's value-at-risk rank is the
+    # 40000 * 0.9 is exactly 36000, so the CTE's value-at-risk rank is the
     # same under ceil(n * beta) and the smallest k with k / n >= beta; line 4
     # at target 28 reports the flat CTE, and line 1 at its own CTE(0.9) hits
+    # beta 0.9.  The second proposals.csv picks a different deductible under
+    # each strategy for every principle, so it tells the two column pairs apart.
+    assert RUN_BLOCK < 40000 < 2 * RUN_BLOCK
+    assert replication_group(300) < 120 < 130 < 2 * replication_group(300)
+    assert replication_group(500) < 70 < 2 * replication_group(500)
     golden = (
         ("summary.csv",
-         "b437842cc26acafbdbe4645868bfd3be2cd901283eaafe2839f8863e1ccdeac4",
-         ["simulate", "--runs", "20000", "--seed", "11"]),
+         "0bf46b17d6d737d3755a33a9365437f242fc030f6532cd9b21d9a38e7451f3e2",
+         ["simulate", "--runs", "40000", "--seed", "11"]),
         ("portfolio.csv",
-         "3ad9d2eb1621ffb38b95cf4bf1d02aabdb347b5a4f15547429363cb7af8a145c",
+         "95347726ea3babf65d87a4d96403c315e282f0064e05242886d9097c800ee269",
          ["portfolio", "--premium", "418", "--deductible", "1000", "--coverage", "50000",
-          "--homes", "300", "--replications", "60", "--seed", "12"]),
+          "--homes", "300", "--replications", "120", "--seed", "12"]),
         # one replication: the size-1 branch that reports SD 0
         ("portfolio.csv",
-         "7032117eb653fd58e92374691f9986e4eef2c4a492640373e85844fd77bf76f0",
+         "093f686bb2acf53a90802bb7647eab987fb5416a45d0a26996e8e9daba49cd6b",
          ["portfolio", "--premium", "418", "--deductible", "1000", "--coverage", "50000",
           "--homes", "300", "--replications", "1", "--seed", "12"]),
         ("search.csv",
-         "7f9a62d97e16d9ff709021aaab2c097c0fbd8d232823769343ae5b62ad2924b4",
+         "b682e19ba11c402c9c2a420b684963d39ec591392a1e11bc3fd40d8191ab91ce",
          ["search-deductible", "--premium", "418", "--coverage", "50000",
           "--grid", "100,500,1000", "--strategy", "quantile", "--lr-target", "0.4",
-          "--homes", "300", "--replications", "70", "--seed", "13"]),
+          "--homes", "300", "--replications", "130", "--seed", "13"]),
         ("proposals.csv",
-         "1a75712f8d0d8c26744bfbb0ee22a5dd299fb749ca0e7e9cd3959a9640a39aa6",
+         "c927c68f9a3726f780c8330738bd2d30eabf8470bed0c5399424ef0c44aa972f",
          ["propose", "--premiums", "418,307,368,408", "--coverage", "50000",
-          "--grid", "100,500,1000", "--homes", "500", "--replications", "40",
+          "--grid", "100,500,1000", "--homes", "500", "--replications", "70",
           "--seed", "14"]),
+        # mean LR picks 200, 300, 200, 200 and the Q99.5 LR 300, 500, 400, 300
+        ("proposals.csv",
+         "b18af68f04cb784faef113c9a327c1adc6ea539c87e716107a509d0953b8f855",
+         ["propose", "--premiums", "418,307,368,408", "--coverage", "50000",
+          "--grid", ",".join(str(d) for d in range(100, 1001, 100)),
+          "--homes", "500", "--replications", "2000", "--seed", "7"]),
         ("premiums.csv",
-         "5d3bcb957c319394be3c987ee0da06fc5bdd308016875ef3c51bff6311efd18e",
-         ["price", "--runs", "20000", "--seed", "15", "--theta-expectation", "0.5",
+         "7297c7070fc5d0f7269da97ec46fe2dc15de9ccb2bdbddcd4ce7c874489c0ff5",
+         ["price", "--runs", "40000", "--seed", "15", "--theta-expectation", "0.5",
           "--theta-stddev", "0.03", "--theta-gmd", "0.25", "--beta-cte", "0.9"]),
         ("calibration.csv",
-         "d160af5f4deb18a760b6a91a099419d69494f546434c2f441e5f12c556292225",
-         ["calibrate", "--runs", "20000", "--seed", "16", "--line", "4", "--target", "28"]),
+         "be8d71a3e34f3eaba092b8e3bf9aa1c59a81182ef5c71615cbede3852de368a9",
+         ["calibrate", "--runs", "40000", "--seed", "16", "--line", "4", "--target", "28"]),
         ("calibration.csv",
-         "c45878722ac906f378d5dd2a52a97ecad1b41d56a4b86e36a5e1ca45f998135b",
-         ["calibrate", "--runs", "20000", "--seed", "16", "--line", "1",
-          "--target", "504.81419062352876"]),
+         "e7875209675256f2e2f68b03be0b993cd6917ed08bf3aa9574dc535082bcf994",
+         ["calibrate", "--runs", "40000", "--seed", "16", "--line", "1",
+          "--target", "507.4315445182009"]),
     )
     for k, (name, digest, argv) in enumerate(golden):
         out = tmp_path / f"{k}"
@@ -450,7 +463,7 @@ class TestSearchAndSolve:
         assert value > 0.0
 
     @pytest.mark.parametrize("coverage, strategy, homes, achieved", [
-        ("1e-320", "mean", "100", "0.40000724574421653"),
+        ("1e-320", "mean", "100", "0.39998726003490404"),
         ("5e-324", "quantile", "3", "0.5"),
     ], ids=["mean", "quantile"])
     def test_solve_premium_subnormal_coverage(self, coverage, strategy, homes, achieved,
@@ -514,11 +527,12 @@ class TestSearchAndSolve:
 
 
 class TestWorkers:
-    # 3 * 2^14 + 100 runs are four run blocks; 2000 homes make groups of 8
-    # replications, so 29 replications are four groups, the last one partial
-    SIZES = ("--homes", "2000", "--replications", "29", "--seed", "5")
+    # four run blocks and four replication groups of 2000 homes, the last one
+    # partial each time
+    SIZES = ("--homes", "2000", "--replications", str(3 * replication_group(2000) + 5),
+             "--seed", "5")
     COMMANDS = {
-        "simulate": ["simulate", "--runs", str(3 * (1 << 14) + 100), "--seed", "5"],
+        "simulate": ["simulate", "--runs", str(3 * RUN_BLOCK + 100), "--seed", "5"],
         "portfolio": ["portfolio", "--premium", "418", "--deductible", "1000",
                       "--coverage", "50000", *SIZES],
         "solve-premium": ["solve-premium", "--deductible", "1000", "--coverage", "50000",
@@ -801,6 +815,37 @@ class TestRejectedInputs:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("spelling", ["separate", "joined"])
+    @pytest.mark.parametrize("base, flag, value, message", [
+        ("search", "--grid", "-5,100", "deductible must be finite and >= 0, got -5.0"),
+        ("search", "--grid", "-inf,100", "deductible must be finite and >= 0, got -inf"),
+        ("propose", "--grid", "-5,100", "deductible must be finite and >= 0, got -5.0"),
+        ("propose", "--premiums", "-1,2", "premium for rho1 must be finite and > 0, got -1.0"),
+    ])
+    def test_negative_list_values_reach_their_check(self, base, flag, value, message, spelling,
+                                                    monkeypatch, capsys):
+        # argparse takes "-5,100" for an option unless the program says otherwise
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulate_claims called")
+
+        monkeypatch.setattr("homecyber.cli.simulate_claims", no_simulation)
+        argv = self.replaced(self.PORTFOLIO_COMMANDS[base], flag, value)
+        if spelling == "joined":
+            at = argv.index(flag)
+            argv[at:at + 2] = [f"{flag}={value}"]
+        assert run(argv[0], "--scenario", CASE, *argv[1:], *self.SIZES) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("base, flag", [("search", "--grid"), ("propose", "--grid"),
+                                            ("propose", "--premiums")])
+    def test_list_flag_without_value_is_a_usage_error(self, base, flag, capsys):
+        argv = list(self.PORTFOLIO_COMMANDS[base])
+        at = argv.index(flag)
+        del argv[at:at + 2]
+        # the flag is followed by --homes, which is an option, not its value
+        assert run(argv[0], "--scenario", CASE, *argv[1:], flag, *self.SIZES) == 2
+        assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flag, value, code, message",
         [("--line", "99", 2, "error: no business line with index 99"),
@@ -863,6 +908,59 @@ class TestOutputPath:
         assert sorted(p.name for p in out.iterdir()) == sorted(files + manifest)
 
 
+class TestSeededCommands:
+    # every command that takes --seed, at the small sizes of TestOutputPath
+    COMMANDS = {name: argv for name, (argv, _) in TestOutputPath.COMMANDS.items()
+                if "--seed" in argv}
+
+    def test_every_seeded_command_listed(self):
+        seeded = [name for name, (_, flags, _, _) in COMMANDS.items()
+                  if any(flag == "--seed" for flag, _ in flags)]
+        assert list(self.COMMANDS) == seeded
+
+    @staticmethod
+    def stub_simulations(monkeypatch, error):
+        """Make both simulation entry points raise ``error``; returns the sizes they were asked."""
+        asked = []
+
+        def simulation(*args, **kwargs):
+            asked.append(args[2:4])
+            raise error
+
+        monkeypatch.setattr("homecyber.cli.run_simulation", simulation)
+        monkeypatch.setattr("homecyber.cli.simulate_claims", simulation)
+        return asked
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_negative_seed_names_the_flag(self, command, monkeypatch, tmp_path, capsys):
+        asked = self.stub_simulations(monkeypatch, AssertionError("simulation started"))
+        argv = TestRejectedInputs.replaced(self.COMMANDS[command], "--seed", "-1")
+        out = tmp_path / "out"
+        assert run(argv[0], "--scenario", CASE, *argv[1:], "--out", str(out)) == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert asked == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_size_too_large_to_allocate(self, command, monkeypatch, tmp_path, capsys):
+        # the stub raises what numpy raises for such a size, so nothing is allocated here
+        message = ("Unable to allocate 42.6 PiB for an array with shape "
+                   "(1000000000000000, 6) and data type float64")
+        asked = self.stub_simulations(monkeypatch, MemoryError(message))
+        size = "--runs" if "--runs" in self.COMMANDS[command] else "--replications"
+        argv = TestRejectedInputs.replaced(self.COMMANDS[command], size, "1000000000000000")
+        out = tmp_path / "out"
+        assert run(argv[0], "--scenario", CASE, *argv[1:], "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert len(asked) == 1 and 1000000000000000 in asked[0]
+        assert not out.exists()
+
+    def test_bare_memory_error(self, monkeypatch, capsys):
+        self.stub_simulations(monkeypatch, MemoryError())
+        assert run("simulate", "--scenario", CASE, "--runs", "10", "--seed", "1") == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_cli_never_imports_scipy():
     # a fresh interpreter, so no other test's import can hide one; every
     # command runs in it, at small sizes
@@ -917,47 +1015,52 @@ def written(directory: Path) -> dict[str, bytes]:
 def test_portfolio_commands_agree_on_random_scenarios(case):
     # The four portfolio commands draw the same claims for the same scenario
     # and seed, so their CSVs must agree: the search statistic at the
-    # portfolio's deductible is the portfolio's Q99.5 LR, propose's quantile
-    # pick is search's, and the solved premium scales that LR to the target.
+    # portfolio's deductible is the portfolio's Q99.5 LR, propose's picks are
+    # search's under each strategy, and the solved premium scales that LR to
+    # the target.
     graph, lines = case
     scenario = Scenario(graph, tuple(lines), None, "random DAG", 1)
+    # target is also propose's default --mean-target and --quantile-target
     grid, premium, target = ("0.0", "0.5", "1.0", "2.0"), 6.0, 0.4
     flags = ["--coverage", "8", "--homes", "50", "--replications", "200", "--seed", "3"]
+    search = ["search-deductible", "--premium", str(premium), "--grid", ",".join(grid),
+              "--lr-target", str(target), "--strategy"]
     commands = {
-        "portfolio": ["--premium", str(premium), "--deductible", grid[2]],
-        "search-deductible": ["--premium", str(premium), "--grid", ",".join(grid),
-                              "--strategy", "quantile", "--lr-target", str(target)],
-        "solve-premium": ["--deductible", grid[2], "--strategy", "quantile",
+        "portfolio": ["portfolio", "--premium", str(premium), "--deductible", grid[2]],
+        "search-quantile": [*search, "quantile"],
+        "search-mean": [*search, "mean"],
+        "solve-premium": ["solve-premium", "--deductible", grid[2], "--strategy", "quantile",
                           "--lr-target", str(target)],
-        "propose": ["--premiums", f"{premium},7", "--grid", ",".join(grid)],
+        "propose": ["propose", "--premiums", f"{premium},7", "--grid", ",".join(grid)],
     }
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         path = work / "scenario.json"
         path.write_text(json.dumps(canonical_document(scenario)))
         codes = {}
-        for command, argv in commands.items():
+        for label, argv in commands.items():
             for workers in ("1", "2"):
                 with contextlib.redirect_stdout(io.StringIO()):
-                    codes[command, workers] = run(
-                        command, "--scenario", str(path), *argv, *flags,
-                        "--workers", workers, "--out", str(work / command / workers))
-            assert written(work / command / "1") == written(work / command / "2")
-            assert codes[command, "1"] == codes[command, "2"]
+                    codes[label, workers] = run(
+                        argv[0], "--scenario", str(path), *argv[1:], *flags,
+                        "--workers", workers, "--out", str(work / label / workers))
+            assert written(work / label / "1") == written(work / label / "2")
+            assert codes[label, "1"] == codes[label, "2"]
 
         # portfolio.csv is the Profit block, then the LR block: a header and a row each
         report = (work / "portfolio" / "1" / "portfolio.csv").read_text().splitlines()
         q_lr = float(dict(zip(report[2].split(","), report[3].split(",")))["Q99.5"])
-        search = csv_rows(work / "search-deductible" / "1" / "search.csv")
-        stats = [float(row["LR statistic"]) for row in search]
-        assert [float(row["Deductible"]) for row in search] == [float(d) for d in grid]
-        assert all(b <= a for a, b in zip(stats, stats[1:]))
-        assert stats[2] == q_lr
-        chosen = next((float(d) for d, s in zip(grid, stats) if s <= target), None)
-        assert codes["search-deductible", "1"] == (1 if chosen is None else 0)
-
-        pick = csv_rows(work / "propose" / "1" / "proposals.csv")[0]["Deductible 2"]
-        assert (float(pick) if pick else None) == chosen
+        proposal = csv_rows(work / "propose" / "1" / "proposals.csv")[0]
+        stats = {}
+        for label, column in (("search-mean", "Deductible 1"), ("search-quantile", "Deductible 2")):
+            rows = csv_rows(work / label / "1" / "search.csv")
+            stats[label] = [float(row["LR statistic"]) for row in rows]
+            assert [float(row["Deductible"]) for row in rows] == [float(d) for d in grid]
+            assert all(b <= a for a, b in zip(stats[label], stats[label][1:]))
+            chosen = next((float(d) for d, s in zip(grid, stats[label]) if s <= target), None)
+            assert codes[label, "1"] == (1 if chosen is None else 0)
+            assert (float(proposal[column]) if proposal[column] else None) == chosen
+        assert stats["search-quantile"][2] == q_lr
 
         if q_lr == 0.0:  # no claims in the tail: no premium meets the target
             assert codes["solve-premium", "1"] == 1

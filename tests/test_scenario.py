@@ -289,7 +289,7 @@ class TestManifest:
         assert data["homes"] is None
         assert data["scenario_digest"] == scenario_digest(case_scenario)
         assert data["tool_version"]
-        assert data["stream_layout"] == STREAM_LAYOUT == 6
+        assert data["stream_layout"] == STREAM_LAYOUT == 7
         assert data["numpy_version"] == np.__version__
         assert data["python_version"] == platform.python_version()
 

@@ -32,6 +32,12 @@ class TestStrategies:
             MeanLR(1.5)
         with pytest.raises(ValueError):
             QuantileLR(1.0, 0.4)
+        with pytest.raises(ValueError):
+            QuantileLR(0.995, 1.5)
+
+    def test_target_one_accepted(self):
+        assert MeanLR(1.0).target == 1.0
+        assert QuantileLR(0.995, 1.0).target == 1.0
 
     def test_statistics(self):
         x = np.array([0.1, 0.2, 0.3, 0.4])
@@ -116,6 +122,19 @@ class TestSearchDeductible:
         result = search_deductible(claims, (0.0, 100.0), 20 * 1.0, MeanLR(1e-9))
         assert result.chosen is None
         assert not any(result.feasible)
+
+    @pytest.mark.parametrize("strategy", [MeanLR(0.4), QuantileLR(0.995, 0.4)])
+    def test_statistic_at_target_is_feasible(self, strategy):
+        # 4 / 10 rounds to the same double as 0.4, and so do the mean and any
+        # quantile of two of them: the first row's statistic is the target
+        claims = np.array([[4.0, 4.0], [2.0, 2.0]])
+        result = search_deductible(claims, (100.0, 200.0), 10.0, strategy)
+        assert result.statistics == (0.4, 0.2)
+        assert result.feasible == (True, True)
+        assert result.chosen == 100.0
+        row, = report_proposals(claims, (100.0, 200.0), [("rho1", 10.0)], 50_000.0, 1,
+                                (strategy, strategy))
+        assert (row.deductible_1, row.deductible_2) == (100.0, 100.0)
 
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):

@@ -9,7 +9,8 @@ script's output at the parent commit and at the change:
 
     PYTHONPATH=src python tools/output_digests.py > digests.txt
 
-Commands run in this interpreter, in a temporary directory, with relative
+The run and replication counts are those of ``test_golden_simulation_output``:
+one complete run block or replication group and a partial one.  Commands run in this interpreter, in a temporary directory, with relative
 paths, so the ``wrote PATH`` lines on stdout do not depend on where it is.
 Exits 1 if a command fails.
 """
@@ -34,32 +35,32 @@ RETAINED = ("--deductible", "1000", "--coverage", "50000")
 THETAS = ("--theta-expectation", "0.5", "--theta-stddev", "0.03", "--theta-gmd", "0.25",
           "--beta-cte", "0.9")
 SEARCH = ("--premium", "418", "--coverage", "50000", "--grid", GRID, "--lr-target", "0.4",
-          "--homes", "300", "--replications", "70", "--seed", "13")
-SOLVE = (*RETAINED, "--lr-target", "0.4", "--homes", "300", "--replications", "70",
+          "--homes", "300", "--replications", "130", "--seed", "13")
+SOLVE = (*RETAINED, "--lr-target", "0.4", "--homes", "300", "--replications", "130",
          "--seed", "13")
 
 
 def runs(line: int) -> list[tuple[str, list[str]]]:
     """(label, argv) of every run; ``line`` is a business line of the scenario."""
-    calibrate = ["calibrate", "--runs", "20000", "--seed", "16", "--line", str(line),
+    calibrate = ["calibrate", "--runs", "40000", "--seed", "16", "--line", str(line),
                  "--target", "28"]
-    price = ["price", "--runs", "20000", "--seed", "15", *THETAS]
+    price = ["price", "--runs", "40000", "--seed", "15", *THETAS]
     return [
         ("validate", ["validate"]),
         ("enumerate", ["enumerate"]),
-        ("simulate", ["simulate", "--runs", "20000", "--seed", "11"]),
+        ("simulate", ["simulate", "--runs", "40000", "--seed", "11"]),
         ("price", price),
         ("price-retained", [*price, "--deductible", "100", "--coverage", "5000"]),
         ("calibrate", calibrate),
         ("calibrate-retained", [*calibrate, "--deductible", "100", "--coverage", "5000"]),
         ("portfolio", ["portfolio", "--premium", "418", *RETAINED, "--homes", "300",
-                       "--replications", "60", "--seed", "12"]),
+                       "--replications", "120", "--seed", "12"]),
         ("search-deductible-mean", ["search-deductible", *SEARCH, "--strategy", "mean"]),
         ("search-deductible-quantile", ["search-deductible", *SEARCH, "--strategy", "quantile"]),
         ("solve-premium-mean", ["solve-premium", *SOLVE, "--strategy", "mean"]),
         ("solve-premium-quantile", ["solve-premium", *SOLVE, "--strategy", "quantile"]),
         ("propose", ["propose", "--premiums", "418,307,368,408", "--coverage", "50000",
-                     "--grid", GRID, "--homes", "500", "--replications", "40", "--seed", "14"]),
+                     "--grid", GRID, "--homes", "500", "--replications", "70", "--seed", "14"]),
     ]
 
 
