@@ -9,6 +9,7 @@ scenario, flags and seed give byte-identical outputs for any --workers N.
 """
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -69,6 +70,7 @@ def _command(name: str, summary: str, files: tuple[str, ...], *flags):
     return register
 
 
+@functools.cache  # one per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homecyber",
@@ -281,6 +283,8 @@ def _propose(scenario, args) -> None:
         raise SystemExit("error: --labels must match --premiums in length")
     if len(set(labels)) != len(labels):
         raise SystemExit("error: --labels must be distinct")
+    if any(ch in label for label in labels for ch in "\n\r"):
+        raise SystemExit("error: --labels must not hold line breaks")
     grid = search.deductible_grid(_parse_floats(args.grid, "--grid"))
     for label, total in zip(labels, totals):
         _income(args, f"premium for {label}", total)

@@ -249,11 +249,12 @@ def sample_loss_matrix(
 ) -> np.ndarray:
     """Losses for a batch of positions into ``plan.states``, ``(batch, len(plan.lines))``.
 
-    Rows where a line did not fire lose exactly 0.  How much a line consumes
+    The matrix is column-major, so each line's column is contiguous.  Rows
+    where a line did not fire lose exactly 0.  How much a line consumes
     from ``rng`` depends on the states, but the result is still a pure
     function of ``positions`` and the stream.
     """
-    out = np.zeros((positions.size, len(plan.lines)))
+    out = np.zeros((positions.size, len(plan.lines)), order="F")
     for col, rows, draws in _line_draws(plan, positions, rng):
         out[rows, col] = draws
     return out

@@ -5,6 +5,7 @@ terminator, and floats printed with their shortest round-trip representation
 (Python repr), so every numeric cell re-parses to the identical double.
 """
 
+import math
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Sequence, TextIO
@@ -66,17 +67,25 @@ def export_csv(tables: Table | Sequence[Table], path: str | Path) -> Path:
     return path
 
 
-def _stat_row(stats: SummaryStats) -> tuple[float, ...]:
+def _finite(label: str, cells: tuple[float, ...]) -> tuple[float, ...]:
+    """``cells``; raises ValueError naming ``label`` when one is inf or NaN,
+    as the statistics of a sample that overflows float64 are."""
+    if not all(map(math.isfinite, cells)):
+        raise ValueError(f"{label}: statistics of the sample overflow float64")
+    return cells
+
+
+def _stat_row(stats: SummaryStats, label: str) -> tuple[float, ...]:
     quantiles = tuple(value for _, value in stats.quantiles)
-    return (stats.minimum, *quantiles, stats.maximum, stats.mean, stats.sd)
+    return _finite(label, (stats.minimum, *quantiles, stats.maximum, stats.mean, stats.sd))
 
 
 def summary_table(result: SimulationResult) -> Table:
     """Per-line rows then the total-loss row, with the twelve stat columns."""
     rows = []
-    for col in range(result.line_losses.shape[1]):
-        rows.append(_stat_row(summarize(result.line_losses[:, col])))
-    rows.append(_stat_row(summarize(result.total_losses)))
+    for col, idx in enumerate(result.line_indices):
+        rows.append(_stat_row(summarize(result.line_losses[:, col]), f"L{idx}"))
+    rows.append(_stat_row(summarize(result.total_losses), "total"))
     return Table(header=SUMMARY_HEADER, rows=tuple(rows))
 
 
@@ -85,11 +94,11 @@ def premium_table(
 ) -> Table:
     """Rows per line plus a total row; one column per principle."""
     principles = tuple(per_principle)
-    rows = []
-    for i, label in enumerate(line_labels):
-        rows.append((label, *(float(per_principle[p][i]) for p in principles)))
-    rows.append(("total", *(float(sum(per_principle[p])) for p in principles)))
-    return Table(header=("Line", *principles), rows=tuple(rows))
+    cells = [(label, tuple(float(per_principle[p][i]) for p in principles))
+             for i, label in enumerate(line_labels)]
+    cells.append(("total", tuple(float(sum(per_principle[p])) for p in principles)))
+    rows = tuple((label, *_finite(label, row)) for label, row in cells)
+    return Table(header=("Line", *principles), rows=rows)
 
 
 def portfolio_tables(claims: np.ndarray, income: float) -> tuple[Table, Table]:
@@ -102,8 +111,9 @@ def portfolio_tables(claims: np.ndarray, income: float) -> tuple[Table, Table]:
     """
     profit = summarize(income - claims, PROFIT_LEVELS)
     claim_sd = float(np.std(claims, ddof=1)) if claims.size > 1 else 0.0
-    profit_row = ("portfolio Profit", *_stat_row(replace(profit, sd=claim_sd)))
-    lr_row = ("portfolio LR", *_stat_row(summarize(claims / income, LR_LEVELS)))
+    profit_row = ("portfolio Profit",
+                  *_stat_row(replace(profit, sd=claim_sd), "portfolio Profit"))
+    lr_row = ("portfolio LR", *_stat_row(summarize(claims / income, LR_LEVELS), "portfolio LR"))
     return Table(header=PROFIT_HEADER, rows=(profit_row,)), Table(header=LR_HEADER, rows=(lr_row,))
 
 

@@ -144,6 +144,7 @@ def parse_scenario(data, source: str = "<scenario>") -> Scenario:
                 raise ScenarioError(f"{where}: trigger node {nid} not in graph")
         try:
             model = _parse_model(_require(line_doc, "model", dict, where), where)
+            _check_mean(model, where)
             lines.append(BusinessLine(index, name, frozenset(triggers), model))
         except ScenarioError:
             raise
@@ -236,6 +237,25 @@ def _parse_model(doc: dict, where: str):
             beta=_require_number(doc, "beta", where),
         )
     raise ScenarioError(f"{where}: unknown model family {family!r}")
+
+
+def _check_mean(model, where: str) -> None:
+    """Raise unless the conditional means of ``model`` are finite float64 values:
+    a mean beyond float64 would draw inf and NaN losses."""
+    if isinstance(model, RateSumExponential):
+        # the largest mean is that of the smallest rate firing alone
+        nid, rate = min(model.rates, key=lambda item: item[1])
+        what, mean = f"1/rate of field 'rates[{nid}]'", 1.0 / rate
+    elif isinstance(model, TriggeredLognormal):
+        what = "exp(mu + sigma^2/2) of fields 'mu' and 'sigma'"
+        try:
+            mean = math.exp(model.mu + model.sigma**2 / 2.0)
+        except OverflowError:  # math.exp and ** raise where division returns inf
+            mean = math.inf
+    else:
+        what, mean = "alpha/beta of fields 'alpha' and 'beta'", model.alpha / model.beta
+    if not math.isfinite(mean):
+        raise ScenarioError(f"{where}: conditional mean {what} is not a finite float64")
 
 
 # --- canonical form and digest ---------------------------------------------

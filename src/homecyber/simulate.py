@@ -37,7 +37,8 @@ DEFAULT_QUANTILE_LEVELS = (0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.995, 0.999)
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Per-run line losses (R x M) and their row sums."""
+    """Per-run line losses (R x M) and their row sums.  ``line_losses`` is
+    column-major, so each line's column ``line_losses[:, k]`` is contiguous."""
 
     line_losses: np.ndarray
     total_losses: np.ndarray
@@ -145,7 +146,7 @@ def run_simulation(
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     plan = loss_plan(graph, lines)  # raises above the enumeration cap
-    line_losses = np.empty((runs, len(plan.lines)))
+    line_losses = np.empty((runs, len(plan.lines)), order="F")
     total = np.zeros(runs)
 
     def draw(block: int) -> None:
@@ -167,15 +168,36 @@ def run_simulation(
     )
 
 
+def _sorted_quantiles(ordered: np.ndarray, levels: tuple[float, ...]) -> np.ndarray:
+    """``np.quantile(ordered, levels)`` of an ascending sample, bit for bit, without
+    its partition: numpy's linear method step by step (index (n-1) q, its floor,
+    the above-bounds rule, the two-sided lerp, and all NaN if a NaN sorts last)."""
+    n = ordered.size
+    virtual = (n - 1) * np.array(levels)
+    below = np.floor(virtual)
+    above = below + 1
+    past = virtual >= n - 1
+    below[past] = above[past] = -1
+    gamma = virtual - below
+    a, b = ordered[below.astype(np.intp)], ordered[above.astype(np.intp)]
+    diff = b - a
+    qs = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=qs, where=gamma >= 0.5)
+    if np.isnan(ordered[-1]):
+        qs[:] = ordered[-1]
+    return qs
+
+
 def summarize(
     samples: Sequence[float] | np.ndarray,
     levels: Sequence[float] = DEFAULT_QUANTILE_LEVELS,
 ) -> SummaryStats:
     """Sample statistics with linearly interpolated empirical quantiles.
 
-    The quantiles (Hyndman and Fan's type 7) come from one sorted copy, with the
-    bits of ``np.quantile(samples, levels)`` up to the sign of a zero.  SD uses
-    the n-1 divisor; a single observation reports SD 0.
+    The quantiles (Hyndman and Fan's type 7) are read off one sorted copy, with
+    no partition, and have the bits of ``np.quantile(samples, levels)`` up to
+    the sign of a zero.  SD uses the n-1 divisor; a single observation
+    reports SD 0.
     """
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
@@ -185,7 +207,7 @@ def summarize(
         raise ValueError(f"quantile levels must lie in (0, 1): {levels}")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"quantile levels must be strictly increasing: {levels}")
-    qs = np.quantile(np.sort(x), levels, overwrite_input=True) if levels else np.empty(0)
+    qs = _sorted_quantiles(np.sort(x), levels) if levels else np.empty(0)
     sd = float(np.std(x, ddof=1)) if x.size > 1 else 0.0
     return SummaryStats(
         minimum=float(x.min()),

@@ -172,6 +172,39 @@ class TestParserSurface:
         assert capsys.readouterr().out == f"homecyber {homecyber.__version__}\n"
 
 
+class TestParserCache:
+    # the parser is built once per process and reused by every cli_dispatch
+    PRICE = ["price", "--scenario", CASE, "--runs", "300", "--seed", "4",
+             "--theta-expectation", "0.5", "--theta-stddev", "0.03", "--theta-gmd", "0.25",
+             "--beta-cte", "0.34"]
+
+    def test_one_parser_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_flags_of_one_call_do_not_reach_the_next(self, capsys):
+        assert run(*self.PRICE) == 0
+        gross = capsys.readouterr().out
+        assert run(*self.PRICE, "--deductible", "1000", "--coverage", "50000") == 0
+        retained = capsys.readouterr().out
+        assert run(*self.PRICE) == 0
+        assert capsys.readouterr().out == gross != retained
+        args = _build_parser().parse_args(self.PRICE)
+        assert args.deductible is None and args.coverage is None
+
+    @pytest.mark.parametrize("bad", [
+        ["price", "--scenario", CASE, "--runs", "x"],  # argparse's usage error
+        ["calibrate", "--scenario", CASE, "--runs", "300", "--seed", "4", "--line", "99",
+         "--target", "28"],  # the handler's usage error
+    ], ids=["parser", "handler"])
+    def test_usage_error_leaves_the_next_call_unaffected(self, bad, capsys):
+        assert run(*self.PRICE) == 0
+        expected = capsys.readouterr()
+        assert run(*bad) == 2
+        assert "error:" in capsys.readouterr().err
+        assert run(*self.PRICE) == 0
+        assert capsys.readouterr() == expected
+
+
 class TestValidate:
     def test_ok(self, capsys):
         assert run("validate", "--scenario", CASE) == 0
@@ -768,6 +801,10 @@ class TestRejectedInputs:
                      "error: --labels must match --premiums in length", id="propose-labels-count"),
         pytest.param("propose", {"--labels": "a,a"}, 2, "error: --labels must be distinct",
                      id="propose-labels-repeated"),
+        pytest.param("propose", {"--labels": "a\nb,c"}, 2,
+                     "error: --labels must not hold line breaks", id="propose-labels-newline"),
+        pytest.param("propose", {"--labels": "a,b\r"}, 2,
+                     "error: --labels must not hold line breaks", id="propose-labels-return"),
         pytest.param("propose", {"--grid": "100,100"}, 1,
                      "deductible grid must be strictly ascending", id="propose-grid-order"),
         pytest.param("propose", {"--premiums": "418,nan"}, 1,
@@ -959,6 +996,57 @@ class TestSeededCommands:
         self.stub_simulations(monkeypatch, MemoryError())
         assert run("simulate", "--scenario", CASE, "--runs", "10", "--seed", "1") == 1
         assert capsys.readouterr().err == "error: out of memory\n"
+
+
+class TestOverflowingLosses:
+    # on the bundled scenario at --runs 20000 --seed 1, a loss law that
+    # overflows float64 ends in "error: ..." with exit 1, never in a table
+    # with inf or nan cells
+    SIZES = ("--runs", "20000", "--seed", "1")
+    THETAS = ("--theta-expectation", "0.5", "--theta-stddev", "0.03", "--theta-gmd", "0.25",
+              "--beta-cte", "0.34")
+
+    @staticmethod
+    def scenario(tmp_path, line, field, value) -> str:
+        doc = json.loads(bundled_case_study_path().read_text())
+        model = doc["lines"][line]["model"]
+        if field.startswith("rates."):
+            model["rates"][field.removeprefix("rates.")] = value
+        else:
+            model[field] = value
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("line, field, value, named", [
+        (0, "rates.1", 5e-324, "'rates[1]'"),
+        (2, "mu", 800.0, "'mu' and 'sigma'"),
+        (4, "beta", 1e-320, "'alpha' and 'beta'"),
+    ], ids=["rate", "mu", "beta"])
+    def test_mean_beyond_float64_rejected_on_load(self, line, field, value, named, tmp_path,
+                                                  capsys):
+        path = self.scenario(tmp_path, line, field, value)
+        out = tmp_path / "out"
+        assert run("simulate", "--scenario", path, *self.SIZES, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f"{named} is not a finite float64" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["simulate", "price"])
+    def test_statistics_that_overflow_are_an_error(self, command, tmp_path, capsys):
+        # alpha = 1e308 has a finite mean, but the sums of its draws overflow
+        path = self.scenario(tmp_path, 4, "alpha", 1e308)
+        thetas = self.THETAS if command == "price" else ()
+        out = tmp_path / "out"
+        assert run(command, "--scenario", path, *self.SIZES, *thetas, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: L5: statistics of the sample overflow float64\n"
+        assert not out.exists()
 
 
 def test_cli_never_imports_scipy():

@@ -174,6 +174,10 @@ class TestSampleLoss:
                 se = draws.std(ddof=1) / math.sqrt(draws.size)
                 assert abs(draws.mean() - dist.mean()) <= 4 * se
 
+    def test_line_columns_are_contiguous(self, case_graph, case_lines):
+        _, losses = sampled_losses(case_graph, case_lines, 500, np.random.default_rng(5))
+        assert all(losses[:, k].flags.c_contiguous for k in range(losses.shape[1]))
+
     def test_nonnegative(self, case_graph, case_lines):
         rng = np.random.default_rng(4)
         indices, losses = sampled_losses(case_graph, case_lines, 500, rng)

@@ -112,6 +112,32 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=r"data breach.*positive"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize("path, value, named", [
+        (("lines", 0, "model", "rates", "1"), 5e-324, "1/rate of field 'rates[1]'"),
+        (("lines", 0, "model", "rates", "7"), 1e-310, "1/rate of field 'rates[7]'"),
+        (("lines", 2, "model", "mu"), 800.0, "exp(mu + sigma^2/2) of fields 'mu' and 'sigma'"),
+        # sigma**2 itself overflows
+        (("lines", 3, "model", "sigma"), 1e200, "exp(mu + sigma^2/2) of fields 'mu' and 'sigma'"),
+        (("lines", 4, "model", "beta"), 1e-320, "alpha/beta of fields 'alpha' and 'beta'"),
+        (("lines", 5, "model", "beta"), 1e-306, "alpha/beta of fields 'alpha' and 'beta'"),
+    ], ids=["rate-1", "rate-7", "mu", "sigma", "beta-subnormal", "beta-normal"])
+    def test_conditional_mean_beyond_float64_rejected(self, path, value, named):
+        doc = case_document()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ScenarioError, match=re.escape(f"{named} is not a finite float64")):
+            parse_scenario(doc)
+
+    def test_largest_finite_conditional_means_load(self):
+        # a finite mean loads, even where the draws' sums overflow float64
+        doc = case_document()
+        doc["lines"][0]["model"]["rates"]["1"] = 1e-300
+        doc["lines"][2]["model"]["mu"] = 700.0
+        doc["lines"][4]["model"]["alpha"] = 1e308
+        parse_scenario(doc)
+
     @pytest.mark.parametrize(
         "path, value, field",
         [

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homecyber.graph import AttackGraph, Edge, EnumerationSizeError, VulnNode
@@ -47,6 +47,12 @@ class TestRunSimulation:
         for col in range(case_result.line_losses.shape[1]):
             total += case_result.line_losses[:, col]
         assert np.array_equal(total, case_result.total_losses)
+
+    @pytest.mark.parametrize("runs", [1, RUN_BLOCK + 7])
+    def test_line_columns_are_contiguous(self, case_graph, case_lines, runs):
+        # column-major, so every per-line statistic reads one contiguous column
+        result = run_simulation(case_graph, case_lines, runs=runs, master_seed=3, workers=2)
+        assert all(result.line_losses[:, k].flags.c_contiguous for k in range(6))
 
     def test_single_run(self, case_graph, case_lines):
         result = run_simulation(case_graph, case_lines, runs=1, master_seed=5)
@@ -268,20 +274,33 @@ class TestSummarize:
         return quantiles.tobytes(), np.array([stats.minimum, stats.maximum]).tobytes()
 
     @given(st.lists(st.one_of(st.just(0.0), st.sampled_from((1.0, 2.5, 1e6, -3.0)),
+                              st.sampled_from((math.nan, math.inf, -math.inf)),
                               st.floats(-1e9, 1e9, allow_nan=False).map(lambda v: v + 0.0)),
                     min_size=1, max_size=80),
            st.sampled_from((DEFAULT_QUANTILE_LEVELS, (0.5,), (0.01, 0.05, 0.1, 0.15, 0.5, 0.75))))
     @settings(max_examples=300, deadline=None, derandomize=True)
+    # n = 1: every index (n-1) q is 0 = n-1, the above-bounds rule
+    @example([7.5], DEFAULT_QUANTILE_LEVELS)
+    @example([math.nan], (0.5,))
+    # (n-1) q is an integer for every level: 1000 q here, 4 q and 100 q below
+    @example([float(v) for v in range(1001, 0, -1)], DEFAULT_QUANTILE_LEVELS)
+    @example([3.0, 1.0, 4.0, 1.0, 5.0], (0.25, 0.5, 0.75))
+    @example([float(v % 7) for v in range(101)], (0.01, 0.05, 0.1, 0.15, 0.5, 0.75))
+    # a NaN anywhere makes every quantile NaN, as numpy's NaN rule does
+    @example([1.0, math.nan, 2.0, 3.0, 0.0], DEFAULT_QUANTILE_LEVELS)
+    @example([math.inf, 1.0, -math.inf, math.nan], (0.5,))
     def test_bits_match_numpy(self, values, levels):
         # the sorted-copy quantiles are np.quantile's bits, for ties, zeros,
-        # n = 1 and n = 2, on a strided column as well as a contiguous one
-        # (v + 0.0 turns -0.0 into 0.0; the next test takes signed zeros)
+        # NaN and infinities, n = 1 and n = 2, on a strided column as well as
+        # a contiguous one (v + 0.0 turns -0.0 into 0.0; the next test takes
+        # signed zeros)
         x = np.array(values)
-        expected = (np.quantile(x, levels).tobytes(), np.array([x.min(), x.max()]).tobytes())
-        assert self._bits(summarize(x, levels)) == expected
-        matrix = np.zeros((x.size, 3))
-        matrix[:, 1] = x
-        assert self._bits(summarize(matrix[:, 1], levels)) == expected
+        with np.errstate(invalid="ignore"):  # inf - inf in numpy's lerp and in np.std
+            expected = (np.quantile(x, levels).tobytes(), np.array([x.min(), x.max()]).tobytes())
+            assert self._bits(summarize(x, levels)) == expected
+            matrix = np.zeros((x.size, 3))
+            matrix[:, 1] = x
+            assert self._bits(summarize(matrix[:, 1], levels)) == expected
 
     @given(st.lists(st.sampled_from((-0.0, 0.0, 1.0, 2.0)), min_size=1, max_size=40))
     @settings(max_examples=200, deadline=None, derandomize=True)
