@@ -15,6 +15,8 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, pricing, reports, search
 from .graph import check_enumerable, enumerate_joint
 from .portfolio import simulate_claims
@@ -324,7 +326,9 @@ def cli_dispatch(argv=None) -> int:
     except SystemExit as exc:  # --help, --version or a usage error
         return exc.code
     try:
-        return args.handler(load_scenario(args.scenario), args) or 0
+        # an overflow is one error line, from the finiteness check on each output
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(load_scenario(args.scenario), args) or 0
     except SystemExit as exc:  # a handler's usage error
         print(exc.code, file=sys.stderr)
         return 2

@@ -6,10 +6,10 @@ parents) are exploited with their own entry probability; every other node
 combines its exploited parents with a noisy-OR.  A state vector holds one
 boolean per node, index-aligned with ``AttackGraph.nodes``; a state index
 packs the same booleans into bits, bit k for the node at position k.
-States are sampled as indices, by inverting the CDF of the exact joint
-through a guide table, so sampling needs the joint and is limited to
-``DEFAULT_ENUMERATION_CAP`` nodes; the inversion gives the same index as a
-binary search of the CDF.
+States are sampled by inverting a CDF through a guide table: a loss plan
+(``losses.loss_plan``) builds the CDF over the exact joint's support, so
+sampling needs the joint and is limited to ``DEFAULT_ENUMERATION_CAP``
+nodes; the inversion gives the same index as a binary search of the CDF.
 """
 
 import heapq
@@ -298,18 +298,6 @@ def _enumerate(graph: AttackGraph) -> JointDistribution:
     return joint
 
 
-def state_cdf(graph: AttackGraph) -> np.ndarray:
-    """The exact joint's running sum over state indices, ending at exactly 1.0.
-
-    The sum is divided by its last entry.  Read-only and not cached; raises
-    :class:`EnumerationSizeError` above ``DEFAULT_ENUMERATION_CAP`` nodes.
-    """
-    cdf = np.cumsum(enumerate_joint(graph).probs)
-    cdf /= cdf[-1]
-    cdf.flags.writeable = False
-    return cdf
-
-
 def state_guide(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Guide table of ``cdf`` for indexed search (Chen and Asau 1974).
 
@@ -327,16 +315,16 @@ def state_guide(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_state_indices(
-    cdf: np.ndarray, count: int, rng: np.random.Generator, guide: tuple | None = None
+    cdf: np.ndarray, count: int, rng: np.random.Generator, guide: tuple
 ) -> np.ndarray:
     """``count`` indices into ``cdf``, one uniform each, inverted through it.
 
     Each row gets the first index whose cumulative probability exceeds its
     uniform, so a state of probability 0 is never drawn.  ``guide`` is
-    ``state_guide(cdf)``, built here when not given: a row reads its cell's
-    index, and only rows whose cell holds a step of the CDF search ``cdf``.
+    ``state_guide(cdf)``: a row reads its cell's index, and only rows whose
+    cell holds a step of the CDF search ``cdf``.
     """
-    cells, settled = state_guide(cdf) if guide is None else guide
+    cells, settled = guide
     u = rng.random(count)
     cell = (u * cells.size).astype(np.intp)
     indices = cells[cell]

@@ -8,8 +8,8 @@ the simulation with exact oracles; they import scipy on first use, so the
 CLI never loads it.  Simulation reads lines through a ``LossPlan`` over
 the joint's support: rows are positions into its states, and each line
 has a table of where it fires (and, if exponential, of its rate) over them.
-The severity draws come back as a line-loss matrix or as per-row totals,
-from one kernel and in one draw order.
+``line_draws`` is the one severity kernel: each caller scatters or adds its
+per-line draws where it needs them, so every path shares one draw order.
 """
 
 import math
@@ -18,8 +18,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .graph import AttackGraph, StateVector, enumerate_joint
-from .graph import state_cdf, state_guide
+from .graph import AttackGraph, StateVector, enumerate_joint, state_guide
 
 
 def _canonical_rates(rates) -> tuple[tuple[int, float], ...]:
@@ -183,12 +182,11 @@ class LossPlan:
     """What a loss block reads of a graph and its lines, built once per call.
 
     ``states`` are the joint's support, ascending (bit k of a state index
-    for the node at position k): the only indices that inverting the full
-    ``state_cdf`` can return.  A block samples positions into
-    ``states`` through ``cdf``, which is ``state_cdf`` at ``states``, and its
-    ``state_guide`` ``guide``.  ``lines`` are in ascending index order; line
-    k fires at position p when ``fired[k][p]``, and an exponential line's
-    rate there is ``rates[k][p]`` (other lines have None).
+    for the node at position k).  A block samples positions into them
+    through ``cdf``, the running sum of their probabilities divided by its
+    last entry, and its ``state_guide`` ``guide``.  ``lines`` are in
+    ascending index order; line k fires at position p when ``fired[k][p]``,
+    and an exponential line's rate there is ``rates[k][p]`` (others: None).
     """
 
     states: np.ndarray
@@ -201,8 +199,11 @@ class LossPlan:
 
 def loss_plan(graph: AttackGraph, lines: Sequence[BusinessLine]) -> LossPlan:
     """The plan of ``lines`` on ``graph``; raises above the enumeration cap."""
-    states = np.flatnonzero(enumerate_joint(graph).probs)
-    cdf = state_cdf(graph)[states]
+    probs = enumerate_joint(graph).probs
+    states = np.flatnonzero(probs)
+    # the same bits as a cumsum over all 2^n states, read at the support
+    cdf = np.cumsum(probs[states])
+    cdf /= cdf[-1]
     half = (graph.n + 1) // 2
     ordered = tuple(sorted(lines, key=lambda ln: ln.index))
     fired, rates = [], []
@@ -221,15 +222,16 @@ def loss_plan(graph: AttackGraph, lines: Sequence[BusinessLine]) -> LossPlan:
     return LossPlan(states, cdf, state_guide(cdf), ordered, tuple(fired), tuple(rates))
 
 
-def _line_draws(
+def line_draws(
     plan: LossPlan, positions: np.ndarray, rng: np.random.Generator
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """``(column, fired rows, severities)`` per line, in ascending line order.
 
     Row r stands for state ``plan.states[positions[r]]``.  Each line draws
     one severity vector holding a draw for each row where it fired (any
-    trigger exploited), in ascending row order.  This is the one place that
-    fixes the order of a block's severity draws.
+    trigger exploited), in ascending row order; it loses exactly 0 on the
+    other rows.  This is the one place that fixes the order of a block's
+    severity draws.
     """
     for col, (line, fired, rates) in enumerate(zip(plan.lines, plan.fired, plan.rates)):
         rows = np.flatnonzero(fired.take(positions))
@@ -242,37 +244,6 @@ def _line_draws(
             yield col, rows, rng.lognormal(model.mu, model.sigma, rows.size)
         else:
             yield col, rows, rng.gamma(model.alpha, 1.0 / model.beta, rows.size)
-
-
-def sample_loss_matrix(
-    plan: LossPlan, positions: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Losses for a batch of positions into ``plan.states``, ``(batch, len(plan.lines))``.
-
-    The matrix is column-major, so each line's column is contiguous.  Rows
-    where a line did not fire lose exactly 0.  How much a line consumes
-    from ``rng`` depends on the states, but the result is still a pure
-    function of ``positions`` and the stream.
-    """
-    out = np.zeros((positions.size, len(plan.lines)), order="F")
-    for col, rows, draws in _line_draws(plan, positions, rng):
-        out[rows, col] = draws
-    return out
-
-
-def sample_loss_totals(
-    plan: LossPlan, positions: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-row totals of ``sample_loss_matrix(plan, positions, rng)``, bit for bit.
-
-    Same draws, added line by line in ascending line order without building
-    the matrix: a line that did not fire on a row would add exactly 0.0, and
-    a line's fired rows are distinct, so ``np.add.at`` adds each draw once.
-    """
-    totals = np.zeros(positions.size)
-    for _, rows, draws in _line_draws(plan, positions, rng):
-        np.add.at(totals, rows, draws)
-    return totals
 
 
 def exact_line_mean(line: BusinessLine, graph: AttackGraph) -> float:

@@ -5,9 +5,10 @@ group's block of G * N homes is about one single-home run block.  Group g
 is one ``simulate.loss_block`` from the substream of its group index, and
 replication k is the (k mod G)-th N-row slice of group k // G; the last
 group is drawn whole, so replication k's claims do not depend on K.  A
-group's draws are summed straight into per-home annual losses.  All groups
-share one ``losses.LossPlan`` (the exact joint's support with its CDF and
-guide table, and per-line tables over it), so the graph may have at most
+group's per-line draws (``losses.line_draws``) are added straight into
+per-home annual losses, in ascending line order.  All groups share one
+``losses.LossPlan`` (the exact joint's support with its CDF and guide
+table, and per-line tables over it), so the graph may have at most
 22 nodes.  Groups are drawn through ``simulate.draw_blocks`` on up to
 ``workers`` threads; each writes only its own replications, so claims do
 not depend on the worker count.  The insurer's claim for a home is the
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import streams
 from .graph import AttackGraph
-from .losses import BusinessLine, loss_plan, sample_loss_totals
+from .losses import BusinessLine, loss_plan
 from .pricing import Policy, retain
 from .simulate import RUN_BLOCK, draw_blocks, loss_block
 
@@ -67,11 +68,12 @@ def simulate_claims(
 
     def draw(g: int) -> None:
         lo, hi = g * group, min((g + 1) * group, replications)
-        totals = loss_block(
-            plan, group * n_homes, master_seed, g, streams.REPLICATION_LANE,
-            sample_loss_totals,
-        ).reshape(group, n_homes)[: hi - lo]
-        claims[:, lo:hi] = retain(totals, deductibles, coverages).sum(axis=2)
+        totals = np.zeros(group * n_homes)
+        for _, fired, draws in loss_block(plan, group * n_homes, master_seed, g,
+                                          streams.REPLICATION_LANE):
+            np.add.at(totals, fired, draws)  # fired rows are distinct: each draw adds once
+        homes = totals.reshape(group, n_homes)[: hi - lo]
+        claims[:, lo:hi] = retain(homes, deductibles, coverages).sum(axis=2)
 
     draw_blocks(draw, -(-replications // group), workers)
     return claims

@@ -97,6 +97,13 @@ def _sorted_gmd(ordered: np.ndarray) -> float:
     return float((2.0 * k - n - 1.0) @ ordered) * 2.0 / (n * (n - 1))
 
 
+def _finite(statistic: float) -> float:
+    """``statistic``; raises ValueError when it is inf or NaN."""
+    if not math.isfinite(statistic):
+        raise ValueError("statistics of the sample overflow float64")
+    return statistic
+
+
 def var_rank(n: int, beta: float) -> int:
     """Smallest k in 1..n with k / n >= beta; ``ceil(n * beta)`` can overshoot by one."""
     if not 0.0 < beta < 1.0:
@@ -172,14 +179,15 @@ def calibrations(
             the sample maximum.
         CteNotIdentifiableError: the empirical CTE is flat below the target
             and jumps past it, so no beta reproduces the target.
-    An unknown family, a bad target or fewer than 2 samples raise ValueError.
+    An unknown family, a bad target, fewer than 2 samples, or a mean, SD or
+    GMD that overflows float64 raise ValueError.
     """
     check_target_premium(target_premium)
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
         raise ValueError("calibration needs at least 2 samples")
     tol = 1e-6 * max(1.0, target_premium)
-    mean = float(x.mean())
+    mean = _finite(float(x.mean()))
     ordered = np.sort(x) if {"gmd", "cte"} & set(families) else None
     out = []
     for family in families:
@@ -196,12 +204,12 @@ def _calibrate_one(family, x, ordered, mean, target_premium, tol) -> PrinciplePa
             raise NotCalibratableError("sample mean is 0; expectation loading has no effect")
         return Expectation((target_premium - mean) / mean)
     if family == "stddev":
-        sd = float(np.std(x, ddof=1))
+        sd = _finite(float(np.std(x, ddof=1)))
         if sd == 0.0:
             raise NotCalibratableError("sample SD is 0; stddev loading has no effect")
         return StdDev((target_premium - mean) / sd)
     if family == "gmd":
-        scale = _sorted_gmd(ordered)
+        scale = _finite(_sorted_gmd(ordered))
         if scale == 0.0:
             raise NotCalibratableError("sample GMD is 0; GMD loading has no effect")
         return GMD((target_premium - mean) / scale)

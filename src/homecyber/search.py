@@ -44,10 +44,18 @@ LRStrategy = MeanLR | QuantileLR
 
 
 def lr_statistic(samples: np.ndarray, strategy: LRStrategy) -> float:
-    """Mean or linearly interpolated empirical quantile of an LR sample."""
+    """Mean or linearly interpolated empirical quantile of an LR sample.
+
+    Raises ValueError when it is inf or NaN, as when the claims overflow
+    float64: it would read as infeasible, or solve to an inf or NaN premium.
+    """
     if isinstance(strategy, MeanLR):
-        return float(np.mean(samples))
-    return float(np.quantile(samples, strategy.level))
+        stat = float(np.mean(samples))
+    else:
+        stat = float(np.quantile(samples, strategy.level))
+    if not math.isfinite(stat):
+        raise ValueError(f"LR statistic {stat!r}: the portfolio claims overflow float64")
+    return stat
 
 
 def _first_feasible(claims: np.ndarray, income: float, strategy: LRStrategy):

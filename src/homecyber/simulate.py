@@ -2,13 +2,14 @@
 
 Runs are drawn in blocks of ``RUN_BLOCK`` rows, and block b draws from its
 own substream derived from (master_seed, b).  Within a block the draw order
-is fixed: one uniform per row, inverted through the exact joint's CDF to a
-state index, then, per business line in ascending line order, one severity
-vector holding a draw for each row where the line fired.  A complete block
-is therefore the same whatever the total number of runs, and only the last,
-partial block depends on it.  The portfolio sums the same blocks per row,
-one substream per group of replications.  Sampling from the joint limits
-simulation to ``graph.DEFAULT_ENUMERATION_CAP`` nodes.
+is fixed: one uniform per row, inverted through the CDF of the exact joint's
+support to a state, then, per business line in ascending line order, one
+severity vector holding a draw for each row where the line fired
+(``losses.line_draws``).  A complete block is therefore the same whatever
+the total number of runs, and only the last, partial block depends on it.
+The portfolio adds the same draws into per-home totals, one substream per
+group of replications.  Sampling from the joint limits simulation to
+``graph.DEFAULT_ENUMERATION_CAP`` nodes.
 
 Blocks are drawn through ``draw_blocks``, on up to ``workers`` threads:
 numpy's samplers and loops release the GIL, and every block owns its
@@ -16,16 +17,17 @@ generator, its temporaries and a disjoint slice of the output, so the
 result is the same bytes for any worker count.
 """
 
+import contextvars
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import streams
 from .graph import AttackGraph, sample_state_indices
-from .losses import BusinessLine, LossPlan, loss_plan, sample_loss_matrix
+from .losses import BusinessLine, LossPlan, line_draws, loss_plan
 
 # Rows per run block: large enough that the per-block cost (a new substream,
 # one vector draw per line, a GIL handoff per numpy call) vanishes, small
@@ -55,24 +57,18 @@ class SummaryStats:
 
 
 def loss_block(
-    plan: LossPlan,
-    rows: int,
-    master_seed: int,
-    index: int,
-    lane: int,
-    kernel: Callable[[LossPlan, np.ndarray, np.random.Generator], np.ndarray],
-) -> np.ndarray:
-    """``kernel``'s losses for ``rows`` homes drawn under ``plan``.
+    plan: LossPlan, rows: int, master_seed: int, index: int, lane: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """``line_draws`` of ``rows`` homes drawn under ``plan``.
 
     All draws come from the substream (master_seed, index, lane): the rows'
     positions into ``plan.states`` first, then the fired rows' severities
-    of each line in ascending line index order.  ``kernel`` is
-    ``sample_loss_matrix`` for the ``(rows, len(plan.lines))`` line losses,
-    or ``sample_loss_totals`` for the same draws as row totals, ``(rows,)``.
+    of each line in ascending line index order, as ``(column, fired rows,
+    severities)``.
     """
     rng = streams.substream(master_seed, index, lane=lane)
     positions = sample_state_indices(plan.cdf, rows, rng, plan.guide)
-    return kernel(plan, positions, rng)
+    return line_draws(plan, positions, rng)
 
 
 def thread_count(workers: int, blocks: int, cpus: int | None = None) -> int:
@@ -95,8 +91,9 @@ def draw_blocks(draw: Callable[[int], object], blocks: int, workers: int = 1) ->
     ``thread_count(workers, blocks)`` threads take the next undrawn block
     until none is left: the calling thread, plus a pool of the rest.  The
     calling thread's part keeps one thread's worth of allocator arenas out
-    of peak memory.  An exception a block raises is re-raised here once
-    every thread has stopped.  ``draw`` must write only its own
+    of peak memory.  Pool threads run in a copy of the caller's context, so
+    they keep its ``np.errstate``.  An exception a block raises is re-raised
+    here once every thread has stopped.  ``draw`` must write only its own
     block's slice of the output and read only state built before this call.
     """
     threads = thread_count(workers, blocks)
@@ -117,7 +114,8 @@ def draw_blocks(draw: Callable[[int], object], blocks: int, workers: int = 1) ->
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(threads - 1) as pool:
-        helpers = [pool.submit(drain) for _ in range(threads - 1)]
+        helpers = [pool.submit(contextvars.copy_context().run, drain)
+                   for _ in range(threads - 1)]
         drain()
     for helper in helpers:
         helper.result()
@@ -146,17 +144,16 @@ def run_simulation(
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     plan = loss_plan(graph, lines)  # raises above the enumeration cap
-    line_losses = np.empty((runs, len(plan.lines)), order="F")
+    line_losses = np.zeros((runs, len(plan.lines)), order="F")
     total = np.zeros(runs)
 
     def draw(block: int) -> None:
         lo, hi = block * RUN_BLOCK, min((block + 1) * RUN_BLOCK, runs)
-        rows = line_losses[lo:hi]
-        # sample_loss_matrix is looked up here, so a wrapper bound later applies
-        rows[:] = loss_block(plan, hi - lo, master_seed, block, streams.RUN_LANE,
-                             sample_loss_matrix)
-        for col in range(len(plan.lines)):
-            total[lo:hi] += rows[:, col]
+        for col, fired, draws in loss_block(plan, hi - lo, master_seed, block,
+                                            streams.RUN_LANE):
+            column = line_losses[lo:hi, col]  # contiguous, and 0 where the line did not fire
+            column[fired] = draws
+            total[lo:hi] += column
 
     draw_blocks(draw, -(-runs // RUN_BLOCK), workers)
     line_losses.flags.writeable = False

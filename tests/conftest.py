@@ -9,6 +9,7 @@ from homecyber.graph import (
     Edge,
     JointDistribution,
     VulnNode,
+    enumerate_joint,
     topological_order,
 )
 from homecyber.losses import (
@@ -166,6 +167,23 @@ def full_width_joint(graph: AttackGraph) -> np.ndarray:
             bits[graph.position(node_id)], exploited_prob, 1.0 - exploited_prob
         )
     return probs
+
+
+def full_cdf(graph: AttackGraph) -> np.ndarray:
+    """Reference CDF: the exact joint's running sum over all 2^n state
+    indices, divided by its last entry, so it ends at exactly 1.0."""
+    cdf = np.cumsum(enumerate_joint(graph).probs)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def loss_matrix(draws, rows: int, columns: int) -> np.ndarray:
+    """The (rows, columns) line losses of a ``(column, fired rows, severities)``
+    stream such as ``losses.line_draws``; 0 where a line did not fire."""
+    out = np.zeros((rows, columns))
+    for col, fired, values in draws:
+        out[fired, col] = values
+    return out
 
 
 def mask_marginals(joint: JointDistribution) -> np.ndarray:

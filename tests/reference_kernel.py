@@ -3,9 +3,12 @@
 This is the kernel as it read before the loss plan was indexed by the
 joint's support: a line fires on state index ``i`` when ``i & mask`` is not
 0, and an exponential line's rate is ``low[i & (2^half - 1)] + high[i >>
-half]``, computed on every fired row.  ``losses.sample_loss_matrix`` and
-``losses.sample_loss_totals`` must give the same bits for the same stream
-when their positions are mapped through ``plan.states``.
+half]``, computed on every fired row.  ``losses.line_draws`` must give the
+same columns, fired rows and draw bits for the same stream when its
+positions are mapped through ``plan.states``; the line losses and row
+totals of ``simulate.run_simulation``, and the per-home totals of
+``portfolio.simulate_claims``, must match ``reference_loss_matrix`` and
+``reference_loss_totals``.
 """
 
 import numpy as np

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -170,6 +171,16 @@ class TestParserSurface:
     def test_version(self, capsys):
         assert run("--version") == 0
         assert capsys.readouterr().out == f"homecyber {homecyber.__version__}\n"
+
+    def test_output_digest_runs_parse(self):
+        # a renamed command or flag fails here, not in tools/output_digests.py
+        path = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+        spec = importlib.util.spec_from_file_location("output_digests", path)
+        digests = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digests)
+        parsed = [_build_parser().parse_args(argv)
+                  for _, argv in digests.invocations("bundled.json", 1)]
+        assert {args.command for args in parsed} == set(COMMANDS)
 
 
 class TestParserCache:
@@ -1034,19 +1045,42 @@ class TestOverflowingLosses:
         assert f"{named} is not a finite float64" in captured.err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("command", ["simulate", "price"])
-    def test_statistics_that_overflow_are_an_error(self, command, tmp_path, capsys):
-        # alpha = 1e308 has a finite mean, but the sums of its draws overflow
+    # two run blocks or replication groups, so that two workers both draw
+    RUNS = ("--runs", str(RUN_BLOCK + 7000), "--seed", "1")
+    PORTFOLIO = ("--coverage", "inf", "--homes", "50", "--replications",
+                 str(replication_group(50) + 45), "--seed", "1")
+    LR = "LR statistic {}: the portfolio claims overflow float64"
+    OVERFLOWING = {
+        "simulate": ((*RUNS,), "L5: statistics of the sample overflow float64"),
+        "price": ((*RUNS, *THETAS), "L5: statistics of the sample overflow float64"),
+        "calibrate": ((*RUNS, "--line", "5", "--target", "28"),
+                      "statistics of the sample overflow float64"),
+        "search-deductible": (("--premium", "418", "--grid", "100,200", "--strategy", "mean",
+                               "--lr-target", "0.4", *PORTFOLIO), LR.format("inf")),
+        "propose": (("--premiums", "418,307", "--grid", "100,200", *PORTFOLIO),
+                    LR.format("inf")),
+        "solve-premium": (("--deductible", "100", "--strategy", "quantile", "--lr-target",
+                           "0.4", *PORTFOLIO), LR.format("nan")),
+    }
+
+    @pytest.mark.parametrize("command", list(OVERFLOWING))
+    def test_statistics_that_overflow_are_an_error(self, command, tmp_path, capsys,
+                                                   monkeypatch):
+        # alpha = 1e308 has a finite mean, but the sums of its draws overflow;
+        # a numpy warning, in any thread, fails the test, and nothing but
+        # the error line may reach stderr, so an overflow never reads as
+        # infeasibility or as a table
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         path = self.scenario(tmp_path, 4, "alpha", 1e308)
-        thetas = self.THETAS if command == "price" else ()
-        out = tmp_path / "out"
-        assert run(command, "--scenario", path, *self.SIZES, *thetas, "--out", str(out)) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: L5: statistics of the sample overflow float64\n"
-        assert not out.exists()
+        flags, message = self.OVERFLOWING[command]
+        for workers in ("1", "2"):
+            out = tmp_path / f"out-{workers}"
+            assert run(command, "--scenario", path, *flags, "--workers", workers,
+                       "--out", str(out)) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+            assert not out.exists()
 
 
 def test_cli_never_imports_scipy():

@@ -10,6 +10,7 @@ from conftest import (
     brute_force_marginals,
     build_case_graph,
     dag_graphs,
+    full_cdf,
     full_width_joint,
     mask_marginals,
     recursive_joint_prob,
@@ -27,11 +28,11 @@ from homecyber.graph import (
     check_enumerable,
     enumerate_joint,
     sample_state_indices,
-    state_cdf,
     state_guide,
     topological_order,
     validate_graph,
 )
+from homecyber.losses import loss_plan
 
 # Reference joint probabilities for eight states, recomputed by hand from
 # the conditional products (e.g. all-zero = .99 * .98 * .10 = .09702), with
@@ -224,7 +225,8 @@ class TestMarginals:
 
 
 def sample_indices(graph, count, rng):
-    return sample_state_indices(state_cdf(graph), count, rng)
+    cdf = full_cdf(graph)
+    return sample_state_indices(cdf, count, rng, state_guide(cdf))
 
 
 def index_bit(indices, graph, node_id):
@@ -278,20 +280,21 @@ class TestSampling:
         # states 0..3 have probabilities 0, .5, 0, .5: a uniform of exactly 0
         # or exactly on a step of the CDF belongs to the state above the step
         graph = AttackGraph([VulnNode(1, entry_prob=1.0), VulnNode(2, entry_prob=0.5)], [])
-        cdf = state_cdf(graph)
+        cdf = full_cdf(graph)
         assert cdf.tolist() == [0.0, 0.5, 0.5, 1.0]
-        assert not cdf.flags.writeable
 
         class FixedUniforms:
             def random(self, count):
                 return np.array([0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)])
 
-        assert sample_state_indices(cdf, 4, FixedUniforms()).tolist() == [1, 3, 1, 3]
+        indices = sample_state_indices(cdf, 4, FixedUniforms(), state_guide(cdf))
+        assert indices.tolist() == [1, 3, 1, 3]
 
     def test_cap_enforced(self):
+        # states are sampled through a loss plan, whose CDF needs the joint
         nodes = [VulnNode(i, entry_prob=0.5) for i in range(1, 24)]
         with pytest.raises(EnumerationSizeError, match="cap of 22"):
-            state_cdf(AttackGraph(nodes, []))
+            loss_plan(AttackGraph(nodes, []), [])
 
 
 class TestMonotonicity:
@@ -369,9 +372,9 @@ def test_topological_order_properties(graph):
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_state_indices_equal_linear_scan(graph):
     """Each index is the first state whose fsum-accumulated probability exceeds its uniform."""
-    cdf = state_cdf(graph)
+    cdf = full_cdf(graph)
     assert cdf[-1] == 1.0
-    indices = sample_state_indices(cdf, 300, np.random.default_rng(7))
+    indices = sample_state_indices(cdf, 300, np.random.default_rng(7), state_guide(cdf))
     uniforms = np.random.default_rng(7).random(300)
     probs = enumerate_joint(graph).probs.tolist()
     total = math.fsum(probs)
@@ -440,25 +443,22 @@ def assert_guided_inversion_exact(cdf: np.ndarray) -> None:
     assert u.min() == 0.0 and u.max() == np.nextafter(1.0, 0.0)
     guided = sample_state_indices(cdf, u.size, FixedUniforms(u), (cells, settled))
     assert np.array_equal(guided, np.searchsorted(cdf, u, side="right"))
-    # the same path when the sampler builds the guide itself
-    assert np.array_equal(sample_state_indices(cdf, u.size, FixedUniforms(u)), guided)
 
 
 @given(shuffled_dag_graphs(max_nodes=8))
 @example(AttackGraph([VulnNode(1, entry_prob=1.0), VulnNode(2, entry_prob=0.5)], []))
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_guided_inversion_equals_search(graph):
-    assert_guided_inversion_exact(state_cdf(graph))
+    assert_guided_inversion_exact(full_cdf(graph))
 
 
 @given(shuffled_dag_graphs(max_nodes=8))
 @example(AttackGraph([VulnNode(1, entry_prob=1.0), VulnNode(2, entry_prob=0.5)], []))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_guided_inversion_on_the_support(graph):
-    # a loss plan samples positions into the joint's support through this CDF
-    support = np.flatnonzero(enumerate_joint(graph).probs)
-    assert_guided_inversion_exact(state_cdf(graph)[support])
+    # a loss plan samples positions into the joint's support through its CDF
+    assert_guided_inversion_exact(loss_plan(graph, []).cdf)
 
 
 def test_guided_inversion_equals_search_on_seventeen_nodes():
-    assert_guided_inversion_exact(state_cdf(seventeen_node_graph(complete=True)))
+    assert_guided_inversion_exact(full_cdf(seventeen_node_graph(complete=True)))

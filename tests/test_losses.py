@@ -5,23 +5,27 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     all_states,
     build_case_graph,
+    full_cdf,
     graphs_with_lines,
     lev_quadrature,
+    loss_matrix,
     recursive_joint_prob,
+    shuffled_dag_graphs,
     state_index,
 )
 from homecyber.graph import (
     AttackGraph,
+    Edge,
     VulnNode,
     enumerate_joint,
     sample_state_indices,
-    state_cdf,
+    state_guide,
 )
 from homecyber.losses import (
     BusinessLine,
@@ -35,13 +39,14 @@ from homecyber.losses import (
     conditional_distribution,
     exact_line_mean,
     limited_expected_value_of,
+    line_draws,
     loss_plan,
-    sample_loss_matrix,
-    sample_loss_totals,
 )
-from homecyber.simulate import loss_block
-from homecyber.streams import RUN_LANE, substream
-from reference_kernel import reference_loss_matrix, reference_loss_totals
+from homecyber.portfolio import simulate_claims
+from homecyber.pricing import Policy
+from homecyber.simulate import RUN_BLOCK, loss_block, run_simulation
+from homecyber.streams import REPLICATION_LANE, RUN_LANE, substream
+from reference_kernel import reference_line_draws, reference_loss_matrix, reference_loss_totals
 
 
 def state_with(case_graph, *exploited):
@@ -129,14 +134,16 @@ def tiled_losses(case_graph, case_lines, state, seed, rows=100_000):
         rates=tuple(None if r is None else np.array([getattr(d, "rate", 0.0)])
                     for r, d in zip(plan.rates, dists)),
     )
-    return sample_loss_matrix(plan, np.zeros(rows, dtype=np.intp), rng)
+    return loss_matrix(line_draws(plan, np.zeros(rows, dtype=np.intp), rng), rows,
+                       len(plan.lines))
 
 
 def sampled_losses(graph, lines, rows, rng):
     """State indices drawn from the joint and the loss matrix drawn on them."""
     plan = loss_plan(graph, lines)
     positions = sample_state_indices(plan.cdf, rows, rng, plan.guide)
-    return plan.states[positions], sample_loss_matrix(plan, positions, rng)
+    return plan.states[positions], loss_matrix(line_draws(plan, positions, rng), rows,
+                                               len(plan.lines))
 
 
 class TestSampleLoss:
@@ -173,10 +180,6 @@ class TestSampleLoss:
                     continue
                 se = draws.std(ddof=1) / math.sqrt(draws.size)
                 assert abs(draws.mean() - dist.mean()) <= 4 * se
-
-    def test_line_columns_are_contiguous(self, case_graph, case_lines):
-        _, losses = sampled_losses(case_graph, case_lines, 500, np.random.default_rng(5))
-        assert all(losses[:, k].flags.c_contiguous for k in range(losses.shape[1]))
 
     def test_nonnegative(self, case_graph, case_lines):
         rng = np.random.default_rng(4)
@@ -250,8 +253,8 @@ class TestLossBlockOnRandomGraphs:
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_line_means_match_exact(self, case):
         graph, lines = case
-        losses = loss_block(loss_plan(graph, lines), self.ROWS, 2024, 0, RUN_LANE,
-                            sample_loss_matrix)
+        losses = loss_matrix(loss_block(loss_plan(graph, lines), self.ROWS, 2024, 0, RUN_LANE),
+                             self.ROWS, len(lines))
         marginals = enumerate_joint(graph).marginals()
         for col, line in enumerate(lines):
             column = losses[:, col]
@@ -272,7 +275,7 @@ class TestLossPlan:
         assert [line.index for line in plan.lines] == sorted(line.index for line in lines)
         joint = enumerate_joint(graph)
         assert np.array_equal(plan.states, np.flatnonzero(joint.probs))
-        assert np.array_equal(plan.cdf, state_cdf(graph)[plan.states])
+        assert plan.cdf.tobytes() == full_cdf(graph)[plan.states].tobytes()
         for line, fired, rates in zip(plan.lines, plan.fired, plan.rates):
             assert fired.dtype == bool and fired.shape == plan.states.shape
             assert (rates is None) == (not isinstance(line.model, RateSumExponential))
@@ -287,21 +290,36 @@ class TestLossPlan:
                     assert rates[pos] == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
+class TestSupportCdf:
+    @given(shuffled_dag_graphs(max_nodes=8))
+    @example(AttackGraph([VulnNode(1, entry_prob=0.3), VulnNode(2)], [Edge(1, 2, 0.6)]))
+    @example(AttackGraph([VulnNode(1, entry_prob=1.0), VulnNode(2, entry_prob=0.5)], []))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_bits_of_the_full_cdf_at_the_support(self, graph):
+        # the running sum over the support alone skips only zeros, which
+        # leave a sequential sum and its last entry as they are
+        assume(not enumerate_joint(graph).probs.all())
+        plan = loss_plan(graph, [])
+        assert plan.cdf.tobytes() == full_cdf(graph)[plan.states].tobytes()
+        assert plan.cdf[-1] == 1.0
+
+
 def assert_kernels_match_reference(graph, lines, rows, seed):
-    """Both kernels give the state-index kernel's bits for the same uniforms."""
+    """``line_draws`` gives the state-index kernel's columns, fired rows and
+    draw bits, line by line, for the same uniforms."""
     plan = loss_plan(graph, lines)
     positions = sample_state_indices(plan.cdf, rows, np.random.default_rng(seed), plan.guide)
     # the full CDF inverts the same uniforms to the states at those positions
-    indices = sample_state_indices(state_cdf(graph), rows, np.random.default_rng(seed))
+    cdf = full_cdf(graph)
+    indices = sample_state_indices(cdf, rows, np.random.default_rng(seed), state_guide(cdf))
     assert np.array_equal(plan.states[positions], indices)
-    for kernel, reference in (
-        (sample_loss_matrix, reference_loss_matrix),
-        (sample_loss_totals, reference_loss_totals),
-    ):
-        ours = kernel(plan, positions, np.random.default_rng(seed + 1))
-        theirs = reference(graph, lines, indices, np.random.default_rng(seed + 1))
-        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
-        assert ours.tobytes() == theirs.tobytes()
+    ours = list(line_draws(plan, positions, np.random.default_rng(seed + 1)))
+    theirs = list(reference_line_draws(graph, lines, indices, np.random.default_rng(seed + 1)))
+    assert len(ours) == len(theirs) == len(lines)
+    for (col, fired, draws), (ref_col, ref_fired, ref_draws) in zip(ours, theirs):
+        assert col == ref_col
+        assert np.array_equal(fired, ref_fired)
+        assert draws.dtype == ref_draws.dtype and draws.tobytes() == ref_draws.tobytes()
 
 
 class TestKernelMatchesReference:
@@ -314,12 +332,29 @@ class TestKernelMatchesReference:
     def test_bundled_scenario(self, case_graph, case_lines):
         assert_kernels_match_reference(case_graph, case_lines, 50_000, 12)
 
+    def test_run_and_portfolio_sums_match_reference(self, case_graph, case_lines):
+        # run block 0, and portfolio group 0 of one home per replication,
+        # which is drawn whole; a claim under Policy(0, inf) is the home's total
+        def reference(kernel, rows, lane):
+            rng, cdf = substream(12, 0, lane), full_cdf(case_graph)
+            indices = sample_state_indices(cdf, rows, rng, state_guide(cdf))
+            return kernel(case_graph, case_lines, indices, rng)
+
+        result = run_simulation(case_graph, case_lines, 3000, 12)
+        assert np.array_equal(result.line_losses,
+                              reference(reference_loss_matrix, 3000, RUN_LANE))
+        totals = reference(reference_loss_totals, 3000, RUN_LANE)
+        assert result.total_losses.tobytes() == totals.tobytes()
+        claims = simulate_claims(case_graph, case_lines, 1, 3000, [Policy(0.0, math.inf)], 12)
+        totals = reference(reference_loss_totals, RUN_BLOCK, REPLICATION_LANE)[:3000]
+        assert claims[0].tobytes() == totals.tobytes()
+
 
 class TestFiredOnlySeverities:
     def test_one_draw_per_fired_row_in_row_order(self, case_graph, case_lines):
         rows = 3000
-        losses = loss_block(loss_plan(case_graph, case_lines), rows, 5, 2, RUN_LANE,
-                            sample_loss_matrix)
+        losses = loss_matrix(loss_block(loss_plan(case_graph, case_lines), rows, 5, 2, RUN_LANE),
+                             rows, len(case_lines))
         rng = substream(5, 2, RUN_LANE)
         # one uniform per row; the state is the first whose running sum exceeds it
         joint = enumerate_joint(case_graph)
@@ -351,10 +386,12 @@ class TestFiredOnlySeverities:
             case_graph.nodes + (VulnNode(8, entry_prob=0.0),), case_graph.edges
         )
         dead = BusinessLine(0, "dead", frozenset({8}), TriggeredGamma(2.0, 1.0))
-        alone = loss_block(loss_plan(graph, case_lines), 5000, 8, 0, RUN_LANE,
-                           sample_loss_matrix)
-        with_dead = loss_block(loss_plan(graph, [dead, *case_lines]), 5000, 8, 0, RUN_LANE,
-                               sample_loss_matrix)
+        alone = loss_matrix(loss_block(loss_plan(graph, case_lines), 5000, 8, 0, RUN_LANE),
+                            5000, len(case_lines))
+        with_dead = loss_matrix(
+            loss_block(loss_plan(graph, [dead, *case_lines]), 5000, 8, 0, RUN_LANE),
+            5000, 1 + len(case_lines),
+        )
         assert np.all(with_dead[:, 0] == 0.0)
         assert np.array_equal(with_dead[:, 1:], alone)
 

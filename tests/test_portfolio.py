@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import build_case_graph
+from conftest import build_case_graph, loss_matrix
 from homecyber.graph import AttackGraph, VulnNode
-from homecyber.losses import exact_line_mean, loss_plan, sample_loss_matrix
+from homecyber.losses import exact_line_mean, loss_plan
 from homecyber.portfolio import replication_group, simulate_claims
 from homecyber.pricing import Policy, check_premium
 from homecyber.reports import LR_LEVELS, PROFIT_LEVELS, portfolio_tables, render_csv
@@ -168,8 +168,9 @@ class TestReplicationGroups:
                                  policies, master_seed=31)
         expected = np.empty_like(claims)
         for g, first in enumerate(range(0, replications, group)):
-            block = loss_block(loss_plan(case_graph, case_lines), group * n_homes, 31, g,
-                               REPLICATION_LANE, sample_loss_matrix)
+            block = loss_matrix(loss_block(loss_plan(case_graph, case_lines), group * n_homes,
+                                           31, g, REPLICATION_LANE),
+                                group * n_homes, len(case_lines))
             totals = np.zeros(group * n_homes)
             for col in range(block.shape[1]):
                 totals += block[:, col]

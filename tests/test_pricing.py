@@ -236,6 +236,16 @@ class TestCalibrate:
         assert isinstance(param, CTE)
         assert premium(x, param) == pytest.approx(target, rel=1e-6)
 
+    @pytest.mark.parametrize("family, sample", [
+        ("expectation", [1e308, 1e308]),  # the mean overflows
+        ("stddev", [0.0, 1.5e308]),  # a finite mean, but the squared deviations overflow
+        ("gmd", [0.0, 1.5e308]),  # a finite mean, but the weighted sum overflows
+    ])
+    def test_overflowing_statistics_rejected(self, family, sample):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match="^statistics of the sample overflow float64$"):
+            calibrations(sample, (family,), 28.0)
+
     def test_constant_samples_not_calibratable(self):
         x = np.full(20, 5.0)
         for family in ("stddev", "gmd"):

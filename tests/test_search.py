@@ -44,6 +44,19 @@ class TestStrategies:
         assert lr_statistic(x, MeanLR(0.4)) == pytest.approx(0.25)
         assert lr_statistic(x, QuantileLR(0.5, 0.4)) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("strategy", BOTH, ids=["mean", "quantile"])
+    def test_statistic_that_overflows_is_an_error(self, strategy):
+        # an inf or NaN statistic would read as infeasible, or price at inf or NaN
+        claims = np.array([[1.0, np.inf, np.inf]] * 2)
+        overflow = r"^LR statistic (inf|nan): the portfolio claims overflow float64$"
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match=overflow):
+                search_deductible(claims, (100.0, 200.0), 1.0, strategy)
+            with pytest.raises(ValueError, match=overflow):
+                premium_for_claims(claims[0], 10, strategy)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=overflow):
+            lr_statistic(np.array([1e308, 1e308]), MeanLR(0.4))  # the sum overflows
+
 
 class TestPremiumForClaims:
     def test_deterministic_claims_closed_form(self):

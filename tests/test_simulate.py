@@ -8,13 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import loss_matrix
 from homecyber.graph import AttackGraph, Edge, EnumerationSizeError, VulnNode
 from homecyber.losses import (
     BusinessLine,
     TriggeredGamma,
     exact_line_mean,
     loss_plan,
-    sample_loss_matrix,
 )
 from homecyber.portfolio import simulate_claims
 from homecyber.pricing import Policy
@@ -89,8 +89,8 @@ class TestRunSimulation:
                 shorter.line_losses[:complete], longest.line_losses[:complete]
             )
         # block b is the kernel's draw from substream (seed, b) of the run lane
-        block1 = loss_block(loss_plan(case_graph, case_lines), RUN_BLOCK, 7, 1, RUN_LANE,
-                            sample_loss_matrix)
+        block1 = loss_matrix(loss_block(loss_plan(case_graph, case_lines), RUN_BLOCK, 7, 1,
+                                        RUN_LANE), RUN_BLOCK, len(case_lines))
         assert np.array_equal(longest.line_losses[RUN_BLOCK : 2 * RUN_BLOCK], block1)
 
     @pytest.mark.parametrize("runs", [RUN_BLOCK - 1, RUN_BLOCK, RUN_BLOCK + 1],
@@ -191,6 +191,21 @@ class TestThreads:
         draw_blocks(draw, 6, workers=2)
         assert len(drew) == threads
         assert threading.get_ident() in drew
+
+    def test_threads_keep_the_callers_errstate(self, monkeypatch):
+        # two threads even on a one-CPU host, each holding a block at once
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        barrier = threading.Barrier(2, timeout=30)
+        seen = {}
+
+        def draw(b):
+            seen[threading.get_ident()] = np.geterr()["over"]
+            if b < 2:
+                barrier.wait()
+
+        with np.errstate(over="ignore"):
+            draw_blocks(draw, 4, workers=2)
+        assert len(seen) == 2 and set(seen.values()) == {"ignore"}
 
     def test_block_exception_is_raised(self):
         def draw(b):

@@ -36,6 +36,7 @@ THETAS = ("--theta-expectation", "0.5", "--theta-stddev", "0.03", "--theta-gmd",
           "--beta-cte", "0.9")
 SEARCH = ("--premium", "418", "--coverage", "50000", "--grid", GRID, "--lr-target", "0.4",
           "--homes", "300", "--replications", "130", "--seed", "13")
+NO_FEASIBLE = "no feasible deductible on the grid"
 SOLVE = (*RETAINED, "--lr-target", "0.4", "--homes", "300", "--replications", "130",
          "--seed", "13")
 
@@ -62,6 +63,19 @@ def runs(line: int) -> list[tuple[str, list[str]]]:
         ("propose", ["propose", "--premiums", "418,307,368,408", "--coverage", "50000",
                      "--grid", GRID, "--homes", "500", "--replications", "70", "--seed", "14"]),
     ]
+
+
+def invocations(scenario: str, line: int):
+    """(output directory, argv) of every command run on ``scenario``, with
+    ``--workers`` 1 and 2 where the command takes it and ``--out`` where it writes."""
+    for label, argv in runs(line):
+        _, flags, files, _ = COMMANDS[argv[0]]
+        takes_workers = any(flag == "--workers" for flag, _ in flags)
+        for workers in ("1", "2") if takes_workers else ("-",):
+            out = Path(scenario.removesuffix(".json"), label, workers)
+            extra = ["--workers", workers] if takes_workers else []
+            extra += ["--out", str(out)] if files else []
+            yield out, [argv[0], "--scenario", scenario, *argv[1:], *extra]
 
 
 def sha256(data: bytes | Path) -> str:
@@ -93,25 +107,21 @@ def main() -> int:
         work = Path(tmp)
         os.chdir(work)
         for scenario in scenarios(work):
-            line = load_scenario(scenario).lines[0].index
-            for label, argv in runs(line):
-                _, flags, files, _ = COMMANDS[argv[0]]
-                takes_workers = any(flag == "--workers" for flag, _ in flags)
-                for workers in ("1", "2") if takes_workers else ("-",):
-                    out = Path(scenario.removesuffix(".json"), label, workers)
-                    extra = ["--workers", workers] if takes_workers else []
-                    extra += ["--out", str(out)] if files else []
-                    stdout = io.StringIO()
-                    with contextlib.redirect_stdout(stdout):
-                        code = cli_dispatch([argv[0], "--scenario", scenario, *argv[1:], *extra])
-                    # search-deductible exits 1 when no grid point is feasible
-                    if code not in ((0, 1) if argv[0] == "search-deductible" else (0,)):
-                        print(f"{out}: exit {code}", file=sys.stderr)
-                        failed = 1
-                    for path in sorted(out.iterdir()) if out.is_dir() else ():
-                        print(f"{sha256(path)}  {out}/{path.name}")
-                    print(f"{sha256(stdout.getvalue().encode())}  {out}/stdout")
-                    shutil.rmtree(out, ignore_errors=True)
+            for out, argv in invocations(scenario, load_scenario(scenario).lines[0].index):
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = cli_dispatch(argv)
+                # search-deductible exits 1 when no grid point is feasible, and
+                # only then; any other exit 1 is an error
+                infeasible = argv[0] == "search-deductible" and stdout.getvalue().endswith(
+                    f"{NO_FEASIBLE}\n")
+                if code != 0 and not (code == 1 and infeasible):
+                    print(f"{out}: exit {code}", file=sys.stderr)
+                    failed = 1
+                for path in sorted(out.iterdir()) if out.is_dir() else ():
+                    print(f"{sha256(path)}  {out}/{path.name}")
+                print(f"{sha256(stdout.getvalue().encode())}  {out}/stdout")
+                shutil.rmtree(out, ignore_errors=True)
         os.chdir(ROOT)
     return failed
 
