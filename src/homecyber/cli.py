@@ -6,7 +6,13 @@ writes its files to DIR, one ``wrote PATH`` line each, and a run manifest
 (scenario digest, seed, run counts, stream layout, tool version) when it
 takes --seed; without --out the same bytes go to stdout.  The same
 scenario, flags and seed give byte-identical outputs for any --workers N.
+
+``validate``, ``--help``, ``--version`` and usage errors need only the
+scenario model, which loads without numpy; the handlers that compute import
+the engine modules (simulate, portfolio, search, reports) when they run.
 """
+
+from __future__ import annotations
 
 import argparse
 import functools
@@ -14,15 +20,15 @@ import os
 import re
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, pricing, reports, search
+from . import __version__, pricing
 from .graph import check_enumerable, enumerate_joint
-from .portfolio import simulate_claims
 from .pricing import CTE, CalibrationError, Expectation, GMD, Policy, StdDev
 from .scenario import RunManifest, Scenario, load_scenario, scenario_digest, write_manifest
-from .simulate import run_simulation
+
+if TYPE_CHECKING:
+    from . import search
 
 
 def _int_at_least(text: str, minimum: int) -> int:
@@ -101,6 +107,8 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
 
 
 def _strategy(args) -> search.LRStrategy:
+    from . import search
+
     if args.strategy == "mean":
         return search.MeanLR(args.lr_target)
     return search.QuantileLR(args.quantile_level, args.lr_target)
@@ -115,6 +123,8 @@ def _write(scenario: Scenario, args, *bodies) -> None:
     gets one ``wrote PATH`` line, and a seeded command also writes
     manifest.json; without it, the files' bytes go to stdout in order.
     """
+    from . import reports
+
     for name, body in zip(args.files, bodies, strict=True):
         path = Path(args.out) / name if args.out else None
         if path and callable(body):
@@ -145,11 +155,15 @@ def _income(args, name: str, premium: float) -> float:
 def _claims(scenario, args, policies):
     """The command's one simulation, claims of shape (len(policies), replications);
     every check of the command runs before it."""
+    from .portfolio import simulate_claims
+
     return simulate_claims(scenario.graph, scenario.lines, args.homes, args.replications,
                            policies, args.seed, args.workers)
 
 
 def _line_samples(scenario, args):
+    from .simulate import run_simulation
+
     for given, needed in (("deductible", "coverage"), ("coverage", "deductible")):
         if getattr(args, given) is not None and getattr(args, needed) is None:
             raise SystemExit(f"error: --{given} requires --{needed}")
@@ -172,6 +186,8 @@ def _validate(scenario, args) -> None:
 @_command("enumerate", "exact joint state distribution and marginals",
           ("joint.csv", "marginals.csv"))
 def _enumerate(scenario, args) -> None:
+    from . import reports
+
     joint = enumerate_joint(scenario.graph)
     marginals = reports.marginals_table(scenario.graph, joint.marginals())
     _write(scenario, args, lambda out: reports.write_joint_csv(joint, out), marginals)
@@ -179,6 +195,9 @@ def _enumerate(scenario, args) -> None:
 
 @_command("simulate", "Monte Carlo line losses and summary table", ("summary.csv",), *RUNS)
 def _simulate(scenario, args) -> None:
+    from . import reports
+    from .simulate import run_simulation
+
     result = run_simulation(scenario.graph, scenario.lines, args.runs, args.seed, args.workers)
     _write(scenario, args, reports.summary_table(result))
 
@@ -189,6 +208,8 @@ def _simulate(scenario, args) -> None:
           *_flags(float, "--deductible", help="price retained losses (with --coverage)"),
           *_flags(float, "--coverage"))
 def _price(scenario, args) -> None:
+    from . import reports
+
     # principles rho1..rho4, built before simulating so a bad loading fails fast
     params = (Expectation(args.theta_expectation), StdDev(args.theta_stddev),
               GMD(args.theta_gmd), CTE(args.beta_cte))
@@ -206,6 +227,8 @@ def _price(scenario, args) -> None:
           *_flags(float, "--deductible", help="calibrate on retained losses"),
           *_flags(float, "--coverage"))
 def _calibrate(scenario, args) -> None:
+    from . import reports
+
     if args.line not in {line.index for line in scenario.lines}:
         raise SystemExit(f"error: no business line with index {args.line}")
     pricing.check_target_premium(args.target)
@@ -228,6 +251,8 @@ def _calibrate(scenario, args) -> None:
           *_flags(float, "--premium", required=True, help="total premium per home"),
           *_flags(float, "--deductible", "--coverage", required=True), *PORTFOLIO_SIZES)
 def _portfolio(scenario, args) -> None:
+    from . import reports
+
     policy = Policy(args.deductible, args.coverage)
     income = _income(args, "premium_per_home", args.premium)
     _write(scenario, args, reports.portfolio_tables(_claims(scenario, args, [policy])[0], income))
@@ -239,6 +264,8 @@ def _portfolio(scenario, args) -> None:
           *_flags(None, "--grid", required=True, help="ascending deductibles, e.g. 100,150,200"),
           *STRATEGY, *PORTFOLIO_SIZES)
 def _search_deductible(scenario, args) -> int | None:
+    from . import reports, search
+
     grid = _parse_floats(args.grid, "--grid")
     strategy = _strategy(args)
     grid = search.deductible_grid(grid)
@@ -260,6 +287,8 @@ def _search_deductible(scenario, args) -> int | None:
 @_command("solve-premium", "premium that meets an LR target", ("premium.csv",),
           *_flags(float, "--deductible", "--coverage", required=True), *STRATEGY, *PORTFOLIO_SIZES)
 def _solve_premium(scenario, args) -> None:
+    from . import reports, search
+
     policy = Policy(args.deductible, args.coverage)
     strategy = _strategy(args)
     premium = search.premium_for_claims(_claims(scenario, args, [policy])[0], args.homes, strategy)
@@ -279,12 +308,16 @@ def _solve_premium(scenario, args) -> None:
           *_flags(float, "--quantile-level", default=0.995),
           *_flags(float, "--quantile-target", default=0.40), *PORTFOLIO_SIZES)
 def _propose(scenario, args) -> None:
+    from . import reports, search
+
     totals = _parse_floats(args.premiums, "--premiums")
     labels = args.labels.split(",") if args.labels else [f"rho{i + 1}" for i in range(len(totals))]
     if len(labels) != len(totals):
         raise SystemExit("error: --labels must match --premiums in length")
     if len(set(labels)) != len(labels):
         raise SystemExit("error: --labels must be distinct")
+    if "" in labels:  # a proposals row without a Principle cell
+        raise SystemExit("error: --labels must not be empty")
     if any(ch in label for label in labels for ch in "\n\r"):
         raise SystemExit("error: --labels must not hold line breaks")
     grid = search.deductible_grid(_parse_floats(args.grid, "--grid"))
@@ -326,9 +359,14 @@ def cli_dispatch(argv=None) -> int:
     except SystemExit as exc:  # --help, --version or a usage error
         return exc.code
     try:
+        scenario = load_scenario(args.scenario)
+        if not args.files:  # validate writes no file and computes nothing
+            return args.handler(scenario, args) or 0
+        import numpy as np
+
         # an overflow is one error line, from the finiteness check on each output
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.handler(load_scenario(args.scenario), args) or 0
+            return args.handler(scenario, args) or 0
     except SystemExit as exc:  # a handler's usage error
         print(exc.code, file=sys.stderr)
         return 2

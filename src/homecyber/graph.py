@@ -10,22 +10,24 @@ States are sampled by inverting a CDF through a guide table: a loss plan
 (``losses.loss_plan``) builds the CDF over the exact joint's support, so
 sampling needs the joint and is limited to ``DEFAULT_ENUMERATION_CAP``
 nodes; the inversion gives the same index as a binary search of the CDF.
+Building and validating a graph needs only the standard library: numpy is
+imported on first use, by the functions that enumerate or sample.
 """
+
+from __future__ import annotations
 
 import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 22
 # JointDistribution.total feeds fsum this many doubles at a time
 _FSUM_CHUNK = 1 << 16
-
-# State vectors are boolean arrays index-aligned with AttackGraph.nodes.
-StateVector = np.ndarray
 
 
 class GraphValidationError(ValueError):
@@ -213,6 +215,8 @@ class JointDistribution:
 
     def marginals(self) -> np.ndarray:
         """Per-node exploitation probabilities, aligned with ``node_ids``."""
+        import numpy as np
+
         n = len(self.node_ids)
         marginals = np.empty(n)
         for pos in range(n):
@@ -256,6 +260,8 @@ def enumerate_joint(graph: AttackGraph) -> JointDistribution:
 
 
 def _enumerate(graph: AttackGraph) -> JointDistribution:
+    import numpy as np
+
     n = graph.n
     order = [graph.position(node_id) for node_id in topological_order(graph)]
     rank = {pos: k for k, pos in enumerate(order)}
@@ -307,6 +313,8 @@ def state_guide(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     1) / K) inverts to that index.  K is a power of two, so ``int(u * K)``
     finds a uniform's cell exactly.
     """
+    import numpy as np
+
     size = 1 << min((cdf.size - 1).bit_length() + 5, 16)
     edges = np.arange(size + 1) / size
     cells = np.searchsorted(cdf, edges[:-1], side="right")
@@ -324,6 +332,8 @@ def sample_state_indices(
     ``state_guide(cdf)``: a row reads its cell's index, and only rows whose
     cell holds a step of the CDF search ``cdf``.
     """
+    import numpy as np
+
     cells, settled = guide
     u = rng.random(count)
     cell = (u * cells.size).astype(np.intp)

@@ -5,20 +5,25 @@ per-trigger rates over exploited trigger nodes, and lognormal / gamma laws
 that fire when any trigger node is exploited.  When nothing fires the loss
 is degenerate at 0.  Closed-form moments and limited expected values back
 the simulation with exact oracles; they import scipy on first use, so the
-CLI never loads it.  Simulation reads lines through a ``LossPlan`` over
-the joint's support: rows are positions into its states, and each line
-has a table of where it fires (and, if exponential, of its rate) over them.
+CLI never loads it.  numpy too is imported on first use, by the functions
+that build plans, draw or sum, so the line models load without it.
+Simulation reads lines through a ``LossPlan`` over the joint's support:
+rows are positions into its states, and each line has a table of where it
+fires (and, if exponential, of its rate) over them.
 ``line_draws`` is the one severity kernel: each caller scatters or adds its
 per-line draws where it needs them, so every path shares one draw order.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-import numpy as np
+from .graph import AttackGraph, enumerate_joint, state_guide
 
-from .graph import AttackGraph, StateVector, enumerate_joint, state_guide
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _canonical_rates(rates) -> tuple[tuple[int, float], ...]:
@@ -163,7 +168,7 @@ Distribution = DegenerateZero | Exponential | Lognormal | Gamma
 
 
 def conditional_distribution(
-    line: BusinessLine, state: Sequence[bool] | StateVector, graph: AttackGraph
+    line: BusinessLine, state: Sequence[bool] | np.ndarray, graph: AttackGraph
 ) -> Distribution:
     """Loss law of one line given a state; degenerate at 0 when nothing fired."""
     model = line.model
@@ -199,6 +204,8 @@ class LossPlan:
 
 def loss_plan(graph: AttackGraph, lines: Sequence[BusinessLine]) -> LossPlan:
     """The plan of ``lines`` on ``graph``; raises above the enumeration cap."""
+    import numpy as np
+
     probs = enumerate_joint(graph).probs
     states = np.flatnonzero(probs)
     # the same bits as a cumsum over all 2^n states, read at the support
@@ -233,6 +240,8 @@ def line_draws(
     other rows.  This is the one place that fixes the order of a block's
     severity draws.
     """
+    import numpy as np
+
     for col, (line, fired, rates) in enumerate(zip(plan.lines, plan.fired, plan.rates)):
         rows = np.flatnonzero(fired.take(positions))
         model = line.model
@@ -252,6 +261,8 @@ def exact_line_mean(line: BusinessLine, graph: AttackGraph) -> float:
     The enumerated joint is summed down to the 2^t patterns of the line's t
     trigger nodes, and the mean is an fsum over the patterns that fire.
     """
+    import numpy as np
+
     by_id = np.array([graph.position(nid) for nid in sorted(line.trigger_set)])
     order = np.argsort(by_id)
     patterns = enumerate_joint(graph).pattern_probs(by_id[order])

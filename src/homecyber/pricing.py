@@ -3,15 +3,20 @@
 Premiums are sample functionals: expectation loading, standard-deviation
 loading, Gini-mean-difference loading, and the conditional tail expectation
 above the empirical value-at-risk.  Calibration inverts each principle so a
-chosen baseline premium pins the loading parameter.
+chosen baseline premium pins the loading parameter.  Policies and
+principle parameters need only the standard library; numpy is imported on
+first use, by the functions that compute.
 """
+
+from __future__ import annotations
 
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CalibrationError(ValueError):
@@ -82,6 +87,8 @@ FAMILIES = ("expectation", "stddev", "gmd", "cte")
 
 def retain(loss: np.ndarray, deductible, coverage) -> np.ndarray:
     """min((loss - d)_+, C) in a new array; d and C broadcast against ``loss``."""
+    import numpy as np
+
     retained = np.subtract(loss, deductible)
     return np.clip(retained, 0.0, coverage, out=retained)
 
@@ -90,6 +97,8 @@ def _sorted_gmd(ordered: np.ndarray) -> float:
     """Mean absolute difference over unordered pairs of an ascending sample:
     (2 / (n (n-1))) * sum_{i<j} |x_i - x_j| = sum_k (2k - n - 1) x_(k) * 2 / (n (n-1)),
     so sorting replaces the pair loop."""
+    import numpy as np
+
     n = ordered.size
     if n < 2:
         raise ValueError(f"GMD needs at least 2 samples, got {n}")
@@ -119,6 +128,8 @@ def premiums(
     GMD and the CTE's value-at-risk read one sorted copy; means, SDs and tail
     means sum ``samples`` in its own order, so the bits match ``premium``'s.
     """
+    import numpy as np
+
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ValueError("premium of an empty sample")
@@ -182,6 +193,8 @@ def calibrations(
     An unknown family, a bad target, fewer than 2 samples, or a mean, SD or
     GMD that overflows float64 raise ValueError.
     """
+    import numpy as np
+
     check_target_premium(target_premium)
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
@@ -199,6 +212,8 @@ def calibrations(
 
 
 def _calibrate_one(family, x, ordered, mean, target_premium, tol) -> PrincipleParam:
+    import numpy as np
+
     if family == "expectation":
         if mean == 0.0:
             raise NotCalibratableError("sample mean is 0; expectation loading has no effect")
@@ -224,6 +239,8 @@ def _calibrate_cte(ordered: np.ndarray, target: float, tol: float) -> CTE:
     One vectorised scan of k = 1..n-1 (beta inside (1/n, 1 - 1/n)), each run of
     ties at its first k; raises unless a k is within ``tol`` before one passes it.
     """
+    import numpy as np
+
     n = ordered.size
     # suffix means: tail_mean[k] = mean(ordered[k:]); CTE at threshold x_(k+1)
     suffix = np.cumsum(ordered[::-1])[::-1]

@@ -4,17 +4,18 @@ A scenario is a single JSON document holding the vulnerability graph, the
 business lines, and a default policy.  The canonical serialization (sorted
 keys, minimal separators, shortest round-trip numbers) defines the digest
 recorded in every run manifest, so semantically identical files hash alike.
+Loading, validating and digesting a scenario need no numpy: ``validate``
+starts without it.
 """
+
+from __future__ import annotations
 
 import hashlib
 import json
 import math
-import platform
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .graph import AttackGraph, Edge, VulnNode, validate_graph
@@ -127,7 +128,7 @@ def parse_scenario(data, source: str = "<scenario>") -> Scenario:
     for i, line_doc in enumerate(_require(data, "lines", list, source)):
         where = f"{source}: lines[{i}]"
         index = _require(line_doc, "index", int, where)
-        name = str(line_doc.get("name", f"line {index}"))
+        name = _text(line_doc, "name", f"line {index}", where)
         where = f"{source}: lines[{i}] (index {index}, {name!r})"
         if index in seen_indices:
             raise ScenarioError(f"{where}: duplicate line index")
@@ -156,6 +157,10 @@ def parse_scenario(data, source: str = "<scenario>") -> Scenario:
     policy_doc = data.get("default_policy")
     policy = None
     if policy_doc is not None:
+        if not isinstance(policy_doc, dict):
+            raise ScenarioError(
+                f"{source}: field 'default_policy' must be an object, got {policy_doc!r}"
+            )
         where = f"{source}: default_policy"
         deductible = _require_number(policy_doc, "deductible", where)
         coverage = _require_number(policy_doc, "coverage", where)
@@ -168,7 +173,7 @@ def parse_scenario(data, source: str = "<scenario>") -> Scenario:
         graph=graph,
         lines=tuple(sorted(lines, key=lambda ln: ln.index)),
         default_policy=policy,
-        description=str(data.get("description", "")),
+        description=_text(data, "description", "", source),
         schema_version=SCHEMA_VERSION,
     )
 
@@ -182,6 +187,18 @@ def _require(doc, key, kind, source):
     if not isinstance(value, kind):
         expected = kind.__name__ if isinstance(kind, type) else "number"
         raise ScenarioError(f"{source}: field {key!r} must be {expected}")
+    return value
+
+
+def _text(doc: dict, key: str, default: str, where: str) -> str:
+    """``doc[key]``, which must be a string, or ``default`` when the field is absent.
+
+    Converting another value with ``str`` would give two files one digest
+    (``null`` and ``"None"``, ``7`` and ``"7"``).
+    """
+    value = doc.get(key, default)
+    if not isinstance(value, str):
+        raise ScenarioError(f"{where}: field {key!r} must be a string, got {value!r}")
     return value
 
 
@@ -328,6 +345,10 @@ class RunManifest:
     tool_version: str = __version__
 
     def to_document(self) -> dict:
+        import platform
+
+        import numpy as np
+
         return {
             "scenario_digest": self.scenario_digest,
             "master_seed": self.master_seed,

@@ -18,12 +18,13 @@ from hypothesis import given, settings
 
 import homecyber
 from conftest import graphs_with_lines, joint_csv_reference
+from homecyber import pricing
 from homecyber.cli import COMMANDS, _build_parser, cli_dispatch
 from homecyber.graph import enumerate_joint
 from homecyber.portfolio import replication_group
 from homecyber.reports import marginals_table, render_csv
 from homecyber.scenario import Scenario, bundled_case_study_path, canonical_document, load_scenario
-from homecyber.simulate import RUN_BLOCK
+from homecyber.simulate import RUN_BLOCK, run_simulation
 from homecyber.streams import STREAM_LAYOUT
 
 CASE = str(bundled_case_study_path())
@@ -742,7 +743,7 @@ class TestRejectedInputs:
         def no_simulation(*args, **kwargs):
             raise AssertionError("run_simulation called")
 
-        monkeypatch.setattr("homecyber.cli.run_simulation", no_simulation)
+        monkeypatch.setattr("homecyber.simulate.run_simulation", no_simulation)
         argv = {"price": self.PRICE, "calibrate": self.CALIBRATE}[base]
         argv = [*argv, "--deductible", "1000", "--coverage", "50000"]
         argv = self.replaced(argv, flag, value)
@@ -812,6 +813,8 @@ class TestRejectedInputs:
                      "error: --labels must match --premiums in length", id="propose-labels-count"),
         pytest.param("propose", {"--labels": "a,a"}, 2, "error: --labels must be distinct",
                      id="propose-labels-repeated"),
+        pytest.param("propose", {"--labels": ",x"}, 2, "error: --labels must not be empty",
+                     id="propose-labels-empty"),
         pytest.param("propose", {"--labels": "a\nb,c"}, 2,
                      "error: --labels must not hold line breaks", id="propose-labels-newline"),
         pytest.param("propose", {"--labels": "a,b\r"}, 2,
@@ -854,7 +857,7 @@ class TestRejectedInputs:
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulate_claims called")
 
-        monkeypatch.setattr("homecyber.cli.simulate_claims", no_simulation)
+        monkeypatch.setattr("homecyber.portfolio.simulate_claims", no_simulation)
         argv = self.PORTFOLIO_COMMANDS[base]
         for flag, value in changes.items():
             argv = self.replaced(argv, flag, value)
@@ -876,7 +879,7 @@ class TestRejectedInputs:
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulate_claims called")
 
-        monkeypatch.setattr("homecyber.cli.simulate_claims", no_simulation)
+        monkeypatch.setattr("homecyber.portfolio.simulate_claims", no_simulation)
         argv = self.replaced(self.PORTFOLIO_COMMANDS[base], flag, value)
         if spelling == "joined":
             at = argv.index(flag)
@@ -906,7 +909,7 @@ class TestRejectedInputs:
         def no_simulation(*args, **kwargs):
             raise AssertionError("run_simulation called")
 
-        monkeypatch.setattr("homecyber.cli.run_simulation", no_simulation)
+        monkeypatch.setattr("homecyber.simulate.run_simulation", no_simulation)
         argv = self.replaced(self.CALIBRATE, flag, value)
         assert run(argv[0], "--scenario", CASE, *argv[1:]) == code
         assert message in capsys.readouterr().err
@@ -975,8 +978,8 @@ class TestSeededCommands:
             asked.append(args[2:4])
             raise error
 
-        monkeypatch.setattr("homecyber.cli.run_simulation", simulation)
-        monkeypatch.setattr("homecyber.cli.simulate_claims", simulation)
+        monkeypatch.setattr("homecyber.simulate.run_simulation", simulation)
+        monkeypatch.setattr("homecyber.portfolio.simulate_claims", simulation)
         return asked
 
     @pytest.mark.parametrize("command", list(COMMANDS))
@@ -1083,10 +1086,24 @@ class TestOverflowingLosses:
             assert not out.exists()
 
 
-def test_cli_never_imports_scipy():
-    # a fresh interpreter, so no other test's import can hide one; every
-    # command runs in it, at small sizes
+def test_cli_never_imports_scipy(tmp_path):
+    # a fresh interpreter, so no other test's import can hide one; the paths
+    # that need only the scenario model run first and must leave numpy and the
+    # engine modules unimported, then every command runs in it, at small sizes
     src = str(Path(homecyber.__file__).parent.parent)
+    generated = tmp_path / "generated.json"
+    generated.write_text(subprocess.run(
+        [sys.executable, str(Path(__file__).parents[1] / "bench" / "scenario_gen.py"),
+         "--seed", "7"], capture_output=True, text=True, check=True).stdout)
+    model_only = [
+        (["validate", "--scenario", CASE], 0),
+        (["validate", "--scenario", str(generated)], 0),
+        (["--help"], 0),
+        (["--version"], 0),
+        (["simulate", "--scenario", CASE, "--runs", "10"], 2),
+    ]
+    engine = ["numpy", "homecyber.simulate", "homecyber.portfolio", "homecyber.search",
+              "homecyber.reports"]
     sizes = ["--homes", "20", "--replications", "30", "--seed", "1"]
     commands = [
         ["validate"],
@@ -1108,6 +1125,12 @@ def test_cli_never_imports_scipy():
     assert [argv[0] for argv in commands] == list(COMMANDS)
     code = (
         "import io, sys, contextlib; from homecyber.cli import cli_dispatch\n"
+        f"for argv, expected in {model_only!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = cli_dispatch(argv)\n"
+        "    assert code == expected, (argv, code)\n"
+        f"print([name for name in {engine!r} if name in sys.modules])\n"
         f"for argv in {commands!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         f"        code = cli_dispatch([argv[0], '--scenario', {CASE!r}, *argv[1:]])\n"
@@ -1119,7 +1142,7 @@ def test_cli_never_imports_scipy():
         env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-2:] == ["[]", "False"]
 
 
 def csv_rows(path: Path) -> list[dict]:
@@ -1171,7 +1194,13 @@ def test_portfolio_commands_agree_on_random_scenarios(case):
 
         # portfolio.csv is the Profit block, then the LR block: a header and a row each
         report = (work / "portfolio" / "1" / "portfolio.csv").read_text().splitlines()
-        q_lr = float(dict(zip(report[2].split(","), report[3].split(",")))["Q99.5"])
+        lr = dict(zip(report[2].split(","), report[3].split(",")))
+        q_lr = float(lr["Q99.5"])
+        # claims lie in [0, N x C]; LR = claims / (N x premium), and rounding is monotone
+        homes = int(flags[flags.index("--homes") + 1])
+        coverage = float(flags[flags.index("--coverage") + 1])
+        assert 0.0 <= float(lr["Min"])
+        assert float(lr["Max"]) <= homes * coverage / (homes * premium)
         proposal = csv_rows(work / "propose" / "1" / "proposals.csv")[0]
         stats = {}
         for label, column in (("search-mean", "Deductible 1"), ("search-quantile", "Deductible 2")):
@@ -1190,3 +1219,57 @@ def test_portfolio_commands_agree_on_random_scenarios(case):
             row = csv_rows(work / "solve-premium" / "1" / "premium.csv")[0]
             solved = float(row["Premium per home"])
             assert solved == pytest.approx(q_lr * premium / target, rel=1e-9)
+
+
+@given(graphs_with_lines())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_single_home_commands_agree_on_random_scenarios(case):
+    # price and calibrate read the same retained samples for the same scenario,
+    # runs and seed: every premium is at least the retained mean, and every
+    # calibrated parameter prices those samples at the target.
+    graph, lines = case
+    scenario = Scenario(graph, tuple(lines), None, "random DAG", 1)
+    runs, seed, deductible, coverage, theta = 3000, 5, 0.5, 8.0, 0.5
+    flags = ["--runs", str(runs), "--seed", str(seed), "--deductible", str(deductible),
+             "--coverage", str(coverage)]
+    families = {"expectation": pricing.Expectation, "stddev": pricing.StdDev,
+                "gmd": pricing.GMD, "cte": pricing.CTE}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        path = work / "scenario.json"
+        path.write_text(json.dumps(canonical_document(scenario)))
+        # the file lists nodes by id, which fixes the state bits the runs draw
+        loaded = load_scenario(path)
+        result = run_simulation(loaded.graph, loaded.lines, runs, seed)
+        retained = pricing.retain(result.line_losses, deductible, coverage)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run("price", "--scenario", str(path), *flags,
+                       "--theta-expectation", str(theta), "--theta-stddev", "0.03",
+                       "--theta-gmd", "0.25", "--beta-cte", "0.9", "--out", str(work)) == 0
+        rows = csv_rows(work / "premiums.csv")
+        assert [row["Line"] for row in rows] == [*(f"L{i}" for i in result.line_indices), "total"]
+        for col, row in enumerate(rows[:-1]):
+            premiums = [float(row[f"rho{k}"]) for k in range(1, 5)]
+            # rho1 = (1 + theta) x the retained mean
+            mean = premiums[0] / (1.0 + theta)
+            assert mean == pytest.approx(float(retained[:, col].mean()), rel=1e-12)
+            assert min(premiums) >= mean * (1.0 - 1e-12)
+
+            # a target the expectation family attains whenever the line has losses
+            target = 1.5 * mean
+            out = work / f"calibrate-{col}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run("calibrate", "--scenario", str(path), *flags,
+                           "--line", row["Line"][1:], "--target", repr(target),
+                           "--out", str(out)) == 0
+            calibrated = csv_rows(out / "calibration.csv")
+            assert [r["Family"] for r in calibrated] == list(families)
+            assert bool(calibrated[0]["Parameter"]) == (mean > 0.0)
+            for r in calibrated:
+                if r["Parameter"]:
+                    got = pricing.premium(retained[:, col],
+                                          families[r["Family"]](float(r["Parameter"])))
+                    # calibrate accepts a CTE within 1e-6 x max(1, target) of the target
+                    assert abs(got - target) <= 2e-6 * max(1.0, target)
+                else:
+                    assert r["Note"].split(":")[0].endswith("Error")

@@ -229,6 +229,30 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=r"graph\.nodes\[3\]: field 'label'"):
             parse_scenario(doc)
 
+    # str() of these would load as text: null as "None", 7 as "7", so two files
+    # would share a digest
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("description",), None, "field 'description' must be a string, got None"),
+            (("description",), 7, "field 'description' must be a string, got 7"),
+            (("lines", 2, "name"), None, r"lines\[2\]: field 'name' must be a string, got None"),
+            (("lines", 2, "name"), ["x"], r"lines\[2\]: field 'name' must be a string"),
+            (("default_policy",), 5, "field 'default_policy' must be an object, got 5"),
+            (("default_policy",), [], "field 'default_policy' must be an object, got \\[\\]"),
+        ],
+        ids=["description-null", "description-int", "name-null", "name-list",
+             "policy-int", "policy-list"],
+    )
+    def test_text_and_object_fields_rejected(self, path, value, message):
+        doc = case_document()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(doc)
+
     def test_cycle_reported(self):
         doc = case_document()
         doc["graph"]["edges"].append({"src": 5, "dst": 3, "cond_prob": 0.5})
