@@ -161,7 +161,9 @@ def _claims(scenario, args, policies):
                            policies, args.seed, args.workers)
 
 
-def _line_samples(scenario, args):
+def _line_samples(scenario, args, store=None):
+    """The command's simulation of the ``store`` lines (every line when None), its
+    matrix retained in place when --deductible and --coverage are given."""
     from .simulate import run_simulation
 
     for given, needed in (("deductible", "coverage"), ("coverage", "deductible")):
@@ -169,10 +171,13 @@ def _line_samples(scenario, args):
             raise SystemExit(f"error: --{given} requires --{needed}")
     # the policy is built before simulating, so a bad deductible fails fast
     policy = None if args.deductible is None else Policy(args.deductible, args.coverage)
-    result = run_simulation(scenario.graph, scenario.lines, args.runs, args.seed, args.workers)
-    if policy is None:
-        return result, result.line_losses
-    return result, pricing.retain(result.line_losses, policy.deductible, policy.coverage)
+    result = run_simulation(scenario.graph, scenario.lines, args.runs, args.seed, args.workers,
+                            store)
+    if policy is not None:
+        samples = result.line_losses
+        samples.flags.writeable = True  # this command's own matrix: nothing else holds it
+        pricing.retain(samples, policy.deductible, policy.coverage, out=samples)
+    return result
 
 
 @_command("validate", "check a scenario file against all invariants", ())
@@ -213,8 +218,8 @@ def _price(scenario, args) -> None:
     # principles rho1..rho4, built before simulating so a bad loading fails fast
     params = (Expectation(args.theta_expectation), StdDev(args.theta_stddev),
               GMD(args.theta_gmd), CTE(args.beta_cte))
-    result, samples = _line_samples(scenario, args)
-    per_line = [pricing.premiums(column, params) for column in samples.T]
+    result = _line_samples(scenario, args)
+    per_line = [pricing.premiums(column, params) for column in result.line_losses.T]
     per_principle = {f"rho{k}": col for k, col in enumerate(zip(*per_line), 1)}
     labels = [f"L{idx}" for idx in result.line_indices]
     _write(scenario, args, reports.premium_table(labels, per_principle))
@@ -232,8 +237,7 @@ def _calibrate(scenario, args) -> None:
     if args.line not in {line.index for line in scenario.lines}:
         raise SystemExit(f"error: no business line with index {args.line}")
     pricing.check_target_premium(args.target)
-    result, samples = _line_samples(scenario, args)
-    column = samples[:, result.line_indices.index(args.line)]
+    column = _line_samples(scenario, args, [args.line]).line_losses[:, 0]
     rows = []
     for family, param in zip(pricing.FAMILIES,
                              pricing.calibrations(column, pricing.FAMILIES, args.target)):
@@ -318,8 +322,8 @@ def _propose(scenario, args) -> None:
         raise SystemExit("error: --labels must be distinct")
     if "" in labels:  # a proposals row without a Principle cell
         raise SystemExit("error: --labels must not be empty")
-    if any(ch in label for label in labels for ch in "\n\r"):
-        raise SystemExit("error: --labels must not hold line breaks")
+    if any(ch in label for label in labels for ch in '\n\r"'):
+        raise SystemExit("error: --labels must not hold line breaks or '\"'")
     grid = search.deductible_grid(_parse_floats(args.grid, "--grid"))
     for label, total in zip(labels, totals):
         _income(args, f"premium for {label}", total)

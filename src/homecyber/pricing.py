@@ -85,11 +85,12 @@ PrincipleParam = Expectation | StdDev | GMD | CTE
 FAMILIES = ("expectation", "stddev", "gmd", "cte")
 
 
-def retain(loss: np.ndarray, deductible, coverage) -> np.ndarray:
-    """min((loss - d)_+, C) in a new array; d and C broadcast against ``loss``."""
+def retain(loss: np.ndarray, deductible, coverage, out: np.ndarray | None = None) -> np.ndarray:
+    """min((loss - d)_+, C) in ``out``, or in a new array when None; d and C
+    broadcast against ``loss``, and ``out`` may be ``loss`` itself."""
     import numpy as np
 
-    retained = np.subtract(loss, deductible)
+    retained = np.subtract(loss, deductible, out=out)
     return np.clip(retained, 0.0, coverage, out=retained)
 
 

@@ -43,7 +43,8 @@ def _format_cell(value) -> str:
         text = ""
     else:
         text = str(value)
-        if any(ch in text for ch in ",\n\r"):
+        # ',' and line breaks split the row, and csv.reader unquotes '"'
+        if any(ch in text for ch in ',"\n\r'):
             raise ValueError(f"cell {text!r} would break the CSV layout")
     return text
 

@@ -102,20 +102,21 @@ def parse_scenario(data, source: str = "<scenario>") -> Scenario:
     nodes = []
     for i, node_doc in enumerate(_require(graph_doc, "nodes", list, source)):
         where = f"{source}: graph.nodes[{i}]"
-        nid = _require(node_doc, "id", int, where)
+        nid = _require(_object(node_doc, where), "id", int, where)
         entry = node_doc.get("entry_prob")
         entry = None if entry is None else _number(entry, "entry_prob", where)
         label = node_doc.get("label", "")
         # labels are marginals.csv cells, which the CSV layout cannot quote
-        if not isinstance(label, str) or any(ch in label for ch in ",\n\r"):
+        if not isinstance(label, str) or any(ch in label for ch in ',"\n\r'):
             raise ScenarioError(
-                f"{where}: field 'label' must be a string without ',' or line breaks, "
+                f"{where}: field 'label' must be a string without ',', '\"' or line breaks, "
                 f"got {label!r}"
             )
         nodes.append(VulnNode(nid, label, entry))
     edges = []
     for i, edge_doc in enumerate(_require(graph_doc, "edges", list, source)):
         where = f"{source}: graph.edges[{i}]"
+        edge_doc = _object(edge_doc, where)
         src, dst = (_require(edge_doc, key, int, where) for key in ("src", "dst"))
         edges.append(Edge(src, dst, _require_number(edge_doc, "cond_prob", where)))
     graph = AttackGraph(nodes, edges)
@@ -127,7 +128,7 @@ def parse_scenario(data, source: str = "<scenario>") -> Scenario:
     seen_indices: set[int] = set()
     for i, line_doc in enumerate(_require(data, "lines", list, source)):
         where = f"{source}: lines[{i}]"
-        index = _require(line_doc, "index", int, where)
+        index = _require(_object(line_doc, where), "index", int, where)
         name = _text(line_doc, "name", f"line {index}", where)
         where = f"{source}: lines[{i}] (index {index}, {name!r})"
         if index in seen_indices:
@@ -176,6 +177,13 @@ def parse_scenario(data, source: str = "<scenario>") -> Scenario:
         description=_text(data, "description", "", source),
         schema_version=SCHEMA_VERSION,
     )
+
+
+def _object(doc, where: str) -> dict:
+    """``doc``; raises naming ``where`` unless it is a JSON object."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{where} must be an object, got {doc!r}")
+    return doc
 
 
 def _require(doc, key, kind, source):

@@ -18,9 +18,11 @@ result is the same bytes for any worker count.
 """
 
 import contextvars
+import functools
 import os
 import threading
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -39,12 +41,22 @@ DEFAULT_QUANTILE_LEVELS = (0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.995, 0.999)
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Per-run line losses (R x M) and their row sums.  ``line_losses`` is
-    column-major, so each line's column ``line_losses[:, k]`` is contiguous."""
+    """Per-run losses (R x K) of the stored lines, one column per index in
+    ``line_indices`` (ascending), column-major so that each column is contiguous.
+    ``total_losses``, built on first read, are the row sums of the stored
+    columns in ascending index order, term by term in float64: the total loss
+    when every line is stored.  Both arrays are read-only."""
 
     line_losses: np.ndarray
-    total_losses: np.ndarray
     line_indices: tuple[int, ...]
+
+    @functools.cached_property
+    def total_losses(self) -> np.ndarray:
+        total = np.zeros(self.line_losses.shape[0])
+        for column in self.line_losses.T:
+            total += column
+        total.flags.writeable = False
+        return total
 
 
 @dataclass(frozen=True)
@@ -127,6 +139,7 @@ def run_simulation(
     runs: int,
     master_seed: int,
     workers: int = 1,
+    store: Sequence[int] | None = None,
 ) -> SimulationResult:
     """Simulate ``runs`` independent loss rows.
 
@@ -136,33 +149,35 @@ def run_simulation(
         runs: number of Monte Carlo runs (>= 1).
         master_seed: seed from which every per-block substream derives.
         workers: threads that draw blocks; the result does not depend on it.
+        store: indices of the lines whose columns the result holds (every
+            line when None).  Lines up to the last stored one are drawn in
+            the stream layout's order, the rest are not, so a stored column
+            has the bits it has when every line is stored.
 
     Returns:
-        SimulationResult whose ``total_losses[r]`` is the ascending-index sum
-        of ``line_losses[r]``, term by term in float64.
+        SimulationResult with one column per stored line, in ascending index
+        order; its ``total_losses`` are built only when read.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     plan = loss_plan(graph, lines)  # raises above the enumeration cap
-    line_losses = np.zeros((runs, len(plan.lines)), order="F")
-    total = np.zeros(runs)
+    indices = [line.index for line in plan.lines]
+    stored = indices if store is None else sorted(set(store))
+    if unknown := set(stored) - set(indices):
+        raise ValueError(f"no business line with index {min(unknown)}")
+    slots = {indices.index(index): k for k, index in enumerate(stored)}  # plan col -> stored
+    line_losses = np.zeros((runs, len(stored)), order="F")
 
     def draw(block: int) -> None:
         lo, hi = block * RUN_BLOCK, min((block + 1) * RUN_BLOCK, runs)
-        for col, fired, draws in loss_block(plan, hi - lo, master_seed, block,
-                                            streams.RUN_LANE):
-            column = line_losses[lo:hi, col]  # contiguous, and 0 where the line did not fire
-            column[fired] = draws
-            total[lo:hi] += column
+        block_draws = loss_block(plan, hi - lo, master_seed, block, streams.RUN_LANE)
+        for col, fired, draws in islice(block_draws, max(slots, default=-1) + 1):
+            if col in slots:  # a contiguous column, 0 where the line did not fire
+                line_losses[lo:hi, slots[col]][fired] = draws
 
     draw_blocks(draw, -(-runs // RUN_BLOCK), workers)
     line_losses.flags.writeable = False
-    total.flags.writeable = False
-    return SimulationResult(
-        line_losses=line_losses,
-        total_losses=total,
-        line_indices=tuple(line.index for line in plan.lines),
-    )
+    return SimulationResult(line_losses=line_losses, line_indices=tuple(stored))
 
 
 def _sorted_quantiles(ordered: np.ndarray, levels: tuple[float, ...]) -> np.ndarray:

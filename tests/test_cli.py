@@ -10,6 +10,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -285,7 +286,8 @@ class TestEnumerate:
         for name, digest in golden.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("label", ["CVE-1, router", "CVE-1\nrouter", "CVE-1\rrouter", 12.5])
+    @pytest.mark.parametrize("label", ["CVE-1, router", "CVE-1\nrouter", "CVE-1\rrouter", 12.5,
+                                       '"CVE"'])
     def test_label_outside_csv_layout_writes_nothing(self, label, tmp_path, capsys):
         doc = json.loads(bundled_case_study_path().read_text())
         doc["graph"]["nodes"][2]["label"] = label
@@ -471,6 +473,29 @@ class TestCalibrate:
                    "--line", "1", "--target", "600") == 0
         assert "gmd:" in capsys.readouterr().out
         assert len(calls) == 1  # GMD and the CTE scan share one sorted column
+
+
+class TestPeakMemory:
+    # one 1e5 x 6 float64 matrix of all line losses takes 4.8 MB
+    MATRIX = 100_000 * 6 * 8
+
+    @pytest.mark.parametrize("argv, limit", [
+        (["calibrate", "--line", "4", "--target", "28"], MATRIX),
+        (["price", "--theta-expectation", "0.5", "--theta-stddev", "0.03", "--theta-gmd", "0.25",
+          "--beta-cte", "0.9", "--deductible", "1000", "--coverage", "50000"], 2 * MATRIX),
+    ], ids=["calibrate", "price-retained"])
+    def test_traced_peak_of_1e5_runs(self, argv, limit, tmp_path):
+        # calibrate stores one column; price stores no totals and retains in place
+        command = [argv[0], "--scenario", CASE, *argv[1:], "--seed", "3", "--out", str(tmp_path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(*command, "--runs", "1000") == 0  # imports are not traced below
+            tracemalloc.start()
+            try:
+                assert run(*command, "--runs", "100000") == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < limit
 
 
 class TestPortfolio:
@@ -819,6 +844,9 @@ class TestRejectedInputs:
                      "error: --labels must not hold line breaks", id="propose-labels-newline"),
         pytest.param("propose", {"--labels": "a,b\r"}, 2,
                      "error: --labels must not hold line breaks", id="propose-labels-return"),
+        # csv.reader would read the cell '"x"' back as x
+        pytest.param("propose", {"--labels": '"x",b'}, 2,
+                     "error: --labels must not hold line breaks or '\"'", id="propose-labels-quote"),
         pytest.param("propose", {"--grid": "100,100"}, 1,
                      "deductible grid must be strictly ascending", id="propose-grid-order"),
         pytest.param("propose", {"--premiums": "418,nan"}, 1,

@@ -115,6 +115,16 @@ class TestRetain:
         assert out.shape == (3, 8, 50)
         assert out.tobytes() == self.reference(totals, d, c).tobytes()
 
+    @pytest.mark.parametrize("d, c", [(1000.0, 50_000.0), (0.0, math.inf)])
+    def test_in_place_on_a_column_major_matrix(self, d, c):
+        rng = np.random.default_rng(25)
+        loss = np.asfortranarray(rng.lognormal(6.0, 2.0, (3_000, 4)))
+        loss[:100] = d
+        expected = retain(loss, d, c)
+        out = retain(loss, d, c, out=loss)
+        assert out is loss
+        assert loss.tobytes() == expected.tobytes()
+
 
 class TestPremium:
     def test_expectation_constant_sample(self):

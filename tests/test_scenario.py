@@ -219,9 +219,9 @@ class TestLoadScenario:
     @pytest.mark.parametrize(
         "label",
         ["CVE-2021-29438, smart sensor", "CVE-2021-29438\nsmart sensor",
-         "CVE-2021-29438\rsmart sensor", "sensor,", 12.5, 4, None, True, ["sensor"]],
-        ids=["comma", "newline", "carriage-return", "trailing-comma", "float", "int", "null",
-             "bool", "list"],
+         "CVE-2021-29438\rsmart sensor", "sensor,", '"CVE"', 12.5, 4, None, True, ["sensor"]],
+        ids=["comma", "newline", "carriage-return", "trailing-comma", "quote", "float", "int",
+             "null", "bool", "list"],
     )
     def test_label_rejected(self, label):
         doc = case_document()
@@ -240,9 +240,12 @@ class TestLoadScenario:
             (("lines", 2, "name"), ["x"], r"lines\[2\]: field 'name' must be a string"),
             (("default_policy",), 5, "field 'default_policy' must be an object, got 5"),
             (("default_policy",), [], "field 'default_policy' must be an object, got \\[\\]"),
+            (("graph", "nodes", 0), 5, r"graph\.nodes\[0\] must be an object, got 5"),
+            (("graph", "edges", 3), [1, 2], r"graph\.edges\[3\] must be an object, got \[1, 2\]"),
+            (("lines", 2), "x", r"lines\[2\] must be an object, got 'x'"),
         ],
         ids=["description-null", "description-int", "name-null", "name-list",
-             "policy-int", "policy-list"],
+             "policy-int", "policy-list", "node-entry", "edge-entry", "line-entry"],
     )
     def test_text_and_object_fields_rejected(self, path, value, message):
         doc = case_document()
@@ -381,8 +384,8 @@ class TestCsvExport:
         assert float(values[1]) == 1e-300
 
     def test_comma_in_label_rejected(self):
-        # a comma or a line break would split the row
-        for cell in ("a,b", "a\nb", "a\rb"):
+        # a comma or a line break would split the row, and csv.reader reads '"a"' as a
+        for cell in ("a,b", "a\nb", "a\rb", '"a"'):
             with pytest.raises(ValueError, match="CSV layout"):
                 render_csv(Table(header=("x",), rows=((cell,),)))
 

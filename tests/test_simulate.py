@@ -1,7 +1,9 @@
+import importlib.util
 import math
 import os
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from homecyber.losses import (
 )
 from homecyber.portfolio import simulate_claims
 from homecyber.pricing import Policy
+from homecyber.scenario import parse_scenario
 from homecyber.simulate import (
     DEFAULT_QUANTILE_LEVELS,
     RUN_BLOCK,
@@ -133,6 +136,65 @@ class TestRunSimulation:
         quantiles = dict(stats.quantiles)
         assert quantiles[0.75] == 0.0
         assert quantiles[0.95] == 0.0
+
+
+def generated_scenario(seed: int):
+    """The scenario that ``bench/scenario_gen.py --seed`` ``seed`` prints."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "scenario_gen.py"
+    spec = importlib.util.spec_from_file_location("scenario_gen", path)
+    scenario_gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scenario_gen)
+    return parse_scenario(scenario_gen.generate(seed))
+
+
+class TestStoredLines:
+    RUNS = RUN_BLOCK + 7  # one complete run block and one partial one
+
+    @pytest.fixture(scope="class", params=["bundled", "generated-5"])
+    def full_run(self, request, case_graph, case_lines):
+        """(graph, lines, the run that stores every line) of one scenario."""
+        if request.param == "bundled":
+            graph, lines = case_graph, case_lines
+        else:
+            scenario = generated_scenario(5)
+            graph, lines = scenario.graph, scenario.lines
+        return graph, lines, run_simulation(graph, lines, self.RUNS, master_seed=23)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("which", ["first", "middle", "last"])
+    def test_stored_column_is_the_full_runs_column(self, full_run, which, workers):
+        graph, lines, full = full_run
+        col = {"first": 0, "middle": len(lines) // 2, "last": len(lines) - 1}[which]
+        index = full.line_indices[col]
+        result = run_simulation(graph, lines, self.RUNS, 23, workers, store=[index])
+        assert result.line_indices == (index,)
+        assert result.line_losses.shape == (self.RUNS, 1)
+        assert result.line_losses.tobytes() == full.line_losses[:, col].tobytes()
+
+    def test_lines_after_the_last_stored_one_are_not_drawn(self, case_graph, case_lines,
+                                                           monkeypatch):
+        drawn = []
+
+        def counted(*args):
+            for item in loss_block(*args):
+                drawn.append(item[0])
+                yield item
+
+        monkeypatch.setattr("homecyber.simulate.loss_block", counted)
+        result = run_simulation(case_graph, case_lines, self.RUNS, 23, store=[5, 2])
+        assert result.line_indices == (2, 5)
+        # lines 1-5 are plan columns 0-4, in each of the two blocks
+        assert drawn == [0, 1, 2, 3, 4] * 2
+
+    def test_columns_and_totals_are_read_only(self, full_run):
+        _, _, full = full_run
+        for array in (full.line_losses, full.total_losses):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_unknown_line_rejected(self, case_graph, case_lines):
+        with pytest.raises(ValueError, match="no business line with index 9"):
+            run_simulation(case_graph, case_lines, 10, 1, store=[1, 9])
 
 
 class TestThreads:

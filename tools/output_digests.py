@@ -3,9 +3,12 @@
 Runs all nine commands, with ``--out`` where the command writes files and
 at ``--workers`` 1 and 2 where it takes that flag, on the bundled scenario
 and on the scenarios that ``bench/scenario_gen.py --seed N`` prints for
-N = 3, 5 and 7.  Prints one ``sha256  scenario/command/workers/file`` line
-per output file and per stdout.  A change that must keep every output byte-identical diffs this
-script's output at the parent commit and at the change:
+N = 3, 5 and 7.  ``calibrate`` runs on each scenario's first and last
+business line, so the listing covers a column stored after lines that were
+drawn and dropped.  Prints one ``sha256  scenario/command/workers/file``
+line per output file and per stdout.  A change that must keep every output
+byte-identical diffs this script's output at the parent commit and at the
+change:
 
     PYTHONPATH=src python tools/output_digests.py > digests.txt
 
@@ -41,10 +44,18 @@ SOLVE = (*RETAINED, "--lr-target", "0.4", "--homes", "300", "--replications", "1
          "--seed", "13")
 
 
-def runs(line: int) -> list[tuple[str, list[str]]]:
-    """(label, argv) of every run; ``line`` is a business line of the scenario."""
-    calibrate = ["calibrate", "--runs", "40000", "--seed", "16", "--line", str(line),
-                 "--target", "28"]
+def runs(*lines: int) -> list[tuple[str, list[str]]]:
+    """(label, argv) of every run; ``calibrate`` runs on each of ``lines``, business
+    lines of the scenario, labelled ``calibrate`` for the first and
+    ``calibrate-L<index>`` for the others."""
+    calibrations = []
+    for k, line in enumerate(lines):
+        label = f"calibrate-L{line}" if k else "calibrate"
+        calibrate = ["calibrate", "--runs", "40000", "--seed", "16", "--line", str(line),
+                     "--target", "28"]
+        calibrations += [(label, calibrate),
+                         (f"{label}-retained", [*calibrate, "--deductible", "100",
+                                                "--coverage", "5000"])]
     price = ["price", "--runs", "40000", "--seed", "15", *THETAS]
     return [
         ("validate", ["validate"]),
@@ -52,8 +63,7 @@ def runs(line: int) -> list[tuple[str, list[str]]]:
         ("simulate", ["simulate", "--runs", "40000", "--seed", "11"]),
         ("price", price),
         ("price-retained", [*price, "--deductible", "100", "--coverage", "5000"]),
-        ("calibrate", calibrate),
-        ("calibrate-retained", [*calibrate, "--deductible", "100", "--coverage", "5000"]),
+        *calibrations,
         ("portfolio", ["portfolio", "--premium", "418", *RETAINED, "--homes", "300",
                        "--replications", "120", "--seed", "12"]),
         ("search-deductible-mean", ["search-deductible", *SEARCH, "--strategy", "mean"]),
@@ -65,10 +75,11 @@ def runs(line: int) -> list[tuple[str, list[str]]]:
     ]
 
 
-def invocations(scenario: str, line: int):
-    """(output directory, argv) of every command run on ``scenario``, with
-    ``--workers`` 1 and 2 where the command takes it and ``--out`` where it writes."""
-    for label, argv in runs(line):
+def invocations(scenario: str, *lines: int):
+    """(output directory, argv) of every command run on ``scenario``, calibrating each
+    of ``lines``, with ``--workers`` 1 and 2 where the command takes it and ``--out``
+    where it writes."""
+    for label, argv in runs(*lines):
         _, flags, files, _ = COMMANDS[argv[0]]
         takes_workers = any(flag == "--workers" for flag, _ in flags)
         for workers in ("1", "2") if takes_workers else ("-",):
@@ -107,7 +118,8 @@ def main() -> int:
         work = Path(tmp)
         os.chdir(work)
         for scenario in scenarios(work):
-            for out, argv in invocations(scenario, load_scenario(scenario).lines[0].index):
+            lines = load_scenario(scenario).lines
+            for out, argv in invocations(scenario, lines[0].index, lines[-1].index):
                 stdout = io.StringIO()
                 with contextlib.redirect_stdout(stdout):
                     code = cli_dispatch(argv)
