@@ -13,7 +13,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .graph import AttackGraph, JointDistribution
-from .search import ProposalRow
+from .search import ProposalRow, loss_ratios
 from .simulate import SimulationResult, SummaryStats, summarize
 
 SUMMARY_HEADER = (
@@ -114,7 +114,8 @@ def portfolio_tables(claims: np.ndarray, income: float) -> tuple[Table, Table]:
     claim_sd = float(np.std(claims, ddof=1)) if claims.size > 1 else 0.0
     profit_row = ("portfolio Profit",
                   *_stat_row(replace(profit, sd=claim_sd), "portfolio Profit"))
-    lr_row = ("portfolio LR", *_stat_row(summarize(claims / income, LR_LEVELS), "portfolio LR"))
+    lr_row = ("portfolio LR",
+              *_stat_row(summarize(loss_ratios(claims, income), LR_LEVELS), "portfolio LR"))
     return Table(header=PROFIT_HEADER, rows=(profit_row,)), Table(header=LR_HEADER, rows=(lr_row,))
 
 

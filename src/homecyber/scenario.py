@@ -1,11 +1,11 @@
 """Scenario files, canonical serialization, digests, and run manifests.
 
-A scenario is a single JSON document holding the vulnerability graph, the
-business lines, and a default policy.  The canonical serialization (sorted
-keys, minimal separators, shortest round-trip numbers) defines the digest
-recorded in every run manifest, so semantically identical files hash alike.
-Loading, validating and digesting a scenario need no numpy: ``validate``
-starts without it.
+A scenario is one JSON document: the vulnerability graph, the business lines
+and a default policy.  The tables ending the format section are the format:
+``parse_scenario`` reads through them, so another key fails to load, and
+``canonical_document`` writes through them, so every loaded field enters the
+digest (sorted keys, minimal separators, shortest round-trip numbers) that run
+manifests record.  Loading and digesting need no numpy: ``validate`` starts without it.
 """
 
 from __future__ import annotations
@@ -13,18 +13,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .graph import AttackGraph, Edge, VulnNode, validate_graph
-from .losses import (
-    BusinessLine,
-    RateSumExponential,
-    TriggeredGamma,
-    TriggeredLognormal,
-)
+from .losses import BusinessLine, RateSumExponential, TriggeredGamma, TriggeredLognormal
 from .pricing import Policy
 from .streams import STREAM_LAYOUT
 
@@ -88,180 +86,142 @@ def _unique_keys(value, source: str, where: str):
 
 def parse_scenario(data, source: str = "<scenario>") -> Scenario:
     """Build and validate a Scenario from a parsed JSON document."""
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{source}: top level must be an object")
-    version = data.get("schema_version")
-    # true and 1.0 compare equal to 1 but are not the integer version
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise ScenarioError(
-            f"{source}: schema_version {version!r} not recognized "
-            f"(expected {SCHEMA_VERSION})"
-        )
+    try:
+        return _scenario(**SCENARIO.load(data, TOP, TOP))
+    except ScenarioError as exc:
+        raise ScenarioError(f"{source}: {exc}") from exc
 
-    graph_doc = _require(data, "graph", dict, source)
-    nodes = []
-    for i, node_doc in enumerate(_require(graph_doc, "nodes", list, source)):
-        where = f"{source}: graph.nodes[{i}]"
-        nid = _require(_object(node_doc, where), "id", int, where)
-        entry = node_doc.get("entry_prob")
-        entry = None if entry is None else _number(entry, "entry_prob", where)
-        label = node_doc.get("label", "")
-        # labels are marginals.csv cells, which the CSV layout cannot quote
-        if not isinstance(label, str) or any(ch in label for ch in ',"\n\r'):
-            raise ScenarioError(
-                f"{where}: field 'label' must be a string without ',', '\"' or line breaks, "
-                f"got {label!r}"
-            )
-        nodes.append(VulnNode(nid, label, entry))
-    edges = []
-    for i, edge_doc in enumerate(_require(graph_doc, "edges", list, source)):
-        where = f"{source}: graph.edges[{i}]"
-        edge_doc = _object(edge_doc, where)
-        src, dst = (_require(edge_doc, key, int, where) for key in ("src", "dst"))
-        edges.append(Edge(src, dst, _require_number(edge_doc, "cond_prob", where)))
-    graph = AttackGraph(nodes, edges)
-    violations = validate_graph(graph)
-    if violations:
-        raise ScenarioError(f"{source}: invalid graph: {'; '.join(violations)}")
 
-    lines = []
-    seen_indices: set[int] = set()
-    for i, line_doc in enumerate(_require(data, "lines", list, source)):
-        where = f"{source}: lines[{i}]"
-        index = _require(_object(line_doc, where), "index", int, where)
-        name = _text(line_doc, "name", f"line {index}", where)
-        where = f"{source}: lines[{i}] (index {index}, {name!r})"
-        if index in seen_indices:
-            raise ScenarioError(f"{where}: duplicate line index")
-        seen_indices.add(index)
-        triggers = _require(line_doc, "trigger_set", list, where)
-        for k, nid in enumerate(triggers):
-            if not isinstance(nid, int) or isinstance(nid, bool):
-                raise ScenarioError(
-                    f"{where}: field 'trigger_set' must hold integer node ids, got {nid!r}"
-                )
-            if nid in triggers[:k]:
-                raise ScenarioError(f"{where}: field 'trigger_set' repeats node {nid}")
-            if nid not in graph.node_ids:
-                raise ScenarioError(f"{where}: trigger node {nid} not in graph")
+def canonical_document(scenario: Scenario) -> dict:
+    """Scenario as plain data in canonical order (nodes by id, lines by index)."""
+    return SCENARIO.write(scenario)
+
+
+# --- the format: one table per object kind ---------------------------------
+
+REQUIRED = object()  # the default of a field that must be present
+TOP = "top level"
+
+
+def _child(where: str, key: str) -> str:
+    return key if where == TOP else f"{where}.{key}"
+
+
+class _Kind:
+    """A field's reader, ``read(value, where, key)``, and writer (None leaves it out)."""
+
+    def __init__(self, read: Callable, write: Callable = lambda value: value):
+        self.read, self.write = read, write
+
+
+def _checked(test: Callable, what: str) -> _Kind:
+    """The kind of a field whose JSON value is its value, when ``test`` accepts it."""
+    def read(value, where: str, key: str):
+        if not test(value):
+            raise ScenarioError(f"{where}: field {key!r} must be {what}, got {value!r}")
+        return value
+    return _Kind(read)
+
+
+class _Table:
+    """One object kind: each JSON key maps to (kind, default), where the default
+    is REQUIRED, a value, or a function of the fields read before it."""
+
+    def __init__(self, build: Callable, **fields: tuple):
+        self.build, self.fields = build, fields
+
+    def load(self, doc, where: str, name: str):
+        """``doc`` read through the table and built; ``name`` names a non-object."""
+        if not isinstance(doc, dict):
+            raise ScenarioError(f"{name} must be an object, got {doc!r}")
+        values = {}
+        for key, (kind, default) in self.fields.items():
+            # a null stands for an absent field whose default is None
+            if key in doc and not (doc[key] is None and default is None):
+                values[key] = kind.read(doc[key], where, key)
+            elif default is REQUIRED:
+                raise ScenarioError(f"{where}: missing required field {key!r}")
+            else:
+                values[key] = default(values) if callable(default) else default
+        for key in doc:
+            if key not in self.fields:
+                raise ScenarioError(f"{where}: unknown field {key!r}")
         try:
-            model = _parse_model(_require(line_doc, "model", dict, where), where)
-            _check_mean(model, where)
-            lines.append(BusinessLine(index, name, frozenset(triggers), model))
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
-    if not lines:
-        raise ScenarioError(f"{source}: at least one business line is required")
-
-    policy_doc = data.get("default_policy")
-    policy = None
-    if policy_doc is not None:
-        if not isinstance(policy_doc, dict):
-            raise ScenarioError(
-                f"{source}: field 'default_policy' must be an object, got {policy_doc!r}"
-            )
-        where = f"{source}: default_policy"
-        deductible = _require_number(policy_doc, "deductible", where)
-        coverage = _require_number(policy_doc, "coverage", where)
-        try:
-            policy = Policy(deductible=deductible, coverage=coverage)
+            return self.build(**values)
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
 
-    return Scenario(
-        graph=graph,
-        lines=tuple(sorted(lines, key=lambda ln: ln.index)),
-        default_policy=policy,
-        description=_text(data, "description", "", source),
-        schema_version=SCHEMA_VERSION,
-    )
+    def read(self, value, where: str, key: str):
+        return self.load(value, _child(where, key), f"{where}: field {key!r}")
+
+    def many(self, order: Callable) -> _Kind:
+        """The kind of a field holding a list of these objects, written in ``order``."""
+        def read(value, where: str, key: str) -> list:
+            path = _child(where, key)
+            return [self.load(doc, f"{path}[{i}]", f"{path}[{i}]")
+                    for i, doc in enumerate(_LIST.read(value, where, key))]
+        return _Kind(read, lambda objects: [self.write(obj) for obj in sorted(objects, key=order)])
+
+    def write(self, obj) -> dict:
+        """``obj`` through the table; a field that is or writes None is left out."""
+        doc = {}
+        for key, (kind, _) in self.fields.items():
+            value = getattr(obj, key)
+            if value is not None and (value := kind.write(value)) is not None:
+                doc[key] = value
+        return doc
 
 
-def _object(doc, where: str) -> dict:
-    """``doc``; raises naming ``where`` unless it is a JSON object."""
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{where} must be an object, got {doc!r}")
-    return doc
-
-
-def _require(doc, key, kind, source):
-    if not isinstance(doc, dict) or key not in doc:
-        raise ScenarioError(f"{source}: missing required field {key!r}")
-    value = doc[key]
-    if kind is int and isinstance(value, bool):
-        raise ScenarioError(f"{source}: field {key!r} must be an integer")
-    if not isinstance(value, kind):
-        expected = kind.__name__ if isinstance(kind, type) else "number"
-        raise ScenarioError(f"{source}: field {key!r} must be {expected}")
-    return value
-
-
-def _text(doc: dict, key: str, default: str, where: str) -> str:
-    """``doc[key]``, which must be a string, or ``default`` when the field is absent.
-
-    Converting another value with ``str`` would give two files one digest
-    (``null`` and ``"None"``, ``7`` and ``"7"``).
-    """
-    value = doc.get(key, default)
-    if not isinstance(value, str):
-        raise ScenarioError(f"{where}: field {key!r} must be a string, got {value!r}")
-    return value
-
-
-def _number(value, field: str, where: str) -> float:
+def _number(value, where: str, key: str, hint: str = "") -> float:
     """``value`` as a finite float; booleans, non-numbers, NaN and inf raise."""
-    number = None
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    if number is None or not math.isfinite(number):
-        raise ScenarioError(f"{where}: field {field!r} must be a finite number, got {value!r}")
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioError(f"{where}: field {key!r} must be a finite number, got {value!r}{hint}")
     return number
 
 
-def _require_number(doc, key: str, where: str) -> float:
-    return _number(_require(doc, key, object, where), key, where)
+def _triggers(value, where: str, key: str) -> frozenset[int]:
+    triggers = _LIST.read(value, where, key)
+    # type() is not int for a bool, and a repeat would hide in the frozenset
+    if any(type(nid) is not int for nid in triggers) or len(set(triggers)) < len(triggers):
+        raise ScenarioError(f"{where}: field {key!r} must hold distinct integer node ids, "
+                            f"got {value!r}")
+    return frozenset(triggers)
 
 
-def _rate_node(key, where: str) -> int:
-    """The node id a ``rates`` key names: a canonical decimal integer string."""
-    try:
-        nid = int(key)
-    except (TypeError, ValueError):
-        nid = None
-    if not isinstance(key, str) or str(nid) != key:
-        raise ScenarioError(
-            f"{where}: field 'rates' keys must be decimal node ids, got {key!r}"
-        )
-    return nid
-
-
-def _parse_model(doc: dict, where: str):
-    family = doc.get("family")
-    if family == "rate_sum_exponential":
-        # one canonical key per node id, so distinct keys name distinct nodes
-        rates_doc = _require(doc, "rates", dict, where)
-        return RateSumExponential(
-            tuple(
-                (_rate_node(key, where), _number(rate, f"rates[{key}]", where))
-                for key, rate in rates_doc.items()
+def _rates(value, where: str, key: str) -> tuple[tuple[int, float], ...]:
+    # one canonical decimal key per node id, so distinct keys name distinct nodes
+    rates = []
+    for node, rate in _OBJECT.read(value, where, key).items():
+        try:
+            nid = int(node)
+        except (TypeError, ValueError):
+            nid = None
+        if str(nid) != node:
+            raise ScenarioError(
+                f"{where}: field {key!r} keys must be decimal node ids, got {node!r}"
             )
-        )
-    if family == "triggered_lognormal":
-        return TriggeredLognormal(
-            mu=_require_number(doc, "mu", where),
-            sigma=_require_number(doc, "sigma", where),
-        )
-    if family == "triggered_gamma":
-        return TriggeredGamma(
-            alpha=_require_number(doc, "alpha", where),
-            beta=_require_number(doc, "beta", where),
-        )
-    raise ScenarioError(f"{where}: unknown model family {family!r}")
+        rates.append((nid, _number(rate, where, f"{key}[{node}]")))
+    return tuple(rates)
+
+
+def _model(doc, where: str, key: str):
+    # a call that builds the model, made in _scenario so that its errors name the line
+    family = _OBJECT.read(doc, where, key).get("family")
+    # a family that is not a string (a list, say) cannot be looked up
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ScenarioError(f"{where}: unknown model family {family!r}")
+    model, table = FAMILIES[family]
+    params = {name: value for name, value in doc.items() if name != "family"}
+    return partial(model, **table.load(params, _child(where, key), ""))
+
+
+def _write_model(model) -> dict:
+    family = next(name for name, (cls, _) in FAMILIES.items() if type(model) is cls)
+    return {"family": family, **FAMILIES[family][1].write(model)}
 
 
 def _check_mean(model, where: str) -> None:
@@ -283,53 +243,72 @@ def _check_mean(model, where: str) -> None:
         raise ScenarioError(f"{where}: conditional mean {what} is not a finite float64")
 
 
-# --- canonical form and digest ---------------------------------------------
+def _scenario(schema_version, description, graph, lines, default_policy) -> Scenario:
+    """The Scenario, its lines built here and checked against the graph and each other."""
+    violations = validate_graph(graph)
+    if violations:
+        raise ScenarioError(f"invalid graph: {'; '.join(violations)}")
+    if not lines:
+        raise ScenarioError("at least one business line is required")
+    built: dict[int, BusinessLine] = {}
+    for i, line in enumerate(lines):
+        index, name, triggers = line["index"], line["name"], line["trigger_set"]
+        where = f"lines[{i}] (index {index}, {name!r})"
+        if index in built:
+            raise ScenarioError(f"{where}: duplicate line index")
+        missing = sorted(triggers.difference(graph.node_ids))
+        if missing:
+            raise ScenarioError(f"{where}: trigger node {missing[0]} not in graph")
+        try:
+            built[index] = BusinessLine(index, name, triggers, line["model"]())
+        except ValueError as exc:
+            raise ScenarioError(f"{where}: {exc}") from exc
+        _check_mean(built[index].model, where)
+    lines = tuple(built[index] for index in sorted(built))
+    return Scenario(graph, lines, default_policy, description, schema_version)
 
 
-def canonical_document(scenario: Scenario) -> dict:
-    """Scenario as plain data in canonical order (nodes by id, lines by index)."""
-    nodes = []
-    for node in sorted(scenario.graph.nodes, key=lambda nd: nd.id):
-        doc: dict = {"id": node.id, "label": node.label}
-        if node.entry_prob is not None:
-            doc["entry_prob"] = node.entry_prob
-        nodes.append(doc)
-    edges = [
-        {"src": e.src, "dst": e.dst, "cond_prob": e.cond_prob}
-        for e in sorted(scenario.graph.edges, key=lambda e: (e.src, e.dst))
-    ]
-    lines = []
-    for line in scenario.lines:
-        model = line.model
-        if isinstance(model, RateSumExponential):
-            model_doc = {
-                "family": "rate_sum_exponential",
-                "rates": {str(nid): rate for nid, rate in model.rates},
-            }
-        elif isinstance(model, TriggeredLognormal):
-            model_doc = {"family": "triggered_lognormal", "mu": model.mu, "sigma": model.sigma}
-        else:
-            model_doc = {"family": "triggered_gamma", "alpha": model.alpha, "beta": model.beta}
-        lines.append(
-            {
-                "index": line.index,
-                "name": line.name,
-                "trigger_set": sorted(line.trigger_set),
-                "model": model_doc,
-            }
-        )
-    doc = {
-        "schema_version": scenario.schema_version,
-        "description": scenario.description,
-        "graph": {"nodes": nodes, "edges": edges},
-        "lines": lines,
-    }
-    if scenario.default_policy is not None:
-        doc["default_policy"] = {
-            "deductible": scenario.default_policy.deductible,
-            "coverage": scenario.default_policy.coverage,
-        }
-    return doc
+INTEGER = _checked(lambda value: type(value) is int, "an integer")  # not a bool
+NUMBER = _Kind(_number)
+TEXT = _checked(lambda value: isinstance(value, str), "a string")
+# labels are marginals.csv cells, which the CSV layout cannot quote
+LABEL = _checked(
+    lambda value: isinstance(value, str) and not any(ch in value for ch in ',"\n\r'),
+    "a string without ',', '\"' or line breaks",
+)
+_LIST = _checked(lambda value: isinstance(value, list), "a list")
+_OBJECT = _checked(lambda value: isinstance(value, dict), "an object")
+FAMILIES = {
+    "rate_sum_exponential": (RateSumExponential, _Table(dict, rates=(
+        _Kind(_rates, lambda rates: {str(nid): rate for nid, rate in rates}), REQUIRED))),
+    "triggered_lognormal": (TriggeredLognormal,
+                            _Table(dict, mu=(NUMBER, REQUIRED), sigma=(NUMBER, REQUIRED))),
+    "triggered_gamma": (TriggeredGamma,
+                        _Table(dict, alpha=(NUMBER, REQUIRED), beta=(NUMBER, REQUIRED))),
+}
+NODE = _Table(VulnNode, id=(INTEGER, REQUIRED), label=(LABEL, ""), entry_prob=(NUMBER, None))
+EDGE = _Table(Edge, src=(INTEGER, REQUIRED), dst=(INTEGER, REQUIRED),
+              cond_prob=(NUMBER, REQUIRED))
+GRAPH = _Table(AttackGraph, nodes=(NODE.many(attrgetter("id")), REQUIRED),
+               edges=(EDGE.many(attrgetter("src", "dst")), REQUIRED))
+LINE = _Table(dict, index=(INTEGER, REQUIRED),
+              name=(TEXT, lambda line: f"line {line['index']}"),
+              trigger_set=(_Kind(_triggers, sorted), REQUIRED),
+              model=(_Kind(_model, _write_model), REQUIRED))
+# JSON has no infinity, so unlimited cover is a coverage field left out
+COVERAGE = _Kind(partial(_number, hint=" (leave the field out for unlimited cover)"),
+                 lambda coverage: None if coverage == math.inf else coverage)
+POLICY = _Table(Policy, deductible=(NUMBER, REQUIRED), coverage=(COVERAGE, math.inf))
+SCENARIO = _Table(
+    dict,
+    # true and 1.0 compare equal to 1 but are not the integer version
+    schema_version=(_checked(lambda value: type(value) is int and value == SCHEMA_VERSION,
+                             f"the integer {SCHEMA_VERSION}"), REQUIRED),
+    description=(TEXT, ""),
+    graph=(GRAPH, REQUIRED),
+    lines=(LINE.many(attrgetter("index")), REQUIRED),
+    default_policy=(POLICY, None),
+)
 
 
 def canonical_serialization(scenario: Scenario) -> str:
@@ -357,20 +336,11 @@ class RunManifest:
 
         import numpy as np
 
-        return {
-            "scenario_digest": self.scenario_digest,
-            "master_seed": self.master_seed,
-            "runs": self.runs,
-            "replications": self.replications,
-            "homes": self.homes,
-            "stream_layout": STREAM_LAYOUT,
-            "tool_version": self.tool_version,
-            # the draws of a stream layout are numpy's sampling algorithms
-            # (lognormal, gamma, ...), so a digest reproduces only with the
-            # same numpy and Python
-            "numpy_version": np.__version__,
-            "python_version": platform.python_version(),
-        }
+        # the draws of a stream layout are numpy's sampling algorithms
+        # (lognormal, gamma, ...), so a digest reproduces only with the
+        # same numpy and Python
+        return {**asdict(self), "stream_layout": STREAM_LAYOUT, "numpy_version": np.__version__,
+                "python_version": platform.python_version()}
 
 
 def write_manifest(manifest: RunManifest, directory: str | Path) -> Path:

@@ -58,9 +58,19 @@ def lr_statistic(samples: np.ndarray, strategy: LRStrategy) -> float:
     return stat
 
 
+def loss_ratios(claims: np.ndarray, income: float) -> np.ndarray:
+    """LR = ``claims / income``; raises ValueError naming the income when finite
+    claims give an LR beyond float64, as an income near the bottom of the float
+    range does.  Claims that overflow themselves are left to the statistics."""
+    ratios = claims / income
+    if not np.isfinite(ratios).all() and np.isfinite(claims).all():
+        raise ValueError(f"LR = claims / income overflows float64 at income {income!r}")
+    return ratios
+
+
 def _first_feasible(claims: np.ndarray, income: float, strategy: LRStrategy):
     """Each policy's LR statistic, and the index of the first within target."""
-    stats = tuple(lr_statistic(c / income, strategy) for c in claims)
+    stats = tuple(lr_statistic(loss_ratios(c, income), strategy) for c in claims)
     return stats, next((i for i, s in enumerate(stats) if s <= strategy.target), None)
 
 

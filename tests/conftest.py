@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from homecyber.losses import (
     TriggeredLognormal,
 )
 from homecyber.reports import Table, render_csv
-from homecyber.scenario import bundled_case_study_path, load_scenario
+from homecyber.scenario import bundled_case_study_path, load_scenario, parse_scenario
 
 
 def build_case_graph() -> AttackGraph:
@@ -72,6 +74,15 @@ def case_lines():
 @pytest.fixture(scope="session")
 def case_scenario():
     return load_scenario(bundled_case_study_path())
+
+
+def generated_scenario(seed: int):
+    """The scenario that ``bench/scenario_gen.py --seed`` ``seed`` prints."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "scenario_gen.py"
+    spec = importlib.util.spec_from_file_location("scenario_gen", path)
+    scenario_gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scenario_gen)
+    return parse_scenario(scenario_gen.generate(seed))
 
 
 @st.composite

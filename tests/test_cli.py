@@ -1094,6 +1094,27 @@ class TestOverflowingLosses:
                            "0.4", *PORTFOLIO), LR.format("nan")),
     }
 
+    # finite claims over an income near the bottom of the float range: the LR
+    # itself overflows, and the error names the income, not the sample
+    TINY_INCOME = {
+        "portfolio": ("--premium", "1e-320", "--deductible", "1000"),
+        "search-deductible": ("--premium", "1e-320", "--grid", "100,200", "--strategy", "mean",
+                              "--lr-target", "0.4"),
+        "propose": ("--premiums", "418,1e-320", "--grid", "100,200"),
+    }
+
+    @pytest.mark.parametrize("command", list(TINY_INCOME))
+    def test_loss_ratio_that_overflows_names_the_income(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(command, "--scenario", CASE, *self.TINY_INCOME[command], "--coverage",
+                   "50000", "--homes", "5", "--replications", "100", "--seed", "1",
+                   "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: LR = claims / income overflows float64 at income {5 * 1e-320!r}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", list(OVERFLOWING))
     def test_statistics_that_overflow_are_an_error(self, command, tmp_path, capsys,
                                                    monkeypatch):

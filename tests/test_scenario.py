@@ -9,9 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_case_graph, joint_csv_reference, seventeen_node_graph
+from conftest import (
+    build_case_graph,
+    generated_scenario,
+    graphs_with_lines,
+    joint_csv_reference,
+    seventeen_node_graph,
+)
 from homecyber.graph import AttackGraph, Edge, JointDistribution, VulnNode, enumerate_joint
 from homecyber.losses import RateSumExponential
+from homecyber.pricing import Policy
 from homecyber.reports import (
     SUMMARY_HEADER,
     Table,
@@ -21,7 +28,9 @@ from homecyber.reports import (
     write_joint_csv,
 )
 from homecyber.scenario import (
+    SCHEMA_VERSION,
     RunManifest,
+    Scenario,
     ScenarioError,
     bundled_case_study_path,
     canonical_document,
@@ -243,9 +252,25 @@ class TestLoadScenario:
             (("graph", "nodes", 0), 5, r"graph\.nodes\[0\] must be an object, got 5"),
             (("graph", "edges", 3), [1, 2], r"graph\.edges\[3\] must be an object, got \[1, 2\]"),
             (("lines", 2), "x", r"lines\[2\] must be an object, got 'x'"),
+            # a key outside an object's table: a misspelt optional field would
+            # otherwise load as its default
+            (("default_polcy",), {"deductible": 1.0}, "top level: unknown field 'default_polcy'"),
+            (("graph", "directed"), True, "graph: unknown field 'directed'"),
+            (("graph", "nodes", 0, "entry_prb"), 0.5,
+             r"graph\.nodes\[0\]: unknown field 'entry_prb'"),
+            (("graph", "edges", 2, "cond_prb"), 0.5,
+             r"graph\.edges\[2\]: unknown field 'cond_prb'"),
+            (("lines", 1, "weight"), 2, r"lines\[1\]: unknown field 'weight'"),
+            (("lines", 0, "model", "rate"), 0.1, r"lines\[0\]\.model: unknown field 'rate'"),
+            (("lines", 2, "model", "muu"), 3, r"lines\[2\]\.model: unknown field 'muu'"),
+            (("lines", 4, "model", "alpah"), 3, r"lines\[4\]\.model: unknown field 'alpah'"),
+            (("default_policy", "limit"), 1.0, "default_policy: unknown field 'limit'"),
         ],
         ids=["description-null", "description-int", "name-null", "name-list",
-             "policy-int", "policy-list", "node-entry", "edge-entry", "line-entry"],
+             "policy-int", "policy-list", "node-entry", "edge-entry", "line-entry",
+             "unknown-top-level", "unknown-graph", "unknown-node", "unknown-edge",
+             "unknown-line", "unknown-rate-sum-model", "unknown-lognormal-model",
+             "unknown-gamma-model", "unknown-policy"],
     )
     def test_text_and_object_fields_rejected(self, path, value, message):
         doc = case_document()
@@ -255,6 +280,32 @@ class TestLoadScenario:
         target[path[-1]] = value
         with pytest.raises(ScenarioError, match=message):
             parse_scenario(doc)
+
+    def test_coverage_left_out_is_unlimited(self):
+        doc = case_document()
+        del doc["default_policy"]["coverage"]
+        scenario = parse_scenario(doc)
+        assert scenario.default_policy == Policy(1000.0, math.inf)
+        # the canonical text leaves it out too, so it stays JSON and loads back
+        text = canonical_serialization(scenario)
+        assert '"default_policy":{"deductible":1000.0}' in text
+        assert parse_scenario(json.loads(text)).default_policy == Policy(1000.0, math.inf)
+
+    def test_infinite_coverage_says_how_to_state_unlimited_cover(self, tmp_path):
+        text = bundled_case_study_path().read_text()
+        old = '"coverage": 50000.0'
+        assert text.count(old) == 1
+        scenario_file = tmp_path / "unlimited.json"
+        scenario_file.write_text(text.replace(old, '"coverage": Infinity'))
+        with pytest.raises(ScenarioError, match=re.escape(
+                "field 'coverage' must be a finite number, got inf "
+                "(leave the field out for unlimited cover)")):
+            load_scenario(scenario_file)
+
+    def test_generated_scenarios_load(self):
+        # the large-graph workload's scenarios use only the format's keys
+        for seed in range(1, 51):
+            assert generated_scenario(seed).graph.n == 20
 
     def test_cycle_reported(self):
         doc = case_document()
@@ -276,6 +327,13 @@ def document_paths(value, path=()):
         yield from document_paths(item, path + (key,))
 
 
+def document_at(doc, path):
+    """The field or list entry of ``doc`` at ``path``."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 DELETE = object()
 FUZZ_SCALARS = (None, True, False, "", "x", "1", 0, 1, -1, 0.5, 2**70, 1e308, -1e308)
 fuzz_values = st.recursive(
@@ -286,26 +344,38 @@ fuzz_values = st.recursive(
 )
 
 
+INSERTED = "unlisted"  # a key that no object's table holds
+CASE_PATHS = list(document_paths(case_document()))
+OBJECT_PATHS = [()] + [path for path in CASE_PATHS
+                       if isinstance(document_at(case_document(), path), dict)]
+
+
 @given(
-    st.sampled_from(list(document_paths(case_document()))),
-    st.just(DELETE) | fuzz_values,
+    st.tuples(st.sampled_from(CASE_PATHS), st.just(DELETE) | fuzz_values)
+    | st.tuples(st.sampled_from([path + (INSERTED,) for path in OBJECT_PATHS]), fuzz_values)
 )
 @settings(max_examples=600, deadline=None, derandomize=True)
-def test_one_field_mutation_loads_or_raises(path, value):
-    # replace or delete one field or list entry anywhere in the bundled document
+def test_one_field_mutation_loads_or_raises(mutation):
+    # replace or delete one field or list entry anywhere in the bundled
+    # document, or add a field to any of its objects
+    path, value = mutation
     doc = case_document()
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = document_at(doc, path[:-1])
     if value is DELETE:
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
+    if path[-1] == INSERTED:
+        with pytest.raises(ScenarioError, match=f"'{INSERTED}'"):
+            parse_scenario(doc)
+        return
     try:
         scenario = parse_scenario(doc)
     except ScenarioError:
         return
-    scenario_digest(scenario)  # what loads must also serialize canonically
+    # what loads serializes canonically, and that text loads to the same digest
+    reloaded = parse_scenario(json.loads(canonical_serialization(scenario)))
+    assert scenario_digest(reloaded) == scenario_digest(scenario)
 
 
 class TestCanonicalForm:
@@ -319,6 +389,24 @@ class TestCanonicalForm:
         pretty = tmp_path / "pretty.json"
         pretty.write_text(json.dumps(doc, indent=4, sort_keys=False))
         assert scenario_digest(load_scenario(pretty)) == scenario_digest(case_scenario)
+
+    @given(
+        graphs_with_lines(),
+        st.none() | st.builds(Policy, st.floats(0.0, 1e6),
+                              st.floats(1.0, 1e6) | st.just(math.inf)),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_round_trip_keeps_every_field(self, graph_and_lines, policy):
+        graph, lines = graph_and_lines
+        scenario = Scenario(graph, tuple(lines), policy, "generated", SCHEMA_VERSION)
+        reloaded = parse_scenario(json.loads(canonical_serialization(scenario)))
+        assert scenario_digest(reloaded) == scenario_digest(scenario)
+        assert sorted(reloaded.graph.nodes, key=lambda node: node.id) == sorted(
+            graph.nodes, key=lambda node: node.id)
+        assert sorted(reloaded.graph.edges, key=lambda e: (e.src, e.dst)) == sorted(
+            graph.edges, key=lambda e: (e.src, e.dst))
+        assert reloaded.lines == tuple(lines)
+        assert reloaded.default_policy == policy
 
     def test_digest_tracks_content(self, case_scenario):
         doc = canonical_document(case_scenario)

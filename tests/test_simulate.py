@@ -1,16 +1,14 @@
-import importlib.util
 import math
 import os
 import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import loss_matrix
+from conftest import generated_scenario, loss_matrix
 from homecyber.graph import AttackGraph, Edge, EnumerationSizeError, VulnNode
 from homecyber.losses import (
     BusinessLine,
@@ -20,7 +18,6 @@ from homecyber.losses import (
 )
 from homecyber.portfolio import simulate_claims
 from homecyber.pricing import Policy
-from homecyber.scenario import parse_scenario
 from homecyber.simulate import (
     DEFAULT_QUANTILE_LEVELS,
     RUN_BLOCK,
@@ -136,15 +133,6 @@ class TestRunSimulation:
         quantiles = dict(stats.quantiles)
         assert quantiles[0.75] == 0.0
         assert quantiles[0.95] == 0.0
-
-
-def generated_scenario(seed: int):
-    """The scenario that ``bench/scenario_gen.py --seed`` ``seed`` prints."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "scenario_gen.py"
-    spec = importlib.util.spec_from_file_location("scenario_gen", path)
-    scenario_gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(scenario_gen)
-    return parse_scenario(scenario_gen.generate(seed))
 
 
 class TestStoredLines:
