@@ -20,7 +20,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, TextIO
 
 from . import __version__, pricing
 from .graph import check_enumerable, enumerate_joint
@@ -114,31 +114,32 @@ def _strategy(args) -> search.LRStrategy:
     return search.QuantileLR(args.quantile_level, args.lr_target)
 
 
-def _write(scenario: Scenario, args, *bodies) -> None:
-    """Write the command's files (``args.files``, in order) to --out or to stdout.
-
-    A body is a table, a tuple of tables written one after the other, or a
-    function that streams its file to an open text stream (joint.csv has
-    2^n rows, so it is never built as one string).  With --out, each file
-    gets one ``wrote PATH`` line, and a seeded command also writes
-    manifest.json; without it, the files' bytes go to stdout in order.
-    """
+def _csv(tables) -> Callable[[TextIO], object]:
+    """A writer of the CSV text of ``tables`` (one table or several), rendered
+    now, so a cell that the layout cannot hold fails before any file opens."""
     from . import reports
 
-    for name, body in zip(args.files, bodies, strict=True):
-        path = Path(args.out) / name if args.out else None
-        if path and callable(body):
+    text = reports.render_csv(tables)
+    return lambda out: out.write(text)
+
+
+def _write(scenario: Scenario, args, *writers: Callable[[TextIO], object]) -> None:
+    """Write the command's files (``args.files``, in order) to --out or to stdout.
+
+    Each writer writes its file to an open text stream (joint.csv has 2^n
+    rows, so it is streamed, never built as one string).  With --out, each
+    file gets one ``wrote PATH`` line, and a seeded command also writes
+    manifest.json; without it, the files' bytes go to stdout in order.
+    """
+    for name, write in zip(args.files, writers, strict=True):
+        if args.out:
+            path = Path(args.out) / name
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(path, "w") as f:
-                body(f)
-        elif path:
-            reports.export_csv(body, path)
-        elif callable(body):
-            body(sys.stdout)
-        else:
-            sys.stdout.write(reports.render_csv(body))
-        if path:
+                write(f)
             print(f"wrote {path}")
+        else:
+            write(sys.stdout)
     if args.out and hasattr(args, "seed"):
         sizes = {size: getattr(args, size, None) for size in ("runs", "replications", "homes")}
         write_manifest(RunManifest(scenario_digest(scenario), args.seed, **sizes), Path(args.out))
@@ -195,7 +196,7 @@ def _enumerate(scenario, args) -> None:
 
     joint = enumerate_joint(scenario.graph)
     marginals = reports.marginals_table(scenario.graph, joint.marginals())
-    _write(scenario, args, lambda out: reports.write_joint_csv(joint, out), marginals)
+    _write(scenario, args, lambda out: reports.write_joint_csv(joint, out), _csv(marginals))
 
 
 @_command("simulate", "Monte Carlo line losses and summary table", ("summary.csv",), *RUNS)
@@ -204,7 +205,7 @@ def _simulate(scenario, args) -> None:
     from .simulate import run_simulation
 
     result = run_simulation(scenario.graph, scenario.lines, args.runs, args.seed, args.workers)
-    _write(scenario, args, reports.summary_table(result))
+    _write(scenario, args, _csv(reports.summary_table(result)))
 
 
 @_command("price", "per-line premium table under the four principles", ("premiums.csv",), *RUNS,
@@ -222,7 +223,7 @@ def _price(scenario, args) -> None:
     per_line = [pricing.premiums(column, params) for column in result.line_losses.T]
     per_principle = {f"rho{k}": col for k, col in enumerate(zip(*per_line), 1)}
     labels = [f"L{idx}" for idx in result.line_indices]
-    _write(scenario, args, reports.premium_table(labels, per_principle))
+    _write(scenario, args, _csv(reports.premium_table(labels, per_principle)))
 
 
 @_command("calibrate", "solve principle parameters for a baseline premium", ("calibration.csv",),
@@ -248,7 +249,8 @@ def _calibrate(scenario, args) -> None:
             value = param.beta if isinstance(param, CTE) else param.theta
             rows.append((family, float(value), ""))
             print(f"{family}: {value!r}")
-    _write(scenario, args, reports.Table(header=("Family", "Parameter", "Note"), rows=tuple(rows)))
+    _write(scenario, args,
+           _csv(reports.Table(header=("Family", "Parameter", "Note"), rows=tuple(rows))))
 
 
 @_command("portfolio", "portfolio Profit and LR report", ("portfolio.csv",),
@@ -259,7 +261,8 @@ def _portfolio(scenario, args) -> None:
 
     policy = Policy(args.deductible, args.coverage)
     income = _income(args, "premium_per_home", args.premium)
-    _write(scenario, args, reports.portfolio_tables(_claims(scenario, args, [policy])[0], income))
+    claims = _claims(scenario, args, [policy])[0]
+    _write(scenario, args, _csv(reports.portfolio_tables(claims, income)))
 
 
 @_command("search-deductible", "smallest feasible deductible on a grid", ("search.csv",),
@@ -281,7 +284,7 @@ def _search_deductible(scenario, args) -> int | None:
         for d, stat, ok in zip(grid, result.statistics, result.feasible)
     )
     _write(scenario, args,
-           reports.Table(header=("Deductible", "LR statistic", "Feasible"), rows=rows))
+           _csv(reports.Table(header=("Deductible", "LR statistic", "Feasible"), rows=rows)))
     if result.chosen is None:
         print("no feasible deductible on the grid")
         return 1
@@ -296,10 +299,10 @@ def _solve_premium(scenario, args) -> None:
     policy = Policy(args.deductible, args.coverage)
     strategy = _strategy(args)
     premium = search.premium_for_claims(_claims(scenario, args, [policy])[0], args.homes, strategy)
-    _write(scenario, args, reports.Table(
+    _write(scenario, args, _csv(reports.Table(
         header=("Strategy", "LR target", "Premium per home"),
         rows=((args.strategy, args.lr_target, premium),),
-    ))
+    )))
     print(f"premium per home: {premium!r}")
 
 
@@ -332,7 +335,7 @@ def _propose(scenario, args) -> None:
     claims = _claims(scenario, args, [Policy(d, args.coverage) for d in grid])
     rows = search.report_proposals(claims, grid, list(zip(labels, totals)), args.coverage,
                                    args.homes, strategies)
-    _write(scenario, args, reports.proposal_table(rows))
+    _write(scenario, args, _csv(reports.proposal_table(rows)))
 
 
 # a value that starts like a negative number, or like a list of numbers that starts with one

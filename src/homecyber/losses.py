@@ -3,10 +3,13 @@
 Three conditional families: an exponential whose rate is the sum of
 per-trigger rates over exploited trigger nodes, and lognormal / gamma laws
 that fire when any trigger node is exploited.  When nothing fires the loss
-is degenerate at 0.  Closed-form moments and limited expected values back
-the simulation with exact oracles; they import scipy on first use, so the
-CLI never loads it.  numpy too is imported on first use, by the functions
-that build plans, draw or sum, so the line models load without it.
+is degenerate at 0.  Given a state, ``conditional_distribution`` gives the
+line's loss law: ``DegenerateZero``, an ``Exponential`` at the fired rates'
+sum, or the lognormal or gamma model itself, each with a closed-form mean,
+variance and survival function.  These and ``limited_expected_value_of``
+back the simulation with exact oracles; they import scipy on first use, so
+the CLI never loads it.  numpy too is imported on first use, by the
+functions that build plans, draw or sum, so the line models load without it.
 Simulation reads lines through a ``LossPlan`` over the joint's support:
 rows are positions into its states, and each line has a table of where it
 fires (and, if exponential, of its rate) over them.
@@ -18,20 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .graph import AttackGraph, enumerate_joint, state_guide
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-def _canonical_rates(rates) -> tuple[tuple[int, float], ...]:
-    if isinstance(rates, Mapping):
-        items = rates.items()
-    else:
-        items = rates
-    return tuple(sorted((int(nid), float(rate)) for nid, rate in items))
 
 
 @dataclass(frozen=True)
@@ -41,7 +36,8 @@ class RateSumExponential:
     rates: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rates", _canonical_rates(self.rates))
+        rates = tuple(sorted((int(nid), float(rate)) for nid, rate in self.rates))
+        object.__setattr__(self, "rates", rates)
         for nid, rate in self.rates:
             if rate <= 0.0:
                 raise ValueError(f"rate for node {nid} must be positive, got {rate}")
@@ -49,7 +45,8 @@ class RateSumExponential:
 
 @dataclass(frozen=True)
 class TriggeredLognormal:
-    """Lognormal(mu, sigma^2) when any trigger node is exploited."""
+    """Lognormal(mu, sigma^2) when any trigger node is exploited; also the
+    loss law of the line given a state where one is."""
 
     mu: float
     sigma: float
@@ -58,10 +55,36 @@ class TriggeredLognormal:
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
+    def mean(self) -> float:
+        return math.exp(self.mu + self.sigma**2 / 2.0)
+
+    def variance(self) -> float:
+        s2 = self.sigma**2
+        return (math.exp(s2) - 1.0) * math.exp(2.0 * self.mu + s2)
+
+    def survival(self, x: float) -> float:
+        if x <= 0.0:
+            return 1.0
+        from scipy import special
+
+        return float(special.ndtr(-(math.log(x) - self.mu) / self.sigma))
+
+    def limited_mean(self, u: float) -> float:
+        """E[min(L, u)]."""
+        if u <= 0.0:
+            return 0.0
+        if math.isinf(u):
+            return self.mean()
+        from scipy import special
+
+        z = (math.log(u) - self.mu) / self.sigma
+        return self.mean() * float(special.ndtr(z - self.sigma)) + u * float(special.ndtr(-z))
+
 
 @dataclass(frozen=True)
 class TriggeredGamma:
-    """Gamma(alpha, rate beta) when any trigger node is exploited."""
+    """Gamma(alpha, rate beta) when any trigger node is exploited; also the
+    loss law of the line given a state where one is."""
 
     alpha: float
     beta: float
@@ -71,6 +94,32 @@ class TriggeredGamma:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.beta <= 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
+
+    def mean(self) -> float:
+        return self.alpha / self.beta
+
+    def variance(self) -> float:
+        return self.alpha / self.beta**2
+
+    def survival(self, x: float) -> float:
+        if x <= 0.0:
+            return 1.0
+        from scipy import special
+
+        return float(special.gammaincc(self.alpha, self.beta * x))
+
+    def limited_mean(self, u: float) -> float:
+        """E[min(L, u)]."""
+        if u <= 0.0:
+            return 0.0
+        if math.isinf(u):
+            return self.mean()
+        from scipy import special
+
+        x = self.beta * u
+        return self.mean() * float(special.gammainc(self.alpha + 1.0, x)) + u * float(
+            special.gammaincc(self.alpha, x)
+        )
 
 
 DistributionSpec = RateSumExponential | TriggeredLognormal | TriggeredGamma
@@ -125,46 +174,11 @@ class Exponential:
         return math.exp(-self.rate * x) if x > 0.0 else 1.0
 
 
-@dataclass(frozen=True)
-class Lognormal:
-    mu: float
-    sigma: float
+# a triggered model is its own loss law given a state where it fires
+Lognormal = TriggeredLognormal
+Gamma = TriggeredGamma
 
-    def mean(self) -> float:
-        return math.exp(self.mu + self.sigma**2 / 2.0)
-
-    def variance(self) -> float:
-        s2 = self.sigma**2
-        return (math.exp(s2) - 1.0) * math.exp(2.0 * self.mu + s2)
-
-    def survival(self, x: float) -> float:
-        if x <= 0.0:
-            return 1.0
-        from scipy import special
-
-        return float(special.ndtr(-(math.log(x) - self.mu) / self.sigma))
-
-
-@dataclass(frozen=True)
-class Gamma:
-    alpha: float
-    beta: float  # rate
-
-    def mean(self) -> float:
-        return self.alpha / self.beta
-
-    def variance(self) -> float:
-        return self.alpha / self.beta**2
-
-    def survival(self, x: float) -> float:
-        if x <= 0.0:
-            return 1.0
-        from scipy import special
-
-        return float(special.gammaincc(self.alpha, self.beta * x))
-
-
-Distribution = DegenerateZero | Exponential | Lognormal | Gamma
+Distribution = DegenerateZero | Exponential | TriggeredLognormal | TriggeredGamma
 
 
 def conditional_distribution(
@@ -177,9 +191,7 @@ def conditional_distribution(
         return Exponential(lam) if lam > 0.0 else DegenerateZero()
     if not any(state[graph.position(nid)] for nid in line.trigger_set):
         return DegenerateZero()
-    if isinstance(model, TriggeredLognormal):
-        return Lognormal(model.mu, model.sigma)
-    return Gamma(model.alpha, model.beta)
+    return model
 
 
 @dataclass(frozen=True)
@@ -274,41 +286,10 @@ def exact_line_mean(line: BusinessLine, graph: AttackGraph) -> float:
         lam = fired @ np.array([rate for _, rate in model.rates])[order]
         mask = lam > 0.0
         return math.fsum((patterns[mask] / lam[mask]).tolist())
-    fire_prob = math.fsum(patterns[1:].tolist())
-    if isinstance(model, TriggeredLognormal):
-        return fire_prob * Lognormal(model.mu, model.sigma).mean()
-    return fire_prob * Gamma(model.alpha, model.beta).mean()
+    return math.fsum(patterns[1:].tolist()) * model.mean()
 
 
 # --- limited expected values ----------------------------------------------
-
-
-def _lognormal_limited(mu: float, sigma: float, u: float) -> float:
-    """E[min(L, u)] for L ~ Lognormal(mu, sigma^2)."""
-    if u <= 0.0:
-        return 0.0
-    if math.isinf(u):
-        return math.exp(mu + sigma**2 / 2.0)
-    from scipy import special
-
-    z = (math.log(u) - mu) / sigma
-    return math.exp(mu + sigma**2 / 2.0) * float(special.ndtr(z - sigma)) + u * float(
-        special.ndtr(-z)
-    )
-
-
-def _gamma_limited(alpha: float, beta: float, u: float) -> float:
-    """E[min(L, u)] for L ~ Gamma(alpha, rate beta)."""
-    if u <= 0.0:
-        return 0.0
-    if math.isinf(u):
-        return alpha / beta
-    from scipy import special
-
-    x = beta * u
-    return (alpha / beta) * float(special.gammainc(alpha + 1.0, x)) + u * float(
-        special.gammaincc(alpha, x)
-    )
 
 
 def limited_expected_value_of(dist: Distribution, d: float, c: float) -> float:
@@ -323,10 +304,4 @@ def limited_expected_value_of(dist: Distribution, d: float, c: float) -> float:
         lam = dist.rate
         upper = 0.0 if math.isinf(c) else math.exp(-lam * (d + c))
         return (math.exp(-lam * d) - upper) / lam
-    if isinstance(dist, Lognormal):
-        return _lognormal_limited(dist.mu, dist.sigma, d + c) - _lognormal_limited(
-            dist.mu, dist.sigma, d
-        )
-    return _gamma_limited(dist.alpha, dist.beta, d + c) - _gamma_limited(
-        dist.alpha, dist.beta, d
-    )
+    return dist.limited_mean(d + c) - dist.limited_mean(d)

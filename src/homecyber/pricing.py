@@ -107,10 +107,14 @@ def _sorted_gmd(ordered: np.ndarray) -> float:
     return float((2.0 * k - n - 1.0) @ ordered) * 2.0 / (n * (n - 1))
 
 
-def _finite(statistic: float) -> float:
-    """``statistic``; raises ValueError when it is inf or NaN."""
+OVERFLOW = "statistics of the sample overflow float64"
+
+
+def finite(statistic: float, message: str = OVERFLOW) -> float:
+    """``statistic``; raises ValueError(``message``) when it is inf or NaN, as
+    the statistics of a sample that overflows float64 are."""
     if not math.isfinite(statistic):
-        raise ValueError("statistics of the sample overflow float64")
+        raise ValueError(message)
     return statistic
 
 
@@ -201,7 +205,7 @@ def calibrations(
     if x.size < 2:
         raise ValueError("calibration needs at least 2 samples")
     tol = 1e-6 * max(1.0, target_premium)
-    mean = _finite(float(x.mean()))
+    mean = finite(float(x.mean()))
     ordered = np.sort(x) if {"gmd", "cte"} & set(families) else None
     out = []
     for family in families:
@@ -220,12 +224,12 @@ def _calibrate_one(family, x, ordered, mean, target_premium, tol) -> PrinciplePa
             raise NotCalibratableError("sample mean is 0; expectation loading has no effect")
         return Expectation((target_premium - mean) / mean)
     if family == "stddev":
-        sd = _finite(float(np.std(x, ddof=1)))
+        sd = finite(float(np.std(x, ddof=1)))
         if sd == 0.0:
             raise NotCalibratableError("sample SD is 0; stddev loading has no effect")
         return StdDev((target_premium - mean) / sd)
     if family == "gmd":
-        scale = _finite(_sorted_gmd(ordered))
+        scale = finite(_sorted_gmd(ordered))
         if scale == 0.0:
             raise NotCalibratableError("sample GMD is 0; GMD loading has no effect")
         return GMD((target_premium - mean) / scale)
@@ -243,14 +247,12 @@ def _calibrate_cte(ordered: np.ndarray, target: float, tol: float) -> CTE:
     import numpy as np
 
     n = ordered.size
-    # suffix means: tail_mean[k] = mean(ordered[k:]); CTE at threshold x_(k+1)
+    # suffix sums: mean(ordered[k:]) = suffix[k] / (n - k), the CTE at threshold x_(k+1)
     suffix = np.cumsum(ordered[::-1])[::-1]
-    tail_means = suffix / np.arange(n, 0, -1, dtype=float)
+    mean = suffix[0] / float(n)
 
-    if target < tail_means[0] - tol:
-        raise TargetNotAchievableError(
-            f"target {target} is below the sample mean {tail_means[0]:.6g}"
-        )
+    if target < mean - tol:
+        raise TargetNotAchievableError(f"target {target} is below the sample mean {mean:.6g}")
     if target > ordered[-1] + tol:
         raise TargetNotAchievableError(
             f"target {target} is above the sample maximum {ordered[-1]:.6g}"
@@ -258,7 +260,7 @@ def _calibrate_cte(ordered: np.ndarray, target: float, tol: float) -> CTE:
 
     # 0-based first indices of the distinct values among ordered[:n-1]
     firsts = np.flatnonzero(np.concatenate(([True], ordered[1 : n - 1] != ordered[: n - 2])))
-    values = tail_means[firsts]
+    values = suffix[firsts] / (n - firsts).astype(float)
     hit = np.abs(values - target) <= tol
     stop = hit | ~(values < target)
     i = int(np.argmax(stop))

@@ -5,14 +5,13 @@ terminator, and floats printed with their shortest round-trip representation
 (Python repr), so every numeric cell re-parses to the identical double.
 """
 
-import math
 from dataclasses import astuple, dataclass, replace
-from pathlib import Path
 from typing import Sequence, TextIO
 
 import numpy as np
 
 from .graph import AttackGraph, JointDistribution
+from .pricing import OVERFLOW, finite
 from .search import ProposalRow, loss_ratios
 from .simulate import SimulationResult, SummaryStats, summarize
 
@@ -60,25 +59,11 @@ def render_csv(tables: Table | Sequence[Table]) -> str:
     return "\n".join(out) + "\n"
 
 
-def export_csv(tables: Table | Sequence[Table], path: str | Path) -> Path:
-    """Write ``render_csv(tables)`` to ``path``, creating its directory."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_csv(tables))
-    return path
-
-
-def _finite(label: str, cells: tuple[float, ...]) -> tuple[float, ...]:
-    """``cells``; raises ValueError naming ``label`` when one is inf or NaN,
-    as the statistics of a sample that overflows float64 are."""
-    if not all(map(math.isfinite, cells)):
-        raise ValueError(f"{label}: statistics of the sample overflow float64")
-    return cells
-
-
 def _stat_row(stats: SummaryStats, label: str) -> tuple[float, ...]:
     quantiles = tuple(value for _, value in stats.quantiles)
-    return _finite(label, (stats.minimum, *quantiles, stats.maximum, stats.mean, stats.sd))
+    cells = (stats.minimum, *quantiles, stats.maximum, stats.mean, stats.sd)
+    message = f"{label}: {OVERFLOW}"
+    return tuple(finite(cell, message) for cell in cells)
 
 
 def summary_table(result: SimulationResult) -> Table:
@@ -98,7 +83,8 @@ def premium_table(
     cells = [(label, tuple(float(per_principle[p][i]) for p in principles))
              for i, label in enumerate(line_labels)]
     cells.append(("total", tuple(float(sum(per_principle[p])) for p in principles)))
-    rows = tuple((label, *_finite(label, row)) for label, row in cells)
+    rows = tuple((label, *(finite(cell, f"{label}: {OVERFLOW}") for cell in row))
+                 for label, row in cells)
     return Table(header=("Line", *principles), rows=rows)
 
 

@@ -231,14 +231,14 @@ def _check_mean(model, where: str) -> None:
         # the largest mean is that of the smallest rate firing alone
         nid, rate = min(model.rates, key=lambda item: item[1])
         what, mean = f"1/rate of field 'rates[{nid}]'", 1.0 / rate
-    elif isinstance(model, TriggeredLognormal):
-        what = "exp(mu + sigma^2/2) of fields 'mu' and 'sigma'"
+    else:
+        what = ("exp(mu + sigma^2/2) of fields 'mu' and 'sigma'"
+                if isinstance(model, TriggeredLognormal)
+                else "alpha/beta of fields 'alpha' and 'beta'")
         try:
-            mean = math.exp(model.mu + model.sigma**2 / 2.0)
+            mean = model.mean()
         except OverflowError:  # math.exp and ** raise where division returns inf
             mean = math.inf
-    else:
-        what, mean = "alpha/beta of fields 'alpha' and 'beta'", model.alpha / model.beta
     if not math.isfinite(mean):
         raise ScenarioError(f"{where}: conditional mean {what} is not a finite float64")
 

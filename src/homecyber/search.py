@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .pricing import finite
+
 
 class DegenerateClaimsError(ValueError):
     """The claims cannot price the policy: a zero premium, or one that misses the target."""
@@ -53,9 +55,7 @@ def lr_statistic(samples: np.ndarray, strategy: LRStrategy) -> float:
         stat = float(np.mean(samples))
     else:
         stat = float(np.quantile(samples, strategy.level))
-    if not math.isfinite(stat):
-        raise ValueError(f"LR statistic {stat!r}: the portfolio claims overflow float64")
-    return stat
+    return finite(stat, f"LR statistic {stat!r}: the portfolio claims overflow float64")
 
 
 def loss_ratios(claims: np.ndarray, income: float) -> np.ndarray:

@@ -126,7 +126,7 @@ def graphs_with_lines(draw):
         triggers = draw(st.frozensets(node_ids, min_size=1))
         if family is RateSumExponential:
             model = RateSumExponential(
-                {nid: draw(st.floats(min_value=0.05, max_value=2.0)) for nid in triggers}
+                tuple((nid, draw(st.floats(min_value=0.05, max_value=2.0))) for nid in triggers)
             )
         elif family is TriggeredLognormal:
             model = TriggeredLognormal(

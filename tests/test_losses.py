@@ -75,8 +75,8 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="do not match"):
             BusinessLine(1, "x", frozenset({1, 2}), RateSumExponential(((1, 0.5),)))
 
-    def test_rates_accept_mapping(self):
-        model = RateSumExponential({3: 1 / 640, 5: 1 / 320})
+    def test_rates_sorted_by_node(self):
+        model = RateSumExponential(((5, 1 / 320), (3, 1 / 640)))
         assert model.rates == ((3, 1 / 640), (5, 1 / 320))
 
 
@@ -403,6 +403,39 @@ LEV_GRID = {
 }
 DEDUCTIBLES = (0.0, 250.0, 1000.0)
 COVERAGES = (500.0, 50_000.0, math.inf)
+
+
+def scipy_law(dist):
+    """The ``scipy.stats`` law of an exponential, lognormal or gamma loss law."""
+    from scipy import stats
+
+    if isinstance(dist, Exponential):
+        return stats.expon(scale=1.0 / dist.rate)
+    if isinstance(dist, Lognormal):
+        return stats.lognorm(dist.sigma, scale=math.exp(dist.mu))
+    return stats.gamma(dist.alpha, scale=1.0 / dist.beta)
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("family", sorted(LEV_GRID))
+    def test_moments_and_survival_match_scipy(self, family):
+        for dist in LEV_GRID[family]:
+            law = scipy_law(dist)
+            assert dist.mean() == pytest.approx(law.mean(), rel=1e-12), dist
+            assert dist.variance() == pytest.approx(law.var(), rel=1e-12), dist
+            for x in (-1.0, 0.0, *law.ppf([0.01, 0.5, 0.99, 0.9999]).tolist()):
+                assert dist.survival(x) == pytest.approx(law.sf(x), rel=1e-9), (dist, x)
+
+    @pytest.mark.parametrize("family", sorted(LEV_GRID))
+    def test_unlimited_cover_from_zero_is_the_mean(self, family):
+        for dist in LEV_GRID[family]:
+            assert limited_expected_value_of(dist, 0.0, math.inf) == dist.mean(), dist
+
+    def test_degenerate_law(self):
+        dist = DegenerateZero()
+        assert (dist.mean(), dist.variance()) == (0.0, 0.0)
+        assert [dist.survival(x) for x in (-1.0, 0.0, 5.0)] == [1.0, 0.0, 0.0]
+        assert limited_expected_value_of(dist, 0.0, math.inf) == dist.mean()
 
 
 class TestLimitedExpectedValue:

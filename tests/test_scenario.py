@@ -22,7 +22,6 @@ from homecyber.pricing import Policy
 from homecyber.reports import (
     SUMMARY_HEADER,
     Table,
-    export_csv,
     render_csv,
     summary_table,
     write_joint_csv,
@@ -444,23 +443,20 @@ class TestCsvExport:
         assert len(text.splitlines()) == 1 + 6 + 1  # header, six lines, total row
         assert table.header == SUMMARY_HEADER
 
-    def test_empty_table_is_header_only(self, tmp_path):
-        path = export_csv(Table(header=("A", "B"), rows=()), tmp_path / "empty.csv")
-        assert path.read_text() == "A,B\n"
+    def test_empty_table_is_header_only(self):
+        assert render_csv(Table(header=("A", "B"), rows=())) == "A,B\n"
 
-    def test_byte_identical_exports(self, tmp_path, case_scenario):
+    def test_byte_identical_exports(self, case_scenario):
         result = run_simulation(case_scenario.graph, case_scenario.lines, 500, 7)
         table = summary_table(result)
-        a = export_csv(table, tmp_path / "a.csv")
-        b = export_csv(table, tmp_path / "b.csv")
-        assert a.read_bytes() == b.read_bytes()
-        assert a.read_bytes().endswith(b"\n")
+        a, b = render_csv(table), render_csv(summary_table(result))
+        assert a == b
+        assert a.endswith("\n")
 
-    def test_numeric_cells_round_trip(self, tmp_path, case_scenario):
+    def test_numeric_cells_round_trip(self, case_scenario):
         result = run_simulation(case_scenario.graph, case_scenario.lines, 500, 7)
         table = summary_table(result)
-        path = export_csv(table, tmp_path / "t.csv")
-        lines = path.read_text().splitlines()[1:]
+        lines = render_csv(table).splitlines()[1:]
         for row, parsed_line in zip(table.rows, lines):
             for cell, text in zip(row, parsed_line.split(",")):
                 assert float(text) == cell
