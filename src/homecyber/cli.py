@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable, TextIO
 from . import __version__, pricing
 from .graph import check_enumerable, enumerate_joint
 from .pricing import CTE, CalibrationError, Expectation, GMD, Policy, StdDev
-from .scenario import RunManifest, Scenario, load_scenario, scenario_digest, write_manifest
+from .scenario import NOT_IN_CELL, Scenario, load_scenario, scenario_digest, write_manifest
 
 if TYPE_CHECKING:
     from . import search
@@ -142,7 +142,7 @@ def _write(scenario: Scenario, args, *writers: Callable[[TextIO], object]) -> No
             write(sys.stdout)
     if args.out and hasattr(args, "seed"):
         sizes = {size: getattr(args, size, None) for size in ("runs", "replications", "homes")}
-        write_manifest(RunManifest(scenario_digest(scenario), args.seed, **sizes), Path(args.out))
+        write_manifest(args.out, scenario_digest(scenario), args.seed, **sizes)
 
 
 def _income(args, name: str, premium: float) -> float:
@@ -220,10 +220,14 @@ def _price(scenario, args) -> None:
     params = (Expectation(args.theta_expectation), StdDev(args.theta_stddev),
               GMD(args.theta_gmd), CTE(args.beta_cte))
     result = _line_samples(scenario, args)
-    per_line = [pricing.premiums(column, params) for column in result.line_losses.T]
-    per_principle = {f"rho{k}": col for k, col in enumerate(zip(*per_line), 1)}
     labels = [f"L{idx}" for idx in result.line_indices]
-    _write(scenario, args, _csv(reports.premium_table(labels, per_principle)))
+    per_line = []
+    for label, column in zip(labels, result.line_losses.T):
+        try:
+            per_line.append(pricing.premiums(column, params))
+        except OverflowError as exc:  # a loading over finite statistics
+            raise ValueError(f"{label}: {exc}") from None
+    _write(scenario, args, _csv(reports.premium_table(labels, per_line)))
 
 
 @_command("calibrate", "solve principle parameters for a baseline premium", ("calibration.csv",),
@@ -279,10 +283,8 @@ def _search_deductible(scenario, args) -> int | None:
     income = _income(args, "premiums_total", args.premium)
     claims = _claims(scenario, args, [Policy(d, args.coverage) for d in grid])
     result = search.search_deductible(claims, grid, income, strategy)
-    rows = tuple(
-        (d, stat, "yes" if ok else "no")
-        for d, stat, ok in zip(grid, result.statistics, result.feasible)
-    )
+    rows = tuple((d, stat, "yes" if stat <= strategy.target else "no")
+                 for d, stat in zip(grid, result.statistics))
     _write(scenario, args,
            _csv(reports.Table(header=("Deductible", "LR statistic", "Feasible"), rows=rows)))
     if result.chosen is None:
@@ -325,7 +327,7 @@ def _propose(scenario, args) -> None:
         raise SystemExit("error: --labels must be distinct")
     if "" in labels:  # a proposals row without a Principle cell
         raise SystemExit("error: --labels must not be empty")
-    if any(ch in label for label in labels for ch in '\n\r"'):
+    if any(ch in label for label in labels for ch in NOT_IN_CELL):
         raise SystemExit("error: --labels must not hold line breaks or '\"'")
     grid = search.deductible_grid(_parse_floats(args.grid, "--grid"))
     for label, total in zip(labels, totals):

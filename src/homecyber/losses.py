@@ -5,11 +5,10 @@ per-trigger rates over exploited trigger nodes, and lognormal / gamma laws
 that fire when any trigger node is exploited.  When nothing fires the loss
 is degenerate at 0.  Given a state, ``conditional_distribution`` gives the
 line's loss law: ``DegenerateZero``, an ``Exponential`` at the fired rates'
-sum, or the lognormal or gamma model itself, each with a closed-form mean,
-variance and survival function.  These and ``limited_expected_value_of``
-back the simulation with exact oracles; they import scipy on first use, so
-the CLI never loads it.  numpy too is imported on first use, by the
-functions that build plans, draw or sum, so the line models load without it.
+sum, or the lognormal or gamma model itself, each with a closed-form mean and
+variance; these and ``limited_expected_value_of`` are exact oracles of the
+simulation.  scipy and numpy are imported on first use, so the CLI never loads
+scipy and the line models load without numpy.
 Simulation reads lines through a ``LossPlan`` over the joint's support:
 rows are positions into its states, and each line has a table of where it
 fires (and, if exponential, of its rate) over them.
@@ -62,13 +61,6 @@ class TriggeredLognormal:
         s2 = self.sigma**2
         return (math.exp(s2) - 1.0) * math.exp(2.0 * self.mu + s2)
 
-    def survival(self, x: float) -> float:
-        if x <= 0.0:
-            return 1.0
-        from scipy import special
-
-        return float(special.ndtr(-(math.log(x) - self.mu) / self.sigma))
-
     def limited_mean(self, u: float) -> float:
         """E[min(L, u)]."""
         if u <= 0.0:
@@ -100,13 +92,6 @@ class TriggeredGamma:
 
     def variance(self) -> float:
         return self.alpha / self.beta**2
-
-    def survival(self, x: float) -> float:
-        if x <= 0.0:
-            return 1.0
-        from scipy import special
-
-        return float(special.gammaincc(self.alpha, self.beta * x))
 
     def limited_mean(self, u: float) -> float:
         """E[min(L, u)]."""
@@ -156,9 +141,6 @@ class DegenerateZero:
     def variance(self) -> float:
         return 0.0
 
-    def survival(self, x: float) -> float:
-        return 0.0 if x >= 0.0 else 1.0
-
 
 @dataclass(frozen=True)
 class Exponential:
@@ -169,9 +151,6 @@ class Exponential:
 
     def variance(self) -> float:
         return 1.0 / self.rate**2
-
-    def survival(self, x: float) -> float:
-        return math.exp(-self.rate * x) if x > 0.0 else 1.0
 
 
 # a triggered model is its own loss law given a state where it fires

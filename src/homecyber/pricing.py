@@ -132,6 +132,7 @@ def premiums(
 
     GMD and the CTE's value-at-risk read one sorted copy; means, SDs and tail
     means sum ``samples`` in its own order, so the bits match ``premium``'s.
+    A loading that overflows float64 on finite statistics raises OverflowError.
     """
     import numpy as np
 
@@ -142,18 +143,24 @@ def premiums(
     ordered = np.sort(x) if any(isinstance(p, (GMD, CTE)) for p in params) else None
     out = []
     for param in params:
+        if isinstance(param, CTE):
+            out.append(float(x[x >= ordered[var_rank(x.size, param.beta) - 1]].mean()))
+            continue
         if isinstance(param, Expectation):
-            out.append((1.0 + param.theta) * mean)
+            scale, value, loading = mean, (1.0 + param.theta) * mean, "(1 + theta) x mean"
         elif isinstance(param, StdDev):
             if x.size < 2:
                 raise ValueError("standard-deviation principle needs at least 2 samples")
-            out.append(mean + param.theta * float(np.std(x, ddof=1)))
+            scale = float(np.std(x, ddof=1))
+            value, loading = mean + param.theta * scale, "mean + theta x SD"
         elif isinstance(param, GMD):
-            out.append(mean + param.theta * _sorted_gmd(ordered))
-        elif isinstance(param, CTE):
-            out.append(float(x[x >= ordered[var_rank(x.size, param.beta) - 1]].mean()))
+            scale = _sorted_gmd(ordered)
+            value, loading = mean + param.theta * scale, "mean + theta x GMD"
         else:
             raise TypeError(f"unknown principle parameter {param!r}")
+        if not math.isfinite(value) and math.isfinite(mean) and math.isfinite(scale):
+            raise OverflowError(f"{type(param).__name__} loading {loading} overflows float64")
+        out.append(value)
     return tuple(out)
 
 
@@ -192,7 +199,7 @@ def calibrations(
     ``CalibrationError`` it would raise:
         NotCalibratableError: the scale statistic is zero.
         TargetNotAchievableError: CTE target below the sample mean or above
-            the sample maximum.
+            the sample maximum, or a loading parameter beyond float64.
         CteNotIdentifiableError: the empirical CTE is flat below the target
             and jumps past it, so no beta reproduces the target.
     An unknown family, a bad target, fewer than 2 samples, or a mean, SD or
@@ -216,26 +223,27 @@ def calibrations(
     return tuple(out)
 
 
-def _calibrate_one(family, x, ordered, mean, target_premium, tol) -> PrincipleParam:
-    import numpy as np
+# family -> (parameter class, loading name, scale name, scale of (x, sorted x, mean))
+_LOADINGS = {
+    "expectation": (Expectation, "expectation", "mean", lambda x, ordered, mean: mean),
+    "stddev": (StdDev, "stddev", "SD", lambda x, ordered, mean: float(x.std(ddof=1))),
+    "gmd": (GMD, "GMD", "GMD", lambda x, ordered, mean: _sorted_gmd(ordered)),
+}
 
-    if family == "expectation":
-        if mean == 0.0:
-            raise NotCalibratableError("sample mean is 0; expectation loading has no effect")
-        return Expectation((target_premium - mean) / mean)
-    if family == "stddev":
-        sd = finite(float(np.std(x, ddof=1)))
-        if sd == 0.0:
-            raise NotCalibratableError("sample SD is 0; stddev loading has no effect")
-        return StdDev((target_premium - mean) / sd)
-    if family == "gmd":
-        scale = finite(_sorted_gmd(ordered))
-        if scale == 0.0:
-            raise NotCalibratableError("sample GMD is 0; GMD loading has no effect")
-        return GMD((target_premium - mean) / scale)
+
+def _calibrate_one(family, x, ordered, mean, target_premium, tol) -> PrincipleParam:
     if family == "cte":
         return _calibrate_cte(ordered, target_premium, tol)
-    raise ValueError(f"unknown principle family {family!r}; expected one of {FAMILIES}")
+    if family not in _LOADINGS:
+        raise ValueError(f"unknown principle family {family!r}; expected one of {FAMILIES}")
+    kind, loading, name, statistic = _LOADINGS[family]
+    scale = finite(statistic(x, ordered, mean))
+    if scale == 0.0:
+        raise NotCalibratableError(f"sample {name} is 0; {loading} loading has no effect")
+    theta = (target_premium - mean) / scale
+    if not math.isfinite(theta):
+        raise TargetNotAchievableError(f"theta = (target - mean) / {name} overflows float64")
+    return kind(theta)
 
 
 def _calibrate_cte(ordered: np.ndarray, target: float, tol: float) -> CTE:

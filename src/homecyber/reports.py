@@ -12,6 +12,7 @@ import numpy as np
 
 from .graph import AttackGraph, JointDistribution
 from .pricing import OVERFLOW, finite
+from .scenario import NOT_IN_CELL
 from .search import ProposalRow, loss_ratios
 from .simulate import SimulationResult, SummaryStats, summarize
 
@@ -42,8 +43,7 @@ def _format_cell(value) -> str:
         text = ""
     else:
         text = str(value)
-        # ',' and line breaks split the row, and csv.reader unquotes '"'
-        if any(ch in text for ch in ',"\n\r'):
+        if any(ch in text for ch in NOT_IN_CELL):
             raise ValueError(f"cell {text!r} would break the CSV layout")
     return text
 
@@ -75,17 +75,12 @@ def summary_table(result: SimulationResult) -> Table:
     return Table(header=SUMMARY_HEADER, rows=tuple(rows))
 
 
-def premium_table(
-    line_labels: Sequence[str], per_principle: dict[str, Sequence[float]]
-) -> Table:
-    """Rows per line plus a total row; one column per principle."""
-    principles = tuple(per_principle)
-    cells = [(label, tuple(float(per_principle[p][i]) for p in principles))
-             for i, label in enumerate(line_labels)]
-    cells.append(("total", tuple(float(sum(per_principle[p])) for p in principles)))
-    rows = tuple((label, *(finite(cell, f"{label}: {OVERFLOW}") for cell in row))
-                 for label, row in cells)
-    return Table(header=("Line", *principles), rows=rows)
+def premium_table(line_labels: Sequence[str], per_line: Sequence[Sequence[float]]) -> Table:
+    """Rows per line plus a total row; column rho{k} holds each line's k-th premium."""
+    totals = tuple(sum(column) for column in zip(*per_line))
+    rows = tuple((label, *(finite(float(cell), f"{label}: {OVERFLOW}") for cell in row))
+                 for label, row in (*zip(line_labels, per_line), ("total", totals)))
+    return Table(header=("Line", *(f"rho{k}" for k in range(1, len(totals) + 1))), rows=rows)
 
 
 def portfolio_tables(claims: np.ndarray, income: float) -> tuple[Table, Table]:

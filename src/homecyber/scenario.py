@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 from operator import attrgetter
@@ -271,9 +271,11 @@ def _scenario(schema_version, description, graph, lines, default_policy) -> Scen
 INTEGER = _checked(lambda value: type(value) is int, "an integer")  # not a bool
 NUMBER = _Kind(_number)
 TEXT = _checked(lambda value: isinstance(value, str), "a string")
-# labels are marginals.csv cells, which the CSV layout cannot quote
+# the characters no CSV cell may hold, labels (marginals.csv cells) among them: the
+# layout quotes nothing, ',' and line breaks split the row, csv.reader unquotes '"'
+NOT_IN_CELL = ',"\n\r'
 LABEL = _checked(
-    lambda value: isinstance(value, str) and not any(ch in value for ch in ',"\n\r'),
+    lambda value: isinstance(value, str) and not any(ch in value for ch in NOT_IN_CELL),
     "a string without ',', '\"' or line breaks",
 )
 _LIST = _checked(lambda value: isinstance(value, list), "a list")
@@ -322,31 +324,19 @@ def scenario_digest(scenario: Scenario) -> str:
 # --- run manifests ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    scenario_digest: str
-    master_seed: int
-    runs: int | None = None
-    replications: int | None = None
-    homes: int | None = None
-    tool_version: str = __version__
+def write_manifest(directory: str | Path, scenario_digest: str, master_seed: int,
+                   runs: int | None = None, replications: int | None = None,
+                   homes: int | None = None) -> None:
+    """Write ``directory/manifest.json``: what a seeded run read, and its versions."""
+    import platform
 
-    def to_document(self) -> dict:
-        import platform
+    import numpy as np
 
-        import numpy as np
-
-        # the draws of a stream layout are numpy's sampling algorithms
-        # (lognormal, gamma, ...), so a digest reproduces only with the
-        # same numpy and Python
-        return {**asdict(self), "stream_layout": STREAM_LAYOUT, "numpy_version": np.__version__,
-                "python_version": platform.python_version()}
-
-
-def write_manifest(manifest: RunManifest, directory: str | Path) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / "manifest.json"
-    payload = json.dumps(manifest.to_document(), sort_keys=True, separators=(",", ":"))
-    path.write_text(payload + "\n")
-    return path
+    # the draws of a stream layout are numpy's sampling algorithms (lognormal,
+    # gamma, ...), so a digest reproduces only with the same numpy and Python
+    document = dict(scenario_digest=scenario_digest, master_seed=master_seed, runs=runs,
+                    replications=replications, homes=homes, tool_version=__version__,
+                    stream_layout=STREAM_LAYOUT, numpy_version=np.__version__,
+                    python_version=platform.python_version())
+    Path(directory, "manifest.json").write_text(
+        json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n")

@@ -68,12 +68,6 @@ def loss_ratios(claims: np.ndarray, income: float) -> np.ndarray:
     return ratios
 
 
-def _first_feasible(claims: np.ndarray, income: float, strategy: LRStrategy):
-    """Each policy's LR statistic, and the index of the first within target."""
-    stats = tuple(lr_statistic(loss_ratios(c, income), strategy) for c in claims)
-    return stats, next((i for i, s in enumerate(stats) if s <= strategy.target), None)
-
-
 def deductible_grid(grid: Sequence[float]) -> tuple[float, ...]:
     """``grid`` as floats; raises unless it is non-empty and strictly ascending.
 
@@ -90,7 +84,6 @@ def deductible_grid(grid: Sequence[float]) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class DeductibleSearchResult:
     statistics: tuple[float, ...]
-    feasible: tuple[bool, ...]
     chosen: float | None
 
 
@@ -105,12 +98,9 @@ def search_deductible(
     non-increasing in the deductible and the feasible set is an up-set of
     the grid; the chosen value is its boundary (None when nothing qualifies).
     """
-    stats, first = _first_feasible(claims, income, strategy)
+    stats = tuple(lr_statistic(loss_ratios(c, income), strategy) for c in claims)
     return DeductibleSearchResult(
-        statistics=stats,
-        feasible=tuple(s <= strategy.target for s in stats),
-        chosen=None if first is None else grid[first],
-    )
+        stats, next((d for d, s in zip(grid, stats) if s <= strategy.target), None))
 
 
 def premium_for_claims(
@@ -169,10 +159,10 @@ def report_proposals(
         income = n_homes * total
         picks: list[tuple[float | None, float | None]] = []
         for strategy in strategies:
-            _, chosen_idx = _first_feasible(claims, income, strategy)
-            if chosen_idx is None:
+            chosen = search_deductible(claims, grid, income, strategy).chosen
+            if chosen is None:
                 picks.append((None, None))
             else:
-                picks.append((grid[chosen_idx], income - float(claim_means[chosen_idx])))
+                picks.append((chosen, income - float(claim_means[grid.index(chosen)])))
         rows.append(ProposalRow(name, total, coverage, *picks[0], *picks[1]))
     return tuple(rows)

@@ -219,7 +219,7 @@ def summarize(
         raise ValueError(f"quantile levels must lie in (0, 1): {levels}")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"quantile levels must be strictly increasing: {levels}")
-    qs = _sorted_quantiles(np.sort(x), levels) if levels else np.empty(0)
+    qs = _sorted_quantiles(np.sort(x), levels)
     sd = float(np.std(x, ddof=1)) if x.size > 1 else 0.0
     return SummaryStats(
         minimum=float(x.min()),

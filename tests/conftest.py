@@ -16,6 +16,7 @@ from homecyber.graph import (
 )
 from homecyber.losses import (
     BusinessLine,
+    Exponential,
     RateSumExponential,
     TriggeredGamma,
     TriggeredLognormal,
@@ -270,10 +271,22 @@ def joint_csv_reference(joint: JointDistribution) -> str:
     return render_csv(Table(header=header, rows=rows))
 
 
+def scipy_law(dist):
+    """The ``scipy.stats`` law of an exponential, lognormal or gamma loss law."""
+    from scipy import stats
+
+    if isinstance(dist, Exponential):
+        return stats.expon(scale=1.0 / dist.rate)
+    if isinstance(dist, TriggeredLognormal):
+        return stats.lognorm(dist.sigma, scale=math.exp(dist.mu))
+    return stats.gamma(dist.alpha, scale=1.0 / dist.beta)
+
+
 def lev_quadrature(dist, d: float, c: float) -> float:
-    """Numeric-integration oracle: integrate the survival function on [d, d+c]."""
+    """Numeric-integration oracle: integrate the ``scipy.stats`` law's survival
+    function on [d, d+c], so it shares no formula with the closed forms."""
     from scipy.integrate import quad
 
     upper = math.inf if math.isinf(c) else d + c
-    value, _ = quad(dist.survival, d, upper, limit=400, epsabs=1e-13, epsrel=1e-11)
+    value, _ = quad(scipy_law(dist).sf, d, upper, limit=400, epsabs=1e-13, epsrel=1e-11)
     return value

@@ -1,8 +1,9 @@
-"""Every ``homecyber`` name that the benchmark reads still resolves.
+"""Every ``homecyber`` name that the benchmark and the tools read still resolves.
 
-``bench/`` calls the package in two ways: ``from homecyber.X import Y`` and
-``module.attr`` on a module bound by ``from homecyber import X``.  A name
-deleted from ``src/`` would otherwise show only when the benchmark fails.
+``bench/`` and ``tools/`` call the package in two ways: ``from homecyber.X
+import Y`` and ``module.attr`` on a module bound by ``from homecyber import X``.
+A name deleted from ``src/`` would otherwise show only when the benchmark
+fails, or when someone runs ``tools/output_digests.py``.
 """
 
 import ast
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _scope_nodes(scope: ast.AST):
@@ -72,22 +73,26 @@ def _reads(scope: ast.AST, modules: dict[str, str]) -> list[tuple[str, str, int]
     return reads
 
 
-def bench_reads() -> list[tuple[str, str, str]]:
-    """(``file:line``, module, name) for every homecyber name ``bench/*.py`` reads."""
+def script_reads() -> list[tuple[str, str, str]]:
+    """(``dir/file:line``, module, name) for every homecyber name that
+    ``bench/*.py`` and ``tools/*.py`` read."""
     out = []
-    for path in sorted(BENCH.glob("*.py")):
+    for path in sorted([*ROOT.glob("bench/*.py"), *ROOT.glob("tools/*.py")]):
         for module, name, line in _reads(ast.parse(path.read_text()), {}):
-            out.append((f"{path.name}:{line}", module, name))
+            out.append((f"{path.parent.name}/{path.name}:{line}", module, name))
     return out
 
 
 def test_every_name_the_bench_reads_resolves():
-    reads = bench_reads()
-    # the loss laws, the exact oracles and the CLI entry point are among them
+    reads = script_reads()
+    # the loss laws, the exact oracles and the CLI entry point are among them,
+    # and the command table and scenario loader that the digest tool reads
     for expected in (("homecyber.losses", "Lognormal"), ("homecyber.losses", "exact_line_mean"),
                      ("homecyber.losses", "limited_expected_value_of"),
-                     ("homecyber.pricing", "premium"), ("homecyber.cli", "cli_dispatch")):
+                     ("homecyber.pricing", "premium"), ("homecyber.cli", "cli_dispatch"),
+                     ("homecyber.cli", "COMMANDS"), ("homecyber.scenario", "load_scenario")):
         assert expected in {(module, name) for _, module, name in reads}
+    assert any(where.startswith("tools/output_digests.py:") for where, _, _ in reads)
     missing = [f"{where}: {module}.{name}" for where, module, name in reads
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []

@@ -1115,6 +1115,50 @@ class TestOverflowingLosses:
             f"error: LR = claims / income overflows float64 at income {5 * 1e-320!r}\n")
         assert not out.exists()
 
+    # a finite sample, but a loading beyond float64: the error names the line and
+    # the loading; a sum over the lines that overflows still names the total row
+    PRICE = ("--runs", "2", "--seed", "1", "--theta-expectation", "0", "--theta-stddev", "0",
+             "--theta-gmd", "0", "--beta-cte", "0.5")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--theta-expectation", "1e308",
+         "L1: Expectation loading (1 + theta) x mean overflows float64"),
+        ("--theta-expectation", "-1e308",
+         "L1: Expectation loading (1 + theta) x mean overflows float64"),
+        ("--theta-stddev", "1e308", "L1: StdDev loading mean + theta x SD overflows float64"),
+        ("--theta-gmd", "1e308", "L1: GMD loading mean + theta x GMD overflows float64"),
+        # L1 and L3 are each below float64's maximum, and their sum is not
+        ("--theta-expectation", "1.5e306", "total: statistics of the sample overflow float64"),
+    ], ids=["expectation", "expectation-negative", "stddev", "gmd", "total"])
+    def test_loading_that_overflows_is_named(self, flag, value, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = TestRejectedInputs.replaced(self.PRICE, flag, value)
+        assert run("price", "--scenario", CASE, *argv, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_calibrated_parameter_that_overflows_is_a_row(self, tmp_path, capsys):
+        # retained losses below 1e-320: theta = (28 - mean) / scale overflows for
+        # two families, and every family still gets its row
+        out = tmp_path / "out"
+        assert run("calibrate", "--scenario", CASE, "--runs", "2000", "--seed", "1", "--line",
+                   "1", "--target", "28", "--deductible", "0", "--coverage", "1e-320",
+                   "--out", str(out)) == 0
+        overflow = "TargetNotAchievableError: theta = (target - mean) / {} overflows float64"
+        assert [tuple(row.values()) for row in csv_rows(out / "calibration.csv")] == [
+            ("expectation", "", overflow.format("mean")),
+            ("stddev", "", "NotCalibratableError: sample SD is 0; stddev loading has no effect"),
+            ("gmd", "", overflow.format("GMD")),
+            ("cte", "", "TargetNotAchievableError: target 28.0 is above the sample maximum "
+                        "9.99989e-321"),
+        ]
+        captured = capsys.readouterr()
+        assert "expectation: not calibrated (theta = (target - mean) / mean overflows" \
+            in captured.out
+        assert captured.err == ""
+
     @pytest.mark.parametrize("command", list(OVERFLOWING))
     def test_statistics_that_overflow_are_an_error(self, command, tmp_path, capsys,
                                                    monkeypatch):

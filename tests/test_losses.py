@@ -16,6 +16,7 @@ from conftest import (
     lev_quadrature,
     loss_matrix,
     recursive_joint_prob,
+    scipy_law,
     shuffled_dag_graphs,
     state_index,
 )
@@ -405,26 +406,13 @@ DEDUCTIBLES = (0.0, 250.0, 1000.0)
 COVERAGES = (500.0, 50_000.0, math.inf)
 
 
-def scipy_law(dist):
-    """The ``scipy.stats`` law of an exponential, lognormal or gamma loss law."""
-    from scipy import stats
-
-    if isinstance(dist, Exponential):
-        return stats.expon(scale=1.0 / dist.rate)
-    if isinstance(dist, Lognormal):
-        return stats.lognorm(dist.sigma, scale=math.exp(dist.mu))
-    return stats.gamma(dist.alpha, scale=1.0 / dist.beta)
-
-
 class TestClosedForms:
     @pytest.mark.parametrize("family", sorted(LEV_GRID))
-    def test_moments_and_survival_match_scipy(self, family):
+    def test_moments_match_scipy(self, family):
         for dist in LEV_GRID[family]:
             law = scipy_law(dist)
             assert dist.mean() == pytest.approx(law.mean(), rel=1e-12), dist
             assert dist.variance() == pytest.approx(law.var(), rel=1e-12), dist
-            for x in (-1.0, 0.0, *law.ppf([0.01, 0.5, 0.99, 0.9999]).tolist()):
-                assert dist.survival(x) == pytest.approx(law.sf(x), rel=1e-9), (dist, x)
 
     @pytest.mark.parametrize("family", sorted(LEV_GRID))
     def test_unlimited_cover_from_zero_is_the_mean(self, family):
@@ -434,7 +422,6 @@ class TestClosedForms:
     def test_degenerate_law(self):
         dist = DegenerateZero()
         assert (dist.mean(), dist.variance()) == (0.0, 0.0)
-        assert [dist.survival(x) for x in (-1.0, 0.0, 5.0)] == [1.0, 0.0, 0.0]
         assert limited_expected_value_of(dist, 0.0, math.inf) == dist.mean()
 
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -256,6 +257,16 @@ class TestCalibrate:
                 ValueError, match="^statistics of the sample overflow float64$"):
             calibrations(sample, (family,), 28.0)
 
+    def test_parameter_beyond_float64_is_not_achievable(self):
+        # a subnormal sample: (target - mean) / scale overflows (its SD underflows
+        # to 0 first), and each family still gets its own row
+        got = calibrations([0.0, 1e-320, 3e-320], FAMILIES, 28.0)
+        assert [type(param) for param in got] == [TargetNotAchievableError, NotCalibratableError,
+                                                  TargetNotAchievableError,
+                                                  TargetNotAchievableError]
+        assert str(got[0]) == "theta = (target - mean) / mean overflows float64"
+        assert str(got[2]) == "theta = (target - mean) / GMD overflows float64"
+
     def test_constant_samples_not_calibratable(self):
         x = np.full(20, 5.0)
         for family in ("stddev", "gmd"):
@@ -347,6 +358,22 @@ class TestPremiums:
         with pytest.raises(TypeError, match="unknown principle"):
             premiums([1.0, 2.0], (Expectation(0.1), 0.5))
         assert premiums([1.0, 2.0], ()) == ()
+
+    @pytest.mark.parametrize("param, loading", [
+        (Expectation(1e308), "Expectation loading (1 + theta) x mean"),
+        (Expectation(-1e308), "Expectation loading (1 + theta) x mean"),
+        (StdDev(1e308), "StdDev loading mean + theta x SD"),
+        (GMD(1e308), "GMD loading mean + theta x GMD"),
+    ])
+    def test_loading_that_overflows_is_named(self, param, loading):
+        with pytest.raises(OverflowError, match=rf"^{re.escape(loading)} overflows float64$"):
+            premiums([1.0, 2.0, 40.0], (CTE(0.5), param))
+
+    def test_statistics_that_overflow_are_left_to_the_caller(self):
+        # the mean itself overflows, so no loading is blamed
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = premiums([1e308, 1e308], self.PARAMS)
+        assert got[0] == got[2] == math.inf
 
 
 class TestVarRank:

@@ -28,7 +28,6 @@ from homecyber.reports import (
 )
 from homecyber.scenario import (
     SCHEMA_VERSION,
-    RunManifest,
     Scenario,
     ScenarioError,
     bundled_case_study_path,
@@ -416,17 +415,17 @@ class TestCanonicalForm:
 
 class TestManifest:
     def test_write_and_reread(self, tmp_path, case_scenario):
-        manifest = RunManifest(
-            scenario_digest=scenario_digest(case_scenario),
-            master_seed=42,
-            runs=1000,
-            homes=None,
-        )
-        path = write_manifest(manifest, tmp_path)
-        data = json.loads(path.read_text())
+        write_manifest(tmp_path, scenario_digest(case_scenario), 42, runs=1000)
+        text = (tmp_path / "manifest.json").read_text()
+        data = json.loads(text)
+        assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+        assert sorted(data) == ["homes", "master_seed", "numpy_version", "python_version",
+                                "replications", "runs", "scenario_digest", "stream_layout",
+                                "tool_version"]
         assert data["master_seed"] == 42
         assert data["runs"] == 1000
         assert data["homes"] is None
+        assert data["replications"] is None
         assert data["scenario_digest"] == scenario_digest(case_scenario)
         assert data["tool_version"]
         assert data["stream_layout"] == STREAM_LAYOUT == 7
