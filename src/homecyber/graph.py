@@ -19,7 +19,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -38,20 +37,64 @@ class EnumerationSizeError(ValueError):
     """Raised when exact enumeration would exceed the state cap."""
 
 
-@dataclass(frozen=True)
-class VulnNode:
+class Frozen:
+    """Immutable value whose fields are its class's ``__slots__``, in order, given
+    by position or name (those in ``_defaults`` may be left out).  ``_check`` runs
+    once they are set.  Values of one type with equal fields are equal."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs and not args and tuple(kwargs) == names:  # the scenario loader's call
+            args = kwargs.values()
+        elif kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        names = self.__slots__
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        repeated = not kwargs.keys().isdisjoint(names[: len(args)])
+        if len(args) > len(names) or repeated or values.keys() != set(names):
+            raise TypeError(f"{type(self).__qualname__}() takes the fields {names}, got "
+                            f"{len(args)} by position and {sorted(kwargs)} by name")
+        return [values[name] for name in names]
+
+    def _check(self) -> None:
+        """Raise ValueError unless the fields are valid."""
+
+    def astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self.astuple() == other.astuple() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash((type(self), *self.astuple()))
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete field {name!r} of a frozen value")
+
+    __delattr__ = __setattr__
+
+
+class VulnNode(Frozen):
     """One vulnerability.  ``label`` is opaque metadata (CVE id, CVSS, ...)."""
 
-    id: int
-    label: str = ""
-    entry_prob: float | None = None
+    __slots__ = ("id", "label", "entry_prob")
+    _defaults = {"label": "", "entry_prob": None}
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: int
-    dst: int
-    cond_prob: float
+class Edge(Frozen):
+    __slots__ = ("src", "dst", "cond_prob")
 
 
 class AttackGraph:
@@ -181,16 +224,14 @@ def topological_order(graph: AttackGraph) -> tuple[int, ...]:
     return graph._topo_cache
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(Frozen):
     """Exact probability of each of the 2^n states.
 
     ``probs[idx]`` is the probability of the state whose bit k (of ``idx``)
     is the boolean state of ``node_ids[k]``.  The array is read-only.
     """
 
-    node_ids: tuple[int, ...]
-    probs: np.ndarray
+    __slots__ = ("node_ids", "probs")
 
     def state_of(self, index: int) -> tuple[int, ...]:
         return tuple((index >> k) & 1 for k in range(len(self.node_ids)))

@@ -19,22 +19,20 @@ per-line draws where it needs them, so every path shares one draw order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .graph import AttackGraph, enumerate_joint, state_guide
+from .graph import AttackGraph, Frozen, enumerate_joint, state_guide
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class RateSumExponential:
-    """Exponential(sum of per-node rates over exploited triggers)."""
+class RateSumExponential(Frozen):
+    """Exponential(sum of the (node id, rate) ``rates`` over exploited triggers)."""
 
-    rates: tuple[tuple[int, float], ...]
+    __slots__ = ("rates",)
 
-    def __post_init__(self):
+    def _check(self):
         rates = tuple(sorted((int(nid), float(rate)) for nid, rate in self.rates))
         object.__setattr__(self, "rates", rates)
         for nid, rate in self.rates:
@@ -42,15 +40,13 @@ class RateSumExponential:
                 raise ValueError(f"rate for node {nid} must be positive, got {rate}")
 
 
-@dataclass(frozen=True)
-class TriggeredLognormal:
+class TriggeredLognormal(Frozen):
     """Lognormal(mu, sigma^2) when any trigger node is exploited; also the
     loss law of the line given a state where one is."""
 
-    mu: float
-    sigma: float
+    __slots__ = ("mu", "sigma")
 
-    def __post_init__(self):
+    def _check(self):
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
@@ -73,15 +69,13 @@ class TriggeredLognormal:
         return self.mean() * float(special.ndtr(z - self.sigma)) + u * float(special.ndtr(-z))
 
 
-@dataclass(frozen=True)
-class TriggeredGamma:
+class TriggeredGamma(Frozen):
     """Gamma(alpha, rate beta) when any trigger node is exploited; also the
     loss law of the line given a state where one is."""
 
-    alpha: float
-    beta: float
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
+    def _check(self):
         if self.alpha <= 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.beta <= 0.0:
@@ -110,14 +104,10 @@ class TriggeredGamma:
 DistributionSpec = RateSumExponential | TriggeredLognormal | TriggeredGamma
 
 
-@dataclass(frozen=True)
-class BusinessLine:
-    index: int
-    name: str
-    trigger_set: frozenset[int]
-    model: DistributionSpec
+class BusinessLine(Frozen):
+    __slots__ = ("index", "name", "trigger_set", "model")
 
-    def __post_init__(self):
+    def _check(self):
         object.__setattr__(self, "trigger_set", frozenset(self.trigger_set))
         if not self.trigger_set:
             raise ValueError(f"line {self.index} ({self.name}): empty trigger set")
@@ -133,8 +123,9 @@ class BusinessLine:
 # --- conditional distribution handles ------------------------------------
 
 
-@dataclass(frozen=True)
-class DegenerateZero:
+class DegenerateZero(Frozen):
+    __slots__ = ()
+
     def mean(self) -> float:
         return 0.0
 
@@ -142,9 +133,8 @@ class DegenerateZero:
         return 0.0
 
 
-@dataclass(frozen=True)
-class Exponential:
-    rate: float
+class Exponential(Frozen):
+    __slots__ = ("rate",)
 
     def mean(self) -> float:
         return 1.0 / self.rate
@@ -173,8 +163,7 @@ def conditional_distribution(
     return model
 
 
-@dataclass(frozen=True)
-class LossPlan:
+class LossPlan(Frozen):
     """What a loss block reads of a graph and its lines, built once per call.
 
     ``states`` are the joint's support, ascending (bit k of a state index
@@ -185,12 +174,7 @@ class LossPlan:
     and an exponential line's rate there is ``rates[k][p]`` (others: None).
     """
 
-    states: np.ndarray
-    cdf: np.ndarray
-    guide: tuple[np.ndarray, np.ndarray]
-    lines: tuple[BusinessLine, ...]
-    fired: tuple[np.ndarray, ...]
-    rates: tuple[np.ndarray | None, ...]
+    __slots__ = ("states", "cdf", "guide", "lines", "fired", "rates")
 
 
 def loss_plan(graph: AttackGraph, lines: Sequence[BusinessLine]) -> LossPlan:

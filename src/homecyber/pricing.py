@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
+
+from .graph import Frozen
 
 if TYPE_CHECKING:
     import numpy as np
@@ -35,14 +36,12 @@ class CteNotIdentifiableError(CalibrationError):
     """The empirical CTE is flat around the target and never attains it."""
 
 
-@dataclass(frozen=True)
-class Policy:
+class Policy(Frozen):
     """Per-policy deductible and coverage limit, in dollars per year."""
 
-    deductible: float
-    coverage: float
+    __slots__ = ("deductible", "coverage")
 
-    def __post_init__(self):
+    def _check(self):
         if not (math.isfinite(self.deductible) and self.deductible >= 0.0):
             raise ValueError(f"deductible must be finite and >= 0, got {self.deductible}")
         # unlimited cover (inf) is valid and priced in closed form
@@ -50,32 +49,30 @@ class Policy:
             raise ValueError(f"coverage must be > 0, got {self.coverage}")
 
 
-class _Loading:
-    def __post_init__(self):
+class _Loading(Frozen):
+    __slots__ = ()
+
+    def _check(self):
         if not math.isfinite(self.theta):
             raise ValueError(f"{type(self).__name__} theta must be finite, got {self.theta}")
 
 
-@dataclass(frozen=True)
 class Expectation(_Loading):
-    theta: float
+    __slots__ = ("theta",)
 
 
-@dataclass(frozen=True)
 class StdDev(_Loading):
-    theta: float
+    __slots__ = ("theta",)
 
 
-@dataclass(frozen=True)
 class GMD(_Loading):
-    theta: float
+    __slots__ = ("theta",)
 
 
-@dataclass(frozen=True)
-class CTE:
-    beta: float
+class CTE(Frozen):
+    __slots__ = ("beta",)
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
 

@@ -5,12 +5,11 @@ terminator, and floats printed with their shortest round-trip representation
 (Python repr), so every numeric cell re-parses to the identical double.
 """
 
-from dataclasses import astuple, dataclass, replace
 from typing import Sequence, TextIO
 
 import numpy as np
 
-from .graph import AttackGraph, JointDistribution
+from .graph import AttackGraph, Frozen, JointDistribution
 from .pricing import OVERFLOW, finite
 from .scenario import NOT_IN_CELL
 from .search import ProposalRow, loss_ratios
@@ -26,10 +25,8 @@ LR_LEVELS = (0.25, 0.5, 0.75, 0.9, 0.95, 0.995)
 LR_HEADER = ("Label", "Min", "Q25", "Q50", "Q75", "Q90", "Q95", "Q99.5", "Max", "Mean", "SD")
 
 
-@dataclass(frozen=True)
-class Table:
-    header: tuple[str, ...]
-    rows: tuple[tuple, ...]
+class Table(Frozen):
+    __slots__ = ("header", "rows")
 
 
 def _format_cell(value) -> str:
@@ -77,10 +74,12 @@ def summary_table(result: SimulationResult) -> Table:
 
 def premium_table(line_labels: Sequence[str], per_line: Sequence[Sequence[float]]) -> Table:
     """Rows per line plus a total row; column rho{k} holds each line's k-th premium."""
-    totals = tuple(sum(column) for column in zip(*per_line))
-    rows = tuple((label, *(finite(float(cell), f"{label}: {OVERFLOW}") for cell in row))
-                 for label, row in (*zip(line_labels, per_line), ("total", totals)))
-    return Table(header=("Line", *(f"rho{k}" for k in range(1, len(totals) + 1))), rows=rows)
+    rows = [(label, *(finite(float(cell), f"{label}: {OVERFLOW}") for cell in row))
+            for label, row in zip(line_labels, per_line)]
+    totals = tuple(finite(float(sum(column)), "total: the lines' premiums sum beyond float64")
+                   for column in zip(*per_line))
+    header = ("Line", *(f"rho{k}" for k in range(1, len(totals) + 1)))
+    return Table(header, (*rows, ("total", *totals)))
 
 
 def portfolio_tables(claims: np.ndarray, income: float) -> tuple[Table, Table]:
@@ -93,8 +92,8 @@ def portfolio_tables(claims: np.ndarray, income: float) -> tuple[Table, Table]:
     """
     profit = summarize(income - claims, PROFIT_LEVELS)
     claim_sd = float(np.std(claims, ddof=1)) if claims.size > 1 else 0.0
-    profit_row = ("portfolio Profit",
-                  *_stat_row(replace(profit, sd=claim_sd), "portfolio Profit"))
+    profit = SummaryStats(profit.minimum, profit.maximum, profit.mean, claim_sd, profit.quantiles)
+    profit_row = ("portfolio Profit", *_stat_row(profit, "portfolio Profit"))
     lr_row = ("portfolio LR",
               *_stat_row(summarize(loss_ratios(claims, income), LR_LEVELS), "portfolio LR"))
     return Table(header=PROFIT_HEADER, rows=(profit_row,)), Table(header=LR_HEADER, rows=(lr_row,))
@@ -106,7 +105,7 @@ def proposal_table(rows: Sequence[ProposalRow]) -> Table:
         "Deductible 1", "Mean Profit 1", "Deductible 2", "Mean Profit 2",
     )
     # ProposalRow's fields are in column order
-    return Table(header=header, rows=tuple(astuple(r) for r in rows))
+    return Table(header=header, rows=tuple(r.astuple() for r in rows))
 
 
 def _bit_prefixes(count: int) -> list[str]:

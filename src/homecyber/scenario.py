@@ -13,15 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from functools import partial
-from importlib import resources
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .graph import AttackGraph, Edge, VulnNode, validate_graph
+from .graph import AttackGraph, Edge, Frozen, VulnNode, validate_graph
 from .losses import BusinessLine, RateSumExponential, TriggeredGamma, TriggeredLognormal
 from .pricing import Policy
 from .streams import STREAM_LAYOUT
@@ -33,17 +31,16 @@ class ScenarioError(ValueError):
     """Scenario file cannot be parsed or fails validation."""
 
 
-@dataclass(frozen=True)
-class Scenario:
-    graph: AttackGraph
-    lines: tuple[BusinessLine, ...]
-    default_policy: Policy | None
-    description: str
-    schema_version: int
+class Scenario(Frozen):
+    """A loaded scenario; ``lines`` ascend by index, ``default_policy`` may be None."""
+
+    __slots__ = ("graph", "lines", "default_policy", "description", "schema_version")
 
 
 def bundled_case_study_path() -> Path:
     """Path of the scenario shipped with the package (seven-node smart home)."""
+    from importlib import resources
+
     return Path(resources.files("homecyber").joinpath("data/case_study.json"))
 
 

@@ -9,11 +9,11 @@ row per policy (``portfolio.simulate_claims``).
 """
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .graph import Frozen
 from .pricing import finite
 
 
@@ -21,21 +21,18 @@ class DegenerateClaimsError(ValueError):
     """The claims cannot price the policy: a zero premium, or one that misses the target."""
 
 
-@dataclass(frozen=True)
-class MeanLR:
-    target: float
+class MeanLR(Frozen):
+    __slots__ = ("target",)
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 < self.target <= 1.0:
             raise ValueError(f"target must lie in (0, 1], got {self.target}")
 
 
-@dataclass(frozen=True)
-class QuantileLR:
-    level: float
-    target: float
+class QuantileLR(Frozen):
+    __slots__ = ("level", "target")
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
         if not 0.0 < self.target <= 1.0:
@@ -81,10 +78,8 @@ def deductible_grid(grid: Sequence[float]) -> tuple[float, ...]:
     return grid
 
 
-@dataclass(frozen=True)
-class DeductibleSearchResult:
-    statistics: tuple[float, ...]
-    chosen: float | None
+class DeductibleSearchResult(Frozen):
+    __slots__ = ("statistics", "chosen")
 
 
 def search_deductible(
@@ -127,15 +122,11 @@ def premium_for_claims(
     return prem
 
 
-@dataclass(frozen=True)
-class ProposalRow:
-    principle: str
-    total_premium: float
-    coverage: float
-    deductible_1: float | None
-    mean_profit_1: float | None
-    deductible_2: float | None
-    mean_profit_2: float | None
+class ProposalRow(Frozen):
+    """A strategy's deductible and mean profit are None when it finds none."""
+
+    __slots__ = ("principle", "total_premium", "coverage", "deductible_1", "mean_profit_1",
+                 "deductible_2", "mean_profit_2")
 
 
 def report_proposals(

@@ -21,14 +21,13 @@ import contextvars
 import functools
 import os
 import threading
-from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import streams
-from .graph import AttackGraph, sample_state_indices
+from .graph import AttackGraph, Frozen, sample_state_indices
 from .losses import BusinessLine, LossPlan, line_draws, loss_plan
 
 # Rows per run block: large enough that the per-block cost (a new substream,
@@ -39,16 +38,18 @@ RUN_BLOCK = 1 << 15
 DEFAULT_QUANTILE_LEVELS = (0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.995, 0.999)
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class _Cache:
+    """No ``__slots__``: a subclass's instances get a ``__dict__`` for ``cached_property``."""
+
+
+class SimulationResult(Frozen, _Cache):
     """Per-run losses (R x K) of the stored lines, one column per index in
     ``line_indices`` (ascending), column-major so that each column is contiguous.
     ``total_losses``, built on first read, are the row sums of the stored
     columns in ascending index order, term by term in float64: the total loss
     when every line is stored.  Both arrays are read-only."""
 
-    line_losses: np.ndarray
-    line_indices: tuple[int, ...]
+    __slots__ = ("line_losses", "line_indices")
 
     @functools.cached_property
     def total_losses(self) -> np.ndarray:
@@ -59,13 +60,8 @@ class SimulationResult:
         return total
 
 
-@dataclass(frozen=True)
-class SummaryStats:
-    minimum: float
-    maximum: float
-    mean: float
-    sd: float
-    quantiles: tuple[tuple[float, float], ...]
+class SummaryStats(Frozen):
+    __slots__ = ("minimum", "maximum", "mean", "sd", "quantiles")
 
 
 def loss_block(
@@ -177,7 +173,7 @@ def run_simulation(
 
     draw_blocks(draw, -(-runs // RUN_BLOCK), workers)
     line_losses.flags.writeable = False
-    return SimulationResult(line_losses=line_losses, line_indices=tuple(stored))
+    return SimulationResult(line_losses, tuple(stored))
 
 
 def _sorted_quantiles(ordered: np.ndarray, levels: tuple[float, ...]) -> np.ndarray:
@@ -221,10 +217,5 @@ def summarize(
         raise ValueError(f"quantile levels must be strictly increasing: {levels}")
     qs = _sorted_quantiles(np.sort(x), levels)
     sd = float(np.std(x, ddof=1)) if x.size > 1 else 0.0
-    return SummaryStats(
-        minimum=float(x.min()),
-        maximum=float(x.max()),
-        mean=float(x.mean()),
-        sd=sd,
-        quantiles=tuple(zip(levels, (float(q) for q in qs))),
-    )
+    return SummaryStats(float(x.min()), float(x.max()), float(x.mean()), sd,
+                        tuple(zip(levels, (float(q) for q in qs))))

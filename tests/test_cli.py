@@ -1128,7 +1128,7 @@ class TestOverflowingLosses:
         ("--theta-stddev", "1e308", "L1: StdDev loading mean + theta x SD overflows float64"),
         ("--theta-gmd", "1e308", "L1: GMD loading mean + theta x GMD overflows float64"),
         # L1 and L3 are each below float64's maximum, and their sum is not
-        ("--theta-expectation", "1.5e306", "total: statistics of the sample overflow float64"),
+        ("--theta-expectation", "1.5e306", "total: the lines' premiums sum beyond float64"),
     ], ids=["expectation", "expectation-negative", "stddev", "gmd", "total"])
     def test_loading_that_overflows_is_named(self, flag, value, message, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1224,18 +1224,37 @@ def test_cli_never_imports_scipy(tmp_path):
         "        code = cli_dispatch(argv)\n"
         "    assert code == expected, (argv, code)\n"
         f"print([name for name in {engine!r} if name in sys.modules])\n"
+        # the model classes need neither, and importing them costs every start-up
+        "print([name for name in ('dataclasses', 'inspect') if name in sys.modules])\n"
         f"for argv in {commands!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         f"        code = cli_dispatch([argv[0], '--scenario', {CASE!r}, *argv[1:]])\n"
         "    assert code == 0, argv\n"
-        "print('scipy' in sys.modules)"
+        # numpy imports inspect itself, so only dataclasses is checked here
+        "print('scipy' in sys.modules, 'dataclasses' in sys.modules)"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-2:] == ["[]", "False"]
+    assert done.stdout.splitlines()[-3:] == ["[]", "[]", "False False"]
+
+
+def test_validate_never_imports_importlib_resources():
+    # -S skips site, whose .pth files may import importlib.resources themselves;
+    # only bundled_case_study_path, which no command calls, needs it
+    src = str(Path(homecyber.__file__).parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from homecyber.cli import cli_dispatch\n"
+        f"assert cli_dispatch(['validate', '--scenario', {CASE!r}]) == 0\n"
+        "print('importlib.resources' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def csv_rows(path: Path) -> list[dict]:

@@ -1,7 +1,6 @@
 import gc
 import math
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from homecyber.losses import (
     Exponential,
     Gamma,
     Lognormal,
+    LossPlan,
     RateSumExponential,
     TriggeredGamma,
     TriggeredLognormal,
@@ -128,9 +128,11 @@ def tiled_losses(case_graph, case_lines, state, seed, rows=100_000):
     rng = np.random.default_rng(seed)
     plan = loss_plan(case_graph, case_lines)
     dists = [conditional_distribution(line, state, case_graph) for line in plan.lines]
-    plan = replace(
-        plan,
+    plan = LossPlan(
         states=np.array([state_index(state)]),
+        cdf=plan.cdf,
+        guide=plan.guide,
+        lines=plan.lines,
         fired=tuple(np.array([not isinstance(d, DegenerateZero)]) for d in dists),
         rates=tuple(None if r is None else np.array([getattr(d, "rate", 0.0)])
                     for r, d in zip(plan.rates, dists)),
