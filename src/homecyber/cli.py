@@ -219,15 +219,7 @@ def _price(scenario, args) -> None:
     # principles rho1..rho4, built before simulating so a bad loading fails fast
     params = (Expectation(args.theta_expectation), StdDev(args.theta_stddev),
               GMD(args.theta_gmd), CTE(args.beta_cte))
-    result = _line_samples(scenario, args)
-    labels = [f"L{idx}" for idx in result.line_indices]
-    per_line = []
-    for label, column in zip(labels, result.line_losses.T):
-        try:
-            per_line.append(pricing.premiums(column, params))
-        except OverflowError as exc:  # a loading over finite statistics
-            raise ValueError(f"{label}: {exc}") from None
-    _write(scenario, args, _csv(reports.premium_table(labels, per_line)))
+    _write(scenario, args, _csv(reports.premium_table(_line_samples(scenario, args), params)))
 
 
 @_command("calibrate", "solve principle parameters for a baseline premium", ("calibration.csv",),

@@ -80,6 +80,10 @@ class Frozen:
         fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
+    def __reduce__(self):
+        # copy and pickle rebuild the value through __init__, so _check runs again
+        return type(self), self.astuple()
+
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot set or delete field {name!r} of a frozen value")
 
@@ -105,11 +109,11 @@ class AttackGraph:
     lists) is precomputed once and shared, so instances are safe for
     concurrent readers.
 
-    The topological order and the exact joint are filled lazily and cached
-    for the object's lifetime; the joint holds 2^n doubles (8 MB at n = 20,
-    32 MB at the default enumeration cap of 22) and is filled in O(2^n), one
-    node at a time in topological order.  Two readers filling a cache at
-    once compute the same value, and either result is kept.
+    The exact joint is the one thing filled lazily and cached for the
+    object's lifetime; it holds 2^n doubles (8 MB at n = 20, 32 MB at the
+    default enumeration cap of 22) and is filled in O(2^n), one node at a
+    time in topological order.  Two readers filling the cache at once
+    compute the same value, and either result is kept.
     """
 
     def __init__(self, nodes: Iterable[VulnNode], edges: Iterable[Edge]):
@@ -126,7 +130,6 @@ class AttackGraph:
         self._parents = {
             nid: tuple(sorted(plist)) for nid, plist in parents.items()
         }
-        self._topo_cache: tuple[int, ...] | None = None
         self._joint_cache: JointDistribution | None = None
 
     @property
@@ -216,12 +219,10 @@ def _kahn_prefix(graph: AttackGraph) -> list[int]:
 
 def topological_order(graph: AttackGraph) -> tuple[int, ...]:
     """Parent-first node ids, ties broken by ascending id.  Raises on cycles."""
-    if graph._topo_cache is None:
-        order = _kahn_prefix(graph)
-        if len(order) < graph.n:
-            raise GraphValidationError("graph contains a cycle; no topological order")
-        graph._topo_cache = tuple(order)
-    return graph._topo_cache
+    order = _kahn_prefix(graph)
+    if len(order) < graph.n:
+        raise GraphValidationError("graph contains a cycle; no topological order")
+    return tuple(order)
 
 
 class JointDistribution(Frozen):
@@ -304,7 +305,8 @@ def _enumerate(graph: AttackGraph) -> JointDistribution:
     import numpy as np
 
     n = graph.n
-    order = [graph.position(node_id) for node_id in topological_order(graph)]
+    topo_ids = topological_order(graph)
+    order = [graph.position(node_id) for node_id in topo_ids]
     rank = {pos: k for k, pos in enumerate(order)}
     probs = np.empty(1 << n)
     probs[0] = 1.0
@@ -315,7 +317,7 @@ def _enumerate(graph: AttackGraph) -> JointDistribution:
     # made.  An entry node is exploited with its entry_prob; any other node
     # with 1 - prod(1 - cond_prob) over its exploited parents, in ascending
     # parent id.
-    for k, node_id in enumerate(topological_order(graph)):
+    for k, node_id in enumerate(topo_ids):
         low = probs[: 1 << k]
         parents = graph.parents_of(node_id)
         if not parents:

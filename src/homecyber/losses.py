@@ -3,9 +3,11 @@
 Three conditional families: an exponential whose rate is the sum of
 per-trigger rates over exploited trigger nodes, and lognormal / gamma laws
 that fire when any trigger node is exploited.  When nothing fires the loss
-is degenerate at 0.  Given a state, ``conditional_distribution`` gives the
-line's loss law: ``DegenerateZero``, an ``Exponential`` at the fired rates'
-sum, or the lognormal or gamma model itself, each with a closed-form mean and
+is degenerate at 0.  Each model checks its own parameters and bounds its
+largest conditional mean to a finite float64, since a larger one draws inf
+and NaN losses.  Given a state, ``conditional_distribution`` gives the line's
+loss law: ``DegenerateZero``, an ``Exponential`` at the fired rates' sum, or
+the lognormal or gamma model itself, each with a closed-form mean and
 variance; these and ``limited_expected_value_of`` are exact oracles of the
 simulation.  scipy and numpy are imported on first use, so the CLI never loads
 scipy and the line models load without numpy.
@@ -19,12 +21,22 @@ per-line draws where it needs them, so every path shares one draw order.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .graph import AttackGraph, Frozen, enumerate_joint, state_guide
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+def _check_finite_mean(mean: Callable[[], float], what: str) -> None:
+    """Raise ValueError unless ``mean()`` is finite: a larger mean draws inf and NaN losses."""
+    try:
+        value = mean()
+    except OverflowError:  # math.exp and ** raise where division returns inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"conditional mean {what} is not a finite float64")
 
 
 class RateSumExponential(Frozen):
@@ -38,6 +50,10 @@ class RateSumExponential(Frozen):
         for nid, rate in self.rates:
             if rate <= 0.0:
                 raise ValueError(f"rate for node {nid} must be positive, got {rate}")
+        if self.rates:
+            # the largest mean is that of the smallest rate firing alone
+            nid, rate = min(self.rates, key=lambda item: item[1])
+            _check_finite_mean(lambda: 1.0 / rate, f"1/rate of field 'rates[{nid}]'")
 
 
 class TriggeredLognormal(Frozen):
@@ -49,6 +65,7 @@ class TriggeredLognormal(Frozen):
     def _check(self):
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        _check_finite_mean(self.mean, "exp(mu + sigma^2/2) of fields 'mu' and 'sigma'")
 
     def mean(self) -> float:
         return math.exp(self.mu + self.sigma**2 / 2.0)
@@ -80,6 +97,7 @@ class TriggeredGamma(Frozen):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.beta <= 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
+        _check_finite_mean(self.mean, "alpha/beta of fields 'alpha' and 'beta'")
 
     def mean(self) -> float:
         return self.alpha / self.beta
@@ -99,9 +117,6 @@ class TriggeredGamma(Frozen):
         return self.mean() * float(special.gammainc(self.alpha + 1.0, x)) + u * float(
             special.gammaincc(self.alpha, x)
         )
-
-
-DistributionSpec = RateSumExponential | TriggeredLognormal | TriggeredGamma
 
 
 class BusinessLine(Frozen):

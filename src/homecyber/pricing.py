@@ -104,6 +104,22 @@ def _sorted_gmd(ordered: np.ndarray) -> float:
     return float((2.0 * k - n - 1.0) @ ordered) * 2.0 / (n * (n - 1))
 
 
+def sample_sd(x: np.ndarray) -> float:
+    """SD of ``x`` with the n - 1 divisor, 0 for one value.  Below 2^-500 some squared
+    deviations of distinct values may underflow, so there the SD is read off ``x``
+    scaled by 2^-k, k the exponent of max |x|, and scaled back: a power-of-two scale
+    changes no bit of an SD whose squares did not underflow."""
+    import numpy as np
+
+    if x.size < 2:
+        return 0.0
+    sd = float(np.std(x, ddof=1))
+    if sd < 2.0**-500 and x.min() != x.max():
+        k = math.frexp(float(np.abs(x).max()))[1]
+        sd = math.ldexp(float(np.std(np.ldexp(x, -k), ddof=1)), k)
+    return sd
+
+
 OVERFLOW = "statistics of the sample overflow float64"
 
 
@@ -148,7 +164,7 @@ def premiums(
         elif isinstance(param, StdDev):
             if x.size < 2:
                 raise ValueError("standard-deviation principle needs at least 2 samples")
-            scale = float(np.std(x, ddof=1))
+            scale = sample_sd(x)
             value, loading = mean + param.theta * scale, "mean + theta x SD"
         elif isinstance(param, GMD):
             scale = _sorted_gmd(ordered)
@@ -223,7 +239,7 @@ def calibrations(
 # family -> (parameter class, loading name, scale name, scale of (x, sorted x, mean))
 _LOADINGS = {
     "expectation": (Expectation, "expectation", "mean", lambda x, ordered, mean: mean),
-    "stddev": (StdDev, "stddev", "SD", lambda x, ordered, mean: float(x.std(ddof=1))),
+    "stddev": (StdDev, "stddev", "SD", lambda x, ordered, mean: sample_sd(x)),
     "gmd": (GMD, "GMD", "GMD", lambda x, ordered, mean: _sorted_gmd(ordered)),
 }
 

@@ -10,7 +10,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .graph import AttackGraph, Frozen, JointDistribution
-from .pricing import OVERFLOW, finite
+from .pricing import OVERFLOW, PrincipleParam, finite, premiums, sample_sd
 from .scenario import NOT_IN_CELL
 from .search import ProposalRow, loss_ratios
 from .simulate import SimulationResult, SummaryStats, summarize
@@ -72,8 +72,16 @@ def summary_table(result: SimulationResult) -> Table:
     return Table(header=SUMMARY_HEADER, rows=tuple(rows))
 
 
-def premium_table(line_labels: Sequence[str], per_line: Sequence[Sequence[float]]) -> Table:
-    """Rows per line plus a total row; column rho{k} holds each line's k-th premium."""
+def premium_table(result: SimulationResult, params: Sequence[PrincipleParam]) -> Table:
+    """Each stored line's ``pricing.premiums`` under ``params`` in a row labelled
+    ``L<index>``, as in :func:`summary_table`, then a total row; rho{k} is column k."""
+    line_labels = [f"L{idx}" for idx in result.line_indices]
+    per_line = []
+    for label, column in zip(line_labels, result.line_losses.T):
+        try:
+            per_line.append(premiums(column, params))
+        except OverflowError as exc:  # a loading over finite statistics
+            raise ValueError(f"{label}: {exc}") from None
     rows = [(label, *(finite(float(cell), f"{label}: {OVERFLOW}") for cell in row))
             for label, row in zip(line_labels, per_line)]
     totals = tuple(finite(float(sum(column)), "total: the lines' premiums sum beyond float64")
@@ -91,7 +99,7 @@ def portfolio_tables(claims: np.ndarray, income: float) -> tuple[Table, Table]:
     last ulp.
     """
     profit = summarize(income - claims, PROFIT_LEVELS)
-    claim_sd = float(np.std(claims, ddof=1)) if claims.size > 1 else 0.0
+    claim_sd = sample_sd(claims)
     profit = SummaryStats(profit.minimum, profit.maximum, profit.mean, claim_sd, profit.quantiles)
     profit_row = ("portfolio Profit", *_stat_row(profit, "portfolio Profit"))
     lr_row = ("portfolio LR",

@@ -5,7 +5,8 @@ and a default policy.  The tables ending the format section are the format:
 ``parse_scenario`` reads through them, so another key fails to load, and
 ``canonical_document`` writes through them, so every loaded field enters the
 digest (sorted keys, minimal separators, shortest round-trip numbers) that run
-manifests record.  Loading and digesting need no numpy: ``validate`` starts without it.
+manifests record.  Each loss model bounds its own mean, and the loader names the
+line in its error.  Loading and digesting need no numpy: ``validate`` starts without it.
 """
 
 from __future__ import annotations
@@ -221,25 +222,6 @@ def _write_model(model) -> dict:
     return {"family": family, **FAMILIES[family][1].write(model)}
 
 
-def _check_mean(model, where: str) -> None:
-    """Raise unless the conditional means of ``model`` are finite float64 values:
-    a mean beyond float64 would draw inf and NaN losses."""
-    if isinstance(model, RateSumExponential):
-        # the largest mean is that of the smallest rate firing alone
-        nid, rate = min(model.rates, key=lambda item: item[1])
-        what, mean = f"1/rate of field 'rates[{nid}]'", 1.0 / rate
-    else:
-        what = ("exp(mu + sigma^2/2) of fields 'mu' and 'sigma'"
-                if isinstance(model, TriggeredLognormal)
-                else "alpha/beta of fields 'alpha' and 'beta'")
-        try:
-            mean = model.mean()
-        except OverflowError:  # math.exp and ** raise where division returns inf
-            mean = math.inf
-    if not math.isfinite(mean):
-        raise ScenarioError(f"{where}: conditional mean {what} is not a finite float64")
-
-
 def _scenario(schema_version, description, graph, lines, default_policy) -> Scenario:
     """The Scenario, its lines built here and checked against the graph and each other."""
     violations = validate_graph(graph)
@@ -260,7 +242,6 @@ def _scenario(schema_version, description, graph, lines, default_policy) -> Scen
             built[index] = BusinessLine(index, name, triggers, line["model"]())
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
-        _check_mean(built[index].model, where)
     lines = tuple(built[index] for index in sorted(built))
     return Scenario(graph, lines, default_policy, description, schema_version)
 

@@ -18,7 +18,6 @@ result is the same bytes for any worker count.
 """
 
 import contextvars
-import functools
 import os
 import threading
 from itertools import islice
@@ -29,6 +28,7 @@ import numpy as np
 from . import streams
 from .graph import AttackGraph, Frozen, sample_state_indices
 from .losses import BusinessLine, LossPlan, line_draws, loss_plan
+from .pricing import sample_sd
 
 # Rows per run block: large enough that the per-block cost (a new substream,
 # one vector draw per line, a GIL handoff per numpy call) vanishes, small
@@ -38,20 +38,16 @@ RUN_BLOCK = 1 << 15
 DEFAULT_QUANTILE_LEVELS = (0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.995, 0.999)
 
 
-class _Cache:
-    """No ``__slots__``: a subclass's instances get a ``__dict__`` for ``cached_property``."""
-
-
-class SimulationResult(Frozen, _Cache):
+class SimulationResult(Frozen):
     """Per-run losses (R x K) of the stored lines, one column per index in
     ``line_indices`` (ascending), column-major so that each column is contiguous.
-    ``total_losses``, built on first read, are the row sums of the stored
+    ``total_losses``, built at each read, are the row sums of the stored
     columns in ascending index order, term by term in float64: the total loss
     when every line is stored.  Both arrays are read-only."""
 
     __slots__ = ("line_losses", "line_indices")
 
-    @functools.cached_property
+    @property
     def total_losses(self) -> np.ndarray:
         total = np.zeros(self.line_losses.shape[0])
         for column in self.line_losses.T:
@@ -152,7 +148,7 @@ def run_simulation(
 
     Returns:
         SimulationResult with one column per stored line, in ascending index
-        order; its ``total_losses`` are built only when read.
+        order; its ``total_losses`` are built when read.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -204,8 +200,8 @@ def summarize(
 
     The quantiles (Hyndman and Fan's type 7) are read off one sorted copy, with
     no partition, and have the bits of ``np.quantile(samples, levels)`` up to
-    the sign of a zero.  SD uses the n-1 divisor; a single observation
-    reports SD 0.
+    the sign of a zero.  SD is ``pricing.sample_sd``: the n-1 divisor, and 0
+    for a single observation.
     """
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
@@ -216,6 +212,5 @@ def summarize(
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"quantile levels must be strictly increasing: {levels}")
     qs = _sorted_quantiles(np.sort(x), levels)
-    sd = float(np.std(x, ddof=1)) if x.size > 1 else 0.0
-    return SummaryStats(float(x.min()), float(x.max()), float(x.mean()), sd,
+    return SummaryStats(float(x.min()), float(x.max()), float(x.mean()), sample_sd(x),
                         tuple(zip(levels, (float(q) for q in qs))))

@@ -1141,7 +1141,7 @@ class TestOverflowingLosses:
 
     def test_calibrated_parameter_that_overflows_is_a_row(self, tmp_path, capsys):
         # retained losses below 1e-320: theta = (28 - mean) / scale overflows for
-        # two families, and every family still gets its row
+        # three families, and every family still gets its row
         out = tmp_path / "out"
         assert run("calibrate", "--scenario", CASE, "--runs", "2000", "--seed", "1", "--line",
                    "1", "--target", "28", "--deductible", "0", "--coverage", "1e-320",
@@ -1149,7 +1149,7 @@ class TestOverflowingLosses:
         overflow = "TargetNotAchievableError: theta = (target - mean) / {} overflows float64"
         assert [tuple(row.values()) for row in csv_rows(out / "calibration.csv")] == [
             ("expectation", "", overflow.format("mean")),
-            ("stddev", "", "NotCalibratableError: sample SD is 0; stddev loading has no effect"),
+            ("stddev", "", overflow.format("SD")),
             ("gmd", "", overflow.format("GMD")),
             ("cte", "", "TargetNotAchievableError: target 28.0 is above the sample maximum "
                         "9.99989e-321"),

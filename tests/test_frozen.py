@@ -1,6 +1,8 @@
 """The frozen value base: binding, immutability, equality and hashing of every model class."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -62,16 +64,42 @@ def test_every_value_class_is_listed():
 
 @CLASSES
 def test_no_instance_dict(cls):
-    value = cls(*VALUES[cls])
-    # SimulationResult caches total_losses in its __dict__
-    assert hasattr(value, "__dict__") == (cls is SimulationResult)
+    assert not hasattr(cls(*VALUES[cls]), "__dict__")
 
 
-def test_simulation_result_caches_its_totals():
-    result = SimulationResult(np.array([[1.0, 2.0], [3.0, 4.0]], order="F"), (1, 2))
-    totals = result.total_losses
-    assert totals.tolist() == [3.0, 7.0]
-    assert result.total_losses is totals
+def test_simulation_result_totals_are_read_only_row_sums():
+    columns = np.array([[1.0, 2.0, 4.0], [0.1, 0.2, 0.3]], order="F")
+    result = SimulationResult(columns, (1, 2, 5))
+    first, second = result.total_losses, result.total_losses
+    assert np.array_equal(first, second)
+    assert not first.flags.writeable
+    # term by term in column order: (0.1 + 0.2) + 0.3, not 0.1 + (0.2 + 0.3)
+    assert first.tolist() == [0.0 + a + b + c for a, b, c in columns.tolist()]
+    assert first[1] == 0.6000000000000001
+
+
+def assert_same_value(copied, value):
+    assert type(copied) is type(value)
+    for got, want in zip(copied.astuple(), value.astuple(), strict=True):
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
+
+DUPLICATES = pytest.mark.parametrize(
+    "duplicate", [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"])
+
+
+@CLASSES
+@DUPLICATES
+def test_values_copy_and_pickle(cls, duplicate):
+    assert_same_value(duplicate(cls(*VALUES[cls])), cls(*VALUES[cls]))
+
+
+@DUPLICATES
+def test_array_fields_copy_and_pickle(duplicate):
+    for value in (SimulationResult(np.array([[1.0, 2.0], [3.0, 4.0]], order="F"), (1, 2)),
+                  JointDistribution((1, 2), np.array([0.25, 0.75, 0.0, 0.0]))):
+        assert_same_value(duplicate(value), value)
 
 
 @CLASSES

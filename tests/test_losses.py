@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -79,6 +80,19 @@ class TestSpecValidation:
     def test_rates_sorted_by_node(self):
         model = RateSumExponential(((5, 1 / 320), (3, 1 / 640)))
         assert model.rates == ((3, 1 / 640), (5, 1 / 320))
+
+    @pytest.mark.parametrize("build, named", [
+        (lambda: TriggeredLognormal(800.0, 1.0), "exp(mu + sigma^2/2) of fields 'mu' and 'sigma'"),
+        (lambda: TriggeredLognormal(0.0, 1e200), "exp(mu + sigma^2/2) of fields 'mu' and 'sigma'"),
+        (lambda: TriggeredGamma(1.0, 1e-320), "alpha/beta of fields 'alpha' and 'beta'"),
+        (lambda: RateSumExponential(((1, 5e-324),)), "1/rate of field 'rates[1]'"),
+        # the smallest rate has the largest mean
+        (lambda: RateSumExponential(((2, 1e-310), (7, 5e-324))), "1/rate of field 'rates[7]'"),
+    ], ids=["mu", "sigma", "beta", "rate", "smallest-rate"])
+    def test_each_model_bounds_its_own_mean(self, build, named):
+        with pytest.raises(ValueError,
+                           match=f"^conditional mean {re.escape(named)} is not a finite float64$"):
+            build()
 
 
 class TestConditionalDistribution:

@@ -2,6 +2,7 @@ import gc
 import math
 import re
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from homecyber.pricing import (
     premium,
     premiums,
     retain,
+    sample_sd,
     var_rank,
 )
 
@@ -193,6 +195,55 @@ class TestGmd:
         assert gmd_of(values) == pytest.approx(brute_force_gmd(values), rel=1e-9, abs=1e-9)
 
 
+def exact_sd(x) -> float:
+    """The n - 1 divisor SD of ``x``: its variance in exact rational arithmetic,
+    scaled by 4^-k (k the exponent of max |x|) so that its float is a normal number."""
+    k = math.frexp(float(np.abs(x).max()))[1]
+    values = [Fraction(v) for v in x]
+    mean = sum(values) / len(values)
+    variance = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+    return math.ldexp(math.sqrt(variance / Fraction(4) ** k), k)
+
+
+class TestSampleSd:
+    def test_one_value_and_constant_samples_are_zero(self):
+        assert sample_sd(np.array([7.0])) == 0.0
+        assert sample_sd(np.full(10, 1e-320)) == 0.0
+        assert sample_sd(np.zeros(3)) == 0.0
+
+    def test_normal_range_keeps_the_bits_of_np_std(self):
+        rng = np.random.default_rng(27)
+        for k in range(300):
+            x = rng.lognormal(0.0, 1.0, 1 + k) * 10.0 ** rng.uniform(-5, 5)
+            want = float(np.std(x, ddof=1)) if x.size > 1 else 0.0
+            assert sample_sd(x).hex() == want.hex()
+
+    def test_subnormal_sample_is_not_zero(self):
+        # every squared deviation underflows, so np.std reads 0
+        x = np.random.default_rng(5).uniform(0.0, 1e-320, 2000)
+        assert float(np.std(x, ddof=1)) == 0.0
+        sd = sample_sd(x)
+        assert 2.5e-321 < sd < 3.3e-321
+        assert abs(sd - exact_sd(x)) <= 2 * 5e-324
+        assert sample_sd(np.array([0.0, 1e-320, 3e-320])) > 0.0
+
+    def test_partly_underflowing_squares_are_rescaled(self):
+        # some squared deviations are subnormal: np.std is 0.15 % off here
+        x = np.random.default_rng(1).uniform(0.0, 1e-160, 500)
+        assert abs(float(np.std(x, ddof=1)) / exact_sd(x) - 1.0) > 1e-3
+        assert abs(sample_sd(x) / exact_sd(x) - 1.0) < 1e-15
+
+    def test_rescaling_keeps_the_bits_of_a_safe_sample(self):
+        # scaling by a power of two commutes with every step of np.std
+        x = np.random.default_rng(3).lognormal(0.0, 1.0, 1000)
+        for k in (-400, -200, 0, 200, 400):
+            assert math.ldexp(sample_sd(np.ldexp(x, k)), -k) == float(np.std(x, ddof=1))
+
+    def test_sd_beyond_float64_stays_inf(self):
+        with np.errstate(over="ignore"):
+            assert sample_sd(np.array([0.0, 1.5e308])) == math.inf
+
+
 class TestVarBeta:
     def test_four_samples(self):
         assert var_of([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
@@ -258,13 +309,12 @@ class TestCalibrate:
             calibrations(sample, (family,), 28.0)
 
     def test_parameter_beyond_float64_is_not_achievable(self):
-        # a subnormal sample: (target - mean) / scale overflows (its SD underflows
-        # to 0 first), and each family still gets its own row
+        # a subnormal sample: (target - mean) / scale overflows, and each family
+        # still gets its own row
         got = calibrations([0.0, 1e-320, 3e-320], FAMILIES, 28.0)
-        assert [type(param) for param in got] == [TargetNotAchievableError, NotCalibratableError,
-                                                  TargetNotAchievableError,
-                                                  TargetNotAchievableError]
+        assert [type(param) for param in got] == [TargetNotAchievableError] * 4
         assert str(got[0]) == "theta = (target - mean) / mean overflows float64"
+        assert str(got[1]) == "theta = (target - mean) / SD overflows float64"
         assert str(got[2]) == "theta = (target - mean) / GMD overflows float64"
 
     def test_constant_samples_not_calibratable(self):

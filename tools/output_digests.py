@@ -7,18 +7,26 @@ N = 3, 5 and 7.  ``calibrate`` runs on each scenario's first and last
 business line, so the listing covers a column stored after lines that were
 drawn and dropped.  Prints one ``sha256  scenario/command/workers/file``
 line per output file and per stdout.  A change that must keep every output
-byte-identical diffs this script's output at the parent commit and at the
-change:
+byte-identical compares this script's listing at the parent commit with
+its listing at the change:
 
     PYTHONPATH=src python tools/output_digests.py > digests.txt
+    PYTHONPATH=src python tools/output_digests.py --base HEAD
+
+With ``--base REV`` the script unpacks ``git archive REV`` into a temporary
+directory, runs that tree's own copy of this script on that tree's package
+(``PYTHONPATH=<tree>/src``), and prints a unified diff of that listing
+against this tree's; nothing is printed when the two are identical.
 
 The run and replication counts are those of ``test_golden_simulation_output``:
 one complete run block or replication group and a partial one.  Commands run in this interpreter, in a temporary directory, with relative
 paths, so the ``wrote PATH`` lines on stdout do not depend on where it is.
-Exits 1 if a command fails.
+Exits 1 if a command fails, or, with ``--base``, if the two listings differ.
 """
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import os
@@ -112,8 +120,9 @@ def scenarios(work: Path) -> list[str]:
     return names
 
 
-def main() -> int:
-    failed = 0
+def listing() -> tuple[list[str], int]:
+    """The ``sha256  path`` lines of every output, and 1 if a command failed (else 0)."""
+    digests, failed = [], 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         os.chdir(work)
@@ -131,11 +140,42 @@ def main() -> int:
                     print(f"{out}: exit {code}", file=sys.stderr)
                     failed = 1
                 for path in sorted(out.iterdir()) if out.is_dir() else ():
-                    print(f"{sha256(path)}  {out}/{path.name}")
-                print(f"{sha256(stdout.getvalue().encode())}  {out}/stdout")
+                    digests.append(f"{sha256(path)}  {out}/{path.name}")
+                digests.append(f"{sha256(stdout.getvalue().encode())}  {out}/stdout")
                 shutil.rmtree(out, ignore_errors=True)
         os.chdir(ROOT)
-    return failed
+    return digests, failed
+
+
+def base_listing(base: str) -> tuple[list[str], int]:
+    """The listing of commit ``base``, made by its own copy of this script."""
+    from ab_pairs import unpack  # a sibling module when this file runs as a script
+
+    with tempfile.TemporaryDirectory(prefix="output-digests-") as tmp:
+        unpack(base, Path(tmp))
+        tree = Path(tmp) / "tree"
+        done = subprocess.run([sys.executable, str(tree / "tools" / "output_digests.py")],
+                              env={**os.environ, "PYTHONPATH": str(tree / "src")},
+                              capture_output=True, text=True)
+    sys.stderr.write(done.stderr)
+    return done.stdout.splitlines(), int(done.returncode != 0)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", help="git revision whose listing to diff against this tree's")
+    args = parser.parse_args(argv)
+    lines, failed = listing()
+    if args.base is None:
+        print("\n".join(lines))
+        return failed
+    before, base_failed = base_listing(args.base)
+    diff = list(difflib.unified_diff(before, lines, args.base, "this tree", lineterm=""))
+    if diff:
+        print("\n".join(diff))
+    print(f"{len(lines)} lines here, {len(before)} at {args.base}: "
+          f"{'they differ' if diff else 'identical'}", file=sys.stderr)
+    return int(bool(diff) or failed or base_failed)
 
 
 if __name__ == "__main__":
