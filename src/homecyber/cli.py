@@ -274,15 +274,15 @@ def _search_deductible(scenario, args) -> int | None:
     grid = search.deductible_grid(grid)
     income = _income(args, "premiums_total", args.premium)
     claims = _claims(scenario, args, [Policy(d, args.coverage) for d in grid])
-    result = search.search_deductible(claims, grid, income, strategy)
+    stats, chosen = search.search_deductible(claims, grid, income, strategy)
     rows = tuple((d, stat, "yes" if stat <= strategy.target else "no")
-                 for d, stat in zip(grid, result.statistics))
+                 for d, stat in zip(grid, stats))
     _write(scenario, args,
            _csv(reports.Table(header=("Deductible", "LR statistic", "Feasible"), rows=rows)))
-    if result.chosen is None:
+    if chosen is None:
         print("no feasible deductible on the grid")
         return 1
-    print(f"smallest feasible deductible: {result.chosen!r}")
+    print(f"smallest feasible deductible: {chosen!r}")
 
 
 @_command("solve-premium", "premium that meets an LR target", ("premium.csv",),
@@ -327,9 +327,8 @@ def _propose(scenario, args) -> None:
     strategies = (search.MeanLR(args.mean_target),
                   search.QuantileLR(args.quantile_level, args.quantile_target))
     claims = _claims(scenario, args, [Policy(d, args.coverage) for d in grid])
-    rows = search.report_proposals(claims, grid, list(zip(labels, totals)), args.coverage,
-                                   args.homes, strategies)
-    _write(scenario, args, _csv(reports.proposal_table(rows)))
+    _write(scenario, args, _csv(reports.proposal_table(
+        claims, grid, list(zip(labels, totals)), args.coverage, args.homes, strategies)))
 
 
 # a value that starts like a negative number, or like a list of numbers that starts with one

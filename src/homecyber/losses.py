@@ -10,7 +10,9 @@ loss law: ``DegenerateZero``, an ``Exponential`` at the fired rates' sum, or
 the lognormal or gamma model itself, each with a closed-form mean and
 variance; these and ``limited_expected_value_of`` are exact oracles of the
 simulation.  scipy and numpy are imported on first use, so the CLI never loads
-scipy and the line models load without numpy.
+scipy and the line models load without numpy.  scipy is needed only by the
+lognormal and gamma ``limited_mean`` (and so by ``limited_expected_value_of``);
+it is not a package dependency but part of the ``test`` extra.
 Simulation reads lines through a ``LossPlan`` over the joint's support:
 rows are positions into its states, and each line has a table of where it
 fires (and, if exponential, of its rate) over them.

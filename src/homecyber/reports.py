@@ -1,5 +1,7 @@
 """Fixed-layout CSV tables for simulation, pricing, portfolio, and proposals.
 
+The portfolio report and the proposal table are built straight from claims.
+
 Output is byte-deterministic: fixed column orders per table kind, "\\n" line
 terminator, and floats printed with their shortest round-trip representation
 (Python repr), so every numeric cell re-parses to the identical double.
@@ -12,7 +14,7 @@ import numpy as np
 from .graph import AttackGraph, Frozen, JointDistribution
 from .pricing import OVERFLOW, PrincipleParam, finite, premiums, sample_sd
 from .scenario import NOT_IN_CELL
-from .search import ProposalRow, loss_ratios
+from .search import LRStrategy, loss_ratios, search_deductible
 from .simulate import SimulationResult, SummaryStats, summarize
 
 SUMMARY_HEADER = (
@@ -107,13 +109,33 @@ def portfolio_tables(claims: np.ndarray, income: float) -> tuple[Table, Table]:
     return Table(header=PROFIT_HEADER, rows=(profit_row,)), Table(header=LR_HEADER, rows=(lr_row,))
 
 
-def proposal_table(rows: Sequence[ProposalRow]) -> Table:
+def proposal_table(
+    claims: np.ndarray, grid: Sequence[float], premiums: Sequence[tuple[str, float]],
+    coverage: float, n_homes: int, strategies: tuple[LRStrategy, LRStrategy],
+) -> Table:
+    """Proposed deductibles per premium principle under two LR strategies.
+
+    Row i of ``claims`` holds the portfolio claims of ``n_homes`` homes
+    under deductible ``grid[i]`` (a ``deductible_grid``) and ``coverage``; every principle's
+    ``(name, premium per home)`` and both strategies read those same
+    samples, as does the mean profit reported for a chosen deductible.  A
+    strategy's deductible and mean profit cells are empty when it finds none.
+    """
     header = (
         "Principle", "Total premium", "Coverage limit",
         "Deductible 1", "Mean Profit 1", "Deductible 2", "Mean Profit 2",
     )
-    # ProposalRow's fields are in column order
-    return Table(header=header, rows=tuple(r.astuple() for r in rows))
+    claim_means = claims.mean(axis=1)
+    rows = []
+    for name, total in premiums:
+        income = n_homes * total
+        row = [name, total, coverage]
+        for strategy in strategies:
+            _, chosen = search_deductible(claims, grid, income, strategy)
+            profit = None if chosen is None else income - float(claim_means[grid.index(chosen)])
+            row += (chosen, profit)
+        rows.append(tuple(row))
+    return Table(header=header, rows=tuple(rows))
 
 
 def _bit_prefixes(count: int) -> list[str]:

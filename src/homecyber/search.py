@@ -5,7 +5,8 @@ permissible high quantile of LR.  Claims do not depend on the premium, so
 the premium that hits an LR target inverts in closed form, and one set of
 common-random-number claims serves every grid point and premium level.
 Every function here reads a claims matrix that the caller simulated, one
-row per policy (``portfolio.simulate_claims``).
+row per policy (``portfolio.simulate_claims``), and returns plain values;
+quantiles are ``simulate.sorted_quantiles``, the summaries' one rule.
 """
 
 import math
@@ -15,6 +16,7 @@ import numpy as np
 
 from .graph import Frozen
 from .pricing import finite
+from .simulate import sorted_quantiles
 
 
 class DegenerateClaimsError(ValueError):
@@ -51,7 +53,7 @@ def lr_statistic(samples: np.ndarray, strategy: LRStrategy) -> float:
     if isinstance(strategy, MeanLR):
         stat = float(np.mean(samples))
     else:
-        stat = float(np.quantile(samples, strategy.level))
+        stat = float(sorted_quantiles(np.sort(samples), (strategy.level,))[0])
     return finite(stat, f"LR statistic {stat!r}: the portfolio claims overflow float64")
 
 
@@ -78,14 +80,10 @@ def deductible_grid(grid: Sequence[float]) -> tuple[float, ...]:
     return grid
 
 
-class DeductibleSearchResult(Frozen):
-    __slots__ = ("statistics", "chosen")
-
-
 def search_deductible(
     claims: np.ndarray, grid: Sequence[float], income: float, strategy: LRStrategy
-) -> DeductibleSearchResult:
-    """Smallest grid deductible whose LR statistic meets the target.
+) -> tuple[tuple[float, ...], float | None]:
+    """``(statistics, chosen)``: the LR statistic per grid deductible, and the first feasible one.
 
     Row i of ``claims`` holds the portfolio claims under deductible
     ``grid[i]`` (a ``deductible_grid``), and ``income`` is the portfolio's
@@ -94,8 +92,7 @@ def search_deductible(
     the grid; the chosen value is its boundary (None when nothing qualifies).
     """
     stats = tuple(lr_statistic(loss_ratios(c, income), strategy) for c in claims)
-    return DeductibleSearchResult(
-        stats, next((d for d, s in zip(grid, stats) if s <= strategy.target), None))
+    return stats, next((d for d, s in zip(grid, stats) if s <= strategy.target), None)
 
 
 def premium_for_claims(
@@ -121,39 +118,3 @@ def premium_for_claims(
         )
     return prem
 
-
-class ProposalRow(Frozen):
-    """A strategy's deductible and mean profit are None when it finds none."""
-
-    __slots__ = ("principle", "total_premium", "coverage", "deductible_1", "mean_profit_1",
-                 "deductible_2", "mean_profit_2")
-
-
-def report_proposals(
-    claims: np.ndarray,
-    grid: Sequence[float],
-    premiums: Sequence[tuple[str, float]],
-    coverage: float,
-    n_homes: int,
-    strategies: tuple[LRStrategy, LRStrategy],
-) -> tuple[ProposalRow, ...]:
-    """Proposed deductibles per premium principle under two LR strategies.
-
-    Row i of ``claims`` holds the portfolio claims of ``n_homes`` homes
-    under deductible ``grid[i]`` (a ``deductible_grid``) and ``coverage``; every principle's
-    ``(name, premium per home)`` and both strategies read those same
-    samples, as does the mean profit reported for a chosen deductible.
-    """
-    claim_means = claims.mean(axis=1)
-    rows = []
-    for name, total in premiums:
-        income = n_homes * total
-        picks: list[tuple[float | None, float | None]] = []
-        for strategy in strategies:
-            chosen = search_deductible(claims, grid, income, strategy).chosen
-            if chosen is None:
-                picks.append((None, None))
-            else:
-                picks.append((chosen, income - float(claim_means[grid.index(chosen)])))
-        rows.append(ProposalRow(name, total, coverage, *picks[0], *picks[1]))
-    return tuple(rows)

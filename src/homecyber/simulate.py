@@ -47,6 +47,9 @@ class SimulationResult(Frozen):
 
     __slots__ = ("line_losses", "line_indices")
 
+    def _check(self):
+        self._store_read_only("line_losses")
+
     @property
     def total_losses(self) -> np.ndarray:
         total = np.zeros(self.line_losses.shape[0])
@@ -168,14 +171,13 @@ def run_simulation(
                 line_losses[lo:hi, slots[col]][fired] = draws
 
     draw_blocks(draw, -(-runs // RUN_BLOCK), workers)
-    line_losses.flags.writeable = False
     return SimulationResult(line_losses, tuple(stored))
 
 
-def _sorted_quantiles(ordered: np.ndarray, levels: tuple[float, ...]) -> np.ndarray:
-    """``np.quantile(ordered, levels)`` of an ascending sample, bit for bit, without
-    its partition: numpy's linear method step by step (index (n-1) q, its floor,
-    the above-bounds rule, the two-sided lerp, and all NaN if a NaN sorts last)."""
+def sorted_quantiles(ordered: np.ndarray, levels: tuple[float, ...]) -> np.ndarray:
+    """numpy's linear-method quantiles of an ascending sample, bit for bit, without its
+    partition: index (n-1) q, its floor, the above-bounds rule, the two-sided lerp, and
+    all NaN if a NaN sorts last.  The one quantile rule, for ``summarize`` and ``search``."""
     n = ordered.size
     virtual = (n - 1) * np.array(levels)
     below = np.floor(virtual)
@@ -199,7 +201,7 @@ def summarize(
     """Sample statistics with linearly interpolated empirical quantiles.
 
     The quantiles (Hyndman and Fan's type 7) are read off one sorted copy, with
-    no partition, and have the bits of ``np.quantile(samples, levels)`` up to
+    no partition, and have the bits of numpy's ``quantile(samples, levels)`` up to
     the sign of a zero.  SD is ``pricing.sample_sd``: the n-1 divisor, and 0
     for a single observation.
     """
@@ -211,6 +213,6 @@ def summarize(
         raise ValueError(f"quantile levels must lie in (0, 1): {levels}")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"quantile levels must be strictly increasing: {levels}")
-    qs = _sorted_quantiles(np.sort(x), levels)
+    qs = sorted_quantiles(np.sort(x), levels)
     return SummaryStats(float(x.min()), float(x.max()), float(x.mean()), sample_sd(x),
                         tuple(zip(levels, (float(q) for q in qs))))

@@ -21,7 +21,7 @@ from homecyber.losses import (
 from homecyber.pricing import CTE, GMD, Expectation, Policy, StdDev
 from homecyber.reports import Table
 from homecyber.scenario import Scenario
-from homecyber.search import DeductibleSearchResult, MeanLR, ProposalRow, QuantileLR
+from homecyber.search import MeanLR, QuantileLR
 from homecyber.simulate import SimulationResult, SummaryStats
 
 # one valid value per class, its fields in order; every field is hashable
@@ -45,8 +45,6 @@ VALUES = {
     Table: (("A", "B"), ((1, 2.0),)),
     MeanLR: (0.5,),
     QuantileLR: (0.995, 0.5),
-    DeductibleSearchResult: ((0.7, 0.4), 1000.0),
-    ProposalRow: ("GMD", 418.0, 50000.0, 100.0, 12.5, None, None),
     SimulationResult: ((1.0, 2.0), (1, 4)),
     SummaryStats: (0.0, 9.0, 2.5, 1.5, ((0.5, 2.0),)),
 }
@@ -59,7 +57,7 @@ def test_every_value_class_is_listed():
              if isinstance(cls, type) and issubclass(cls, Frozen)
              and not cls.__name__.startswith("_") and cls is not Frozen}
     assert found == set(VALUES)
-    assert len(VALUES) == 23
+    assert len(VALUES) == 21
 
 
 @CLASSES
@@ -100,6 +98,20 @@ def test_array_fields_copy_and_pickle(duplicate):
     for value in (SimulationResult(np.array([[1.0, 2.0], [3.0, 4.0]], order="F"), (1, 2)),
                   JointDistribution((1, 2), np.array([0.25, 0.75, 0.0, 0.0]))):
         assert_same_value(duplicate(value), value)
+
+
+@pytest.mark.parametrize("duplicate", [lambda value: value, copy.copy, copy.deepcopy,
+                                       lambda value: pickle.loads(pickle.dumps(value))],
+                         ids=["direct", "copy", "deepcopy", "pickle"])
+def test_array_fields_are_read_only(duplicate):
+    losses = np.array([[1.0, 2.0], [3.0, 4.0]], order="F")
+    probs = np.array([0.25, 0.75, 0.0, 0.0])
+    result = duplicate(SimulationResult(losses, (1, 2)))
+    joint = duplicate(JointDistribution((1, 2), probs))
+    for got, want in ((result.line_losses, losses), (joint.probs, probs)):
+        assert not got.flags.writeable
+        assert np.array_equal(got, want)
+    assert losses.flags.writeable and probs.flags.writeable  # the caller's arrays keep theirs
 
 
 @CLASSES

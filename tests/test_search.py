@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from homecyber.portfolio import simulate_claims
 from homecyber.pricing import Policy
+from homecyber.reports import proposal_table
 from homecyber.search import (
     DegenerateClaimsError,
     MeanLR,
@@ -10,7 +13,6 @@ from homecyber.search import (
     deductible_grid,
     lr_statistic,
     premium_for_claims,
-    report_proposals,
     search_deductible,
 )
 
@@ -43,6 +45,24 @@ class TestStrategies:
         x = np.array([0.1, 0.2, 0.3, 0.4])
         assert lr_statistic(x, MeanLR(0.4)) == pytest.approx(0.25)
         assert lr_statistic(x, QuantileLR(0.5, 0.4)) == pytest.approx(0.25)
+
+    @given(st.lists(st.one_of(st.just(0.0), st.sampled_from((0.25, 0.4, 3.0)),
+                              st.floats(0.0, 1e6).map(lambda v: v + 0.0)),
+                    min_size=1, max_size=80),
+           st.sampled_from((0.995, 0.5, "whole")))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @example([0.4], 0.995)
+    @example([0.0, 0.4, 0.4, 0.0, 3.0], "whole")
+    def test_quantile_keeps_numpy_bits(self, values, level):
+        # the quantile LR statistic is np.quantile's bits, ties and zeros too;
+        # "whole" is a level k / (n - 1) at which (n - 1) q is the integer k
+        x = np.array(values)
+        if level == "whole":
+            n = x.size
+            level = max((k / (n - 1) for k in range(1, n - 1) if (n - 1) * (k / (n - 1)) == k),
+                        default=0.5)
+        expected = np.float64(np.quantile(x, level)).tobytes()
+        assert np.float64(lr_statistic(x, QuantileLR(level, 0.4))).tobytes() == expected
 
     @pytest.mark.parametrize("strategy", BOTH, ids=["mean", "quantile"])
     def test_statistic_that_overflows_is_an_error(self, strategy):
@@ -107,47 +127,48 @@ def search_result(case_graph, case_lines):
 
 class TestSearchDeductible:
     def test_statistic_monotone_under_crn(self, search_result):
-        stats = search_result.statistics
+        stats, _ = search_result
         assert all(a >= b for a, b in zip(stats, stats[1:]))
 
     def test_feasible_set_is_up_set(self, search_result):
-        feasible = [s <= 0.40 for s in search_result.statistics]
+        feasible = [s <= 0.40 for s in search_result[0]]
         first = feasible.index(True) if True in feasible else len(feasible)
         assert all(not f for f in feasible[:first])
         assert all(feasible[first:])
 
     def test_chosen_is_boundary(self, search_result):
-        feasible = [s <= 0.40 for s in search_result.statistics]
-        if search_result.chosen is None:
+        stats, chosen = search_result
+        feasible = [s <= 0.40 for s in stats]
+        if chosen is None:
             assert not any(feasible)
         else:
-            idx = GRID.index(search_result.chosen)
+            idx = GRID.index(chosen)
             assert feasible[idx]
             assert all(not f for f in feasible[:idx])
 
     def test_trivial_target_returns_smallest(self, case_graph, case_lines):
         claims = grid_claims(case_graph, case_lines, 20, 100, 1)
-        result = search_deductible(claims, GRID, 20 * 100_000.0, MeanLR(1.0))
-        assert result.chosen == GRID[0]
+        _, chosen = search_deductible(claims, GRID, 20 * 100_000.0, MeanLR(1.0))
+        assert chosen == GRID[0]
 
     def test_infeasible_target(self, case_graph, case_lines):
         claims = grid_claims(case_graph, case_lines, 20, 100, 1, grid=(0.0, 100.0))
-        result = search_deductible(claims, (0.0, 100.0), 20 * 1.0, MeanLR(1e-9))
-        assert result.chosen is None
-        assert not any(s <= 1e-9 for s in result.statistics)
+        stats, chosen = search_deductible(claims, (0.0, 100.0), 20 * 1.0, MeanLR(1e-9))
+        assert chosen is None
+        assert not any(s <= 1e-9 for s in stats)
 
     @pytest.mark.parametrize("strategy", [MeanLR(0.4), QuantileLR(0.995, 0.4)])
     def test_statistic_at_target_is_feasible(self, strategy):
         # 4 / 10 rounds to the same double as 0.4, and so do the mean and any
         # quantile of two of them: the first row's statistic is the target
         claims = np.array([[4.0, 4.0], [2.0, 2.0]])
-        result = search_deductible(claims, (100.0, 200.0), 10.0, strategy)
-        assert result.statistics == (0.4, 0.2)
-        assert all(s <= strategy.target for s in result.statistics)
-        assert result.chosen == 100.0
-        row, = report_proposals(claims, (100.0, 200.0), [("rho1", 10.0)], 50_000.0, 1,
-                                (strategy, strategy))
-        assert (row.deductible_1, row.deductible_2) == (100.0, 100.0)
+        stats, chosen = search_deductible(claims, (100.0, 200.0), 10.0, strategy)
+        assert stats == (0.4, 0.2)
+        assert all(s <= strategy.target for s in stats)
+        assert chosen == 100.0
+        row, = proposal_table(claims, (100.0, 200.0), [("rho1", 10.0)], 50_000.0, 1,
+                              (strategy, strategy)).rows
+        assert (row[3], row[5]) == (100.0, 100.0)
 
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):
@@ -158,7 +179,7 @@ class TestSearchDeductible:
     def test_quantile_never_below_mean_deductible(self, case_graph, case_lines):
         claims = grid_claims(case_graph, case_lines, 100, 2_000, 43)
         mean_pick, tail_pick = (
-            search_deductible(claims, GRID, 100 * 418.0, strategy).chosen for strategy in BOTH
+            search_deductible(claims, GRID, 100 * 418.0, strategy)[1] for strategy in BOTH
         )
         assert mean_pick is not None
         assert tail_pick is None or tail_pick >= mean_pick
@@ -167,23 +188,23 @@ class TestSearchDeductible:
 class TestReportProposals:
     def test_single_principle_row(self, case_graph, case_lines):
         claims = grid_claims(case_graph, case_lines, 100, 1_000, 51)
-        rows = report_proposals(claims, GRID, [("rho1", 418.0)], 50_000.0, 100, BOTH)
+        rows = proposal_table(claims, GRID, [("rho1", 418.0)], 50_000.0, 100, BOTH).rows
         assert len(rows) == 1
-        row = rows[0]
-        assert row.principle == "rho1"
-        assert row.total_premium == 418.0
-        if row.deductible_1 is not None:
-            assert row.mean_profit_1 is not None
-            assert row.mean_profit_1 < 100 * 418.0
+        principle, total_premium, _, deductible_1, mean_profit_1, *_ = rows[0]
+        assert principle == "rho1"
+        assert total_premium == 418.0
+        if deductible_1 is not None:
+            assert mean_profit_1 is not None
+            assert mean_profit_1 < 100 * 418.0
 
     def test_zero_targets_infeasible(self, case_graph, case_lines):
         claims = grid_claims(case_graph, case_lines, 50, 500, 52)
-        rows = report_proposals(claims, GRID, [("rho1", 418.0), ("rho2", 307.0)], 50_000.0, 50,
-                                (MeanLR(1e-12), QuantileLR(0.995, 1e-12)))
+        rows = proposal_table(claims, GRID, [("rho1", 418.0), ("rho2", 307.0)], 50_000.0, 50,
+                              (MeanLR(1e-12), QuantileLR(0.995, 1e-12))).rows
         for row in rows:
-            assert row.deductible_1 is None
-            assert row.mean_profit_1 is None
-            assert row.deductible_2 is None
+            assert row[3] is None  # Deductible 1
+            assert row[4] is None  # Mean Profit 1
+            assert row[5] is None  # Deductible 2
 
     def test_grid_must_ascend(self):
         # a repeated deductible is not strictly ascending either
@@ -194,7 +215,7 @@ class TestReportProposals:
     def test_strategy_two_pick_at_least_strategy_one(self, case_graph, case_lines):
         claims = grid_claims(case_graph, case_lines, 100, 2_000, 53)
         premiums = [("rho1", 418.0), ("rho2", 307.0), ("rho3", 368.0), ("rho4", 408.0)]
-        rows = report_proposals(claims, GRID, premiums, 50_000.0, 100, BOTH)
-        for row in rows:
-            if row.deductible_1 is not None and row.deductible_2 is not None:
-                assert row.deductible_2 >= row.deductible_1
+        for row in proposal_table(claims, GRID, premiums, 50_000.0, 100, BOTH).rows:
+            deductible_1, deductible_2 = row[3], row[5]
+            if deductible_1 is not None and deductible_2 is not None:
+                assert deductible_2 >= deductible_1
