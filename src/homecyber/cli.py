@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import re
 import sys
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, TextIO
 from . import __version__, pricing
 from .graph import check_enumerable, enumerate_joint
 from .pricing import CTE, CalibrationError, Expectation, GMD, Policy, StdDev
-from .scenario import NOT_IN_CELL, Scenario, load_scenario, scenario_digest, write_manifest
+from .scenario import NOT_IN_CELL, Scenario, load_scenario, scenario_digest
 
 if TYPE_CHECKING:
     from . import search
@@ -140,9 +141,21 @@ def _write(scenario: Scenario, args, *writers: Callable[[TextIO], object]) -> No
             print(f"wrote {path}")
         else:
             write(sys.stdout)
-    if args.out and hasattr(args, "seed"):
+    if args.out and hasattr(args, "seed"):  # what the run read, and its versions
+        import platform
+
+        import numpy as np
+
+        from .streams import STREAM_LAYOUT
+
         sizes = {size: getattr(args, size, None) for size in ("runs", "replications", "homes")}
-        write_manifest(args.out, scenario_digest(scenario), args.seed, **sizes)
+        # the draws of a stream layout are numpy's sampling algorithms (lognormal,
+        # gamma, ...), so a digest reproduces only with the same numpy and Python
+        document = dict(scenario_digest=scenario_digest(scenario), master_seed=args.seed,
+                        **sizes, tool_version=__version__, stream_layout=STREAM_LAYOUT,
+                        numpy_version=np.__version__, python_version=platform.python_version())
+        Path(args.out, "manifest.json").write_text(
+            json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _income(args, name: str, premium: float) -> float:

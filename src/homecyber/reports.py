@@ -15,7 +15,7 @@ from .graph import AttackGraph, Frozen, JointDistribution
 from .pricing import OVERFLOW, PrincipleParam, finite, premiums, sample_sd
 from .scenario import NOT_IN_CELL
 from .search import LRStrategy, loss_ratios, search_deductible
-from .simulate import SimulationResult, SummaryStats, summarize
+from .simulate import SimulationResult, summarize
 
 SUMMARY_HEADER = (
     "Min", "Q25", "Median", "Q75", "Q90", "Q95", "Q99", "Q99.5", "Q99.9",
@@ -34,8 +34,8 @@ class Table(Frozen):
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         raise TypeError("boolean cells are not part of any table layout")
-    if isinstance(value, float):
-        text = repr(value)
+    if isinstance(value, (float, np.floating)):  # numpy's own repr is "np.float64(1.5)"
+        text = repr(float(value))
     elif isinstance(value, int):
         text = str(value)
     elif value is None:
@@ -58,9 +58,7 @@ def render_csv(tables: Table | Sequence[Table]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _stat_row(stats: SummaryStats, label: str) -> tuple[float, ...]:
-    quantiles = tuple(value for _, value in stats.quantiles)
-    cells = (stats.minimum, *quantiles, stats.maximum, stats.mean, stats.sd)
+def _stat_row(cells: Sequence[float], label: str) -> tuple[float, ...]:
     message = f"{label}: {OVERFLOW}"
     return tuple(finite(cell, message) for cell in cells)
 
@@ -100,9 +98,7 @@ def portfolio_tables(claims: np.ndarray, income: float) -> tuple[Table, Table]:
     keeps it the same bits at every premium level, not merely equal up to the
     last ulp.
     """
-    profit = summarize(income - claims, PROFIT_LEVELS)
-    claim_sd = sample_sd(claims)
-    profit = SummaryStats(profit.minimum, profit.maximum, profit.mean, claim_sd, profit.quantiles)
+    profit = (*summarize(income - claims, PROFIT_LEVELS)[:-1], sample_sd(claims))
     profit_row = ("portfolio Profit", *_stat_row(profit, "portfolio Profit"))
     lr_row = ("portfolio LR",
               *_stat_row(summarize(loss_ratios(claims, income), LR_LEVELS), "portfolio LR"))

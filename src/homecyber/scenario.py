@@ -1,4 +1,4 @@
-"""Scenario files, canonical serialization, digests, and run manifests.
+"""Scenario files, canonical serialization and digests.
 
 A scenario is one JSON document: the vulnerability graph, the business lines
 and a default policy.  The tables ending the format section are the format:
@@ -19,11 +19,9 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
-from . import __version__
 from .graph import AttackGraph, Edge, Frozen, VulnNode, validate_graph
 from .losses import BusinessLine, RateSumExponential, TriggeredGamma, TriggeredLognormal
 from .pricing import Policy
-from .streams import STREAM_LAYOUT
 
 SCHEMA_VERSION = 1
 
@@ -297,24 +295,3 @@ def canonical_serialization(scenario: Scenario) -> str:
 
 def scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(canonical_serialization(scenario).encode("utf-8")).hexdigest()
-
-
-# --- run manifests ----------------------------------------------------------
-
-
-def write_manifest(directory: str | Path, scenario_digest: str, master_seed: int,
-                   runs: int | None = None, replications: int | None = None,
-                   homes: int | None = None) -> None:
-    """Write ``directory/manifest.json``: what a seeded run read, and its versions."""
-    import platform
-
-    import numpy as np
-
-    # the draws of a stream layout are numpy's sampling algorithms (lognormal,
-    # gamma, ...), so a digest reproduces only with the same numpy and Python
-    document = dict(scenario_digest=scenario_digest, master_seed=master_seed, runs=runs,
-                    replications=replications, homes=homes, tool_version=__version__,
-                    stream_layout=STREAM_LAYOUT, numpy_version=np.__version__,
-                    python_version=platform.python_version())
-    Path(directory, "manifest.json").write_text(
-        json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n")

@@ -59,10 +59,6 @@ class SimulationResult(Frozen):
         return total
 
 
-class SummaryStats(Frozen):
-    __slots__ = ("minimum", "maximum", "mean", "sd", "quantiles")
-
-
 def loss_block(
     plan: LossPlan, rows: int, master_seed: int, index: int, lane: int
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -197,13 +193,13 @@ def sorted_quantiles(ordered: np.ndarray, levels: tuple[float, ...]) -> np.ndarr
 def summarize(
     samples: Sequence[float] | np.ndarray,
     levels: Sequence[float] = DEFAULT_QUANTILE_LEVELS,
-) -> SummaryStats:
-    """Sample statistics with linearly interpolated empirical quantiles.
+) -> tuple[float, ...]:
+    """The summary row ``(minimum, *quantiles, maximum, mean, sd)`` of ``samples``.
 
-    The quantiles (Hyndman and Fan's type 7) are read off one sorted copy, with
-    no partition, and have the bits of numpy's ``quantile(samples, levels)`` up to
-    the sign of a zero.  SD is ``pricing.sample_sd``: the n-1 divisor, and 0
-    for a single observation.
+    The quantiles at ``levels`` (linear interpolation, Hyndman and Fan's type 7) are
+    read off one sorted copy, with no partition, and have the bits of numpy's
+    ``quantile(samples, levels)`` up to the sign of a zero.  SD is
+    ``pricing.sample_sd``: the n-1 divisor, and 0 for a single observation.
     """
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
@@ -214,5 +210,4 @@ def summarize(
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"quantile levels must be strictly increasing: {levels}")
     qs = sorted_quantiles(np.sort(x), levels)
-    return SummaryStats(float(x.min()), float(x.max()), float(x.mean()), sample_sd(x),
-                        tuple(zip(levels, (float(q) for q in qs))))
+    return (float(x.min()), *map(float, qs), float(x.max()), float(x.mean()), sample_sd(x))

@@ -5,16 +5,10 @@ spawn key (lane, index) of the master seed's SeedSequence, so the draws of
 run block b (or replication group g) are a pure function of (master_seed, b)
 and do not depend on how many blocks or groups a command asks for.  A
 block's stream holds one uniform per row for its state indices, then the
-fired rows' severities.  numpy is imported on first use, so loading a
-scenario (which reads ``STREAM_LAYOUT``) does not load it.
+fired rows' severities.
 """
 
-from __future__ import annotations
-
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
+import numpy as np
 
 RUN_LANE = 0
 REPLICATION_LANE = 1
@@ -40,7 +34,5 @@ STREAM_LAYOUT = 7
 
 def substream(master_seed: int, index: int, lane: int = 0) -> np.random.Generator:
     """Generator for one substream, seeded by the spawn key ``(lane, index)``."""
-    import numpy as np
-
     seed = np.random.SeedSequence(master_seed, spawn_key=(lane, index))
     return np.random.Generator(np.random.SFC64(seed))

@@ -1196,7 +1196,7 @@ def test_cli_never_imports_scipy(tmp_path):
         (["simulate", "--scenario", CASE, "--runs", "10"], 2),
     ]
     engine = ["numpy", "homecyber.simulate", "homecyber.portfolio", "homecyber.search",
-              "homecyber.reports"]
+              "homecyber.reports", "homecyber.streams"]
     sizes = ["--homes", "20", "--replications", "30", "--seed", "1"]
     commands = [
         ["validate"],

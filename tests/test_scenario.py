@@ -16,6 +16,8 @@ from conftest import (
     joint_csv_reference,
     seventeen_node_graph,
 )
+import homecyber
+from homecyber.cli import cli_dispatch
 from homecyber.graph import AttackGraph, Edge, JointDistribution, VulnNode, enumerate_joint
 from homecyber.losses import RateSumExponential
 from homecyber.pricing import Policy
@@ -36,7 +38,6 @@ from homecyber.scenario import (
     load_scenario,
     parse_scenario,
     scenario_digest,
-    write_manifest,
 )
 from homecyber.simulate import run_simulation
 from homecyber.streams import STREAM_LAYOUT
@@ -415,7 +416,10 @@ class TestCanonicalForm:
 
 class TestManifest:
     def test_write_and_reread(self, tmp_path, case_scenario):
-        write_manifest(tmp_path, scenario_digest(case_scenario), 42, runs=1000)
+        # the CLI's seeded --out commands are the one writer of manifest.json
+        argv = ["simulate", "--scenario", str(bundled_case_study_path()), "--runs", "1000",
+                "--seed", "42", "--out", str(tmp_path)]
+        assert cli_dispatch(argv) == 0
         text = (tmp_path / "manifest.json").read_text()
         data = json.loads(text)
         assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
@@ -427,7 +431,7 @@ class TestManifest:
         assert data["homes"] is None
         assert data["replications"] is None
         assert data["scenario_digest"] == scenario_digest(case_scenario)
-        assert data["tool_version"]
+        assert data["tool_version"] == homecyber.__version__
         assert data["stream_layout"] == STREAM_LAYOUT == 7
         assert data["numpy_version"] == np.__version__
         assert data["python_version"] == platform.python_version()
@@ -465,6 +469,12 @@ class TestCsvExport:
         values = text.splitlines()[1:]
         assert float(values[0]) == math.inf
         assert float(values[1]) == 1e-300
+
+    def test_numpy_float_cells_print_as_python_floats(self):
+        # numpy 2's repr of np.float64(1.5) is "np.float64(1.5)", not a number
+        cells = (np.float64(1.5), np.float64(0.1), np.float32(0.1), np.float64(-math.inf))
+        text = render_csv(Table(header=("a", "b", "c", "d"), rows=(cells,)))
+        assert text.splitlines()[1] == ",".join(repr(float(cell)) for cell in cells)
 
     def test_comma_in_label_rejected(self):
         # a comma or a line break would split the row, and csv.reader reads '"a"' as a

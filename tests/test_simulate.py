@@ -21,7 +21,6 @@ from homecyber.pricing import Policy
 from homecyber.simulate import (
     DEFAULT_QUANTILE_LEVELS,
     RUN_BLOCK,
-    SummaryStats,
     draw_blocks,
     loss_block,
     run_simulation,
@@ -129,8 +128,8 @@ class TestRunSimulation:
         assert np.all(result.line_losses == 0.0)
 
     def test_cyber_extortion_mostly_zero(self, case_result):
-        stats = summarize(case_result.line_losses[:, 3], DEFAULT_QUANTILE_LEVELS)
-        quantiles = dict(stats.quantiles)
+        _, *quantiles, _, _, _ = summarize(case_result.line_losses[:, 3], DEFAULT_QUANTILE_LEVELS)
+        quantiles = dict(zip(DEFAULT_QUANTILE_LEVELS, quantiles))
         assert quantiles[0.75] == 0.0
         assert quantiles[0.95] == 0.0
 
@@ -301,20 +300,20 @@ class TestEnumerationCap:
 
 class TestSummarize:
     def test_constant_vector(self):
-        stats = summarize([5.0, 5.0, 5.0])
-        assert stats.minimum == stats.maximum == stats.mean == 5.0
-        assert stats.sd == 0.0
-        assert all(value == 5.0 for _, value in stats.quantiles)
+        minimum, *quantiles, maximum, mean, sd = summarize([5.0, 5.0, 5.0])
+        assert minimum == maximum == mean == 5.0
+        assert sd == 0.0
+        assert quantiles == [5.0] * len(DEFAULT_QUANTILE_LEVELS)
 
     def test_linear_interpolation(self):
-        stats = summarize([0.0, 10.0], levels=(0.5,))
-        assert stats.quantiles == ((0.5, 5.0),)
-        assert stats.sd == pytest.approx(math.sqrt(50.0))
+        _, *quantiles, _, _, sd = summarize([0.0, 10.0], levels=(0.5,))
+        assert quantiles == [5.0]
+        assert sd == pytest.approx(math.sqrt(50.0))
 
     def test_single_observation(self):
-        stats = summarize([3.0], levels=(0.5,))
-        assert stats.sd == 0.0
-        assert stats.minimum == stats.maximum == 3.0
+        minimum, _, maximum, _, sd = summarize([3.0], levels=(0.5,))
+        assert sd == 0.0
+        assert minimum == maximum == 3.0
 
     def test_empty_raises(self):
         with pytest.raises(ValueError, match="empty"):
@@ -329,14 +328,14 @@ class TestSummarize:
     def test_quantiles_bounded_by_extremes(self):
         rng = np.random.default_rng(0)
         x = rng.lognormal(1.0, 2.0, 500)
-        stats = summarize(x)
-        for _, value in stats.quantiles:
-            assert stats.minimum <= value <= stats.maximum
+        minimum, *quantiles, maximum, _, _ = summarize(x)
+        for value in quantiles:
+            assert minimum <= value <= maximum
 
     @staticmethod
-    def _bits(stats: SummaryStats) -> tuple[bytes, bytes]:
-        quantiles = np.array([value for _, value in stats.quantiles])
-        return quantiles.tobytes(), np.array([stats.minimum, stats.maximum]).tobytes()
+    def _bits(row: tuple[float, ...]) -> tuple[bytes, bytes]:
+        minimum, *quantiles, maximum, _, _ = row
+        return np.array(quantiles).tobytes(), np.array([minimum, maximum]).tobytes()
 
     @given(st.lists(st.one_of(st.just(0.0), st.sampled_from((1.0, 2.5, 1e6, -3.0)),
                               st.sampled_from((math.nan, math.inf, -math.inf)),
@@ -374,8 +373,8 @@ class TestSummarize:
         # lands on a tie of -0.0 and 0.0 is either zero: np.quantile itself
         # picks the sign its partition happens to leave at that index
         x = np.array(values)
-        stats = summarize(x)
-        assert self._bits(stats)[1] == np.array([x.min(), x.max()]).tobytes()
-        quantiles = np.array([value for _, value in stats.quantiles])
+        row = summarize(x)
+        assert self._bits(row)[1] == np.array([x.min(), x.max()]).tobytes()
+        _, *quantiles, _, _, _ = row
         expected = np.quantile(x, DEFAULT_QUANTILE_LEVELS)
-        assert (quantiles + 0.0).tobytes() == (expected + 0.0).tobytes()
+        assert (np.array(quantiles) + 0.0).tobytes() == (expected + 0.0).tobytes()
