@@ -37,7 +37,9 @@ class EnumerationSizeError(ValueError):
 class Frozen:
     """Immutable value whose fields are its class's ``__slots__``, in order, given
     by position or name (those in ``_defaults`` may be left out).  ``_check`` runs
-    once they are set.  Values of one type with equal fields are equal."""
+    once they are set.  Values of one type with equal fields are equal, except that
+    ``==`` on an array gives no bool: values with array fields (``SimulationResult``,
+    ``JointDistribution``, ``LossPlan``) are neither compared nor hashed."""
 
     __slots__ = ()
     _defaults: dict = {}

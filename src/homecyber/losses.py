@@ -11,8 +11,8 @@ the lognormal or gamma model itself, each with a closed-form mean and
 variance; these and ``limited_expected_value_of`` are exact oracles of the
 simulation.  scipy and numpy are imported on first use, so the CLI never loads
 scipy and the line models load without numpy.  scipy is needed only by the
-lognormal and gamma ``limited_mean`` (and so by ``limited_expected_value_of``);
-it is not a package dependency but part of the ``test`` extra.
+lognormal and gamma laws of ``limited_expected_value_of``; it is not a
+package dependency but part of the ``test`` extra.
 Simulation reads lines through a ``LossPlan`` over the joint's support:
 rows are positions into its states, and each line has a table of where it
 fires (and, if exponential, of its rate) over them.
@@ -26,6 +26,7 @@ import math
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .graph import AttackGraph, Frozen, enumerate_joint, state_guide
+from .pricing import Policy
 
 if TYPE_CHECKING:
     import numpy as np
@@ -76,17 +77,6 @@ class TriggeredLognormal(Frozen):
         s2 = self.sigma**2
         return (math.exp(s2) - 1.0) * math.exp(2.0 * self.mu + s2)
 
-    def limited_mean(self, u: float) -> float:
-        """E[min(L, u)]."""
-        if u <= 0.0:
-            return 0.0
-        if math.isinf(u):
-            return self.mean()
-        from scipy import special
-
-        z = (math.log(u) - self.mu) / self.sigma
-        return self.mean() * float(special.ndtr(z - self.sigma)) + u * float(special.ndtr(-z))
-
 
 class TriggeredGamma(Frozen):
     """Gamma(alpha, rate beta) when any trigger node is exploited; also the
@@ -106,19 +96,6 @@ class TriggeredGamma(Frozen):
 
     def variance(self) -> float:
         return self.alpha / self.beta**2
-
-    def limited_mean(self, u: float) -> float:
-        """E[min(L, u)]."""
-        if u <= 0.0:
-            return 0.0
-        if math.isinf(u):
-            return self.mean()
-        from scipy import special
-
-        x = self.beta * u
-        return self.mean() * float(special.gammainc(self.alpha + 1.0, x)) + u * float(
-            special.gammaincc(self.alpha, x)
-        )
 
 
 class BusinessLine(Frozen):
@@ -274,14 +251,26 @@ def exact_line_mean(line: BusinessLine, graph: AttackGraph) -> float:
 
 def limited_expected_value_of(dist: Distribution, d: float, c: float) -> float:
     """E[min((L - d)_+, c)] in closed form for each conditional family."""
-    if d < 0.0:
-        raise ValueError(f"deductible must be >= 0, got {d}")
-    if c <= 0.0:
-        raise ValueError(f"coverage must be > 0, got {c}")
+    Policy(d, c)  # raises unless d and c make a valid policy
     if isinstance(dist, DegenerateZero):
         return 0.0
     if isinstance(dist, Exponential):
         lam = dist.rate
         upper = 0.0 if math.isinf(c) else math.exp(-lam * (d + c))
         return (math.exp(-lam * d) - upper) / lam
-    return dist.limited_mean(d + c) - dist.limited_mean(d)
+
+    def limited(u: float) -> float:  # E[min(L, u)] of a lognormal or gamma law
+        if u <= 0.0:
+            return 0.0
+        if math.isinf(u):
+            return dist.mean()
+        from scipy import special
+
+        if isinstance(dist, TriggeredLognormal):
+            z = (math.log(u) - dist.mu) / dist.sigma
+            return dist.mean() * float(special.ndtr(z - dist.sigma)) + u * float(special.ndtr(-z))
+        x = dist.beta * u
+        return (dist.mean() * float(special.gammainc(dist.alpha + 1.0, x))
+                + u * float(special.gammaincc(dist.alpha, x)))
+
+    return limited(d + c) - limited(d)

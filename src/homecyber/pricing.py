@@ -53,8 +53,7 @@ class _Loading(Frozen):
     __slots__ = ()
 
     def _check(self):
-        if not math.isfinite(self.theta):
-            raise ValueError(f"{type(self).__name__} theta must be finite, got {self.theta}")
+        finite(self.theta, f"{type(self).__name__} theta must be finite, got {self.theta}")
 
 
 class Expectation(_Loading):
@@ -133,9 +132,16 @@ def finite(statistic: float, message: str = OVERFLOW) -> float:
 
 def var_rank(n: int, beta: float) -> int:
     """Smallest k in 1..n with k / n >= beta; ``ceil(n * beta)`` can overshoot by one."""
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    CTE(beta)  # raises unless beta lies in (0, 1)
     return bisect.bisect_left(range(1, n + 1), beta, key=lambda k: k / n) + 1
+
+
+# parameter class -> (family, loading name, scale name, scale of (x, sorted x, mean))
+_LOADINGS = {
+    Expectation: ("expectation", "expectation", "mean", lambda x, ordered, mean: mean),
+    StdDev: ("stddev", "stddev", "SD", lambda x, ordered, mean: sample_sd(x)),
+    GMD: ("gmd", "GMD", "GMD", lambda x, ordered, mean: _sorted_gmd(ordered)),
+}
 
 
 def premiums(
@@ -159,18 +165,16 @@ def premiums(
         if isinstance(param, CTE):
             out.append(float(x[x >= ordered[var_rank(x.size, param.beta) - 1]].mean()))
             continue
-        if isinstance(param, Expectation):
-            scale, value, loading = mean, (1.0 + param.theta) * mean, "(1 + theta) x mean"
-        elif isinstance(param, StdDev):
-            if x.size < 2:
-                raise ValueError("standard-deviation principle needs at least 2 samples")
-            scale = sample_sd(x)
-            value, loading = mean + param.theta * scale, "mean + theta x SD"
-        elif isinstance(param, GMD):
-            scale = _sorted_gmd(ordered)
-            value, loading = mean + param.theta * scale, "mean + theta x GMD"
-        else:
+        if type(param) not in _LOADINGS:
             raise TypeError(f"unknown principle parameter {param!r}")
+        if isinstance(param, StdDev) and x.size < 2:
+            raise ValueError("standard-deviation principle needs at least 2 samples")
+        _, _, name, statistic = _LOADINGS[type(param)]
+        scale = statistic(x, ordered, mean)
+        if isinstance(param, Expectation):
+            value, loading = (1.0 + param.theta) * mean, "(1 + theta) x mean"
+        else:
+            value, loading = mean + param.theta * scale, f"mean + theta x {name}"
         if not math.isfinite(value) and math.isfinite(mean) and math.isfinite(scale):
             raise OverflowError(f"{type(param).__name__} loading {loading} overflows float64")
         out.append(value)
@@ -236,20 +240,13 @@ def calibrations(
     return tuple(out)
 
 
-# family -> (parameter class, loading name, scale name, scale of (x, sorted x, mean))
-_LOADINGS = {
-    "expectation": (Expectation, "expectation", "mean", lambda x, ordered, mean: mean),
-    "stddev": (StdDev, "stddev", "SD", lambda x, ordered, mean: sample_sd(x)),
-    "gmd": (GMD, "GMD", "GMD", lambda x, ordered, mean: _sorted_gmd(ordered)),
-}
-
-
 def _calibrate_one(family, x, ordered, mean, target_premium, tol) -> PrincipleParam:
     if family == "cte":
         return _calibrate_cte(ordered, target_premium, tol)
-    if family not in _LOADINGS:
+    kind = next((cls for cls, spec in _LOADINGS.items() if spec[0] == family), None)
+    if kind is None:
         raise ValueError(f"unknown principle family {family!r}; expected one of {FAMILIES}")
-    kind, loading, name, statistic = _LOADINGS[family]
+    _, loading, name, statistic = _LOADINGS[kind]
     scale = finite(statistic(x, ordered, mean))
     if scale == 0.0:
         raise NotCalibratableError(f"sample {name} is 0; {loading} loading has no effect")
@@ -281,8 +278,12 @@ def _calibrate_cte(ordered: np.ndarray, target: float, tol: float) -> CTE:
 
     # 0-based first indices of the distinct values among ordered[:n-1]
     firsts = np.flatnonzero(np.concatenate(([True], ordered[1 : n - 1] != ordered[: n - 2])))
-    values = suffix[firsts] / (n - firsts).astype(float)
-    hit = np.abs(values - target) <= tol
+    values = suffix[firsts]
+    del suffix  # free each n-float temporary once read, so at most three are alive
+    values /= n - firsts
+    gap = values - target
+    hit = np.abs(gap, out=gap) <= tol
+    del gap
     stop = hit | ~(values < target)
     i = int(np.argmax(stop))
     if not stop[i]:  # every candidate lies below the target

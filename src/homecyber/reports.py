@@ -82,8 +82,7 @@ def premium_table(result: SimulationResult, params: Sequence[PrincipleParam]) ->
             per_line.append(premiums(column, params))
         except OverflowError as exc:  # a loading over finite statistics
             raise ValueError(f"{label}: {exc}") from None
-    rows = [(label, *(finite(float(cell), f"{label}: {OVERFLOW}") for cell in row))
-            for label, row in zip(line_labels, per_line)]
+    rows = [(label, *_stat_row(row, label)) for label, row in zip(line_labels, per_line)]
     totals = tuple(finite(float(sum(column)), "total: the lines' premiums sum beyond float64")
                    for column in zip(*per_line))
     header = ("Line", *(f"rho{k}" for k in range(1, len(totals) + 1)))

@@ -37,8 +37,7 @@ class QuantileLR(Frozen):
     def _check(self):
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
-        if not 0.0 < self.target <= 1.0:
-            raise ValueError(f"target must lie in (0, 1], got {self.target}")
+        MeanLR(self.target)  # raises unless the target lies in (0, 1]
 
 
 LRStrategy = MeanLR | QuantileLR
@@ -105,13 +104,14 @@ def premium_for_claims(
     rounding breaks that (claims near the bottom of the float range), it
     raises :class:`DegenerateClaimsError`.
     """
-    stat = lr_statistic(np.asarray(claims, dtype=float), strategy)
+    claims = np.asarray(claims, dtype=float)
+    stat = lr_statistic(claims, strategy)
     if stat <= 0.0:
         raise DegenerateClaimsError(
             "claim statistic is 0; the LR constraint admits a zero premium"
         )
     prem = stat / (n_homes * strategy.target)
-    achieved = lr_statistic(np.asarray(claims, dtype=float) / (n_homes * prem), strategy)
+    achieved = lr_statistic(loss_ratios(claims, n_homes * prem), strategy)
     if not math.isclose(achieved, strategy.target, rel_tol=1e-9):
         raise DegenerateClaimsError(
             f"round-trip LR statistic {achieved!r} misses target {strategy.target!r}"

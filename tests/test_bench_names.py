@@ -108,6 +108,18 @@ def test_shadowed_module_name_is_not_a_read():
     assert _reads(tree, {}) == [("homecyber.losses", "exact_line_mean", 4)]
 
 
+def test_every_traced_layer_imports():
+    # bench/tracer.py imports each module of its LAYERS tuple, so a merged or
+    # deleted module breaks only the traced bench runs
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"])
+    assert "losses" in layers and "reports" in layers
+    for layer in layers:
+        importlib.import_module(f"homecyber.{layer}")
+
+
 @pytest.mark.parametrize("source, read", [
     ("from homecyber.losses import Gone", ("homecyber.losses", "Gone", 1)),
     ("def f():\n    from homecyber import pricing\n    return pricing.gone",

@@ -942,6 +942,14 @@ class TestRejectedInputs:
         assert run(argv[0], "--scenario", CASE, *argv[1:]) == code
         assert message in capsys.readouterr().err
 
+    def test_calibrate_needs_two_runs(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = self.replaced(self.CALIBRATE, "--runs", "1")
+        assert run(argv[0], "--scenario", CASE, *argv[1:], "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: calibration needs at least 2 samples\n"
+        assert not out.exists()
+
 
 class TestOutputPath:
     # every command that writes files, with the files it writes in order

@@ -115,6 +115,10 @@ class TestTopologicalOrder:
         )
         assert topological_order(graph) == (1, 3, 5)
 
+    def test_unknown_node_position(self, case_graph):
+        with pytest.raises(GraphValidationError, match="unknown node id 99"):
+            case_graph.position(99)
+
     def test_cycle_raises(self):
         graph = AttackGraph(
             [VulnNode(1, entry_prob=0.2), VulnNode(2), VulnNode(3)],
@@ -184,6 +188,12 @@ class TestEnumerateJoint:
                 GraphValidationError,
                 match=r"^joint probabilities sum to nan, off by more than 1e-12$"):
             enumerate_joint(AttackGraph(nodes, edges))
+
+    def test_entry_node_without_entry_prob(self):
+        # validate_graph reports it; an unvalidated graph fails when enumerated
+        graph = AttackGraph([VulnNode(1), VulnNode(2, entry_prob=0.5)], [])
+        with pytest.raises(GraphValidationError, match="entry node 1 has no entry_prob"):
+            enumerate_joint(graph)
 
     def test_matches_recursive_oracle(self, case_graph):
         joint = enumerate_joint(case_graph)

@@ -484,6 +484,16 @@ class TestLimitedExpectedValue:
         dist = conditional_distribution(case_lines[3], state_with(case_graph), case_graph)
         assert limited_expected_value_of(dist, 10.0, 100.0) == 0.0
 
+    @pytest.mark.parametrize("d, c, message", [
+        (math.nan, 10.0, "deductible must be finite and >= 0, got nan"),
+        (0.0, math.nan, "coverage must be > 0, got nan"),
+        (math.inf, 10.0, "deductible must be finite and >= 0, got inf"),
+    ], ids=["deductible-nan", "coverage-nan", "deductible-inf"])
+    def test_arguments_follow_the_policy_rule(self, d, c, message):
+        for dist in (DegenerateZero(), Exponential(1.0), Lognormal(4.0, 1.0), Gamma(3.0, 0.01)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                limited_expected_value_of(dist, d, c)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             limited_expected_value_of(Exponential(1.0), -1.0, 10.0)

@@ -264,12 +264,19 @@ class TestLoadScenario:
             (("lines", 2, "model", "muu"), 3, r"lines\[2\]\.model: unknown field 'muu'"),
             (("lines", 4, "model", "alpah"), 3, r"lines\[4\]\.model: unknown field 'alpah'"),
             (("default_policy", "limit"), 1.0, "default_policy: unknown field 'limit'"),
+            # a value that Policy or the scenario itself rejects, named with its place
+            (("default_policy", "deductible"), -1,
+             re.escape("default_policy: deductible must be finite and >= 0, got -1.0")),
+            (("default_policy", "coverage"), 0,
+             re.escape("default_policy: coverage must be > 0, got 0.0")),
+            (("lines",), [], "at least one business line is required"),
         ],
         ids=["description-null", "description-int", "name-null", "name-list",
              "policy-int", "policy-list", "node-entry", "edge-entry", "line-entry",
              "unknown-top-level", "unknown-graph", "unknown-node", "unknown-edge",
              "unknown-line", "unknown-rate-sum-model", "unknown-lognormal-model",
-             "unknown-gamma-model", "unknown-policy"],
+             "unknown-gamma-model", "unknown-policy", "policy-deductible", "policy-coverage",
+             "no-lines"],
     )
     def test_text_and_object_fields_rejected(self, path, value, message):
         doc = case_document()
@@ -475,6 +482,10 @@ class TestCsvExport:
         cells = (np.float64(1.5), np.float64(0.1), np.float32(0.1), np.float64(-math.inf))
         text = render_csv(Table(header=("a", "b", "c", "d"), rows=(cells,)))
         assert text.splitlines()[1] == ",".join(repr(float(cell)) for cell in cells)
+
+    def test_boolean_cell_rejected(self):
+        with pytest.raises(TypeError, match="boolean cells"):
+            render_csv(Table(header=("x",), rows=((True,),)))
 
     def test_comma_in_label_rejected(self):
         # a comma or a line break would split the row, and csv.reader reads '"a"' as a
