@@ -224,6 +224,22 @@ def _kahn_prefix(graph: AttackGraph) -> list[int]:
     return order
 
 
+def ancestral_subgraph(graph: AttackGraph, node_ids: Iterable[int]) -> AttackGraph:
+    """The nodes ``node_ids`` and all their ancestors, in listing order, with the
+    edges into them.  Every other node is barren (no kept node descends from
+    it), so it sums out of the joint: the subgraph's joint is the marginal law
+    of its nodes in ``graph`` (Shachter 1986).  Raises on an unknown id."""
+    kept: set[int] = set()
+    stack = [graph.node(nid).id for nid in node_ids]
+    while stack:
+        nid = stack.pop()
+        if nid not in kept:
+            kept.add(nid)
+            stack.extend(pid for pid, _ in graph.parents_of(nid))
+    return AttackGraph([node for node in graph.nodes if node.id in kept],
+                       [edge for edge in graph.edges if edge.dst in kept])
+
+
 def topological_order(graph: AttackGraph) -> tuple[int, ...]:
     """Parent-first node ids, ties broken by ascending id.  Raises on cycles."""
     order = _kahn_prefix(graph)
@@ -279,10 +295,11 @@ class JointDistribution(Frozen):
         return marginals
 
 
-def check_enumerable(graph: AttackGraph) -> None:
-    """Raise :class:`EnumerationSizeError` above ``DEFAULT_ENUMERATION_CAP`` nodes."""
+def check_enumerable(graph: AttackGraph, what: str = "nodes") -> None:
+    """Raise :class:`EnumerationSizeError` above ``DEFAULT_ENUMERATION_CAP`` nodes;
+    the message counts them as ``what``."""
     if graph.n > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationSizeError(f"{graph.n} nodes exceed the enumeration cap of "
+        raise EnumerationSizeError(f"{graph.n} {what} exceed the enumeration cap of "
                                    f"{DEFAULT_ENUMERATION_CAP} (2^{graph.n} states)")
 
 

@@ -9,7 +9,10 @@ and NaN losses.  Given a state, ``conditional_distribution`` gives the line's
 loss law: ``DegenerateZero``, an ``Exponential`` at the fired rates' sum, or
 the lognormal or gamma model itself, each with a closed-form mean and
 variance; these and ``limited_expected_value_of`` are exact oracles of the
-simulation.  scipy and numpy are imported on first use, so the CLI never loads
+simulation.  ``exact_line_mean`` enumerates only the subgraph of a line's
+triggers and their ancestors, the other nodes summing out, so it costs
+O(2^|ancestors|) and the enumeration cap applies to that ancestral set, not
+to the graph.  scipy and numpy are imported on first use, so the CLI never loads
 scipy and the line models load without numpy.  scipy is needed only by the
 lognormal and gamma laws of ``limited_expected_value_of``; it is not a
 package dependency but part of the ``test`` extra.
@@ -25,7 +28,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .graph import AttackGraph, Frozen, enumerate_joint, state_guide
+from .graph import (AttackGraph, Frozen, ancestral_subgraph, check_enumerable, enumerate_joint,
+                    state_guide)
 from .pricing import Policy
 
 if TYPE_CHECKING:
@@ -51,6 +55,8 @@ class RateSumExponential(Frozen):
         rates = tuple(sorted((int(nid), float(rate)) for nid, rate in self.rates))
         object.__setattr__(self, "rates", rates)
         for nid, rate in self.rates:
+            if not math.isfinite(rate):
+                raise ValueError(f"field 'rates[{nid}]' must be finite, got {rate}")
             if rate <= 0.0:
                 raise ValueError(f"rate for node {nid} must be positive, got {rate}")
         if self.rates:
@@ -193,7 +199,8 @@ def loss_plan(graph: AttackGraph, lines: Sequence[BusinessLine]) -> LossPlan:
             sums = np.zeros((2, states.size))
             for nid, rate in line.model.rates:
                 pos = graph.position(nid)
-                sums[int(pos >= half), (states >> pos) & 1 == 1] += rate
+                # adding +0.0 where the node is safe keeps each sum's bits
+                sums[int(pos >= half)] += ((states >> pos) & 1) * rate
             rates[-1] = sums[0] + sums[1]
     return LossPlan(states, cdf, state_guide(cdf), ordered, tuple(fired), tuple(rates))
 
@@ -225,22 +232,28 @@ def line_draws(
 
 
 def exact_line_mean(line: BusinessLine, graph: AttackGraph) -> float:
-    """Exact E[loss] under the joint state law.
+    """Exact E[loss] under the joint state law, in O(2^a) for the a nodes that
+    are the line's triggers or their ancestors.
 
-    The enumerated joint is summed down to the 2^t patterns of the line's t
-    trigger nodes, and the mean is an fsum over the patterns that fire.
+    The law of the triggers is that of the ancestral subgraph, the only joint
+    enumerated (so the cap applies to a, and ``graph`` caches no joint).  It
+    is summed down to the 2^t patterns of the line's t trigger nodes, and the
+    mean is an fsum over the patterns that fire.
     """
     import numpy as np
 
-    by_id = np.array([graph.position(nid) for nid in sorted(line.trigger_set)])
+    sub = ancestral_subgraph(graph, line.trigger_set)
+    check_enumerable(sub, f"nodes in line {line.index}'s triggers and their ancestors")
+    by_id = np.array([sub.position(nid) for nid in sorted(line.trigger_set)])
     order = np.argsort(by_id)
-    patterns = enumerate_joint(graph).pattern_probs(by_id[order])
+    patterns = enumerate_joint(sub).pattern_probs(by_id[order])
     model = line.model
     if isinstance(model, RateSumExponential):
         # fired[j, i]: pattern j has the i-th trigger in position order exploited
-        fired = (np.arange(patterns.size)[:, None] >> np.arange(order.size)) & 1 == 1
-        # rates follow the triggers in id order, as the trigger positions do
-        lam = fired @ np.array([rate for _, rate in model.rates])[order]
+        fired = (np.arange(patterns.size)[:, None] >> np.arange(order.size)) & 1
+        # rates follow the triggers in id order, as the trigger positions do;
+        # a numpy sum, not a BLAS product, whose bits vary with its threads
+        lam = (fired * np.array([rate for _, rate in model.rates])[order]).sum(axis=1)
         mask = lam > 0.0
         return math.fsum((patterns[mask] / lam[mask]).tolist())
     return math.fsum(patterns[1:].tolist()) * model.mean()

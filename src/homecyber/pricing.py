@@ -99,8 +99,10 @@ def _sorted_gmd(ordered: np.ndarray) -> float:
     n = ordered.size
     if n < 2:
         raise ValueError(f"GMD needs at least 2 samples, got {n}")
-    k = np.arange(1, n + 1, dtype=float)
-    return float((2.0 * k - n - 1.0) @ ordered) * 2.0 / (n * (n - 1))
+    weights = 2.0 * np.arange(1, n + 1, dtype=float) - n - 1.0
+    # numpy's own pairwise sum: a BLAS dot's bits would vary with its thread count
+    weights *= ordered
+    return float(weights.sum()) * 2.0 / (n * (n - 1))
 
 
 def sample_sd(x: np.ndarray) -> float:

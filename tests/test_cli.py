@@ -383,7 +383,7 @@ def test_golden_simulation_output(tmp_path):
          "be8d71a3e34f3eaba092b8e3bf9aa1c59a81182ef5c71615cbede3852de368a9",
          ["calibrate", "--runs", "40000", "--seed", "16", "--line", "4", "--target", "28"]),
         ("calibration.csv",
-         "e7875209675256f2e2f68b03be0b993cd6917ed08bf3aa9574dc535082bcf994",
+         "1adc8caf3c468fe1450fb1078ff20765dcd0334a0fe6932a4bbe91f95ef26222",
          ["calibrate", "--runs", "40000", "--seed", "16", "--line", "1",
           "--target", "507.4315445182009"]),
     )
@@ -393,6 +393,29 @@ def test_golden_simulation_output(tmp_path):
         actual = hashlib.sha256((out / name).read_bytes()).hexdigest()
         # the severities come from numpy's samplers, so a numpy upgrade may move them
         assert actual == digest, f"{name} changed (numpy {np.__version__})"
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--theta-expectation", "0.5", "--theta-stddev", "0.03", "--theta-gmd", "0.25",
+     "--beta-cte", "0.9"],
+    ["calibrate", "--line", "1", "--target", "1000"],
+], ids=["price", "calibrate"])
+def test_same_bytes_for_any_blas_thread_count(tmp_path, argv):
+    # a BLAS dot product adds in an order that depends on its thread count
+    src = str(Path(homecyber.__file__).parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        done = subprocess.run(
+            [sys.executable, "-m", "homecyber", argv[0], "--scenario", CASE, "--runs", "100000",
+             "--seed", "3101", *argv[1:], "--out", str(out)],
+            capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert done.returncode == 0, done.stderr
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        outputs.append((done.stdout.replace(str(out).encode(), b"OUT"), files))
+    assert outputs[0] == outputs[1]
 
 
 class TestSimulate:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import (
@@ -24,6 +25,7 @@ from homecyber.graph import (
     EnumerationSizeError,
     GraphValidationError,
     VulnNode,
+    ancestral_subgraph,
     check_enumerable,
     enumerate_joint,
     sample_state_indices,
@@ -213,6 +215,33 @@ class TestEnumerateJoint:
         graph = build_case_graph()
         joint = enumerate_joint(graph)
         assert enumerate_joint(graph) is joint
+
+
+class TestAncestralSubgraph:
+    def test_case_graph(self, case_graph):
+        # the camera (5) descends from the hub (3) and the laptop (7), the hub
+        # from the iPhone (1) and the TV (2)
+        sub = ancestral_subgraph(case_graph, [5])
+        assert sub.node_ids == (1, 2, 3, 5, 7)
+        assert [(e.src, e.dst) for e in sub.edges] == [(1, 3), (2, 3), (3, 5), (7, 5)]
+        assert ancestral_subgraph(case_graph, [7, 1]).node_ids == (1, 7)
+        assert ancestral_subgraph(case_graph, []).node_ids == ()
+
+    def test_unknown_node(self, case_graph):
+        with pytest.raises(GraphValidationError, match="unknown node id 9"):
+            ancestral_subgraph(case_graph, [5, 9])
+
+    @given(shuffled_dag_graphs(max_nodes=8), st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_joint_is_the_marginal_law(self, graph, data):
+        ids = data.draw(st.frozensets(st.sampled_from(graph.node_ids), min_size=1))
+        sub = ancestral_subgraph(graph, ids)
+        assert ids <= set(sub.node_ids)
+        # listing order kept: the subgraph's bit k is the k-th kept node
+        positions = [graph.position(nid) for nid in sub.node_ids]
+        assert positions == sorted(positions)
+        expected = enumerate_joint(graph).pattern_probs(positions)
+        np.testing.assert_allclose(enumerate_joint(sub).probs, expected, rtol=1e-12, atol=1e-15)
 
 
 class TestMarginals:

@@ -12,6 +12,7 @@ from conftest import (
     all_states,
     build_case_graph,
     full_cdf,
+    generated_scenario,
     graphs_with_lines,
     lev_quadrature,
     loss_matrix,
@@ -23,6 +24,7 @@ from conftest import (
 from homecyber.graph import (
     AttackGraph,
     Edge,
+    EnumerationSizeError,
     VulnNode,
     enumerate_joint,
     sample_state_indices,
@@ -80,6 +82,16 @@ class TestSpecValidation:
     def test_rates_sorted_by_node(self):
         model = RateSumExponential(((5, 1 / 320), (3, 1 / 640)))
         assert model.rates == ((3, 1 / 640), (5, 1 / 320))
+
+    @pytest.mark.parametrize("rates, nid", [
+        (((1, math.inf),), 1),
+        (((2, 0.5), (7, math.inf)), 7),
+        (((3, math.nan), (4, 0.5)), 3),
+    ], ids=["inf", "inf-beside-finite", "nan"])
+    def test_non_finite_rate_rejected(self, rates, nid):
+        # 1/inf = 0 is a finite mean, but a rate table's 0 * inf would be NaN
+        with pytest.raises(ValueError, match=rf"^field 'rates\[{nid}\]' must be finite, got "):
+            RateSumExponential(rates)
 
     @pytest.mark.parametrize("build, named", [
         (lambda: TriggeredLognormal(800.0, 1.0), "exp(mu + sigma^2/2) of fields 'mu' and 'sigma'"),
@@ -252,6 +264,63 @@ class TestExactLineMean:
             assert abs(sample.mean() - exact_line_mean(line, case_graph)) <= 4 * se
 
 
+def full_joint_line_mean(line, graph) -> float:
+    """Reference E[loss]: the whole graph's joint summed down to the line's
+    trigger patterns, then an fsum over the patterns that fire."""
+    by_id = np.array([graph.position(nid) for nid in sorted(line.trigger_set)])
+    order = np.argsort(by_id)
+    patterns = enumerate_joint(graph).pattern_probs(by_id[order])
+    model = line.model
+    if isinstance(model, RateSumExponential):
+        fired = (np.arange(patterns.size)[:, None] >> np.arange(order.size)) & 1 == 1
+        lam = fired @ np.array([rate for _, rate in model.rates])[order]
+        mask = lam > 0.0
+        return math.fsum((patterns[mask] / lam[mask]).tolist())
+    return math.fsum(patterns[1:].tolist()) * model.mean()
+
+
+def chain_with_islands(n: int) -> AttackGraph:
+    """The chain 1 -> ... -> n (entry 0.5, each edge 0.5) and two entry nodes
+    without edges, 100 (0.3) and 101 (0.6)."""
+    nodes = [VulnNode(1, entry_prob=0.5), *(VulnNode(i) for i in range(2, n + 1)),
+             VulnNode(100, entry_prob=0.3), VulnNode(101, entry_prob=0.6)]
+    return AttackGraph(nodes, [Edge(i, i + 1, 0.5) for i in range(1, n)])
+
+
+class TestExactLineMeanOnAncestors:
+    @given(graphs_with_lines())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_matches_the_full_joint(self, case):
+        graph, lines = case
+        for line in lines:
+            assert exact_line_mean(line, graph) == pytest.approx(
+                full_joint_line_mean(line, graph), rel=1e-12, abs=0.0)
+
+    def test_graph_above_the_cap(self):
+        graph = chain_with_islands(23)
+        island = BusinessLine(1, "island", frozenset({100}), TriggeredGamma(3.0, 0.5))
+        assert exact_line_mean(island, graph) == 0.3 * (3.0 / 0.5)
+        pair = BusinessLine(2, "pair", frozenset({100, 101}),
+                            RateSumExponential(((100, 0.5), (101, 0.25))))
+        expected = 0.3 * 0.4 / 0.5 + 0.7 * 0.6 / 0.25 + 0.3 * 0.6 / 0.75
+        assert exact_line_mean(pair, graph) == pytest.approx(expected, rel=1e-15)
+        # node 5 of the chain is exploited with probability 0.5^5
+        head = BusinessLine(3, "head", frozenset({5}), TriggeredLognormal(1.0, 0.5))
+        assert exact_line_mean(head, graph) == pytest.approx(
+            0.5**5 * math.exp(1.125), rel=1e-15)
+        tail = BusinessLine(4, "tail", frozenset({23, 100}), TriggeredGamma(3.0, 0.5))
+        with pytest.raises(EnumerationSizeError, match=re.escape(
+                "24 nodes in line 4's triggers and their ancestors exceed the "
+                "enumeration cap of 22 (2^24 states)")):
+            exact_line_mean(tail, graph)
+
+    def test_caches_no_joint_on_the_graph(self, case_lines):
+        graph = build_case_graph()
+        for line in case_lines:
+            exact_line_mean(line, graph)
+        assert graph._joint_cache is None
+
+
 def exact_line_sd(line, graph) -> float:
     """SD of a line's loss from conditional moments over the recursive joint."""
     first = second = 0.0
@@ -305,6 +374,32 @@ class TestLossPlan:
                 if rates is not None:
                     expected = dist.rate if fired[pos] else 0.0
                     assert rates[pos] == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+    @staticmethod
+    def assert_mask_formula_bits(graph, lines):
+        # the rate tables add each rate where its node is exploited, in id
+        # order per half of the state bits, as boolean-mask adds would
+        plan = loss_plan(graph, lines)
+        half = (graph.n + 1) // 2
+        for line, rates in zip(plan.lines, plan.rates):
+            if rates is None:
+                continue
+            sums = np.zeros((2, plan.states.size))
+            for nid, rate in line.model.rates:
+                pos = graph.position(nid)
+                sums[int(pos >= half), (plan.states >> pos) & 1 == 1] += rate
+            assert np.array_equal(rates.view(np.uint64), (sums[0] + sums[1]).view(np.uint64))
+
+    @given(graphs_with_lines())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_rate_tables_match_mask_formula(self, case):
+        self.assert_mask_formula_bits(*case)
+
+    def test_rate_tables_match_mask_formula_on_twenty_nodes(self):
+        scenario = generated_scenario(3101)
+        assert scenario.graph.n == 20
+        self.assert_mask_formula_bits(scenario.graph, scenario.lines)
 
 
 class TestSupportCdf:

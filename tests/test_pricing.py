@@ -20,6 +20,7 @@ from homecyber.pricing import (
     Policy,
     StdDev,
     TargetNotAchievableError,
+    _sorted_gmd,
     calibrations,
     premium,
     premiums,
@@ -193,6 +194,15 @@ class TestGmd:
     @settings(max_examples=100, deadline=None)
     def test_sorted_equals_brute_force_property(self, values):
         assert gmd_of(values) == pytest.approx(brute_force_gmd(values), rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("size", [2, 3, 17, 150])
+    def test_sorted_within_ulps_of_exact_pairs(self, size):
+        # the pairwise mean of |x_i - x_j| in rational arithmetic, rounded once
+        x = np.sort(np.random.default_rng(size).lognormal(3.0, 1.5, size))
+        values = [Fraction(v) for v in x.tolist()]
+        pairs = sum(abs(a - b) for i, a in enumerate(values) for b in values[i + 1:])
+        exact = float(pairs * 2 / (size * (size - 1)))
+        assert abs(_sorted_gmd(x) - exact) <= 4 * math.ulp(exact)
 
 
 def exact_sd(x) -> float:
