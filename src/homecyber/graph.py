@@ -115,12 +115,6 @@ class AttackGraph:
     the list of invariant violations.  Derived structure (positions, parent
     lists) is precomputed once and shared, so instances are safe for
     concurrent readers.
-
-    The exact joint is the one thing filled lazily and cached for the
-    object's lifetime; it holds 2^n doubles (8 MB at n = 20, 32 MB at the
-    default enumeration cap of 22) and is filled in O(2^n), one node at a
-    time in topological order.  Two readers filling the cache at once
-    compute the same value, and either result is kept.
     """
 
     def __init__(self, nodes: Iterable[VulnNode], edges: Iterable[Edge]):
@@ -137,7 +131,6 @@ class AttackGraph:
         self._parents = {
             nid: tuple(sorted(plist)) for nid, plist in parents.items()
         }
-        self._joint_cache: JointDistribution | None = None
 
     @property
     def n(self) -> int:
@@ -315,18 +308,11 @@ def enumerate_joint(graph: AttackGraph) -> JointDistribution:
 
     Raises :class:`EnumerationSizeError` above ``DEFAULT_ENUMERATION_CAP``
     nodes; simulation samples from this joint, so it has the same limit.
-    The result is cached on ``graph``, so every later call returns the same
-    object.
+    Every call builds a new joint: ``graph`` keeps none.
     """
-    check_enumerable(graph)
-    if graph._joint_cache is None:
-        graph._joint_cache = _enumerate(graph)
-    return graph._joint_cache
-
-
-def _enumerate(graph: AttackGraph) -> JointDistribution:
     import numpy as np
 
+    check_enumerable(graph)
     n = graph.n
     topo_ids = topological_order(graph)
     order = [graph.position(node_id) for node_id in topo_ids]

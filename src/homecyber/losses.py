@@ -236,9 +236,9 @@ def exact_line_mean(line: BusinessLine, graph: AttackGraph) -> float:
     are the line's triggers or their ancestors.
 
     The law of the triggers is that of the ancestral subgraph, the only joint
-    enumerated (so the cap applies to a, and ``graph`` caches no joint).  It
-    is summed down to the 2^t patterns of the line's t trigger nodes, and the
-    mean is an fsum over the patterns that fire.
+    enumerated (so the cap applies to a).  It is summed down to the 2^t
+    patterns of the line's t trigger nodes, and the mean is an fsum over the
+    patterns that fire.
     """
     import numpy as np
 

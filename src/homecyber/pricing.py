@@ -106,18 +106,18 @@ def _sorted_gmd(ordered: np.ndarray) -> float:
 
 
 def sample_sd(x: np.ndarray) -> float:
-    """SD of ``x`` with the n - 1 divisor, 0 for one value.  Below 2^-500 some squared
-    deviations of distinct values may underflow, so there the SD is read off ``x``
-    scaled by 2^-k, k the exponent of max |x|, and scaled back: a power-of-two scale
-    changes no bit of an SD whose squares did not underflow."""
+    """SD of ``x`` with the n - 1 divisor, 0 for one value.  Squared deviations may
+    underflow (an SD below 2^-500) or overflow (an inf SD of finite values); there the
+    SD is read off ``x`` scaled by 2^-k, k the exponent of max |x|, and scaled back (inf
+    if it truly overflows): a power-of-two scale changes no bit of an SD whose squares fit."""
     import numpy as np
 
     if x.size < 2:
         return 0.0
     sd = float(np.std(x, ddof=1))
-    if sd < 2.0**-500 and x.min() != x.max():
+    if (sd < 2.0**-500 and x.min() != x.max()) or (sd == math.inf and np.isfinite(x).all()):
         k = math.frexp(float(np.abs(x).max()))[1]
-        sd = math.ldexp(float(np.std(np.ldexp(x, -k), ddof=1)), k)
+        sd = float(np.ldexp(np.std(np.ldexp(x, -k), ddof=1), k))
     return sd
 
 

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -1189,6 +1190,28 @@ class TestOverflowingLosses:
         assert "expectation: not calibrated (theta = (target - mean) / mean overflows" \
             in captured.out
         assert captured.err == ""
+
+    # L3 at mu = 400 has mean e^400.5 ~ 8.6e173 and an SD near 1e174: both fit
+    # in float64, though its squared deviations do not
+    HUGE_SD = {
+        "simulate": ("--runs", "1000"),
+        "price": ("--runs", "1000", *THETAS),
+        "calibrate": ("--runs", "1000", "--line", "3", "--target", "1e174"),
+        "portfolio": ("--premium", "418", "--deductible", "1000", "--coverage", "inf",
+                      "--homes", "40", "--replications", "60"),
+    }
+
+    @pytest.mark.parametrize("command", list(HUGE_SD))
+    def test_sd_whose_squares_overflow_is_a_table(self, command, tmp_path, capsys):
+        path = self.scenario(tmp_path, 2, "mu", 400.0)
+        out = tmp_path / "out"
+        assert run(command, "--scenario", path, *self.HUGE_SD[command], "--seed", "1",
+                   "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        (table,) = (f for f in out.iterdir() if f.suffix == ".csv")
+        assert not re.search(r"\b(inf|nan)\b", table.read_text())
+        if command == "simulate":
+            assert 1e173 < float(csv_rows(table)[2]["SD"]) < 1e175
 
     @pytest.mark.parametrize("command", list(OVERFLOWING))
     def test_statistics_that_overflow_are_an_error(self, command, tmp_path, capsys,

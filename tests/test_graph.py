@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -211,10 +213,19 @@ class TestEnumerateJoint:
         # 22 nodes are within the cap (check_enumerable alone: no 2^22 joint is built)
         check_enumerable(AttackGraph(nodes[:22], []))
 
-    def test_cached_per_graph_after_cap_check(self):
+    def test_each_call_builds_a_new_joint(self):
         graph = build_case_graph()
-        joint = enumerate_joint(graph)
-        assert enumerate_joint(graph) is joint
+        first, second = enumerate_joint(graph), enumerate_joint(graph)
+        assert first is not second and not np.shares_memory(first.probs, second.probs)
+        assert first.probs.tobytes() == second.probs.tobytes()
+
+    def test_graph_keeps_no_joint(self):
+        # once the caller drops the joint, nothing holds its 2^n array (the
+        # base of the read-only view ``probs``)
+        graph = build_case_graph()
+        ref = weakref.ref(enumerate_joint(graph).probs.base)
+        gc.collect()
+        assert ref() is None
 
 
 class TestAncestralSubgraph:

@@ -241,11 +241,6 @@ class TestExactLineMean:
                     oracle += p * conditional_distribution(line, state, case_graph).mean()
             assert exact_line_mean(line, case_graph) == pytest.approx(oracle, rel=1e-10)
 
-    def test_cached_and_fresh_graph_agree(self, case_graph, case_lines):
-        enumerate_joint(case_graph)  # warm the cache on the shared graph
-        for line in case_lines:
-            assert exact_line_mean(line, case_graph) == exact_line_mean(line, build_case_graph())
-
     def test_graph_and_its_joint_are_freed(self, case_lines):
         graph = build_case_graph()
         for line in case_lines:
@@ -313,12 +308,6 @@ class TestExactLineMeanOnAncestors:
                 "24 nodes in line 4's triggers and their ancestors exceed the "
                 "enumeration cap of 22 (2^24 states)")):
             exact_line_mean(tail, graph)
-
-    def test_caches_no_joint_on_the_graph(self, case_lines):
-        graph = build_case_graph()
-        for line in case_lines:
-            exact_line_mean(line, graph)
-        assert graph._joint_cache is None
 
 
 def exact_line_sd(line, graph) -> float:

@@ -250,8 +250,16 @@ class TestSampleSd:
             assert math.ldexp(sample_sd(np.ldexp(x, k)), -k) == float(np.std(x, ddof=1))
 
     def test_sd_beyond_float64_stays_inf(self):
+        # the SD is 1.7e308 * sqrt(2), above float64's maximum
         with np.errstate(over="ignore"):
-            assert sample_sd(np.array([0.0, 1.5e308])) == math.inf
+            assert sample_sd(np.array([-1.7e308, 1.7e308])) == math.inf
+
+    def test_overflowing_squares_are_rescaled(self):
+        # np.std squares deviations above 1.34e154 to inf; the SD itself fits
+        with np.errstate(over="ignore"):
+            assert float(np.std([0.0, 1.5e308], ddof=1)) == math.inf
+            assert sample_sd(np.array([0.0, 1.5e308])) == 1.5e308 / math.sqrt(2.0)
+            assert sample_sd(np.full(10, 1e308)) == 0.0
 
 
 class TestVarBeta:
@@ -310,13 +318,21 @@ class TestCalibrate:
 
     @pytest.mark.parametrize("family, sample", [
         ("expectation", [1e308, 1e308]),  # the mean overflows
-        ("stddev", [0.0, 1.5e308]),  # a finite mean, but the squared deviations overflow
+        ("stddev", [-1.7e308, 1.7e308]),  # a finite mean, but the SD overflows
         ("gmd", [0.0, 1.5e308]),  # a finite mean, but the weighted sum overflows
     ])
     def test_overflowing_statistics_rejected(self, family, sample):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 ValueError, match="^statistics of the sample overflow float64$"):
             calibrations(sample, (family,), 28.0)
+
+    def test_sd_whose_squares_overflow_calibrates(self):
+        # the squared deviations overflow, but the SD (1.5e308 / sqrt(2)) fits
+        x = [0.0, 1.5e308]
+        with np.errstate(over="ignore"):
+            (param,) = calibrations(x, ("stddev",), 1.5e308)
+            assert param == StdDev(math.sqrt(0.5))
+            assert premium(x, param) == 1.5e308
 
     def test_parameter_beyond_float64_is_not_achievable(self):
         # a subnormal sample: (target - mean) / scale overflows, and each family
